@@ -361,89 +361,5 @@ func (p *Preconditioner) Close() { p.e.Close() }
 // use; treat as read-only.
 func (p *Preconditioner) Engine() *core.Engine { return p.e }
 
-// SolverOptions bounds an iterative solve through the deprecated free
-// functions. Set Work (a reusable *SolverWorkspace) to make repeated
-// solves allocation-free. New code should use NewSolver with
-// functional options instead.
-type SolverOptions = krylov.Options
-
-// SolverStats reports iterations and convergence.
+// SolverStats reports iterations and convergence of one Solve.
 type SolverStats = krylov.Stats
-
-// SolverWorkspace is reusable Krylov solver storage: pass one via
-// SolverOptions.Work and repeated CG/GMRES/BiCGSTAB solves stop
-// allocating. One workspace per goroutine; never share a workspace
-// between concurrent solves.
-type SolverWorkspace = krylov.Workspace
-
-// NewSolverWorkspace returns an empty workspace; the first solve
-// grows it to size.
-func NewSolverWorkspace() *SolverWorkspace { return krylov.NewWorkspace() }
-
-// The free Solve* functions below are thin wrappers over a
-// per-call Solver, kept so existing callers compile and behave
-// unchanged: they honor SolverOptions.Work, return Converged=false
-// with a nil error when MaxIter runs out, and are now concurrency-safe
-// (each call draws a pooled context instead of racing on the
-// preconditioner's built-in applier). New code should build one
-// Solver and share it.
-
-// SolveCG runs preconditioned conjugate gradients (SPD matrices).
-// Pass nil for no preconditioning.
-//
-// Deprecated: use NewSolver(m, p, WithMethod(MethodCG), ...) and
-// Solver.Solve, which adds context cancellation, typed errors, and
-// pooled per-call state.
-func SolveCG(m *Matrix, p *Preconditioner, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, p, nil, MethodCG, b, x, opt)
-}
-
-// SolveGMRES runs left-preconditioned restarted GMRES.
-//
-// Deprecated: use NewSolver(m, p, WithMethod(MethodGMRES), ...) and
-// Solver.Solve.
-func SolveGMRES(m *Matrix, p *Preconditioner, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, p, nil, MethodGMRES, b, x, opt)
-}
-
-// SolveBiCGSTAB runs preconditioned BiCGSTAB: the unsymmetric-system
-// solver with constant memory (no GMRES restart basis).
-//
-// Deprecated: use NewSolver(m, p, WithMethod(MethodBiCGSTAB), ...)
-// and Solver.Solve.
-func SolveBiCGSTAB(m *Matrix, p *Preconditioner, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, p, nil, MethodBiCGSTAB, b, x, opt)
-}
-
-func applierPC(a *Applier) krylov.Preconditioner {
-	if a != nil {
-		return a.ctx
-	}
-	return krylov.Identity{}
-}
-
-// SolveCGWith runs CG applying the preconditioner through the given
-// Applier (nil means unpreconditioned).
-//
-// Deprecated: use NewSolver and Solver.Solve — the Solver manages
-// per-call appliers and workspaces internally, so concurrent callers
-// no longer wire them by hand.
-func SolveCGWith(m *Matrix, a *Applier, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, nil, applierPC(a), MethodCG, b, x, opt)
-}
-
-// SolveGMRESWith runs GMRES through the given Applier (nil means
-// unpreconditioned).
-//
-// Deprecated: use NewSolver and Solver.Solve.
-func SolveGMRESWith(m *Matrix, a *Applier, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, nil, applierPC(a), MethodGMRES, b, x, opt)
-}
-
-// SolveBiCGSTABWith runs BiCGSTAB through the given Applier (nil
-// means unpreconditioned).
-//
-// Deprecated: use NewSolver and Solver.Solve.
-func SolveBiCGSTABWith(m *Matrix, a *Applier, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	return legacySolve(m, nil, applierPC(a), MethodBiCGSTAB, b, x, opt)
-}

@@ -2,6 +2,7 @@ package javelin
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"runtime"
@@ -31,7 +32,7 @@ func TestBuilderAndMatrixBasics(t *testing.T) {
 	}
 }
 
-func TestFactorizeAndSolveCGEndToEnd(t *testing.T) {
+func TestFactorizeAndCGEndToEnd(t *testing.T) {
 	m := GridLaplacian(30, 30, 1, Star5, 0.1)
 	p, err := Factorize(m, DefaultOptions())
 	if err != nil {
@@ -46,12 +47,12 @@ func TestFactorizeAndSolveCGEndToEnd(t *testing.T) {
 	b := make([]float64, n)
 	m.MatVec(xTrue, b)
 	x := make([]float64, n)
-	st, err := SolveCG(m, p, b, x, SolverOptions{Tol: 1e-9})
+	s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Converged {
-		t.Fatalf("no convergence: %+v", st)
+	if _, err := s.Solve(context.Background(), b, x); err != nil {
+		t.Fatal(err)
 	}
 	for i := range x {
 		if math.Abs(x[i]-xTrue[i]) > 1e-5 {
@@ -60,7 +61,7 @@ func TestFactorizeAndSolveCGEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSolveGMRESOnCircuit(t *testing.T) {
+func TestGMRESOnCircuit(t *testing.T) {
 	m := Circuit(CircuitOptions{N: 2000, AvgDeg: 4, NumHubs: 3, HubDeg: 60,
 		UnsymFrac: 0.4, Locality: 64, Seed: 12})
 	p, err := Factorize(m, DefaultOptions())
@@ -74,12 +75,12 @@ func TestSolveGMRESOnCircuit(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	st, err := SolveGMRES(m, p, b, x, SolverOptions{Tol: 1e-8})
+	s, err := NewSolver(m, p, WithMethod(MethodGMRES), WithTol(1e-8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Converged {
-		t.Fatalf("GMRES did not converge: %+v", st)
+	if st, err := s.Solve(context.Background(), b, x); err != nil {
+		t.Fatalf("GMRES did not converge: %v %+v", err, st)
 	}
 }
 
@@ -91,12 +92,12 @@ func TestSolveWithoutPreconditioner(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n)
-	st, err := SolveCG(m, nil, b, x, SolverOptions{Tol: 1e-8})
+	s, err := NewSolver(m, nil, WithMethod(MethodCG), WithTol(1e-8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Converged {
-		t.Fatal("plain CG should converge on a dominant Laplacian")
+	if _, err := s.Solve(context.Background(), b, x); err != nil {
+		t.Fatalf("plain CG should converge on a dominant Laplacian: %v", err)
 	}
 }
 
@@ -217,28 +218,25 @@ func TestApplierConcurrentSolvesShareOnePreconditioner(t *testing.T) {
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}
+	s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]float64, n)
-	if st, err := SolveCG(m, p, b, want, SolverOptions{Tol: 1e-10}); err != nil || !st.Converged {
+	if st, err := s.Solve(context.Background(), b, want); err != nil {
 		t.Fatalf("reference solve: %v %+v", err, st)
 	}
 	const workers = 4
 	done := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			ap := p.NewApplier()
-			ws := NewSolverWorkspace()
 			x := make([]float64, n)
 			for rep := 0; rep < 3; rep++ {
 				for i := range x {
 					x[i] = 0
 				}
-				st, err := SolveCGWith(m, ap, b, x, SolverOptions{Tol: 1e-10, Work: ws})
-				if err != nil {
+				if _, err := s.Solve(context.Background(), b, x); err != nil {
 					done <- err
-					return
-				}
-				if !st.Converged {
-					done <- errNotConverged
 					return
 				}
 				for i := range x {
@@ -304,7 +302,7 @@ func TestApplyBatchAPIEquivalence(t *testing.T) {
 	}
 }
 
-func TestSolveBiCGSTABEndToEnd(t *testing.T) {
+func TestBiCGSTABEndToEnd(t *testing.T) {
 	m := TetraMesh(7, 7, 7, 0x99)
 	p, err := Factorize(m, DefaultOptions())
 	if err != nil {
@@ -319,41 +317,29 @@ func TestSolveBiCGSTABEndToEnd(t *testing.T) {
 	b := make([]float64, n)
 	m.MatVec(xTrue, b)
 	x := make([]float64, n)
-	st, err := SolveBiCGSTAB(m, p, b, x, SolverOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("SolveBiCGSTAB: %v", err)
-	}
-	if !st.Converged {
-		t.Fatalf("not converged: %+v", st)
-	}
-	for i := range x {
-		if math.Abs(x[i]-xTrue[i]) > 1e-6*(1+math.Abs(xTrue[i])) {
-			t.Fatalf("solution off at %d: %g vs %g", i, x[i], xTrue[i])
-		}
-	}
-	// The applier-preconditioned and unpreconditioned variants must
-	// converge to the same solution.
+	// The preconditioned and unpreconditioned sessions must converge
+	// to the same solution.
 	for _, tc := range []struct {
 		name string
-		ap   *Applier
+		p    *Preconditioner
 		tol  float64
 	}{
-		{"applier", p.NewApplier(), 1e-6},
+		{"preconditioned", p, 1e-6},
 		{"unpreconditioned", nil, 1e-4},
 	} {
+		s, err := NewSolver(m, tc.p, WithMethod(MethodBiCGSTAB), WithTol(1e-10))
+		if err != nil {
+			t.Fatalf("NewSolver(%s): %v", tc.name, err)
+		}
 		for i := range x {
 			x[i] = 0
 		}
-		st, err := SolveBiCGSTABWith(m, tc.ap, b, x, SolverOptions{Tol: 1e-10})
-		if err != nil {
-			t.Fatalf("SolveBiCGSTABWith(%s): %v", tc.name, err)
-		}
-		if !st.Converged {
-			t.Fatalf("SolveBiCGSTABWith(%s) not converged: %+v", tc.name, st)
+		if st, err := s.Solve(context.Background(), b, x); err != nil {
+			t.Fatalf("BiCGSTAB (%s): %v %+v", tc.name, err, st)
 		}
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > tc.tol*(1+math.Abs(xTrue[i])) {
-				t.Fatalf("SolveBiCGSTABWith(%s) solution off at %d: %g vs %g",
+				t.Fatalf("BiCGSTAB (%s) solution off at %d: %g vs %g",
 					tc.name, i, x[i], xTrue[i])
 			}
 		}
@@ -389,19 +375,18 @@ func TestSharedRuntimeAPI(t *testing.T) {
 	defer p2.Close()
 
 	solve := func(m *Matrix, p *Preconditioner) {
-		ap := p.NewApplier()
+		s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-8), WithThreads(4), WithRuntime(rt))
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		b := make([]float64, m.N())
 		x := make([]float64, m.N())
 		for i := range b {
 			b[i] = 1
 		}
-		st, err := SolveCGWith(m, ap, b, x, SolverOptions{Tol: 1e-8, Threads: 4, Runtime: rt})
-		if err != nil {
+		if _, err := s.Solve(context.Background(), b, x); err != nil {
 			t.Error(err)
-			return
-		}
-		if !st.Converged {
-			t.Errorf("CG did not converge: relres=%g", st.RelResidual)
 		}
 	}
 	done := make(chan struct{}, 4)
@@ -487,7 +472,11 @@ func TestRuntimeStatsAPI(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	if _, err := SolveCG(m, p, b, x, SolverOptions{Tol: 1e-8, Threads: 4, Runtime: rt}); err != nil {
+	s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-8), WithThreads(4), WithRuntime(rt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(context.Background(), b, x); err != nil {
 		t.Fatal(err)
 	}
 	rt.For(1024, 0, func(int) {})

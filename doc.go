@@ -28,7 +28,7 @@
 //	x := make([]float64, m.N())
 //	stats, err := s.Solve(ctx, b, x)
 //
-// # Solver sessions & migration
+// # Solver sessions
 //
 // A Solver is the single entry point for iterative solves: built once
 // from a Matrix and an optional Preconditioner, it is safe for any
@@ -55,19 +55,6 @@
 //		}()
 //	}
 //
-// The free solve functions predate Solver and remain as deprecated
-// compatibility wrappers (same trajectories, old nil-error
-// non-convergence contract). Migration map:
-//
-//	SolveCG(m, p, b, x, opt)        → NewSolver(m, p, WithMethod(MethodCG), ...).Solve(ctx, b, x)
-//	SolveGMRES(m, p, b, x, opt)     → NewSolver(m, p, WithMethod(MethodGMRES), WithRestart(k), ...)
-//	SolveBiCGSTAB(m, p, b, x, opt)  → NewSolver(m, p, WithMethod(MethodBiCGSTAB), ...)
-//	SolveCGWith(m, ap, b, x, opt)   → same Solver — per-call appliers are pooled internally
-//	SolveGMRESWith / SolveBiCGSTABWith → likewise; drop the Applier plumbing
-//	opt.Tol / MaxIter / Restart     → WithTol / WithMaxIter / WithRestart
-//	opt.Threads / Runtime           → WithThreads / WithRuntime (default: inherit the engine's)
-//	opt.Work (workspace reuse)      → automatic (pooled per call)
-//
 // One Solver binds one (matrix, preconditioner) pair; build another
 // for another system. The Preconditioner must outlive the Solver;
 // Refactorize may run at any time, concurrently with in-flight Solve
@@ -92,9 +79,9 @@
 //     runs on the epoch current at its entry, and the next call picks
 //     up newly published values.
 //   - Old epochs retire once their last in-flight reader finishes;
-//     their buffers are recycled as the build target of a later
+//     their buffers and epoch headers are recycled by a later
 //     Refactorize, so a refactorize-heavy steady state ping-pongs
-//     between two value buffers and allocates nothing.
+//     between two value buffers and allocates nothing for them.
 //   - A failed Refactorize (zero pivot, ErrPatternMismatch) leaves
 //     the previously published values current, so solve traffic
 //     continues on the last good factor.
@@ -108,6 +95,11 @@
 // therefore single-caller convenience paths (still safe, like every
 // solve path, against concurrent Refactorize).
 //
+// One primitive implements all of this, for the factor values here
+// and the matrix values below: internal/epoch's Cell, which holds the
+// only increment-then-validate pin loop and the only
+// grab/publish/recycle path in the tree.
+//
 // Refactorize rejects matrices whose sparsity leaves the factorized
 // pattern with ErrPatternMismatch instead of silently computing the
 // factor of a different matrix; τ-dropped refactorization workflows
@@ -115,14 +107,14 @@
 //
 // # Live updates & drift policy
 //
-// The matrix side of a solve carries the same epoch discipline as the
-// factor side. A VersionedMatrix wraps a fixed sparsity pattern with
-// epoch-versioned values: UpdateValues (or UpdateMatrix) publishes a
-// complete new value generation with one atomic swap — publishers
-// never block and never wait for readers — and a retired generation's
-// buffer is recycled for a later update once its last pinned reader
-// finishes, so a steady stream of updates ping-pongs between two
-// buffers and allocates nothing.
+// The matrix side of a solve runs on the same internal/epoch Cell as
+// the factor side. A VersionedMatrix wraps a fixed sparsity pattern
+// with epoch-versioned values: UpdateValues (or UpdateMatrix)
+// publishes a complete new value generation with one atomic swap —
+// publishers never block and never wait for readers — and a retired
+// generation's buffer and header are recycled for a later update once
+// its last pinned reader finishes, so a steady stream of updates
+// ping-pongs between two buffers and allocates nothing.
 //
 // A Solver built with NewVersionedSolver pins one consistent
 // (A-epoch, factor-epoch) pair for the whole solve. The invariant,
@@ -286,7 +278,7 @@
 //
 //   - pinpair — epoch pinning (the live-refactorization contract):
 //     every AcquireContext/ReleaseContext, PinEpoch/UnpinEpoch, and
-//     VersionedMatrix/Versioned Pin/Unpin must be paired on every
+//     VersionedMatrix/epoch.Cell Pin/Unpin must be paired on every
 //     return path, including error paths, by defer or explicit call. A
 //     leaked pin strands a retired generation's buffer forever.
 //   - kernelpurity — the bitwise-identity contract, Go side: kernel

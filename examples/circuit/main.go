@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -45,9 +46,14 @@ func main() {
 		}
 		factTime := time.Since(t0)
 
+		s, err := javelin.NewSolver(m, p, javelin.WithMethod(javelin.MethodGMRES),
+			javelin.WithTol(1e-8), javelin.WithRestart(40))
+		if err != nil {
+			log.Fatalf("solver (%v): %v", lower, err)
+		}
 		x := make([]float64, n)
 		t0 = time.Now()
-		st, err := javelin.SolveGMRES(m, p, b, x, javelin.SolverOptions{Tol: 1e-8, Restart: 40})
+		st, err := s.Solve(context.Background(), b, x)
 		if err != nil {
 			log.Fatalf("gmres (%v): %v", lower, err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,8 +43,12 @@ func main() {
 		for newI, oldI := range perm {
 			pb[newI] = b[oldI]
 		}
+		s, err := javelin.NewSolver(pm, p, javelin.WithMethod(javelin.MethodCG), javelin.WithTol(1e-6))
+		if err != nil {
+			log.Fatalf("%s: solver: %v", ord.name, err)
+		}
 		x := make([]float64, n)
-		st, err := javelin.SolveCG(pm, p, pb, x, javelin.SolverOptions{Tol: 1e-6})
+		st, err := s.Solve(context.Background(), pb, x)
 		if err != nil {
 			log.Fatalf("%s: solve: %v", ord.name, err)
 		}

@@ -92,17 +92,6 @@ func runAsmVet(pass *Pass) error {
 	return nil
 }
 
-// VetAsmFile checks one assembly file outside the package-loading
-// path; the fixture tests use it to drive asmvet over raw .s files.
-// Files whose architecture has no rule table are skipped silently.
-func VetAsmFile(pass *Pass, path string) error {
-	rules := asmArchRules[asmFileArch(path)]
-	if rules == nil {
-		return nil
-	}
-	return vetAsmFile(pass, path, rules)
-}
-
 type asmLine struct {
 	num  int
 	text string // comment-stripped, trimmed

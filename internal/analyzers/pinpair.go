@@ -12,8 +12,8 @@ import (
 //
 //	c := e.AcquireContext()   must be released by e.ReleaseContext(c)
 //	c.PinEpoch()              must be balanced by c.UnpinEpoch()
-//	ep := vm.Pin()            must be released by vm.Unpin(ep)
-//	                          (Versioned and VersionedMatrix receivers)
+//	ep := c.Pin()             must be released by c.Unpin(ep)
+//	                          (epoch.Cell and VersionedMatrix receivers)
 //
 // either via defer or by an explicit call before each return
 // (including error-return paths). A leaked acquire keeps its pinned
@@ -54,7 +54,7 @@ type pairSpec struct {
 var pinPairs = map[string]pairSpec{
 	"AcquireContext": {close: "ReleaseContext", recvTypes: recvSet("Engine"), handle: true, verb: "released"},
 	"PinEpoch":       {close: "UnpinEpoch", recvTypes: recvSet("SolveContext"), verb: "unpinned"},
-	"Pin":            {close: "Unpin", recvTypes: recvSet("Versioned", "VersionedMatrix"), handle: true, verb: "unpinned"},
+	"Pin":            {close: "Unpin", recvTypes: recvSet("Cell", "VersionedMatrix"), handle: true, verb: "unpinned"},
 }
 
 var pinCloses = map[string]string{

@@ -28,27 +28,28 @@ func (e *Engine) AcquireContext() *SolveContext {
 // ReleaseContext mirrors the real release (unpins on release).
 func (e *Engine) ReleaseContext(c *SolveContext) { c.UnpinEpoch() }
 
-// ValEpoch mirrors internal/sparse.ValEpoch (one pinned value
+// ValEpoch mirrors internal/epoch.Epoch (one pinned value
 // generation).
 type ValEpoch struct{ refs int }
 
-// Versioned mirrors internal/sparse.Versioned's pinning surface.
-type Versioned struct{ cur *ValEpoch }
+// Cell mirrors internal/epoch.Cell's pinning surface.
+type Cell[T any] struct{ cur *ValEpoch }
 
 // Pin mirrors the real handle-returning pin.
-func (v *Versioned) Pin() *ValEpoch { v.cur.refs++; return v.cur }
+func (c *Cell[T]) Pin() *ValEpoch { c.cur.refs++; return c.cur }
 
 // Unpin mirrors the real handle-consuming release.
-func (v *Versioned) Unpin(ep *ValEpoch) { ep.refs-- }
+func (c *Cell[T]) Unpin(ep *ValEpoch) { ep.refs-- }
 
-// VersionedMatrix mirrors the root package's wrapper around Versioned.
-type VersionedMatrix struct{ v *Versioned }
+// VersionedMatrix mirrors the root package's wrapper around the
+// matrix-value Cell.
+type VersionedMatrix struct{ vals Cell[[]float64] }
 
 // Pin mirrors VersionedMatrix.Pin.
-func (m *VersionedMatrix) Pin() *ValEpoch { return m.v.Pin() }
+func (m *VersionedMatrix) Pin() *ValEpoch { return m.vals.Pin() }
 
 // Unpin mirrors VersionedMatrix.Unpin.
-func (m *VersionedMatrix) Unpin(ep *ValEpoch) { m.v.Unpin(ep) }
+func (m *VersionedMatrix) Unpin(ep *ValEpoch) { m.vals.Unpin(ep) }
 
 // decoy carries same-named Pin/Unpin methods on an unrelated type; the
 // analyzer's receiver-type guard must leave them untracked.
@@ -129,10 +130,10 @@ func matrixPinBlank(vm *VersionedMatrix) {
 	_ = vm.Pin() // want `result of Pin assigned to _`
 }
 
-// versionedPinLeakAtEnd pins the internal Versioned type and never
-// unpins: flagged at the implicit return.
-func versionedPinLeakAtEnd(v *Versioned) {
-	ep := v.Pin()
+// cellPinLeakAtEnd pins a generic Cell and never unpins: flagged at
+// the implicit return.
+func cellPinLeakAtEnd(c *Cell[[]float64]) {
+	ep := c.Pin()
 	_ = ep
 } // want `Pin at .*pinpair\.go:\d+ is not unpinned on this return path`
 
@@ -231,14 +232,14 @@ func matrixPinDefer(vm *VersionedMatrix, fail bool) error {
 	return nil
 }
 
-// versionedPinExplicit unpins explicitly before each return.
-func versionedPinExplicit(v *Versioned, fail bool) error {
-	ep := v.Pin()
+// cellPinExplicit unpins explicitly before each return.
+func cellPinExplicit(c *Cell[[]float64], fail bool) error {
+	ep := c.Pin()
 	if fail {
-		v.Unpin(ep)
+		c.Unpin(ep)
 		return errFixture
 	}
-	v.Unpin(ep)
+	c.Unpin(ep)
 	return nil
 }
 

@@ -119,74 +119,3 @@ func TestJaccardBounds(t *testing.T) {
 		t.Error("self-similarity must be 1")
 	}
 }
-
-func TestChowPatelSequentialSweepIsExact(t *testing.T) {
-	// With one thread, a sweep visits rows in dependency order, so the
-	// fixed-point iteration IS the exact ILU(0) computation after a
-	// single sweep (Chow & Patel's own observation).
-	a := gen.GridLaplacian(12, 12, 1, gen.Star5, 1)
-	exact, err := ilu.Factorize(a, ilu.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ChowPatel(a, ChowPatelOptions{Sweeps: 1, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range f.LU.Val {
-		if d := math.Abs(f.LU.Val[k] - exact.LU.Val[k]); d > 1e-12 {
-			t.Fatalf("sequential sweep not exact: entry %d off by %g", k, d)
-		}
-	}
-}
-
-func TestChowPatelParallelSweepsConverge(t *testing.T) {
-	// With several threads the sweeps read stale values; many sweeps
-	// must still converge to the ILU(0) fixed point.
-	a := gen.GridLaplacian(12, 12, 1, gen.Star5, 1)
-	exact, err := ilu.Factorize(a, ilu.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ChowPatel(a, ChowPatelOptions{Sweeps: 20, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxd := 0.0
-	for k := range f.LU.Val {
-		if d := math.Abs(f.LU.Val[k] - exact.LU.Val[k]); d > maxd {
-			maxd = d
-		}
-	}
-	if maxd > 1e-8 {
-		t.Errorf("after 20 parallel sweeps error vs ILU(0) is %g", maxd)
-	}
-}
-
-func TestChowPatelUsableAsPreconditioner(t *testing.T) {
-	a := gen.GridLaplacian(16, 16, 1, gen.Star5, 0.5)
-	f, err := ChowPatel(a, ChowPatelOptions{Sweeps: 5, Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := a.N
-	rng := util.NewRNG(3)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	y := make([]float64, n)
-	z := make([]float64, n)
-	trisolve.SolveLowerSerial(f, b, y)
-	trisolve.SolveUpperSerial(f, y, z)
-	az := make([]float64, n)
-	a.MatVec(z, az)
-	res := 0.0
-	for i := range az {
-		res += (b[i] - az[i]) * (b[i] - az[i])
-	}
-	if math.Sqrt(res) > 0.9*util.Norm2(b) {
-		t.Errorf("Chow–Patel preconditioned residual %g vs ‖b‖ %g",
-			math.Sqrt(res), util.Norm2(b))
-	}
-}

@@ -1,8 +1,6 @@
-// Package baseline implements the comparison factorizations of the
+// Package baseline implements the comparison factorization of the
 // paper's evaluation: a heavyweight supernodal blocked ILUT standing
-// in for the commercial WSMP package (Fig. 9), and the Chow–Patel
-// fine-grained iterative ILU (reference [3]) as the nondeterministic
-// alternative the paper contrasts Javelin against.
+// in for the commercial WSMP package (Fig. 9).
 //
 // The supernodal baseline deliberately embodies the design the paper
 // blames for WSMP's slowdowns: supernode panels with dense scratch
@@ -21,9 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"javelin/internal/exec"
 	"javelin/internal/ilu"
 	"javelin/internal/sparse"
-	"javelin/internal/util"
 )
 
 // SupernodalOptions configures the WSMP-analogue factorization.
@@ -395,7 +393,7 @@ func (q *globalQueue) drain(threads, n int) error {
 	// One drainer per range piece on the persistent runtime; each
 	// piece owns its dense scratch.
 	var firstErr atomic.Value
-	util.ParallelRanges(threads, threads, func(worker, lo, hi int) {
+	exec.Default().Ranges(threads, threads, func(worker, lo, hi int) {
 		sc := newSnScratch(n)
 		for {
 			task := q.pop()

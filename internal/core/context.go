@@ -1,6 +1,7 @@
 package core
 
 import (
+	"javelin/internal/epoch"
 	"javelin/internal/p2p"
 )
 
@@ -38,7 +39,7 @@ type SolveContext struct {
 	// ReleaseContext) plus any nested PinEpoch brackets; while it is
 	// zero, enter/exit pin around each top-level solve instead, with
 	// depth tracking re-entrancy (Apply calls SolveLower/SolveUpper).
-	ep    *epoch
+	ep    *epoch.Epoch[[]float64]
 	vals  []float64
 	pins  int
 	depth int
@@ -57,8 +58,8 @@ const retainedBlkRHS = 4
 // context (a no-op at re-entrant depth or under an acquire-held pin).
 func (c *SolveContext) enter() {
 	if c.depth == 0 && c.ep == nil {
-		c.ep = c.e.pinEpoch()
-		c.vals = c.ep.vals
+		c.ep = c.e.vals.Pin()
+		c.vals = c.ep.Vals()
 	}
 	c.depth++
 }
@@ -68,7 +69,7 @@ func (c *SolveContext) enter() {
 func (c *SolveContext) exit() {
 	c.depth--
 	if c.depth == 0 && c.pins == 0 {
-		c.e.unpinEpoch(c.ep)
+		c.e.vals.Unpin(c.ep)
 		c.ep, c.vals = nil, nil
 	}
 }
@@ -100,8 +101,8 @@ func (e *Engine) AcquireContext() *SolveContext {
 	if !ok {
 		c = e.NewContext()
 	}
-	c.ep = e.pinEpoch()
-	c.vals = c.ep.vals
+	c.ep = e.vals.Pin()
+	c.vals = c.ep.Vals()
 	c.pins = 1
 	return c
 }
@@ -122,7 +123,7 @@ func (e *Engine) ReleaseContext(c *SolveContext) {
 	// strand the pinned epoch's buffer in the owner's retired list
 	// forever.
 	if c.ep != nil {
-		c.e.unpinEpoch(c.ep)
+		c.e.vals.Unpin(c.ep)
 		c.ep, c.vals = nil, nil
 	}
 	c.pins = 0
@@ -148,7 +149,7 @@ func (c *SolveContext) FactorEpoch() uint64 {
 	if c.ep == nil {
 		return 0
 	}
-	return c.ep.seq
+	return c.ep.Seq()
 }
 
 // PinEpoch pins the current factor-value epoch so that a sequence of
@@ -160,8 +161,8 @@ func (c *SolveContext) FactorEpoch() uint64 {
 // the acquire pin without disturbing it.
 func (c *SolveContext) PinEpoch() {
 	if c.ep == nil {
-		c.ep = c.e.pinEpoch()
-		c.vals = c.ep.vals
+		c.ep = c.e.vals.Pin()
+		c.vals = c.ep.Vals()
 	}
 	c.pins++
 }
@@ -175,7 +176,7 @@ func (c *SolveContext) UnpinEpoch() {
 	}
 	c.pins--
 	if c.pins == 0 && c.depth == 0 && c.ep != nil {
-		c.e.unpinEpoch(c.ep)
+		c.e.vals.Unpin(c.ep)
 		c.ep, c.vals = nil, nil
 	}
 }

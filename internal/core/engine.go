@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"javelin/internal/epoch"
 	"javelin/internal/exec"
 	"javelin/internal/ilu"
 	"javelin/internal/kernels"
@@ -203,18 +204,16 @@ type Engine struct {
 	ownRT     bool
 	closeOnce sync.Once
 
-	// cur is the published factor-value epoch. Solves pin it
-	// (pinEpoch) and read values only from the pinned snapshot;
-	// Refactorize builds the next generation off to the side and
-	// swaps it in here. See epoch.go.
-	cur atomic.Pointer[epoch]
+	// vals holds the published factor-value epochs. Solves pin the
+	// current one and read values only from that snapshot; Refactorize
+	// builds the next generation in a grabbed buffer and publishes it
+	// here. The symbolic structures above are shared by every epoch.
+	vals epoch.Cell[[]float64]
 	// refacMu serializes Refactorize (build + publish) against
-	// itself. It is never taken on a solve path, so factor refreshes
-	// and solves proceed concurrently.
+	// itself: the build shares lower-stage scratch. It is never taken
+	// on a solve path, so factor refreshes and solves proceed
+	// concurrently.
 	refacMu sync.Mutex
-	// retired holds swapped-out epochs until their readers drain and
-	// their buffers recycle.
-	retired []*epoch //javelin:plain-under-mu refacMu
 	// refacFails counts Refactorize calls that returned an error and
 	// left the previous epoch serving (the drift policy's failure
 	// signal).
@@ -383,11 +382,11 @@ func (e *Engine) Runtime() *exec.Runtime { return e.rt }
 // factor-value epoch: 1 after Factorize, +1 per successful
 // Refactorize. Paired with a versioned matrix epoch it identifies the
 // (A, factor) generation pair a solve ran against.
-func (e *Engine) FactorEpoch() uint64 { return e.cur.Load().seq }
+func (e *Engine) FactorEpoch() uint64 { return e.vals.Seq() }
 
 // Refactorizes returns the number of successful Refactorize
 // publications after the initial factorization.
-func (e *Engine) Refactorizes() uint64 { return e.cur.Load().seq - 1 }
+func (e *Engine) Refactorizes() uint64 { return e.vals.Seq() - 1 }
 
 // RefactorizeFailures returns the number of Refactorize calls that
 // failed; each left the previously published epoch serving.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +176,7 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	if err := e.Refactorize(a); err != nil {
 		t.Fatalf("Refactorize with a pin held: %v", err)
 	}
-	if cur := e.cur.Load(); &cur.vals[0] == pinnedBuf {
+	if &e.factor.LU.Val[0] == pinnedBuf {
 		t.Fatal("pinned buffer was recycled while still referenced")
 	}
 
@@ -184,7 +185,7 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	if err := e.Refactorize(a2); err != nil {
 		t.Fatalf("Refactorize after release: %v", err)
 	}
-	if cur := e.cur.Load(); &cur.vals[0] != pinnedBuf {
+	if &e.factor.LU.Val[0] != pinnedBuf {
 		t.Fatal("drained epoch buffer was not recycled (expected two-buffer steady state)")
 	}
 }
@@ -262,7 +263,7 @@ func TestForeignReleaseEpochUnpinned(t *testing.T) {
 	if err := e1.Refactorize(a); err != nil {
 		t.Fatalf("Refactorize: %v", err)
 	}
-	if cur := e1.cur.Load(); &cur.vals[0] != buf {
+	if &e1.factor.LU.Val[0] != buf {
 		t.Fatal("buffer pinned at foreign release was never recycled")
 	}
 }
@@ -412,6 +413,48 @@ func TestRefactorizeFailureKeepsPreviousEpoch(t *testing.T) {
 	e.Apply(b, z)
 	if sameVec(z, refA) {
 		t.Fatal("recovery Refactorize did not publish new values")
+	}
+}
+
+// TestRefactorizeNaNPivotFails: a NaN pivot must fail Refactorize like
+// a zero one (a magnitude comparison alone lets NaN through and
+// publishes a poisoned factor). The previous epoch stays current and
+// the failure is counted.
+func TestRefactorizeNaNPivotFails(t *testing.T) {
+	for _, lower := range []LowerMethod{LowerSR, LowerER, LowerNone} {
+		e := testEngine(t, lower, 2)
+		n := e.N()
+		a := gen.TetraMesh(6, 6, 6, 0xbeef)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i%7) - 3
+		}
+		refA := make([]float64, n)
+		e.Apply(b, refA)
+		for _, row := range []int{0, n / 2, n - 1} {
+			aBad := a.Clone()
+			cols, vals := aBad.Row(row)
+			for k, c := range cols {
+				if c == row {
+					vals[k] = math.NaN()
+				}
+			}
+			epoch, fails := e.FactorEpoch(), e.RefactorizeFailures()
+			if err := e.Refactorize(aBad); err == nil {
+				t.Fatalf("lower=%v: NaN pivot in row %d published", lower, row)
+			}
+			if e.FactorEpoch() != epoch {
+				t.Fatalf("lower=%v: failed Refactorize moved FactorEpoch %d -> %d", lower, epoch, e.FactorEpoch())
+			}
+			if got := e.RefactorizeFailures(); got != fails+1 {
+				t.Fatalf("lower=%v: RefactorizeFailures %d -> %d, want +1", lower, fails, got)
+			}
+			z := make([]float64, n)
+			e.Apply(b, z)
+			if !sameVec(z, refA) {
+				t.Fatalf("lower=%v: failed Refactorize disturbed the published factor", lower)
+			}
+		}
 	}
 }
 

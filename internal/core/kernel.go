@@ -39,7 +39,7 @@ func eliminatePivots(f *ilu.Factor, vals []float64, r, pivotLo, pivotHi int) (co
 			continue
 		}
 		piv := vals[f.DiagPos[j]]
-		if math.Abs(piv) < pivotFloor {
+		if !(math.Abs(piv) >= pivotFloor) {
 			return comp, fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
 		}
 		lij := vals[k] / piv
@@ -102,7 +102,7 @@ func (e *Engine) finishRow(vals []float64, r int, comp float64) error {
 	if e.opt.Modified {
 		vals[dp] += comp
 	}
-	if math.Abs(vals[dp]) < pivotFloor {
+	if !(math.Abs(vals[dp]) >= pivotFloor) {
 		return fmt.Errorf("%w at row %d", ilu.ErrZeroPivot, r)
 	}
 	if e.opt.Modified {

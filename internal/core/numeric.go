@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"javelin/internal/ilu"
@@ -48,9 +49,9 @@ func (e *Engine) refactorize(a *sparse.CSR) error {
 	}
 	e.refacMu.Lock()
 	defer e.refacMu.Unlock()
-	vals := e.grabValuesLocked()
+	vals := e.vals.Grab(e.newValues)
 	if err := e.scatter(a, vals); err != nil {
-		e.recycleValuesLocked(vals)
+		e.vals.Recycle(vals)
 		return err
 	}
 	if e.lower != nil {
@@ -72,11 +73,25 @@ func (e *Engine) refactorize(a *sparse.CSR) error {
 		}
 	}
 	if err != nil {
-		e.recycleValuesLocked(vals)
+		e.vals.Recycle(vals)
 		return err
 	}
-	e.publishValuesLocked(vals)
+	e.vals.Publish(vals)
+	// Engine.Factor() exposes the newest generation to sequential
+	// inspection.
+	e.factor.LU.Val = vals
 	return nil
+}
+
+// newValues is the Grab fallback when no retired buffer has drained:
+// the factor skeleton's own array before the first publication, a
+// fresh allocation after it (every retired buffer is still pinned by
+// an in-flight solve, and Refactorize never waits for readers).
+func (e *Engine) newValues() []float64 {
+	if e.vals.Seq() == 0 {
+		return e.factor.LU.Val
+	}
+	return make([]float64, len(e.factor.LU.Val))
 }
 
 // scatter copies a's values into the epoch build buffer on the
@@ -241,7 +256,7 @@ func (e *Engine) factorLowerSR(vals []float64) error {
 				for k := sp.kLo; k < sp.kHi; k++ {
 					j := lu.ColIdx[k]
 					piv := vals[e.factor.DiagPos[j]]
-					if piv == 0 || piv < pivotFloor && piv > -pivotFloor {
+					if !(math.Abs(piv) >= pivotFloor) {
 						recordErr(fmt.Errorf("core: SR zero pivot at column %d", j))
 						return
 					}

@@ -3,6 +3,7 @@ package exec
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -82,15 +83,15 @@ func (r *Runtime) calibrateOverhead() {
 		r.overhead.ns = cutoffOverheadFloorNs
 		return
 	}
-	var sink int
+	// The lanes run the body concurrently, so the sink is atomic.
+	var sink atomic.Int64
 	for t := 0; t < cutoffCalibrationTrials; t++ {
 		t0 := time.Now()
-		r.For(n, 0, func(i int) { sink += i })
+		r.For(n, 0, func(i int) { sink.Add(int64(i)) })
 		if d := float64(time.Since(t0)); d < best {
 			best = d
 		}
 	}
-	_ = sink
 	if best < cutoffOverheadFloorNs {
 		best = cutoffOverheadFloorNs
 	}

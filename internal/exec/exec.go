@@ -125,8 +125,7 @@ var defaultRT struct {
 
 // Default returns the lazily created process-wide runtime, sized to
 // GOMAXPROCS at first use. It is never closed; its workers park when
-// idle. The util.Parallel* shims and every component not handed an
-// explicit Runtime run here.
+// idle. Every component not handed an explicit Runtime runs here.
 func Default() *Runtime {
 	defaultRT.once.Do(func() { defaultRT.rt = New(0) })
 	return defaultRT.rt

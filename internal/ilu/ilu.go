@@ -301,7 +301,7 @@ func numericUpLooking(f *Factor, opt Options) error {
 				break
 			}
 			piv := lu.Val[f.DiagPos[j]]
-			if math.Abs(piv) < pivotFloor {
+			if !(math.Abs(piv) >= pivotFloor) {
 				clearScratch(lu, lo, hi, w, pos)
 				return fmt.Errorf("%w at column %d (row %d)", ErrZeroPivot, j, i)
 			}
@@ -350,7 +350,7 @@ func numericUpLooking(f *Factor, opt Options) error {
 		if opt.Modified {
 			w[i] += comp
 		}
-		if math.Abs(w[i]) < pivotFloor {
+		if !(math.Abs(w[i]) >= pivotFloor) {
 			clearScratch(lu, lo, hi, w, pos)
 			return fmt.Errorf("%w at row %d", ErrZeroPivot, i)
 		}

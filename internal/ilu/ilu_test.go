@@ -253,6 +253,19 @@ func TestZeroPivotError(t *testing.T) {
 	}
 }
 
+// TestNaNPivotError: a NaN pivot must fail the factorization like a
+// zero one; a magnitude comparison alone lets NaN through.
+func TestNaNPivotError(t *testing.T) {
+	a := sparse.FromDense([][]float64{
+		{math.NaN(), 2},
+		{2, 4},
+	})
+	_, err := Factorize(a, Options{})
+	if !errors.Is(err, ErrZeroPivot) {
+		t.Fatalf("want ErrZeroPivot, got %v", err)
+	}
+}
+
 func TestRefactorizeReusesPattern(t *testing.T) {
 	a := gen.GridLaplacian(10, 10, 1, gen.Star5, 1)
 	f, err := Factorize(a, Options{})

@@ -118,16 +118,6 @@ func (a *CSR) LowerPattern() *CSR {
 	return a.filterTri(func(i, j int) bool { return j < i })
 }
 
-// LowerWithDiag returns entries with j <= i.
-func (a *CSR) LowerWithDiag() *CSR {
-	return a.filterTri(func(i, j int) bool { return j <= i })
-}
-
-// UpperPattern returns the strictly-upper part (j > i).
-func (a *CSR) UpperPattern() *CSR {
-	return a.filterTri(func(i, j int) bool { return j > i })
-}
-
 // UpperWithDiag returns entries with j >= i.
 func (a *CSR) UpperWithDiag() *CSR {
 	return a.filterTri(func(i, j int) bool { return j >= i })

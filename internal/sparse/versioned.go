@@ -2,62 +2,41 @@ package sparse
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
+
+	"javelin/internal/epoch"
 )
 
 // Versioned is an epoch-versioned value channel over one immutable
-// CSR sparsity pattern: the matrix-side twin of the factor-value
-// epochs in internal/core/epoch.go. The pattern (RowPtr/ColIdx) is
-// fixed at construction and shared by every generation; each
-// UpdateValues publishes a complete new value buffer with one atomic
-// pointer swap, so readers never observe a torn mix of old and new
-// values and publishers never wait for readers to drain.
+// CSR sparsity pattern: the matrix-side user of the internal/epoch
+// primitive that also versions the factor values. The pattern
+// (RowPtr/ColIdx) is fixed at construction and shared by every
+// generation; each UpdateValues copies the new values into a buffer
+// no reader can observe and publishes it with one atomic pointer swap,
+// so readers never see a torn mix of old and new values and
+// publishers never wait for readers to drain.
 //
-// Lifecycle mirrors the factor epochs exactly: a reader pins the
-// current epoch (Pin), reads only that epoch's values, and unpins
-// when done. A swapped-out epoch is retired; once its reader count
-// drains to zero its buffer is recycled as the copy target of a later
-// UpdateValues, so an update-heavy steady state ping-pongs between
-// two value buffers and never allocates.
+// Readers pin the current epoch (Vals.Pin), read only that epoch's
+// values, and unpin when done. A swapped-out epoch's buffer and header
+// recycle once its readers drain, so an update-heavy steady state
+// ping-pongs between two value buffers and never allocates.
 type Versioned struct {
 	n, m   int
 	rowPtr []int
 	colIdx []int
 
-	// cur is the published value epoch; Pin/Unpin manage reader
-	// references against it.
-	cur atomic.Pointer[ValEpoch]
-	// mu serializes UpdateValues (grab + copy + publish) against
-	// itself. It is never taken by readers.
-	mu sync.Mutex
-	// retired holds swapped-out epochs until their readers drain and
-	// their buffers recycle.
-	retired []*ValEpoch //javelin:plain-under-mu mu
+	// Vals holds the published value epochs. Pin/Unpin on it are the
+	// read path; publish only through UpdateValues, which checks the
+	// length against the pattern.
+	Vals epoch.Cell[[]float64]
 	// updates counts published UpdateValues generations (excludes the
 	// construction epoch).
 	updates atomic.Uint64
 }
 
-// ValEpoch is one published generation of matrix values. The epoch
-// owns nothing but the value array the shared pattern indexes into.
-type ValEpoch struct {
-	vals []float64
-	seq  uint64
-	// refs counts pinned readers; a retired epoch recycles only at
-	// zero. The current epoch's count is transiently wrong-by-one
-	// during Pin's validation window, which is harmless because the
-	// current epoch is never a recycling candidate.
-	refs atomic.Int64
-}
-
-// Vals returns the epoch's value buffer, indexed by the owning
-// pattern's RowPtr/ColIdx. Callers must not mutate it.
-func (e *ValEpoch) Vals() []float64 { return e.vals }
-
-// Seq returns the epoch's generation number: 1 for the values the
-// Versioned was constructed with, incremented by every UpdateValues.
-func (e *ValEpoch) Seq() uint64 { return e.seq }
+// ValEpoch is one published generation of matrix values, indexed by
+// the owning pattern's RowPtr/ColIdx. Its Vals must not be mutated.
+type ValEpoch = epoch.Epoch[[]float64]
 
 // NewVersioned wraps a as an epoch-versioned matrix. The pattern
 // arrays are shared with a (immutable by CSR contract); the values
@@ -72,8 +51,7 @@ func NewVersioned(a *CSR) (*Versioned, error) {
 		rowPtr: a.RowPtr,
 		colIdx: a.ColIdx,
 	}
-	ep := &ValEpoch{vals: append([]float64(nil), a.Val...), seq: 1}
-	v.cur.Store(ep)
+	v.Vals.Publish(append([]float64(nil), a.Val...))
 	return v, nil
 }
 
@@ -86,8 +64,10 @@ func (v *Versioned) M() int { return v.m }
 // Nnz returns the number of stored entries (fixed across epochs).
 func (v *Versioned) Nnz() int { return len(v.colIdx) }
 
-// Epoch returns the sequence number of the currently published epoch.
-func (v *Versioned) Epoch() uint64 { return v.cur.Load().seq }
+// Epoch returns the sequence number of the currently published epoch:
+// 1 for the values the Versioned was constructed with, +1 per
+// UpdateValues.
+func (v *Versioned) Epoch() uint64 { return v.Vals.Seq() }
 
 // Updates returns the number of UpdateValues publications so far.
 func (v *Versioned) Updates() uint64 { return v.updates.Load() }
@@ -102,36 +82,7 @@ func (v *Versioned) Pattern() *CSR {
 // buffer — the consistent read snapshot matvecs and refactorizations
 // run against. Valid only while ep stays pinned.
 func (v *Versioned) View(ep *ValEpoch) *CSR {
-	return &CSR{N: v.n, M: v.m, RowPtr: v.rowPtr, ColIdx: v.colIdx, Val: ep.vals}
-}
-
-// Pin returns the current epoch with one reader reference held; every
-// Pin must be balanced by exactly one Unpin (machine-checked by the
-// pinpair analyzer). The increment-then-validate loop closes the race
-// against a concurrent publish: if the epoch was swapped out between
-// the load and the increment, its buffer may already be an update
-// copy target, so the reference is dropped without touching vals and
-// the pin retries on the new current epoch.
-//
-//javelin:noalloc
-func (v *Versioned) Pin() *ValEpoch {
-	for {
-		ep := v.cur.Load()
-		ep.refs.Add(1)
-		if v.cur.Load() == ep {
-			return ep
-		}
-		ep.refs.Add(-1)
-	}
-}
-
-// Unpin releases one reader reference taken by Pin.
-//
-//javelin:noalloc
-func (v *Versioned) Unpin(ep *ValEpoch) {
-	if ep != nil {
-		ep.refs.Add(-1)
-	}
+	return &CSR{N: v.n, M: v.m, RowPtr: v.rowPtr, ColIdx: v.colIdx, Val: ep.Vals()}
 }
 
 // UpdateValues publishes vals (one value per stored pattern entry, in
@@ -139,36 +90,19 @@ func (v *Versioned) Unpin(ep *ValEpoch) {
 // buffer no reader can observe — a drained retired buffer when one
 // exists, a fresh allocation otherwise — and made current with one
 // atomic swap, so UpdateValues is safe to call concurrently with any
-// number of pinned readers and never waits for them. Concurrent
-// UpdateValues calls serialize against each other.
+// number of pinned readers and with other UpdateValues calls, and
+// never waits for readers.
 func (v *Versioned) UpdateValues(vals []float64) error {
 	if len(vals) != len(v.colIdx) {
 		return fmt.Errorf("sparse: UpdateValues got %d values, pattern has %d entries", len(vals), len(v.colIdx))
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	buf := v.grabLocked()
+	buf := v.Vals.Grab(v.newValues)
 	copy(buf, vals)
-	old := v.cur.Load()
-	v.cur.Store(&ValEpoch{vals: buf, seq: old.seq + 1})
-	v.retired = append(v.retired, old)
+	v.Vals.Publish(buf)
 	v.updates.Add(1)
 	return nil
 }
 
-// grabLocked returns a value buffer no reader can observe, preferring
-// a drained retired buffer (the steady-state recycle) over a fresh
-// allocation. UpdateValues never waits for pinned readers. Caller
-// holds mu.
-func (v *Versioned) grabLocked() []float64 {
-	for i, ep := range v.retired {
-		if ep.refs.Load() == 0 {
-			last := len(v.retired) - 1
-			v.retired[i] = v.retired[last]
-			v.retired[last] = nil
-			v.retired = v.retired[:last]
-			return ep.vals
-		}
-	}
-	return make([]float64, len(v.colIdx))
-}
+// newValues is the Grab fallback when every retired buffer is still
+// pinned.
+func (v *Versioned) newValues() []float64 { return make([]float64, len(v.colIdx)) }

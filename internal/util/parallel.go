@@ -1,57 +1,9 @@
 package util
 
-import (
-	"runtime"
-
-	"javelin/internal/exec"
-)
-
-// This file is a thin compatibility shim over the persistent
-// execution runtime (internal/exec). The Parallel* helpers used to
-// spawn fresh goroutines and join a full barrier on every call; they
-// now delegate to the lazily created process-wide exec.Default()
-// runtime, so callers that hold no explicit *exec.Runtime still run
-// on persistent workers. Components on a hot path should accept a
-// Runtime instead of calling these.
+import "runtime"
 
 // MaxThreads returns the default degree of parallelism used by
 // Javelin when the caller does not specify one.
 func MaxThreads() int {
 	return runtime.GOMAXPROCS(0)
-}
-
-// ParallelFor runs body(i) for i in [0, n) with static block dealing
-// on up to threads lanes of the default runtime. threads <= 1 runs
-// inline. Block dealing (rather than striding) keeps memory touched
-// by a lane contiguous, which matters for the first-touch copy paths.
-func ParallelFor(n, threads int, body func(i int)) {
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	exec.Default().For(n, threads, body)
-}
-
-// ParallelForDynamic runs body(i) for i in [0, n) with dynamic
-// (atomic-counter) scheduling in chunks of the given size, mirroring
-// OpenMP's schedule(dynamic, chunk) that the paper uses with chunk=1.
-func ParallelForDynamic(n, threads, chunk int, body func(i int)) {
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	exec.Default().ForDynamic(n, threads, chunk, body)
-}
-
-// ParallelRanges splits [0, n) into exactly workers contiguous ranges
-// and runs body(worker, lo, hi) once per NON-EMPTY range (ranges left
-// empty because workers > n are skipped, not delivered). Useful when
-// workers need per-worker scratch state; bodies must not wait on one
-// another.
-func ParallelRanges(n, workers int, body func(worker, lo, hi int)) {
-	exec.Default().Ranges(n, workers, body)
 }

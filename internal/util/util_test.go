@@ -2,7 +2,6 @@ package util
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -88,83 +87,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	for _, threads := range []int{1, 2, 4, 9} {
-		n := 1000
-		hits := make([]atomic.Int32, n)
-		ParallelFor(n, threads, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("threads=%d: index %d hit %d times", threads, i, hits[i].Load())
-			}
-		}
-	}
-}
-
-func TestParallelForDynamicCoversRange(t *testing.T) {
-	for _, chunk := range []int{1, 3, 64} {
-		n := 777
-		hits := make([]atomic.Int32, n)
-		ParallelForDynamic(n, 4, chunk, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("chunk=%d: index %d hit %d times", chunk, i, hits[i].Load())
-			}
-		}
-	}
-}
-
-func TestParallelForEmptyAndSmall(t *testing.T) {
-	ParallelFor(0, 4, func(int) { t.Fatal("body called for n=0") })
-	ParallelForDynamic(0, 4, 1, func(int) { t.Fatal("body called for n=0") })
-	ran := false
-	ParallelFor(1, 8, func(i int) { ran = true })
-	if !ran {
-		t.Fatal("n=1 not run")
-	}
-}
-
-func TestParallelRangesSkipsEmptyRanges(t *testing.T) {
-	// workers > n used to deliver (and spawn goroutines for) empty
-	// ranges; now empty ranges must never reach the body.
-	n, workers := 3, 16
-	var calls, covered atomic.Int32
-	ParallelRanges(n, workers, func(w, lo, hi int) {
-		calls.Add(1)
-		if lo >= hi {
-			t.Errorf("empty range delivered: worker %d [%d,%d)", w, lo, hi)
-		}
-		if w < 0 || w >= workers {
-			t.Errorf("worker index %d out of [0,%d)", w, workers)
-		}
-		covered.Add(int32(hi - lo))
-	})
-	if covered.Load() != int32(n) {
-		t.Fatalf("covered %d of %d", covered.Load(), n)
-	}
-	if calls.Load() > int32(n) {
-		t.Fatalf("%d calls for %d non-empty ranges", calls.Load(), n)
-	}
-	ParallelRanges(0, 4, func(w, lo, hi int) {
-		t.Error("body called for n=0")
-	})
-}
-
-func TestParallelRanges(t *testing.T) {
-	n := 103
-	covered := make([]atomic.Int32, n)
-	ParallelRanges(n, 4, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if covered[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, covered[i].Load())
-		}
-	}
-}
-
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); math.Abs(g-4) > 1e-12 {
 		t.Errorf("GeoMean(2,8)=%g", g)
@@ -219,8 +141,5 @@ func TestVectorHelpers(t *testing.T) {
 	Axpy(2, y, x) // x += 2y
 	if x[0] != 5 || x[1] != 8 {
 		t.Errorf("Axpy %v", x)
-	}
-	if MinInt(2, 3) != 2 || MaxInt(2, 3) != 3 {
-		t.Error("MinInt/MaxInt")
 	}
 }

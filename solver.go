@@ -214,9 +214,8 @@ func WithAutoRefactorize(p DriftPolicy) SolverOption {
 // nothing and N concurrent callers cost N× scratch only while they
 // are actually solving.
 //
-// This is the supported entry point for serving solve traffic; the
-// free SolveCG/SolveGMRES/SolveBiCGSTAB functions (and their *With
-// variants) are deprecated wrappers over it.
+// Solver is the package's only iterative-solve entry point: build one
+// per system and share it between callers.
 type Solver struct {
 	m      *Matrix
 	p      *Preconditioner
@@ -358,27 +357,21 @@ func (s *Solver) Method() Method { return s.method }
 // non-convergence within MaxIter is reported as ErrNotConverged (x
 // still holds the best iterate, and the attached stats its residual).
 //
+// The Krylov workspace and the preconditioner context are drawn from
+// pools for the duration of the call (the identity when
+// unpreconditioned). On a versioned solver this is also the single
+// place the (A-epoch, factor-epoch) pair is pinned: the matrix pin and
+// the acquired context's factor pin both span the whole solve, so
+// every matvec and every preconditioner application inside it reads
+// the same two published generations.
+//
 //javelin:noalloc
 func (s *Solver) Solve(ctx context.Context, b, x []float64) (SolverStats, error) {
-	ws, _ := s.wsPool.Get().(*SolverWorkspace)
+	ws, _ := s.wsPool.Get().(*krylov.Workspace)
 	if ws == nil {
 		ws = krylov.NewWorkspace()
 	}
 	defer s.wsPool.Put(ws)
-	return s.solvePooledPC(ctx, ws, b, x)
-}
-
-// solvePooledPC runs a solve with the given workspace and a
-// preconditioner context drawn from the engine's pool for the
-// duration of the call (the identity when unpreconditioned). The
-// single place per-call contexts are acquired — and, on a versioned
-// solver, the single place the (A-epoch, factor-epoch) pair is
-// pinned: the matrix pin and the acquired context's factor pin both
-// span the whole solve, so every matvec and every preconditioner
-// application inside it reads the same two published generations.
-//
-//javelin:noalloc
-func (s *Solver) solvePooledPC(ctx context.Context, ws *SolverWorkspace, b, x []float64) (SolverStats, error) {
 	var vals []float64
 	var mEpoch uint64
 	if s.vm != nil {
@@ -414,7 +407,7 @@ func (s *Solver) solvePooledPC(ctx context.Context, ws *SolverWorkspace, b, x []
 // run dispatches to the krylov loops with the session configuration
 // and the given per-call preconditioner, workspace, pinned matrix
 // values (nil means the matrix's own), and monitor.
-func (s *Solver) run(ctx context.Context, pc krylov.Preconditioner, ws *SolverWorkspace, b, x []float64, vals []float64, mon func(IterInfo) bool) (SolverStats, error) {
+func (s *Solver) run(ctx context.Context, pc krylov.Preconditioner, ws *krylov.Workspace, b, x []float64, vals []float64, mon func(IterInfo) bool) (SolverStats, error) {
 	opt := krylov.Options{
 		Tol:     s.cfg.tol,
 		MaxIter: s.cfg.maxIter,
@@ -469,55 +462,4 @@ func (s *Solver) finish(st SolverStats, err error) (SolverStats, error) {
 		err = ErrNotConverged
 	}
 	return st, &SolveError{Method: s.method, Stats: st, err: err}
-}
-
-// legacySolve backs the deprecated free functions: a throwaway Solver
-// per call, preserving the old contract (explicit Applier/Workspace
-// honored when given, non-convergence reported via Stats.Converged
-// with a nil error).
-func legacySolve(m *Matrix, p *Preconditioner, pc krylov.Preconditioner, meth Method, b, x []float64, opt SolverOptions) (SolverStats, error) {
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = 1 // the old free functions never inherited engine threads
-	}
-	// The old SolverOptions contract treats non-positive bounds as
-	// "use the default", so those are withheld rather than tripping
-	// NewSolver's validation. A NaN/Inf tolerance is forwarded: it
-	// was never a documented default spelling, and a descriptive
-	// construction error beats the old silent spin to MaxIter.
-	opts := []SolverOption{
-		WithMethod(meth), WithThreads(threads),
-		WithRuntime(opt.Runtime), WithMonitor(opt.Monitor),
-	}
-	if opt.Tol > 0 || math.IsNaN(opt.Tol) {
-		opts = append(opts, WithTol(opt.Tol))
-	}
-	if opt.MaxIter > 0 {
-		opts = append(opts, WithMaxIter(opt.MaxIter))
-	}
-	if opt.Restart > 0 {
-		opts = append(opts, WithRestart(opt.Restart))
-	}
-	s, err := NewSolver(m, p, opts...)
-	if err != nil {
-		return SolverStats{}, err
-	}
-	var st SolverStats
-	if pc != nil {
-		// *With variant: the caller supplies the application context.
-		ws := opt.Work
-		if ws == nil {
-			ws = krylov.NewWorkspace()
-		}
-		st, err = s.finish(s.run(opt.Ctx, pc, ws, b, x, nil, s.cfg.monitor))
-	} else if opt.Work != nil {
-		// Caller-managed workspace; preconditioner context still pooled.
-		st, err = s.solvePooledPC(opt.Ctx, opt.Work, b, x)
-	} else {
-		st, err = s.Solve(opt.Ctx, b, x)
-	}
-	if err != nil && errors.Is(err, ErrNotConverged) {
-		return st, nil // old contract: report via Stats.Converged
-	}
-	return st, err
 }

@@ -36,3 +36,24 @@ func TestSolverWarmSolvesDoNotAllocate(t *testing.T) {
 		t.Errorf("warm Solve allocated %.0f objects per call, want 0", allocs)
 	}
 }
+
+// TestVersionedUpdateValuesDoesNotAllocate: once a drained buffer and
+// a spare epoch header exist, UpdateValues recycles both and performs
+// zero heap allocations per call.
+func TestVersionedUpdateValuesDoesNotAllocate(t *testing.T) {
+	vm, err := NewVersionedMatrix(GridLaplacian(16, 16, 1, Star5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := append([]float64(nil), vm.Matrix().Raw().Val...)
+	update := func() {
+		if err := vm.UpdateValues(vals); err != nil {
+			t.Fatalf("UpdateValues: %v", err)
+		}
+	}
+	update() // allocate the second buffer and header
+	update()
+	if allocs := testing.AllocsPerRun(10, update); allocs != 0 {
+		t.Errorf("warm UpdateValues allocated %.0f objects per call, want 0", allocs)
+	}
+}

@@ -333,51 +333,3 @@ func TestSolverBiCGSTABAndGMRESSessions(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyWrappersMatchSolver pins the compatibility contract: the
-// deprecated free functions produce the same trajectories as the
-// Solver and keep the old non-convergence convention (Converged=false,
-// nil error).
-func TestLegacyWrappersMatchSolver(t *testing.T) {
-	m, p, b, _ := solverProblem(t, 25)
-	n := m.N()
-	xNew := make([]float64, n)
-	s, err := NewSolver(m, p, WithMethod(MethodCG), WithTol(1e-10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stNew, err := s.Solve(context.Background(), b, xNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xOld := make([]float64, n)
-	stOld, err := SolveCG(m, p, b, xOld, SolverOptions{Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stOld.Iterations != stNew.Iterations {
-		t.Fatalf("legacy iterations %d != solver %d", stOld.Iterations, stNew.Iterations)
-	}
-	for i := range xOld {
-		if xOld[i] != xNew[i] {
-			t.Fatalf("legacy trajectory diverged at %d: %g vs %g", i, xOld[i], xNew[i])
-		}
-	}
-	// Old non-convergence contract: nil error, Converged=false.
-	st, err := SolveCG(m, p, b, make([]float64, n), SolverOptions{Tol: 1e-15, MaxIter: 2})
-	if err != nil {
-		t.Fatalf("legacy non-convergence must not error: %v", err)
-	}
-	if st.Converged || st.Iterations != 2 {
-		t.Fatalf("legacy non-convergence stats: %+v", st)
-	}
-	// Typed validation errors surface through the legacy entry points.
-	if _, err := SolveCG(m, p, b[:2], make([]float64, n), SolverOptions{}); !errors.Is(err, ErrDimension) {
-		t.Fatalf("legacy short b: %v", err)
-	}
-	bad := append([]float64(nil), b...)
-	bad[0] = math.Inf(1)
-	if _, err := SolveGMRES(m, p, bad, make([]float64, n), SolverOptions{}); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("legacy Inf b: %v", err)
-	}
-}

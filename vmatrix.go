@@ -109,16 +109,16 @@ func (vm *VersionedMatrix) samePattern(c *sparse.CSR) error {
 // a Pin/Unpin bracket gives a multi-step reader (a solve, a
 // refactorization, an export) one consistent A across publications.
 // Every Pin must be balanced by exactly one Unpin.
-func (vm *VersionedMatrix) Pin() *MatrixEpoch { return vm.v.Pin() }
+func (vm *VersionedMatrix) Pin() *MatrixEpoch { return vm.v.Vals.Pin() }
 
 // Unpin releases a reference taken by Pin.
-func (vm *VersionedMatrix) Unpin(ep *MatrixEpoch) { vm.v.Unpin(ep) }
+func (vm *VersionedMatrix) Unpin(ep *MatrixEpoch) { vm.v.Vals.Unpin(ep) }
 
 // Matrix returns an immutable snapshot of the currently published
 // generation as a plain Matrix (pattern shared, values copied).
 func (vm *VersionedMatrix) Matrix() *Matrix {
-	ep := vm.v.Pin()
-	defer vm.v.Unpin(ep)
+	ep := vm.v.Vals.Pin()
+	defer vm.v.Vals.Unpin(ep)
 	c := vm.v.Pattern()
 	c.Val = append([]float64(nil), ep.Vals()...)
 	return &Matrix{csr: c}
