@@ -35,13 +35,14 @@ func NewRuntime(threads int) *Runtime { return exec.New(threads) }
 func DefaultRuntime() *Runtime { return exec.Default() }
 
 // RuntimeStats is a snapshot of a Runtime's activity counters:
-// regions executed, chunk claims, batch steals, gang admissions and
-// admission-queue wait, and worker park/wake churn. Collection is
-// always on and sharded per worker, so snapshots are cheap and safe
-// to poll from monitoring loops; RuntimeStats.Sub subtracts an
-// earlier snapshot for per-phase deltas. Obtain one from
-// Runtime.Stats() or Preconditioner.RuntimeStats(); see doc.go's
-// "Runtime metrics" section.
+// regions executed, chunk claims, gang admissions and admission-queue
+// wait, and worker park/wake churn (StealAttempts/StealSuccesses are
+// always 0). Collection is always on and costs only per-region
+// atomics, so snapshots are cheap and safe to poll from monitoring
+// loops; RuntimeStats.Sub subtracts an earlier snapshot for per-phase
+// deltas. Obtain one from Runtime.Stats() or
+// Preconditioner.RuntimeStats(); see doc.go's "Runtime metrics"
+// section.
 type RuntimeStats = exec.Stats
 
 // RuntimeStats returns a snapshot of the activity counters of the
@@ -262,23 +263,17 @@ func Factorize(m *Matrix, opt Options) (*Preconditioner, error) {
 // Apply computes z ≈ A⁻¹·r (one ILU preconditioner application) in
 // the user's row ordering.
 //
-// Concurrency: the engine's symbolic state is immutable and its
-// factor values epoch-versioned (each application runs on the epoch
-// current at its entry, so concurrent Refactorize is safe), but this
-// convenience method routes through one built-in applier, so
-// concurrent Apply calls on the same Preconditioner race with each
-// other. For concurrent application, give each goroutine its own
-// NewApplier — the appliers share all factor and schedule structures
-// and add only one length-N scratch vector each.
-func (p *Preconditioner) Apply(r, z []float64) { p.e.Apply(r, z) }
-
-// ApplyBatch applies the preconditioner to k right-hand sides at
-// once: Z[j] ≈ A⁻¹·R[j]. The factor is traversed once per row with
-// the update applied to all k vectors, so one level-schedule sweep is
-// amortized over the whole batch — substantially cheaper than k
-// Apply calls. Subject to the same single-caller rule as Apply; use
-// NewApplier for concurrent batches.
-func (p *Preconditioner) ApplyBatch(R, Z [][]float64) { p.e.ApplyBatch(R, Z) }
+// Apply is safe for concurrent use: each call draws a solve context
+// from the engine's pool for its own duration and runs entirely on the
+// factor-value epoch current at its entry, so concurrent Apply calls
+// and a concurrent Refactorize never interfere. A goroutine applying
+// in a loop can hold its own NewApplier instead and skip the pool
+// round trip; ApplyBatch lives on Applier.
+func (p *Preconditioner) Apply(r, z []float64) {
+	c := p.e.AcquireContext()
+	defer p.e.ReleaseContext(c)
+	c.Apply(r, z)
+}
 
 // Applier is an independent application context over a shared
 // Preconditioner: it holds the per-caller scratch and level-schedule
@@ -305,9 +300,13 @@ func (p *Preconditioner) NewApplier() *Applier {
 //javelin:noalloc
 func (a *Applier) Apply(r, z []float64) { a.ctx.Apply(r, z) }
 
-// ApplyBatch applies the preconditioner to k right-hand sides in one
-// amortized sweep (see Preconditioner.ApplyBatch). Safe to call
-// concurrently with other Appliers over the same Preconditioner.
+// ApplyBatch applies the preconditioner to k right-hand sides at
+// once: Z[j] ≈ A⁻¹·R[j]. The factor is traversed once per row with
+// the update applied to all k vectors, so one level-schedule sweep is
+// amortized over the whole batch — substantially cheaper than k Apply
+// calls. The packed n×k block stays with the Applier across calls.
+// Safe to call concurrently with other Appliers over the same
+// Preconditioner.
 //
 //javelin:noalloc
 func (a *Applier) ApplyBatch(R, Z [][]float64) { a.ctx.ApplyBatch(R, Z) }

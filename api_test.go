@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -277,27 +278,59 @@ func TestApplyBatchAPIEquivalence(t *testing.T) {
 		Zbat[j] = make([]float64, n)
 		p.Apply(R[j], Zseq[j])
 	}
-	p.ApplyBatch(R, Zbat)
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			if math.Abs(Zbat[j][i]-Zseq[j][i]) > 1e-12*(1+math.Abs(Zseq[j][i])) {
-				t.Fatalf("batch mismatch RHS %d entry %d: %g vs %g", j, i, Zbat[j][i], Zseq[j][i])
-			}
-		}
-	}
-	// The Applier path must agree too.
 	ap := p.NewApplier()
-	for j := range Zbat {
-		for i := range Zbat[j] {
-			Zbat[j][i] = 0
-		}
-	}
 	ap.ApplyBatch(R, Zbat)
 	for j := 0; j < k; j++ {
 		for i := 0; i < n; i++ {
 			if math.Abs(Zbat[j][i]-Zseq[j][i]) > 1e-12*(1+math.Abs(Zseq[j][i])) {
 				t.Fatalf("applier batch mismatch RHS %d entry %d", j, i)
 			}
+		}
+	}
+}
+
+// TestPreconditionerApplyConcurrent: Preconditioner.Apply draws a
+// pooled context per call, so concurrent callers on one
+// preconditioner must each get the serial result bit for bit (run
+// under -race to check the contexts are never shared).
+func TestPreconditionerApplyConcurrent(t *testing.T) {
+	m := TetraMesh(6, 6, 6, 0x31)
+	p, err := Factorize(m, DefaultOptions())
+	if err != nil {
+		t.Fatalf("Factorize: %v", err)
+	}
+	defer p.Close()
+	n := m.N()
+	const callers = 8
+	rhs := make([][]float64, callers)
+	want := make([][]float64, callers)
+	for g := range rhs {
+		rhs[g] = make([]float64, n)
+		for i := range rhs[g] {
+			rhs[g][i] = float64((i*7+g*13)%11) - 5
+		}
+		want[g] = make([]float64, n)
+		p.Apply(rhs[g], want[g])
+	}
+	done := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			z := make([]float64, n)
+			for rep := 0; rep < 20; rep++ {
+				p.Apply(rhs[g], z)
+				for i := range z {
+					if math.Float64bits(z[i]) != math.Float64bits(want[g][i]) {
+						done <- fmt.Errorf("caller %d rep %d entry %d: %g, serial %g", g, rep, i, z[i], want[g][i])
+						return
+					}
+				}
+			}
+			done <- nil
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -199,6 +199,7 @@ func benchStri(b *testing.B, mode string, threads int) {
 		rhs[i] = rng.NormFloat64()
 	}
 	x := make([]float64, a.N)
+	ctx := e.NewContext()
 	var csrls *trisolve.CSRLS
 	if mode == "csrls" {
 		csrls = trisolve.NewCSRLS(e.Factor(), threads)
@@ -210,8 +211,8 @@ func benchStri(b *testing.B, mode string, threads int) {
 			csrls.SolveLower(rhs, x)
 			csrls.SolveUpper(x, x)
 		default:
-			e.SolveLower(rhs, x)
-			e.SolveUpper(x, x)
+			ctx.SolveLower(rhs, x)
+			ctx.SolveUpper(x, x)
 		}
 	}
 }
@@ -464,6 +465,7 @@ func benchCGWorkspace(b *testing.B, reuse bool) {
 		rhs[i] = rng.NormFloat64()
 	}
 	x := make([]float64, a.N)
+	ctx := e.NewContext()
 	var ws *krylov.Workspace
 	if reuse {
 		ws = krylov.NewWorkspace()
@@ -473,7 +475,7 @@ func benchCGWorkspace(b *testing.B, reuse bool) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := krylov.CG(a, e, rhs, x, krylov.Options{Tol: 1e-8, Work: ws}); err != nil {
+		if _, err := krylov.CG(a, ctx, rhs, x, krylov.Options{Tol: 1e-8, Work: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}

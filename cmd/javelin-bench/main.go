@@ -30,8 +30,8 @@
 //
 // -stats runs every engine on one shared execution runtime (sized to
 // the widest thread count in the sweep) and reports its activity
-// counters — regions, chunk claims, steals, gang admissions + queue
-// wait, park/wake churn — after the experiments. In text mode the
+// counters — regions, chunk claims, gang admissions + queue wait,
+// park/wake churn — after the experiments. In text mode the
 // counters print as a table; combined with -json they are emitted as
 // a "runtime_stats" object alongside the records.
 //

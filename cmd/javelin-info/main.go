@@ -22,8 +22,8 @@
 // live-update surface is observable from the CLI.
 //
 // -stats appends the process-wide execution runtime's activity
-// counter deltas (regions, chunk claims, steals, gang admissions +
-// queue wait, park/wake churn) for the printed tables — the
+// counter deltas (regions, chunk claims, gang admissions + queue
+// wait, park/wake churn) for the printed tables — the
 // structural passes (symmetric permutation scatter, level-set
 // computation) run on that shared pool.
 package main

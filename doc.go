@@ -10,8 +10,8 @@
 //   - an upper stage of level-scheduled rows synchronized with
 //     point-to-point spin waits instead of barriers, and
 //   - a lower stage for the trailing small/dense levels, factored by
-//     either the Segmented-Rows (SR, tiled + task pool) or Even-Rows
-//     (ER, statically blocked) method.
+//     either the Segmented-Rows (SR, row-disjoint tiles on a dynamic
+//     loop) or Even-Rows (ER, statically blocked) method.
 //
 // The same permutation and tile structures drive the sparse
 // triangular solves, so the preconditioner applies at spmv-like
@@ -82,18 +82,17 @@
 //     their buffers and epoch headers are recycled by a later
 //     Refactorize, so a refactorize-heavy steady state ping-pongs
 //     between two value buffers and allocates nothing for them.
-//   - A failed Refactorize (zero pivot, ErrPatternMismatch) leaves
-//     the previously published values current, so solve traffic
-//     continues on the last good factor.
+//   - A failed Refactorize (zero pivot, ErrPatternMismatch,
+//     ErrNonFinite) leaves the previously published values current,
+//     so solve traffic continues on the last good factor.
 //
 // All mutable solve state lives in per-caller contexts. The Solver
-// pools those contexts automatically; code that applies the
-// preconditioner directly (outside a Solver) creates its own Applier
-// per goroutine (cheap: one length-N scratch vector plus schedule
-// progress counters) and applies through it. The Preconditioner's own
-// Apply/ApplyBatch route through one built-in applier and are
-// therefore single-caller convenience paths (still safe, like every
-// solve path, against concurrent Refactorize).
+// and Preconditioner.Apply draw those contexts from a pool per call,
+// so both are safe for concurrent use; code that applies the
+// preconditioner in a loop can hold its own Applier per goroutine
+// instead (cheap: one length-N scratch vector plus schedule progress
+// counters), and ApplyBatch lives on Applier, which keeps its packed
+// batch block across calls.
 //
 // One primitive implements all of this, for the factor values here
 // and the matrix values below: internal/epoch's Cell, which holds the
@@ -104,6 +103,9 @@
 // pattern with ErrPatternMismatch instead of silently computing the
 // factor of a different matrix; τ-dropped refactorization workflows
 // set Options.AllowPatternMismatch to opt back into dropping.
+// Factorize, Refactorize, NewVersionedMatrix and UpdateValues reject
+// a NaN or ±Inf value with ErrNonFinite, naming the entry, and
+// publish nothing.
 //
 // # Live updates & drift policy
 //
@@ -167,7 +169,7 @@
 // # Execution runtime & threading contract
 //
 // Every parallel region in Javelin — factorization stages, p2p
-// triangular-solve sweeps, SR tile batches, SpMV, solver matvecs —
+// triangular-solve sweeps, SR tile levels, SpMV, solver matvecs —
 // schedules onto a persistent Runtime: a fixed pool of worker
 // goroutines that spin briefly then park when idle, so hot paths
 // never create goroutines per call and an idle runtime costs nothing.
@@ -244,12 +246,11 @@
 // # Runtime metrics
 //
 // Every Runtime meters its own activity through always-on counters:
-// parallel regions executed, chunks claimed off region cursors, batch
-// tasks and steal attempts/successes, gang admissions with total
-// admission-queue wait, and worker park/wake and spin-to-park
-// transitions. Counters are sharded per worker on padded cache lines,
-// so the instrumented hot paths run at full speed; Runtime.Stats()
-// sums the shards into a RuntimeStats snapshot:
+// parallel regions executed, chunks claimed off region cursors, gang
+// admissions with total admission-queue wait, and worker park/wake
+// and spin-to-park transitions. Each counted event is per region or
+// per gang, never per loop iteration, so the counters stay off the hot
+// loops; Runtime.Stats() returns them as a RuntimeStats snapshot:
 //
 //	rt := javelin.NewRuntime(8)
 //	defer rt.Close()
@@ -263,11 +264,13 @@
 // Options.Runtime was set). The snapshot answers capacity-planning
 // questions for shared pools: GangWaitNs/Gangs is the admission queue
 // pressure that says a pool is too narrow for its concurrent solvers,
-// StealSuccesses/StealAttempts measures how well SR tile batches
-// spread, and high SpinToParks with few Parks means the pool sits at
-// its churn point. The javelin-info and javelin-bench tools print the
-// same counters under a -stats flag (javelin-bench -json -stats emits
-// them as a "runtime_stats" JSON object alongside the bench records).
+// Chunks/Regions is the fan-out regions actually realize, and high
+// SpinToParks with few Parks means the pool sits at its churn point.
+// StealAttempts/StealSuccesses are always 0: the runtime has no
+// work-stealing scheduler. The javelin-info and javelin-bench tools
+// print the same counters under a -stats flag (javelin-bench -json
+// -stats emits them as a "runtime_stats" JSON object alongside the
+// bench records).
 //
 // # Static analysis & enforced invariants
 //
@@ -314,7 +317,7 @@
 //     pre-holds the receiver's mutexes), re-locking a held mutex and
 //     unlocking an unheld one are reported, and the static
 //     lock-acquisition-order graph over mutex classes (Runtime.mu,
-//     deque.mu, ...) must stay acyclic — a cycle is a deadlock some
+//     job.mu, ...) must stay acyclic — a cycle is a deadlock some
 //     concurrent schedule can reach.
 //   - ctxloop — the cancellation-latency promise ("within one
 //     iteration of cancel"): every for loop in the krylov solvers

@@ -20,14 +20,15 @@ import (
 // caller still thinks it owns it) is reported too.
 //
 // Ordering: a static lock-acquisition-order graph whose nodes are
-// mutex classes ("Runtime.mu", "deque.mu", ...: the declaring type and
+// mutex classes ("Runtime.mu", "job.mu", ...: the declaring type and
 // field) and whose edges mean "B acquired while A held" — directly, or
 // through a statically resolved call whose transitive may-acquire set
 // (a fixpoint over the package's call graph, *Locked helpers included)
 // contains B. A cycle in that graph is a potential deadlock schedule
 // and fails the build. Same-class edges are not recorded: holding one
-// deque's mutex while taking another's is an ordered traversal, not an
-// ordering violation this graph can decide.
+// instance's mutex while taking another's of the same class (walking
+// a list of jobs, say) is an ordered traversal, not an ordering
+// violation this graph can decide.
 //
 // Calls spawned with go do not contribute (the goroutine does not
 // inherit the spawner's locks), and function literals are analyzed as

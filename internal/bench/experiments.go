@@ -338,10 +338,11 @@ func timeEngineSolve(cfg Config, a *sparse.CSR, threads int, lower core.LowerMet
 		return 0
 	}
 	defer e.Close()
+	ctx := e.NewContext()
 	x := make([]float64, a.N)
 	return TimeBest(cfg.Repeats, func() {
-		e.SolveLower(b, x)
-		e.SolveUpper(x, x)
+		ctx.SolveLower(b, x)
+		ctx.SolveUpper(x, x)
 	})
 }
 
@@ -417,7 +418,7 @@ func iterationCount(cfg Config, raw *sparse.CSR, ord string) int {
 			return -1
 		}
 		defer e.Close()
-		st, err := krylov.CG(a, e, b, x, opt)
+		st, err := krylov.CG(a, e.NewContext(), b, x, opt)
 		if err != nil || !st.Converged {
 			return -1
 		}

@@ -93,10 +93,11 @@ func TestGoldenTrajectoriesPR5(t *testing.T) {
 					}
 					return true
 				}}
+			pc := e.NewContext()
 			if a.PatternSymmetric() {
-				_, err = krylov.CG(a, e, b, x, kopt)
+				_, err = krylov.CG(a, pc, b, x, kopt)
 			} else {
-				_, err = krylov.GMRES(a, e, b, x, kopt)
+				_, err = krylov.GMRES(a, pc, b, x, kopt)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -93,10 +93,11 @@ func CollectRecords(cfg Config) ([]Record, error) {
 			for i := range r {
 				r[i] = rng.NormFloat64()
 			}
+			ctx := e.NewContext()
 			ap := base
 			ap.Op = "apply"
 			ap.NsPerOp = TimeBest(cfg.Repeats, func() {
-				e.Apply(r, z)
+				ctx.Apply(r, z)
 			}).Nanoseconds()
 			recs = append(recs, ap)
 
@@ -114,10 +115,10 @@ func CollectRecords(cfg Config) ([]Record, error) {
 					x[i] = 0
 				}
 				if a.PatternSymmetric() {
-					_, err := krylov.CG(a, e, r, x, kopt)
+					_, err := krylov.CG(a, ctx, r, x, kopt)
 					return err
 				}
-				_, err := krylov.GMRES(a, e, r, x, kopt)
+				_, err := krylov.GMRES(a, ctx, r, x, kopt)
 				return err
 			}
 			if err := solveOnce(); err != nil { // warm the workspace

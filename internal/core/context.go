@@ -251,47 +251,6 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 	}
 }
 
-// SolveLowerBatch solves L·X[j] = B[j] for all j on the engine's
-// permuted indexing (the multi-RHS analogue of SolveLower). All
-// vectors have length N; B[j] and X[j] may alias.
-func (c *SolveContext) SolveLowerBatch(B, X [][]float64) {
-	c.batchSolve(B, X, (*SolveContext).solveLowerBlock)
-}
-
-// SolveUpperBatch solves U·X[j] = B[j] for all j on the permuted
-// indexing (the multi-RHS analogue of SolveUpper).
-func (c *SolveContext) SolveUpperBatch(B, X [][]float64) {
-	c.batchSolve(B, X, (*SolveContext).solveUpperBlock)
-}
-
-//javelin:noalloc
-func (c *SolveContext) batchSolve(B, X [][]float64, block func(*SolveContext, []float64, int)) {
-	k := len(B)
-	if k != len(X) {
-		panic("core: batch solve len(B) != len(X)")
-	}
-	if k == 0 {
-		return
-	}
-	c.enter()
-	defer c.exit()
-	n := c.e.n
-	xb := c.ensureBlk(n * k)
-	for i := 0; i < n; i++ {
-		dst := xb[i*k : i*k+k]
-		for j := range dst {
-			dst[j] = B[j][i]
-		}
-	}
-	block(c, xb, k)
-	for i := 0; i < n; i++ {
-		src := xb[i*k : i*k+k]
-		for j := range src {
-			X[j][i] = src[j]
-		}
-	}
-}
-
 // solveLowerBlock is the batched forward substitution on the packed
 // n×k block xb (xb[i*k+j] is entry i of right-hand side j). The
 // traversal mirrors SolveLower exactly — p2p upper stage, tiled
@@ -343,7 +302,7 @@ func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 	lp := e.lower
 	if par {
 		//javelin:alloc-ok parallel dispatch handoff
-		e.runTiles(lp.solveTiles, func(t tileRange) {
+		e.runTiles(true, lp.solveTiles, func(t tileRange) {
 			for si := t.lo; si < t.hi; si++ {
 				sp := lp.solveSpans[si]
 				kt.PanelUpdate(xb, k, xb[sp.row*k:sp.row*k+k], vals, lu.ColIdx, sp.kLo, sp.kHi)

@@ -36,8 +36,8 @@ func TestConcurrentContextsShareOneEngine(t *testing.T) {
 		rng := util.NewRNG(11)
 		const goroutines = 8
 		const repeats = 20
-		// Distinct RHS per goroutine; expected answers from the
-		// default context before the concurrent phase starts.
+		// Distinct RHS per goroutine; expected answers from one
+		// context before the concurrent phase starts.
 		rhs := make([][]float64, goroutines)
 		want := make([][]float64, goroutines)
 		for g := range rhs {
@@ -46,7 +46,7 @@ func TestConcurrentContextsShareOneEngine(t *testing.T) {
 				rhs[g][i] = rng.NormFloat64()
 			}
 			want[g] = make([]float64, n)
-			e.Apply(rhs[g], want[g])
+			e.NewContext().Apply(rhs[g], want[g])
 		}
 		var wg sync.WaitGroup
 		errs := make(chan string, goroutines)
@@ -95,9 +95,11 @@ func TestApplyBatchMatchesSequentialApplies(t *testing.T) {
 				}
 				Zseq[j] = make([]float64, n)
 				Zbat[j] = make([]float64, n)
-				e.Apply(R[j], Zseq[j])
 			}
 			ctx := e.NewContext()
+			for j := 0; j < k; j++ {
+				ctx.Apply(R[j], Zseq[j])
+			}
 			ctx.ApplyBatch(R, Zbat)
 			for j := 0; j < k; j++ {
 				for i := 0; i < n; i++ {
@@ -111,8 +113,9 @@ func TestApplyBatchMatchesSequentialApplies(t *testing.T) {
 	}
 }
 
-// TestSolveBatchMatchesSingleSolves checks the permuted-indexing batch
-// entry points against their single-RHS counterparts.
+// TestSolveBatchMatchesSingleSolves checks the packed n×k block
+// solves behind ApplyBatch against their single-RHS counterparts on
+// the permuted indexing.
 func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 	const k = 3
 	for _, threads := range []int{1, 3} {
@@ -122,8 +125,7 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 		B := make([][]float64, k)
 		wantL := make([][]float64, k)
 		wantU := make([][]float64, k)
-		gotL := make([][]float64, k)
-		gotU := make([][]float64, k)
+		ctx := e.NewContext()
 		for j := 0; j < k; j++ {
 			B[j] = make([]float64, n)
 			for i := range B[j] {
@@ -131,23 +133,30 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 			}
 			wantL[j] = make([]float64, n)
 			wantU[j] = make([]float64, n)
-			gotL[j] = make([]float64, n)
-			gotU[j] = make([]float64, n)
-			e.SolveLower(B[j], wantL[j])
-			e.SolveUpper(B[j], wantU[j])
+			ctx.SolveLower(B[j], wantL[j])
+			ctx.SolveUpper(B[j], wantU[j])
 		}
-		ctx := e.NewContext()
-		ctx.SolveLowerBatch(B, gotL)
-		ctx.SolveUpperBatch(B, gotU)
+		pack := func() []float64 {
+			xb := make([]float64, n*k)
+			for i := 0; i < n; i++ {
+				for j := 0; j < k; j++ {
+					xb[i*k+j] = B[j][i]
+				}
+			}
+			return xb
+		}
+		gotL, gotU := pack(), pack()
+		ctx.PinEpoch()
+		ctx.solveLowerBlock(gotL, k)
+		ctx.solveUpperBlock(gotU, k)
+		ctx.UnpinEpoch()
 		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {
-				if math.Abs(gotL[j][i]-wantL[j][i]) > 1e-12*(1+math.Abs(wantL[j][i])) {
-					t.Fatalf("threads=%d SolveLowerBatch RHS %d entry %d: got %g want %g",
-						threads, j, i, gotL[j][i], wantL[j][i])
+				if g, w := gotL[i*k+j], wantL[j][i]; math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
+					t.Fatalf("threads=%d solveLowerBlock RHS %d entry %d: got %g want %g", threads, j, i, g, w)
 				}
-				if math.Abs(gotU[j][i]-wantU[j][i]) > 1e-12*(1+math.Abs(wantU[j][i])) {
-					t.Fatalf("threads=%d SolveUpperBatch RHS %d entry %d: got %g want %g",
-						threads, j, i, gotU[j][i], wantU[j][i])
+				if g, w := gotU[i*k+j], wantU[j][i]; math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
+					t.Fatalf("threads=%d solveUpperBlock RHS %d entry %d: got %g want %g", threads, j, i, g, w)
 				}
 			}
 		}
@@ -165,7 +174,7 @@ func TestConcurrentBatchAndSingleContexts(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	want := make([]float64, n)
-	e.Apply(b, want)
+	e.NewContext().Apply(b, want)
 
 	var wg sync.WaitGroup
 	fail := make(chan string, 8)

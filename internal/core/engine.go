@@ -153,10 +153,8 @@ func (o Options) withDefaults() Options {
 // All mutable solve state lives in SolveContext objects, so N
 // goroutines may share one Engine by each creating a context with
 // NewContext (or drawing one from AcquireContext) and calling its
-// Apply / ApplyBatch / SolveLower / SolveUpper. The Engine's own
-// solve methods are thin wrappers over one built-in default context
-// and are therefore NOT safe for concurrent calls with each other;
-// they exist for the common single-caller case.
+// Apply / ApplyBatch / SolveLower / SolveUpper. The Engine itself has
+// no solve methods.
 type Engine struct {
 	opt    Options
 	n      int
@@ -225,10 +223,6 @@ type Engine struct {
 	ctxPool sync.Pool
 
 	rowSumU []float64 // MILU: Σ of each finished U-row (nil unless Modified)
-
-	// defCtx backs the Engine's own Apply/Solve* wrappers (the
-	// single-caller convenience path).
-	defCtx *SolveContext
 }
 
 // Factorize computes a Javelin incomplete LU of a.
@@ -316,8 +310,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		return nil, err
 	}
 
-	e.defCtx = e.NewContext()
-
 	if err := e.Refactorize(a); err != nil {
 		e.Close()
 		return nil, err
@@ -394,9 +386,8 @@ func (e *Engine) RefactorizeFailures() uint64 { return e.refacFails.Load() }
 
 // Close releases the engine's private execution runtime; a shared
 // runtime passed via Options.Runtime is left untouched (its owner
-// closes it). Close is idempotent and safe for concurrent use (the
-// former unsynchronized check-and-nil on the task pool was a data
-// race). Solves issued after Close still complete — the closed
+// closes it). Close is idempotent and safe for concurrent use.
+// Solves issued after Close still complete — the closed
 // runtime degrades to caller-driven execution — but should be
 // considered a programming error.
 func (e *Engine) Close() {

@@ -137,8 +137,9 @@ func TestEngineSolvesInvertFactor(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			// Check L·x = b via the engine against serial substitution.
+			ctx := e.NewContext()
 			x := make([]float64, n)
-			e.SolveLower(b, x)
+			ctx.SolveLower(b, x)
 			want := make([]float64, n)
 			serialSolveLower(e.Factor(), b, want)
 			for i := range x {
@@ -146,7 +147,7 @@ func TestEngineSolvesInvertFactor(t *testing.T) {
 					t.Fatalf("SolveLower mismatch at %d: got %g want %g", i, x[i], want[i])
 				}
 			}
-			e.SolveUpper(b, x)
+			ctx.SolveUpper(b, x)
 			serialSolveUpper(e.Factor(), b, want)
 			for i := range x {
 				if math.Abs(x[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
@@ -207,7 +208,7 @@ func TestApplyExactOnTridiagonal(t *testing.T) {
 	b := make([]float64, n)
 	a.MatVec(xTrue, b)
 	z := make([]float64, n)
-	e.Apply(b, z)
+	e.NewContext().Apply(b, z)
 	for i := range z {
 		if math.Abs(z[i]-xTrue[i]) > 1e-9*(1+math.Abs(xTrue[i])) {
 			t.Fatalf("Apply not exact at %d: got %g want %g", i, z[i], xTrue[i])
@@ -233,7 +234,7 @@ func TestApplyReducesResidual(t *testing.T) {
 	// The preconditioned residual ‖b − A·M⁻¹b‖ must be smaller than
 	// ‖b‖ — the minimum bar for a useful preconditioner.
 	z := make([]float64, n)
-	e.Apply(b, z)
+	e.NewContext().Apply(b, z)
 	az := make([]float64, n)
 	a.MatVec(z, az)
 	res := 0.0

@@ -57,12 +57,12 @@ func TestLiveRefactorizeApplyHammerEpochConsistency(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		refA := make([]float64, n)
-		e.Apply(b, refA)
+		e.NewContext().Apply(b, refA)
 		if err := e.Refactorize(a2); err != nil {
 			t.Fatalf("Refactorize(a2): %v", err)
 		}
 		refB := make([]float64, n)
-		e.Apply(b, refB)
+		e.NewContext().Apply(b, refB)
 		if sameVec(refA, refB) {
 			t.Fatal("scaled matrix produced an identical application; test is vacuous")
 		}
@@ -138,7 +138,7 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	refA := make([]float64, n)
-	e.Apply(b, refA)
+	e.NewContext().Apply(b, refA)
 
 	c := e.AcquireContext() // pins the epoch holding a's factor
 	pinnedBuf := &c.vals[0]
@@ -161,7 +161,7 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	}
 
 	refB := make([]float64, n)
-	e.Apply(b, refB) // default context pins per call → new epoch
+	e.NewContext().Apply(b, refB) // a NewContext context pins per call → new epoch
 	if sameVec(refB, refA) {
 		t.Fatal("post-Refactorize application still matches the old values")
 	}
@@ -327,7 +327,7 @@ func TestRefactorizePatternMismatch(t *testing.T) {
 		b[i] = float64(i%5) - 2
 	}
 	refA := make([]float64, n)
-	e.Apply(b, refA)
+	e.NewContext().Apply(b, refA)
 
 	aBad := withExtraEntry(t, a, 0, n-1, 0.5)
 	err = e.Refactorize(aBad)
@@ -343,7 +343,7 @@ func TestRefactorizePatternMismatch(t *testing.T) {
 
 	// The failed refactorization must leave the previous epoch live.
 	z := make([]float64, n)
-	e.Apply(b, z)
+	e.NewContext().Apply(b, z)
 	if !sameVec(z, refA) {
 		t.Fatal("failed Refactorize disturbed the published factor")
 	}
@@ -360,12 +360,12 @@ func TestRefactorizePatternMismatch(t *testing.T) {
 		t.Fatalf("Refactorize with AllowPatternMismatch: %v", err)
 	}
 	dropped := make([]float64, n)
-	e2.Apply(b, dropped)
+	e2.NewContext().Apply(b, dropped)
 	if err := e2.Refactorize(a); err != nil {
 		t.Fatalf("Refactorize (clean): %v", err)
 	}
 	clean := make([]float64, n)
-	e2.Apply(b, clean)
+	e2.NewContext().Apply(b, clean)
 	if !sameVec(dropped, clean) {
 		t.Fatal("AllowPatternMismatch did not behave as drop-outside-pattern")
 	}
@@ -390,7 +390,7 @@ func TestRefactorizeFailureKeepsPreviousEpoch(t *testing.T) {
 		b[i] = float64(i%7) - 3
 	}
 	refA := make([]float64, n)
-	e.Apply(b, refA)
+	e.NewContext().Apply(b, refA)
 
 	aBad := a.Clone()
 	aBad.Val[0] = 0 // (0,0): zero pivot, in-pattern
@@ -410,16 +410,16 @@ func TestRefactorizeFailureKeepsPreviousEpoch(t *testing.T) {
 	if err := e.Refactorize(scaleCSR(a, 2)); err != nil {
 		t.Fatalf("Refactorize after failure: %v", err)
 	}
-	e.Apply(b, z)
+	e.NewContext().Apply(b, z)
 	if sameVec(z, refA) {
 		t.Fatal("recovery Refactorize did not publish new values")
 	}
 }
 
-// TestRefactorizeNaNPivotFails: a NaN pivot must fail Refactorize like
-// a zero one (a magnitude comparison alone lets NaN through and
-// publishes a poisoned factor). The previous epoch stays current and
-// the failure is counted.
+// TestRefactorizeNaNPivotFails: a NaN on the diagonal must fail
+// Refactorize (the scatter's finiteness check catches it before the
+// NaN-safe pivot guard would) instead of publishing a poisoned factor.
+// The previous epoch stays current and the failure is counted.
 func TestRefactorizeNaNPivotFails(t *testing.T) {
 	for _, lower := range []LowerMethod{LowerSR, LowerER, LowerNone} {
 		e := testEngine(t, lower, 2)
@@ -430,7 +430,7 @@ func TestRefactorizeNaNPivotFails(t *testing.T) {
 			b[i] = float64(i%7) - 3
 		}
 		refA := make([]float64, n)
-		e.Apply(b, refA)
+		e.NewContext().Apply(b, refA)
 		for _, row := range []int{0, n / 2, n - 1} {
 			aBad := a.Clone()
 			cols, vals := aBad.Row(row)
@@ -450,7 +450,7 @@ func TestRefactorizeNaNPivotFails(t *testing.T) {
 				t.Fatalf("lower=%v: RefactorizeFailures %d -> %d, want +1", lower, fails, got)
 			}
 			z := make([]float64, n)
-			e.Apply(b, z)
+			e.NewContext().Apply(b, z)
 			if !sameVec(z, refA) {
 				t.Fatalf("lower=%v: failed Refactorize disturbed the published factor", lower)
 			}

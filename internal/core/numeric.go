@@ -96,17 +96,21 @@ func (e *Engine) newValues() []float64 {
 
 // scatter copies a's values into the epoch build buffer on the
 // permuted factor pattern in parallel (the paper's copy-with-
-// first-touch step). An entry of a absent from the pattern is a
-// pattern mismatch: scattering would silently drop it and the
-// factorization would condemn a different matrix than the caller
-// passed, so the first such entry is reported as an error unless
-// Options.AllowPatternMismatch permits dropping (τ-refactorization).
+// first-touch step). It rejects two kinds of input, reporting the
+// first bad entry it meets:
+//   - a NaN or ±Inf value (sparse.ErrNonFinite): factoring it would
+//     publish a poisoned factor that every later solve fails on;
+//   - an entry of a absent from the pattern (ErrPatternMismatch):
+//     scattering would silently drop it and the factorization would
+//     condemn a different matrix than the caller passed, unless
+//     Options.AllowPatternMismatch permits dropping
+//     (τ-refactorization).
 func (e *Engine) scatter(a *sparse.CSR, vals []float64) error {
 	lu := e.factor.LU
 	perm := e.split.Perm
 	inv := e.invPerm
 	allow := e.opt.AllowPatternMismatch
-	var mismatch atomic.Value
+	var bad atomic.Value
 	rowBody := func(newI int) {
 		lo, hi := lu.RowPtr[newI], lu.RowPtr[newI+1]
 		for k := lo; k < hi; k++ {
@@ -116,13 +120,19 @@ func (e *Engine) scatter(a *sparse.CSR, vals []float64) error {
 		oldI := perm[newI]
 		cols, avals := a.Row(oldI)
 		for k, j := range cols {
-			if p := searchRow(lcols, inv[j]); p >= 0 {
-				vals[lo+p] = avals[k]
-			} else if !allow && mismatch.Load() == nil {
-				// Only the first miss is reported; a genuinely changed
-				// pattern can have millions, and building an error per
-				// entry would make the failure path itself expensive.
-				mismatch.CompareAndSwap(nil, fmt.Errorf(
+			x := avals[k]
+			// Only the first bad entry is reported; a genuinely changed
+			// pattern can have millions, and building an error per
+			// entry would make the failure path itself expensive.
+			if x-x != 0 { // NaN or ±Inf
+				if bad.Load() == nil {
+					bad.CompareAndSwap(nil, fmt.Errorf(
+						"core: %w %g at entry (%d,%d) of the factorization input", sparse.ErrNonFinite, x, oldI, j)) //nolint:errcheck
+				}
+			} else if p := searchRow(lcols, inv[j]); p >= 0 {
+				vals[lo+p] = x
+			} else if !allow && bad.Load() == nil {
+				bad.CompareAndSwap(nil, fmt.Errorf(
 					"%w: entry (%d,%d) of the refactorization input", ErrPatternMismatch, oldI, j)) //nolint:errcheck
 			}
 		}
@@ -136,7 +146,7 @@ func (e *Engine) scatter(a *sparse.CSR, vals []float64) error {
 	} else {
 		e.rt.For(e.n, pieces, rowBody)
 	}
-	if v := mismatch.Load(); v != nil {
+	if v := bad.Load(); v != nil {
 		return v.(error)
 	}
 	return nil
@@ -227,9 +237,10 @@ func (e *Engine) factorLowerER(vals []float64) error {
 // rows' sub-diagonal entries are grouped into subblocks by the upper
 // level of their column; within a level the columns are independent
 // (guaranteed by the lower(A+Aᵀ) level order), so each level is
-// processed as DIVIDE tiles followed by row-partitioned UPDATE tiles
-// on the task pool, and finally the corner is factored level-group by
-// level-group (or serially under Options.SerialCorner).
+// processed as DIVIDE tiles followed by row-partitioned UPDATE tiles,
+// each a dynamic region on the runtime, and finally the corner is
+// factored level-group by level-group (or serially under
+// Options.SerialCorner).
 func (e *Engine) factorLowerSR(vals []float64) error {
 	lp := e.lower
 	if lp == nil || e.split.NLower() == 0 {
@@ -241,7 +252,7 @@ func (e *Engine) factorLowerSR(vals []float64) error {
 		firstErr.CompareAndSwap(nil, err) //nolint:errcheck
 	}
 	// Tiles are row-disjoint, so the inline route below the cutoff is
-	// bitwise identical to the batch dispatch.
+	// bitwise identical to the dynamic dispatch.
 	par := e.rt.ParallelWorth(e.lowerOps)
 
 	for li := range lp.srLevels {
@@ -250,7 +261,7 @@ func (e *Engine) factorLowerSR(vals []float64) error {
 			continue
 		}
 		// DIVIDE_COLUMNS: val[k] /= U[j,j] for each entry in the level.
-		e.runTilesIf(par, lvl.divTiles, func(t tileRange) {
+		e.runTiles(par, lvl.divTiles, func(t tileRange) {
 			for si := t.lo; si < t.hi; si++ {
 				sp := lvl.spans[si]
 				for k := sp.kLo; k < sp.kHi; k++ {
@@ -270,7 +281,7 @@ func (e *Engine) factorLowerSR(vals []float64) error {
 		// UPDATE_BLOCK: for each span (one row's entries in this
 		// level), apply the merge updates into that row. Spans are
 		// row-disjoint, so tiles can run concurrently.
-		e.runTilesIf(par, lvl.updTiles, func(t tileRange) {
+		e.runTiles(par, lvl.updTiles, func(t tileRange) {
 			for si := t.lo; si < t.hi; si++ {
 				sp := lvl.spans[si]
 				comp := applyUpdates(e, vals, sp)
@@ -357,33 +368,17 @@ func (e *Engine) factorCorner(vals []float64) error {
 	return nil
 }
 
-// runTilesIf dispatches tiles on the runtime when par is true and
-// walks them inline in order otherwise — the caller's adaptive-cutoff
-// decision made explicit.
-func (e *Engine) runTilesIf(par bool, tiles []tileRange, body func(tileRange)) {
-	if !par {
+// runTiles runs body once per tile. With par set, more than one tile
+// and more than one thread, the tiles are a chunk-1 ForDynamic region
+// (the schedule ER phase 1 uses); otherwise they are walked inline in
+// order. Tiles are row-disjoint, so bodies never race and both routes
+// give bitwise-identical results.
+func (e *Engine) runTiles(par bool, tiles []tileRange, body func(tileRange)) {
+	if !par || len(tiles) <= 1 || e.opt.Threads == 1 {
 		for _, t := range tiles {
 			body(t)
 		}
 		return
 	}
-	e.runTiles(tiles, body)
-}
-
-// runTiles dispatches tile bodies as a work-stealing batch on the
-// runtime (inline for single tiles or single-threaded engines). Tiles
-// are row-disjoint, so bodies never race.
-func (e *Engine) runTiles(tiles []tileRange, body func(tileRange)) {
-	if len(tiles) <= 1 || e.opt.Threads <= 1 {
-		for _, t := range tiles {
-			body(t)
-		}
-		return
-	}
-	b := e.rt.NewBatch()
-	for _, t := range tiles {
-		t := t
-		b.Submit(func() { body(t) })
-	}
-	b.Wait()
+	e.rt.ForDynamic(len(tiles), e.opt.Threads, 1, func(i int) { body(tiles[i]) })
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"javelin/internal/exec"
@@ -41,7 +42,7 @@ func TestCloseConcurrentAndDouble(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	e.Apply(b, z)
+	e.NewContext().Apply(b, z)
 	for i := range z {
 		if math.IsNaN(z[i]) {
 			t.Fatalf("NaN at %d after Close", i)
@@ -51,7 +52,7 @@ func TestCloseConcurrentAndDouble(t *testing.T) {
 
 // TestSharedRuntimeAcrossEngines is the tentpole's sharing contract:
 // several Preconditioners schedule onto one Runtime (instead of one
-// task pool per engine), concurrent solves stay correct, and engine
+// runtime per engine), concurrent solves stay correct, and engine
 // Close does not tear the shared runtime down.
 func TestSharedRuntimeAcrossEngines(t *testing.T) {
 	rt := exec.New(4)
@@ -88,7 +89,7 @@ func TestSharedRuntimeAcrossEngines(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		z := make([]float64, n)
-		e.Apply(b, z)
+		e.NewContext().Apply(b, z)
 		return append(b, z...)
 	}
 	want1, want2 := ref(e1, n1), ref(e2, n2)
@@ -158,8 +159,9 @@ func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
+	ctx := e.NewContext()
 	work := func() {
-		e.Apply(b, z)
+		ctx.Apply(b, z)
 		spmv.ParallelOn(e.Runtime(), a, z, y, e.Threads())
 		if err := e.Refactorize(a); err != nil {
 			t.Fatal(err)
@@ -174,5 +176,49 @@ func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if after > before {
 		t.Fatalf("goroutines grew %d -> %d across warm solves", before, after)
+	}
+}
+
+// TestRunTilesDispatchesEachTileOnce drives the parallel branch of
+// runTiles directly (par is an argument, so no measured cutoff decides
+// whether the branch is reached): 101 tiles of uneven cost must each
+// run exactly once, as one chunk-1 dynamic region, at every thread
+// count.
+func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
+	const nTiles = 101
+	tiles := make([]tileRange, nTiles)
+	for i := range tiles {
+		tiles[i] = tileRange{lo: i, hi: i + 1}
+	}
+	for _, threads := range []int{2, 4, 8} {
+		rt := exec.New(threads)
+		e := &Engine{opt: Options{Threads: threads}, rt: rt}
+		var runs [nTiles]atomic.Int32
+		var sink atomic.Uint64
+		s0 := rt.Stats()
+		e.runTiles(true, tiles, func(t tileRange) {
+			// Uneven cost: every seventh tile does 100× the work.
+			work := 100
+			if t.lo%7 == 0 {
+				work = 10000
+			}
+			x := uint64(t.lo)
+			for k := 0; k < work; k++ {
+				x = x*6364136223846793005 + 1442695040888963407
+			}
+			sink.Add(x)
+			runs[t.lo].Add(1)
+		})
+		d := rt.Stats().Sub(s0)
+		rt.Close()
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("threads=%d: tile %d ran %d times, want 1", threads, i, got)
+			}
+		}
+		if d.Regions != 1 || d.Chunks != nTiles {
+			t.Fatalf("threads=%d: Regions=%d Chunks=%d, want one region of %d chunk-1 claims",
+				threads, d.Regions, d.Chunks, nTiles)
+		}
 	}
 }

@@ -1,26 +1,5 @@
 package core
 
-// SolveLower solves L·x = b on the engine's permuted indexing using
-// the engine's built-in default context. Prefer a per-goroutine
-// SolveContext for concurrent use.
-func (e *Engine) SolveLower(b, x []float64) { e.defCtx.SolveLower(b, x) }
-
-// SolveUpper solves U·x = b on the permuted indexing using the
-// engine's built-in default context. Prefer a per-goroutine
-// SolveContext for concurrent use.
-func (e *Engine) SolveUpper(b, x []float64) { e.defCtx.SolveUpper(b, x) }
-
-// Apply applies the preconditioner in USER ordering via the engine's
-// built-in default context: z ≈ A⁻¹ r. r and z must have length N and
-// may alias. Like all default-context methods it must not be called
-// concurrently with itself or other default-context solves; use
-// NewContext for that.
-func (e *Engine) Apply(r, z []float64) { e.defCtx.Apply(r, z) }
-
-// ApplyBatch applies the preconditioner to k right-hand sides through
-// the engine's built-in default context (see SolveContext.ApplyBatch).
-func (e *Engine) ApplyBatch(R, Z [][]float64) { e.defCtx.ApplyBatch(R, Z) }
-
 // SolveLower solves L·x = b on the engine's permuted indexing, where
 // L is the unit-lower factor. b and x are length-N slices in the
 // PERMUTED ordering (use Apply for the user-ordering round trip);
@@ -89,7 +68,7 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 	cols := lu.ColIdx
 	if par {
 		//javelin:alloc-ok parallel dispatch handoff
-		e.runTiles(lp.solveTiles, func(t tileRange) {
+		e.runTiles(true, lp.solveTiles, func(t tileRange) {
 			for si := t.lo; si < t.hi; si++ {
 				sp := lp.solveSpans[si]
 				s := 0.0

@@ -60,9 +60,9 @@ func BenchmarkForSpawnedN1e3(b *testing.B)     { benchFor(b, 1000, false) }
 func BenchmarkForWarmRuntimeN1e5(b *testing.B) { benchFor(b, 100000, true) }
 func BenchmarkForSpawnedN1e5(b *testing.B)     { benchFor(b, 100000, false) }
 
-// BenchmarkStatsSnapshot prices the Stats() aggregation itself (a sum
-// over the padded per-lane shards) so the snapshot path stays cheap
-// enough to poll from monitoring loops.
+// BenchmarkStatsSnapshot prices the Stats() snapshot itself (four
+// atomic loads plus the park counters under r.mu) so the snapshot path
+// stays cheap enough to poll from monitoring loops.
 func BenchmarkStatsSnapshot(b *testing.B) {
 	r := New(8)
 	defer r.Close()

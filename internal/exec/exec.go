@@ -1,43 +1,42 @@
 // Package exec is Javelin's persistent execution runtime: one fixed
-// set of worker goroutines serving every parallel construct in the
-// engine — data-parallel loops (For, ForDynamic), per-worker-scratch
-// fork-join (Ranges), work-stealing task batches (Batch, absorbing
-// the former taskpool package), and gang-scheduled sweeps (Gang) for
-// the point-to-point synchronized stages that need all lanes running
-// at once.
+// set of worker goroutines serving the engine's three parallel
+// constructs — claim-based loops (For with static blocks, ForDynamic
+// with OpenMP-style dynamic chunks), per-piece-scratch fork-join
+// (Ranges), and gang-scheduled sweeps (Gang) for the point-to-point
+// synchronized stages that need all lanes running at once.
 //
 // This is the "specialized light weight tasking library" of the paper
-// generalized into a shared substrate: before, every ParallelFor call
-// spawned fresh goroutines and joined a full barrier — on every SpMV
-// and every level-set sweep of every Krylov iteration — while the SR
-// factor stage kept a private task pool per engine. Here one Runtime
-// outlives all of them; parallel regions are claim-based (atomic
-// block dealing over persistent workers), so a region costs two mutex
-// hops and a handful of atomics instead of goroutine creation, and an
-// idle Runtime parks its workers and costs nothing.
+// generalized into a shared substrate: every SpMV, level-set sweep,
+// factor stage and SR tile level of every engine runs here instead of
+// spawning goroutines per call. SR tiles are all known before a level
+// starts and none spawns more work, so they run as a chunk-1
+// ForDynamic region, the same loop ER phase 1 uses; no work stealing
+// is needed. Loop regions are claim-based (atomic block dealing over
+// persistent workers), so a region costs two mutex hops and a handful
+// of atomics instead of goroutine creation, and an idle Runtime parks
+// its workers and costs nothing.
 //
 // # Concurrency model
 //
 // A Runtime is safe for concurrent use: any number of goroutines may
-// open parallel regions (For/ForDynamic/Ranges/Batch) at the same
-// time; their blocks interleave over the shared workers and every
-// caller helps execute its own region, so a region always completes
-// even with zero free workers. Gang is the exception that needs real
-// concurrency (its pieces spin-wait on each other), so gangs go
-// through admission control: a gang starts only when enough workers
-// are uncommitted, and waits for capacity otherwise (admission is
-// capacity-ordered, not FIFO — see the ROADMAP fairness item) —
-// correct under any amount of sharing, at worst serialized, never
-// deadlocked. Loop/batch bodies must not
-// wait on other iterations of the same region; bodies that
-// synchronize with each other belong in Gang.
+// open loop regions (For/ForDynamic/Ranges) at the same time; their
+// blocks interleave over the shared workers and every caller helps
+// execute its own region, so a region always completes even with zero
+// free workers. Gang is the exception that needs real concurrency (its
+// pieces spin-wait on each other), so gangs go through admission
+// control: a gang starts only when enough workers are uncommitted, and
+// waits for capacity otherwise (admission is capacity-ordered, not
+// FIFO) — correct under any amount of sharing, at worst serialized,
+// never deadlocked. Loop bodies must not wait on other iterations of
+// the same region; bodies that synchronize with each other belong in
+// Gang.
 //
 // # Metrics
 //
-// Every Runtime meters its own activity — regions, chunk claims,
-// steals, gang admissions and queue wait, park/wake churn — through
-// always-on per-worker counter shards; Stats() aggregates them into a
-// snapshot and Stats.Sub gives per-phase deltas. See stats.go.
+// Every Runtime meters its own activity — regions, chunk claims, gang
+// admissions and queue wait, park/wake churn — through always-on
+// counters; Stats() returns a snapshot and Stats.Sub gives per-phase
+// deltas. See stats.go.
 package exec
 
 import (
@@ -47,8 +46,11 @@ import (
 	"time"
 )
 
-// Runtime is a persistent worker pool. Create with New, share freely,
-// release with Close. The zero value is not usable.
+// Runtime is a persistent worker pool serving three constructs: claim
+// loops (For/ForDynamic), Ranges, and Gang. Loops and Ranges are jobs
+// on one open-region list that idle workers join; gang pieces are
+// queued separately behind admission control. Create with New, share
+// freely, release with Close. The zero value is not usable.
 type Runtime struct {
 	workers int // worker goroutine count == Parallelism()-1
 
@@ -68,18 +70,15 @@ type Runtime struct {
 	// uncontended atomic RMW there measurably tips it; plain
 	// increments under the already-taken lock are free.
 	pkSpinToParks uint64 //javelin:plain-under-mu mu
-	pkStealFails  uint64 //javelin:plain-under-mu mu
 	pkParks       uint64 //javelin:plain-under-mu mu
 	pkWakes       uint64 //javelin:plain-under-mu mu
 
-	deques []deque      // batch task deques (one per worker, min one)
-	nextQ  atomic.Int64 // round-robin cursor for batch submits
-	wg     sync.WaitGroup
+	wg sync.WaitGroup
 
-	// stats holds one padded counter shard per worker plus a final
-	// shard shared by external callers; Stats() sums them. See
+	// stats holds the region and gang counters Stats() reports, in an
+	// allocation of its own so they share no cache line with mu. See
 	// stats.go.
-	stats []laneStats
+	stats *laneStats
 
 	jobPool sync.Pool
 
@@ -100,12 +99,7 @@ func New(parallelism int) *Runtime {
 	r := &Runtime{workers: parallelism - 1}
 	r.cond = sync.NewCond(&r.mu)
 	r.gangCond = sync.NewCond(&r.mu)
-	nd := r.workers
-	if nd < 1 {
-		nd = 1
-	}
-	r.deques = make([]deque, nd)
-	r.stats = make([]laneStats, r.workers+1)
+	r.stats = new(laneStats)
 	r.jobPool.New = func() any {
 		j := new(job)
 		j.cond = sync.NewCond(&j.mu)
@@ -113,7 +107,7 @@ func New(parallelism int) *Runtime {
 	}
 	r.wg.Add(r.workers)
 	for w := 0; w < r.workers; w++ {
-		go r.workerLoop(w)
+		go r.workerLoop()
 	}
 	return r
 }
@@ -228,7 +222,7 @@ func (r *Runtime) loop(n, maxPar, chunk int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
-	r.lane(-1).regions.Add(1)
+	r.stats.regions.Add(1)
 	par := r.workers + 1
 	if maxPar > 0 && maxPar < par {
 		par = maxPar
@@ -240,7 +234,7 @@ func (r *Runtime) loop(n, maxPar, chunk int, body func(i int)) {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
-		r.lane(-1).chunks.Add(1)
+		r.stats.chunks.Add(1)
 		return
 	}
 	if chunk <= 0 { // static: one block per participant
@@ -267,7 +261,7 @@ func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 		n = 0
 	}
 	if n > 0 {
-		r.lane(-1).regions.Add(1)
+		r.stats.regions.Add(1)
 	}
 	chunk := (n + pieces - 1) / pieces
 	if chunk < 1 {
@@ -290,7 +284,7 @@ func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 			if !run(p) {
 				break
 			}
-			r.lane(-1).chunks.Add(1)
+			r.stats.chunks.Add(1)
 		}
 		return
 	}
@@ -344,7 +338,7 @@ func (r *Runtime) runJob(j *job) {
 			charged = ne
 		}
 	}
-	r.lane(-1).chunks.Add(uint64(charged))
+	r.stats.chunks.Add(uint64(charged))
 	j.body, j.rangeBody = nil, nil
 	r.jobPool.Put(j)
 }
@@ -482,7 +476,7 @@ func (r *Runtime) Gang(pieces int, body func(piece int)) {
 		for r.workers-r.committed < need && !r.closed {
 			r.gangCond.Wait()
 		}
-		r.lane(-1).gangWaitNs.Add(uint64(time.Since(t0)))
+		r.stats.gangWaitNs.Add(uint64(time.Since(t0)))
 	}
 	if r.closed {
 		r.mu.Unlock()
@@ -490,7 +484,7 @@ func (r *Runtime) Gang(pieces int, body func(piece int)) {
 		return
 	}
 	r.committed += need
-	r.lane(-1).gangs.Add(1)
+	r.stats.gangs.Add(1)
 	for p := 1; p < pieces; p++ {
 		r.gangQ.push(gangPiece{g: g, piece: p})
 	}
@@ -518,7 +512,7 @@ func (r *Runtime) Gang(pieces int, body func(piece int)) {
 // spawnGang is the goroutine-per-piece fallback for gangs wider than
 // the runtime (or after Close).
 func (r *Runtime) spawnGang(pieces int, body func(piece int)) {
-	r.lane(-1).gangs.Add(1)
+	r.stats.gangs.Add(1)
 	var wg sync.WaitGroup
 	wg.Add(pieces - 1)
 	for p := 1; p < pieces; p++ {
@@ -532,132 +526,13 @@ func (r *Runtime) spawnGang(pieces int, body func(piece int)) {
 }
 
 // ---------------------------------------------------------------------
-// Work-stealing batches (the former taskpool)
-// ---------------------------------------------------------------------
-
-// task is one queued batch unit.
-type task struct {
-	fn func()
-	b  *Batch
-}
-
-// Batch is a work-stealing task group over a Runtime: Submit queues
-// tasks onto per-worker deques (owners pop LIFO, thieves steal FIFO),
-// Wait blocks until the group drains, with the waiter helping run
-// tasks. Tasks may Submit further tasks to the same Batch. A Batch is
-// safe for concurrent Submit; distinct Batches share the same deques
-// and drain cooperatively. Reusable across Submit/Wait waves.
-type Batch struct {
-	r       *Runtime
-	pending atomic.Int64
-
-	// Completion parking for Wait, as in job.
-	mu   sync.Mutex
-	cond *sync.Cond
-}
-
-// NewBatch opens a task group on the runtime.
-func (r *Runtime) NewBatch() *Batch {
-	b := &Batch{r: r}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// taskDone retires one task; the task that empties the batch wakes a
-// parked waiter.
-func (b *Batch) taskDone() {
-	if b.pending.Add(-1) == 0 {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	}
-}
-
-// Submit queues one task.
-func (b *Batch) Submit(fn func()) {
-	b.pending.Add(1)
-	r := b.r
-	q := int(r.nextQ.Add(1)) % len(r.deques)
-	if q < 0 {
-		q = -q
-	}
-	r.deques[q].push(task{fn: fn, b: b})
-	r.mu.Lock()
-	if r.sleeping > 0 {
-		r.cond.Signal()
-	}
-	r.mu.Unlock()
-}
-
-// Wait blocks until every task submitted to this batch (including
-// recursively submitted ones) has completed. The caller helps run
-// tasks — possibly tasks of other batches sharing the runtime — while
-// waiting. Do not call Wait from inside a task.
-func (b *Batch) Wait() {
-	r := b.r
-	ls := r.lane(-1)
-	// Failed steal scans are batched in a local and flushed at the
-	// exit points, as in workerLoop: an atomic RMW per spin iteration
-	// on the shared external shard would ping-pong its cache line
-	// between concurrent waiters.
-	failed := uint64(0)
-	for spins := 0; b.pending.Load() > 0; spins++ {
-		if t, ok := r.stealTask(-1); ok {
-			// Success-path counting is amortized by the task body.
-			ls.stealAttempts.Add(1)
-			ls.stealSuccesses.Add(1)
-			t.fn()
-			t.b.taskDone()
-			ls.tasks.Add(1)
-			spins = 0
-			continue
-		}
-		failed++
-		if spins < 64 {
-			runtime.Gosched()
-			continue
-		}
-		// Nothing left to help with: the remaining tasks are in flight
-		// on workers. Park rather than burn a lane spinning.
-		ls.stealAttempts.Add(failed)
-		b.mu.Lock()
-		for b.pending.Load() > 0 {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-		return
-	}
-	if failed > 0 {
-		ls.stealAttempts.Add(failed)
-	}
-}
-
-// stealTask scans the deques (steal side) for any runnable task; self
-// is the scanning worker's own deque index, or -1 for external
-// callers.
-func (r *Runtime) stealTask(self int) (task, bool) {
-	nd := len(r.deques)
-	for i := 0; i < nd; i++ {
-		q := i
-		if self >= 0 {
-			q = (self + i) % nd
-		}
-		if t, ok := r.deques[q].steal(); ok {
-			return t, true
-		}
-	}
-	return task{}, false
-}
-
-// ---------------------------------------------------------------------
 // Worker loop
 // ---------------------------------------------------------------------
 
 // step finds and executes one unit of work; false when none exists.
-// Priority: gang pieces (they gate whole sweeps and hold reserved
-// capacity), then open loop regions, then batch tasks.
-func (r *Runtime) step(w int) bool {
-	ls := r.lane(w)
+// Gang pieces come first (they gate whole sweeps and hold reserved
+// capacity), then open loop regions (For/ForDynamic/Ranges).
+func (r *Runtime) step() bool {
 	r.mu.Lock()
 	if gp, ok := r.gangQ.pop(); ok {
 		r.mu.Unlock()
@@ -678,23 +553,6 @@ func (r *Runtime) step(w int) bool {
 		}
 	}
 	r.mu.Unlock()
-	if t, ok := r.deques[w].pop(); ok {
-		t.fn()
-		t.b.taskDone()
-		ls.tasks.Add(1)
-		return true
-	}
-	if t, ok := r.stealTask(w); ok {
-		// Successful steals are rare enough to count inline; failed
-		// attempts happen on every idle spin, so workerLoop batches
-		// them (a failed step implies exactly one failed steal scan).
-		ls.stealAttempts.Add(1)
-		ls.stealSuccesses.Add(1)
-		t.fn()
-		t.b.taskDone()
-		ls.tasks.Add(1)
-		return true
-	}
 	return false
 }
 
@@ -708,29 +566,17 @@ func (r *Runtime) hasWorkLocked() bool {
 			return true
 		}
 	}
-	for i := range r.deques {
-		if !r.deques[i].empty() {
-			return true
-		}
-	}
 	return false
 }
 
-func (r *Runtime) workerLoop(w int) {
+func (r *Runtime) workerLoop() {
 	defer r.wg.Done()
 	spins := 0
-	// Failed steal scans are batched in a plain local and flushed on
-	// spin-budget exhaustion: one atomic add per failed step would
-	// make the idle spin loop measurably more expensive, which on a
-	// saturated machine is CPU taken from lanes doing real work. The
-	// shard therefore lags by at most the spin budget per worker.
-	failedSteals := uint64(0)
 	for {
-		if r.step(w) {
+		if r.step() {
 			spins = 0
 			continue
 		}
-		failedSteals++
 		spins++
 		if spins < 128 {
 			runtime.Gosched()
@@ -742,8 +588,6 @@ func (r *Runtime) workerLoop(w int) {
 		// hold (see their declaration for why not atomics).
 		r.mu.Lock()
 		r.pkSpinToParks++
-		r.pkStealFails += failedSteals
-		failedSteals = 0
 		if r.closed && !r.hasWorkLocked() {
 			r.mu.Unlock()
 			return
@@ -757,69 +601,5 @@ func (r *Runtime) workerLoop(w int) {
 		}
 		r.mu.Unlock()
 		spins = 0
-	}
-}
-
-// ---------------------------------------------------------------------
-// Deque
-// ---------------------------------------------------------------------
-
-// deque is a mutex-protected double-ended queue of batch tasks.
-// Owners pop from the back (LIFO, cache-friendly); thieves steal from
-// the front (FIFO, oldest/largest work first). A mutex per deque is
-// competitive with a Chase–Lev deque at the task granularities the SR
-// stage uses (tiles of hundreds of nonzeros), and trivially correct.
-type deque struct {
-	mu    sync.Mutex
-	tasks []task //javelin:plain-under-mu mu
-	head  int    //javelin:plain-under-mu mu
-}
-
-func (d *deque) push(t task) {
-	d.mu.Lock()
-	d.tasks = append(d.tasks, t)
-	d.mu.Unlock()
-}
-
-func (d *deque) pop() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return task{}, false
-	}
-	t := d.tasks[len(d.tasks)-1]
-	d.tasks[len(d.tasks)-1] = task{}
-	d.tasks = d.tasks[:len(d.tasks)-1]
-	d.compactLocked()
-	return t, true
-}
-
-func (d *deque) steal() (task, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.head >= len(d.tasks) {
-		return task{}, false
-	}
-	t := d.tasks[d.head]
-	d.tasks[d.head] = task{}
-	d.head++
-	d.compactLocked()
-	return t, true
-}
-
-func (d *deque) empty() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.head >= len(d.tasks)
-}
-
-func (d *deque) compactLocked() {
-	if d.head >= len(d.tasks) {
-		d.tasks = d.tasks[:0]
-		d.head = 0
-	} else if d.head > 64 && d.head > len(d.tasks)/2 {
-		n := copy(d.tasks, d.tasks[d.head:])
-		d.tasks = d.tasks[:n]
-		d.head = 0
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestForCoversRangeOnce(t *testing.T) {
@@ -180,108 +179,11 @@ func TestGangWiderThanRuntimeFallsBack(t *testing.T) {
 	}
 }
 
-func TestBatchRunsAllTasks(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	b := r.NewBatch()
-	var count atomic.Int64
-	for i := 0; i < 1000; i++ {
-		b.Submit(func() { count.Add(1) })
-	}
-	b.Wait()
-	if count.Load() != 1000 {
-		t.Fatalf("ran %d of 1000", count.Load())
-	}
-}
-
-func TestBatchNestedSubmission(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	b := r.NewBatch()
-	var count atomic.Int64
-	for i := 0; i < 50; i++ {
-		b.Submit(func() {
-			count.Add(1)
-			for j := 0; j < 10; j++ {
-				b.Submit(func() { count.Add(1) })
-			}
-		})
-	}
-	b.Wait()
-	if count.Load() != 50+500 {
-		t.Fatalf("ran %d of 550", count.Load())
-	}
-}
-
-func TestBatchReusableAcrossWaves(t *testing.T) {
-	r := New(2)
-	defer r.Close()
-	b := r.NewBatch()
-	var count atomic.Int64
-	for wave := 0; wave < 20; wave++ {
-		for i := 0; i < 50; i++ {
-			b.Submit(func() { count.Add(1) })
-		}
-		b.Wait()
-		if got := count.Load(); got != int64((wave+1)*50) {
-			t.Fatalf("wave %d: count %d", wave, got)
-		}
-	}
-}
-
-func TestConcurrentBatches(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := r.NewBatch()
-			var count atomic.Int64
-			for i := 0; i < 200; i++ {
-				b.Submit(func() { count.Add(1) })
-			}
-			b.Wait()
-			if count.Load() != 200 {
-				t.Errorf("ran %d of 200", count.Load())
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestBatchStealingBalancesSkewedLoad(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	b := r.NewBatch()
-	var done atomic.Int64
-	start := time.Now()
-	b.Submit(func() {
-		time.Sleep(30 * time.Millisecond)
-		done.Add(1)
-	})
-	for i := 0; i < 200; i++ {
-		b.Submit(func() {
-			time.Sleep(200 * time.Microsecond)
-			done.Add(1)
-		})
-	}
-	b.Wait()
-	elapsed := time.Since(start)
-	if done.Load() != 201 {
-		t.Fatalf("ran %d of 201", done.Load())
-	}
-	if elapsed > 60*time.Millisecond {
-		t.Logf("warning: elapsed %v; stealing may be ineffective (loaded host?)", elapsed)
-	}
-}
-
 func TestMixedConstructsConcurrently(t *testing.T) {
 	r := New(4)
 	defer r.Close()
 	var wg sync.WaitGroup
-	var forTotal, batchTotal atomic.Int64
+	var forTotal, rangesTotal atomic.Int64
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
@@ -291,12 +193,8 @@ func TestMixedConstructsConcurrently(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		b := r.NewBatch()
 		for rep := 0; rep < 30; rep++ {
-			for i := 0; i < 16; i++ {
-				b.Submit(func() { batchTotal.Add(1) })
-			}
-			b.Wait()
+			r.Ranges(16, 4, func(piece, lo, hi int) { rangesTotal.Add(int64(hi - lo)) })
 		}
 	}()
 	go func() {
@@ -312,8 +210,8 @@ func TestMixedConstructsConcurrently(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if forTotal.Load() != 30*64 || batchTotal.Load() != 30*16 {
-		t.Fatalf("for=%d batch=%d", forTotal.Load(), batchTotal.Load())
+	if forTotal.Load() != 30*64 || rangesTotal.Load() != 30*16 {
+		t.Fatalf("for=%d ranges=%d", forTotal.Load(), rangesTotal.Load())
 	}
 }
 
@@ -370,11 +268,7 @@ func TestClosedRuntimeDegrades(t *testing.T) {
 			runtime.Gosched()
 		}
 	})
-	b := r.NewBatch()
-	for i := 0; i < 20; i++ {
-		b.Submit(func() { count.Add(1) })
-	}
-	b.Wait()
+	r.Ranges(20, 4, func(piece, lo, hi int) { count.Add(int64(hi - lo)) })
 	if count.Load() != 170 || arrived.Load() != 3 {
 		t.Fatalf("count=%d arrived=%d", count.Load(), arrived.Load())
 	}
@@ -390,11 +284,7 @@ func TestNoGoroutineGrowthWhenWarm(t *testing.T) {
 		r.For(256, 4, func(i int) {})
 		r.ForDynamic(256, 4, 1, func(i int) {})
 		r.Gang(4, func(p int) {})
-		b := r.NewBatch()
-		for i := 0; i < 8; i++ {
-			b.Submit(func() {})
-		}
-		b.Wait()
+		r.Ranges(256, 4, func(piece, lo, hi int) {})
 	}
 	warm()
 	before := runtime.NumGoroutine()
@@ -404,38 +294,5 @@ func TestNoGoroutineGrowthWhenWarm(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if after > before {
 		t.Fatalf("goroutines grew from %d to %d across warm regions", before, after)
-	}
-}
-
-func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
-	var d deque
-	order := []int{}
-	mk := func(i int) task { return task{fn: func() { order = append(order, i) }} }
-	for i := 0; i < 3; i++ {
-		d.push(mk(i))
-	}
-	if d.empty() {
-		t.Fatal("deque empty after pushes")
-	}
-	p, ok1 := d.pop()   // newest: 2
-	s, ok2 := d.steal() // oldest: 0
-	q, ok3 := d.pop()   // remaining: 1
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatal("expected three tasks")
-	}
-	p.fn()
-	s.fn()
-	q.fn()
-	if order[0] != 2 || order[1] != 0 || order[2] != 1 {
-		t.Fatalf("order %v, want [2 0 1]", order)
-	}
-	if _, ok := d.pop(); ok {
-		t.Fatal("deque should be empty")
-	}
-	if _, ok := d.steal(); ok {
-		t.Fatal("deque should be empty")
-	}
-	if !d.empty() {
-		t.Fatal("deque should report empty")
 	}
 }

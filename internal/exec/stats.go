@@ -5,11 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Stats is a snapshot of a Runtime's activity counters, aggregated
-// over all lanes. It answers the capacity-planning questions a shared
+// Stats is a snapshot of a Runtime's activity counters. It answers the capacity-planning questions a shared
 // pool raises: how many regions are being opened, how evenly chunks
-// spread (claim contention), whether batch thieves find work
-// (StealSuccesses/StealAttempts), how long gangs queue for admission
+// spread (claim contention), how long gangs queue for admission
 // (GangWaitNs/Gangs), and how much park/wake churn the spin-then-park
 // workers see when the pool runs near idle or near saturation.
 //
@@ -20,14 +18,13 @@ import (
 //	...workload...
 //	delta := rt.Stats().Sub(before)
 //
-// Collection is always on and cheap: every counter is sharded
-// per-worker on its own padded cache line, so worker-side increments
-// are uncontended, and Stats only sums the shards. External callers
-// (region opens, gang admissions) share one final shard; those events
-// are per-region, each already paying two r.mu hops, so the shared
-// line is never the bottleneck. JSON tags make the snapshot directly
-// embeddable in the machine-readable bench records (javelin-bench
-// -json -stats).
+// Collection is always on and cheap: every counted event is per
+// region or per gang, never per iteration, so the counters share one
+// padded allocation written only by the goroutines opening regions
+// (workers write none), and the park-path counters are plain fields
+// bumped under r.mu. JSON tags make the
+// snapshot directly embeddable in the machine-readable bench records
+// (javelin-bench -json -stats).
 type Stats struct {
 	// Regions counts parallel loop regions executed
 	// (For/ForDynamic/Ranges calls with n > 0), including ones that
@@ -36,15 +33,10 @@ type Stats struct {
 	// Chunks counts blocks claimed off region cursors and executed.
 	// Chunks/Regions is the average fan-out actually realized.
 	Chunks uint64 `json:"chunks"`
-	// Tasks counts batch tasks executed.
-	Tasks uint64 `json:"tasks"`
-	// StealAttempts counts scans of the batch deques looking for a
-	// task (own-deque pops excluded); StealSuccesses counts scans
-	// that found one. A low success ratio under load means lanes are
-	// burning cycles scanning empty deques. Workers batch their
-	// failed-scan counts and flush on spin-to-park transitions, so
-	// StealAttempts may lag live activity by up to the spin budget
-	// (128) per worker.
+	// StealAttempts and StealSuccesses are always 0: the runtime has
+	// no work-stealing scheduler (SR tiles run as ForDynamic regions).
+	// The fields remain only so existing readers of the snapshot keep
+	// compiling.
 	StealAttempts  uint64 `json:"steal_attempts"`
 	StealSuccesses uint64 `json:"steal_successes"`
 	// Gangs counts gang calls scheduled (admitted through capacity
@@ -70,7 +62,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Regions:        s.Regions - prev.Regions,
 		Chunks:         s.Chunks - prev.Chunks,
-		Tasks:          s.Tasks - prev.Tasks,
 		StealAttempts:  s.StealAttempts - prev.StealAttempts,
 		StealSuccesses: s.StealSuccesses - prev.StealSuccesses,
 		Gangs:          s.Gangs - prev.Gangs,
@@ -88,7 +79,6 @@ func (s Stats) String() string {
 	return fmt.Sprintf(
 		"regions         %d\n"+
 			"chunks          %d\n"+
-			"tasks           %d\n"+
 			"steal_attempts  %d\n"+
 			"steal_successes %d\n"+
 			"gangs           %d\n"+
@@ -96,58 +86,38 @@ func (s Stats) String() string {
 			"parks           %d\n"+
 			"wakes           %d\n"+
 			"spin_to_parks   %d",
-		s.Regions, s.Chunks, s.Tasks, s.StealAttempts, s.StealSuccesses,
+		s.Regions, s.Chunks, s.StealAttempts, s.StealSuccesses,
 		s.Gangs, s.GangWaitNs, s.Parks, s.Wakes, s.SpinToParks)
 }
 
-// laneStats is one lane's counter shard. Each worker owns one shard
-// and external callers (goroutines opening regions, gang callers,
-// Batch.Wait helpers) share a final shard, so hot-path increments are
-// uncontended atomic adds on a line no other lane writes. The padding
-// rounds the struct to 128 bytes (two cache lines: the adjacent-line
-// prefetcher pulls pairs) so neighboring shards never false-share.
+// laneStats holds the atomic counters of the callers' lane: the
+// goroutines that open regions and gangs. The padding rounds the struct to 128 bytes (two cache lines:
+// the adjacent-line prefetcher pulls pairs), so its own allocation
+// shares no line with any other object.
 type laneStats struct {
-	regions        atomic.Uint64
-	chunks         atomic.Uint64
-	tasks          atomic.Uint64
-	stealAttempts  atomic.Uint64
-	stealSuccesses atomic.Uint64
-	gangs          atomic.Uint64
-	gangWaitNs     atomic.Uint64
-	_              [72]byte
+	regions    atomic.Uint64
+	chunks     atomic.Uint64
+	gangs      atomic.Uint64
+	gangWaitNs atomic.Uint64
+	_          [96]byte
 }
 
-// lane returns worker w's shard; w == -1 (or out of range) selects
-// the shared external-caller shard.
-func (r *Runtime) lane(w int) *laneStats {
-	if w < 0 || w >= len(r.stats)-1 {
-		return &r.stats[len(r.stats)-1]
-	}
-	return &r.stats[w]
-}
-
-// Stats sums every lane's shard into one snapshot (plus the
-// mutex-guarded park-path counters). Safe to call at any time from
-// any goroutine, including while regions are running; the snapshot is
-// per-counter atomic, not globally consistent (a region may appear in
-// Regions before its chunks land in Chunks).
+// Stats returns a snapshot of the counters plus the mutex-guarded
+// park-path counters. Safe to call at any time from any goroutine,
+// including while regions are running; the snapshot is per-counter
+// atomic, not globally consistent (a region may appear in Regions
+// before its chunks land in Chunks).
 func (r *Runtime) Stats() Stats {
-	var s Stats
-	for i := range r.stats {
-		ls := &r.stats[i]
-		s.Regions += ls.regions.Load()
-		s.Chunks += ls.chunks.Load()
-		s.Tasks += ls.tasks.Load()
-		s.StealAttempts += ls.stealAttempts.Load()
-		s.StealSuccesses += ls.stealSuccesses.Load()
-		s.Gangs += ls.gangs.Load()
-		s.GangWaitNs += ls.gangWaitNs.Load()
+	s := Stats{
+		Regions:    r.stats.regions.Load(),
+		Chunks:     r.stats.chunks.Load(),
+		Gangs:      r.stats.gangs.Load(),
+		GangWaitNs: r.stats.gangWaitNs.Load(),
 	}
 	r.mu.Lock()
-	s.StealAttempts += r.pkStealFails
-	s.Parks += r.pkParks
-	s.Wakes += r.pkWakes
-	s.SpinToParks += r.pkSpinToParks
+	s.Parks = r.pkParks
+	s.Wakes = r.pkWakes
+	s.SpinToParks = r.pkSpinToParks
 	r.mu.Unlock()
 	return s
 }

@@ -77,25 +77,6 @@ func TestStatsRangesSkipsEmptyPiecesInChunks(t *testing.T) {
 	}
 }
 
-func TestStatsCountsTasks(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	s0 := r.Stats()
-	b := r.NewBatch()
-	const tasks = 64
-	for i := 0; i < tasks; i++ {
-		b.Submit(func() {})
-	}
-	b.Wait()
-	d := r.Stats().Sub(s0)
-	if d.Tasks != tasks {
-		t.Fatalf("Tasks = %d, want %d", d.Tasks, tasks)
-	}
-	if d.StealSuccesses > d.StealAttempts {
-		t.Fatalf("StealSuccesses %d > StealAttempts %d", d.StealSuccesses, d.StealAttempts)
-	}
-}
-
 func TestStatsCountsGangsAndAdmissionWait(t *testing.T) {
 	r := New(3) // 2 workers: two 3-piece gangs cannot overlap
 	defer r.Close()
@@ -225,11 +206,11 @@ func TestStatsDeltaAndConcurrentSnapshots(t *testing.T) {
 }
 
 func TestStatsStringListsEveryCounter(t *testing.T) {
-	s := Stats{Regions: 1, Chunks: 2, Tasks: 3, StealAttempts: 4,
+	s := Stats{Regions: 1, Chunks: 2, StealAttempts: 4,
 		StealSuccesses: 5, Gangs: 6, GangWaitNs: 7, Parks: 8, Wakes: 9,
 		SpinToParks: 10}
 	out := s.String()
-	for _, want := range []string{"regions", "chunks", "tasks",
+	for _, want := range []string{"regions", "chunks",
 		"steal_attempts", "steal_successes", "gangs", "gang_wait_ns",
 		"parks", "wakes", "spin_to_parks"} {
 		if !strings.Contains(out, want) {
@@ -245,15 +226,11 @@ func TestLaneStatsPaddedToCacheLines(t *testing.T) {
 }
 
 func TestStatsNarrowRuntimeLanes(t *testing.T) {
-	// New(1) has zero workers; the single shard doubles as the
-	// external lane and lane() must never index out of range.
+	// New(1) has zero workers; its inline regions are still counted.
 	r := New(1)
 	defer r.Close()
 	r.For(10, 4, func(int) {})
 	if got := r.Stats().Regions; got != 1 {
 		t.Fatalf("Regions = %d, want 1", got)
-	}
-	if r.lane(0) != r.lane(-1) {
-		t.Fatalf("worker lane 0 of a workerless runtime must alias the external shard")
 	}
 }

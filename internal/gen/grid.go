@@ -151,42 +151,6 @@ func GridLaplacian(nx, ny, nz int, st Stencil, shift float64) *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// AnisotropicLaplacian builds a 2D 5-point Laplacian with coupling
-// strength epsX in x and 1 in y — the classic parabolic test problem
-// (our parabolic_fem analogue): iteration counts are strongly
-// ordering-sensitive on it.
-func AnisotropicLaplacian(nx, ny int, epsX, shift float64) *sparse.CSR {
-	n := nx * ny
-	idx := func(x, y int) int { return y*nx + x }
-	coo := sparse.NewCOO(n, n, n*5)
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			i := idx(x, y)
-			deg := shift
-			if x+1 < nx {
-				coo.AddSym(i, idx(x+1, y), -epsX)
-			}
-			if y+1 < ny {
-				coo.AddSym(i, idx(x, y+1), -1.0)
-			}
-			if x > 0 {
-				deg += epsX
-			}
-			if x+1 < nx {
-				deg += epsX
-			}
-			if y > 0 {
-				deg += 1
-			}
-			if y+1 < ny {
-				deg += 1
-			}
-			coo.Add(i, i, deg)
-		}
-	}
-	return coo.ToCSR()
-}
-
 // TetraMesh builds an unsymmetric-pattern analogue of a tetrahedral
 // FEM matrix: a jittered 3D 7-point grid where a random subset of the
 // couplings appears on only one side (convection-like terms), plus a

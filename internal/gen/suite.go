@@ -232,18 +232,6 @@ func Suite() []Spec {
 	}
 }
 
-// GroupA filters the suite to the paper's group A (Table II /
-// Fig. 13 matrices).
-func GroupA() []Spec {
-	var out []Spec
-	for _, s := range Suite() {
-		if s.Group == "A" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // ByName returns the spec with the given Table-I name.
 func ByName(name string) (Spec, bool) {
 	for _, s := range Suite() {

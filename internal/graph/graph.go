@@ -139,33 +139,3 @@ func (g *Graph) PseudoPeripheral(start int) int {
 		v, res = best, res2
 	}
 }
-
-// Components assigns each vertex a component id (0-based) and returns
-// (ids, count).
-func (g *Graph) Components() ([]int, int) {
-	comp := make([]int, g.N)
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	var stack []int
-	for s := 0; s < g.N; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		stack = append(stack[:0], s)
-		comp[s] = c
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range g.Neighbors(v) {
-				if comp[w] == -1 {
-					comp[w] = c
-					stack = append(stack, w)
-				}
-			}
-		}
-		c++
-	}
-	return comp, c
-}

@@ -59,22 +59,6 @@ func TestPseudoPeripheralOnPathIsEndpoint(t *testing.T) {
 	}
 }
 
-func TestComponents(t *testing.T) {
-	// Two disjoint triangles.
-	coo := sparse.NewCOO(6, 6, 12)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
-		coo.AddSym(e[0], e[1], 1)
-	}
-	g := FromMatrix(coo.ToCSR())
-	comp, n := g.Components()
-	if n != 2 {
-		t.Fatalf("components %d, want 2", n)
-	}
-	if comp[0] != comp[1] || comp[0] != comp[2] || comp[3] != comp[4] || comp[0] == comp[3] {
-		t.Fatalf("assignment wrong: %v", comp)
-	}
-}
-
 func TestSubgraphInduced(t *testing.T) {
 	g := pathGraph(6)
 	sub, glob := g.Subgraph([]int{1, 2, 4})

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"javelin/internal/sparse"
 )
 
 // Typed error sentinels. Every error returned by CG, GMRES, and
@@ -14,10 +16,10 @@ var (
 	// ErrDimension reports a b/x length that does not match the
 	// system dimension.
 	ErrDimension = errors.New("krylov: dimension mismatch")
-	// ErrNonFinite reports a NaN or Inf entry in the right-hand side;
-	// such a solve can only produce garbage, so it is rejected up
-	// front instead of silently diverging.
-	ErrNonFinite = errors.New("krylov: non-finite right-hand side")
+	// ErrNonFinite (sparse.ErrNonFinite) reports a NaN or Inf entry
+	// in the right-hand side; such a solve can only produce garbage,
+	// so it is rejected up front instead of silently diverging.
+	ErrNonFinite = sparse.ErrNonFinite
 	// ErrBreakdown reports a Krylov recurrence breakdown (zero or NaN
 	// inner product, singular Hessenberg, ω stagnation).
 	ErrBreakdown = errors.New("krylov: breakdown")
@@ -46,7 +48,7 @@ func checkSystem(n int, b, x []float64) error {
 	}
 	for i, v := range b {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: b[%d]=%g", ErrNonFinite, i, v)
+			return fmt.Errorf("krylov: %w in right-hand side: b[%d]=%g", ErrNonFinite, i, v)
 		}
 	}
 	return nil

@@ -118,7 +118,7 @@ func TestCGWithJavelinEngineMatchesSerialILUCounts(t *testing.T) {
 	}
 	defer e.Close()
 	x2 := make([]float64, a.N)
-	jav, err := CG(a, e, b, x2, Options{Tol: 1e-6})
+	jav, err := CG(a, e.NewContext(), b, x2, Options{Tol: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestBiCGSTABWithJavelinEngine(t *testing.T) {
 	}
 	defer e.Close()
 	x := make([]float64, a.N)
-	st, err := BiCGSTAB(a, e, b, x, Options{Tol: 1e-10})
+	st, err := BiCGSTAB(a, e.NewContext(), b, x, Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("BiCGSTAB: %v", err)
 	}

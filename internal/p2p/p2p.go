@@ -162,24 +162,6 @@ func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc)
 	return s
 }
 
-// NumDeps returns the total pruned dependency count (diagnostics).
-func (s *Schedule) NumDeps() int {
-	n := 0
-	for w := 0; w < s.Workers; w++ {
-		n += len(s.depW[w])
-	}
-	return n
-}
-
-// NumRows returns the number of scheduled rows.
-func (s *Schedule) NumRows() int {
-	n := 0
-	for w := 0; w < s.Workers; w++ {
-		n += len(s.RowOf[w])
-	}
-	return n
-}
-
 // Run executes body(row) for every scheduled row on the schedule's
 // built-in default Run. It is the convenience path for single-caller
 // use; for concurrent executions over one schedule, give each caller

@@ -131,14 +131,19 @@ func TestPruningReducesDependencies(t *testing.T) {
 			emit(c)
 		}
 	})
-	if s.NumDeps() >= rawDeps {
-		t.Errorf("pruning ineffective: %d pruned vs %d raw", s.NumDeps(), rawDeps)
+	deps, rows := 0, 0
+	for w := 0; w < s.Workers; w++ {
+		deps += len(s.depW[w])
+		rows += len(s.RowOf[w])
 	}
-	if s.NumDeps() > a.N*(workers-1) {
-		t.Errorf("pruned deps %d exceed n·(w−1) bound %d", s.NumDeps(), a.N*(workers-1))
+	if deps >= rawDeps {
+		t.Errorf("pruning ineffective: %d pruned vs %d raw", deps, rawDeps)
 	}
-	if s.NumRows() != a.N {
-		t.Errorf("scheduled %d rows, want %d", s.NumRows(), a.N)
+	if deps > a.N*(workers-1) {
+		t.Errorf("pruned deps %d exceed n·(w−1) bound %d", deps, a.N*(workers-1))
+	}
+	if rows != a.N {
+		t.Errorf("scheduled %d rows, want %d", rows, a.N)
 	}
 }
 

@@ -29,19 +29,6 @@ func (p Perm) Inverse() Perm {
 	return q
 }
 
-// Compose returns the permutation that applies q after p:
-// result[new] = p[q[new]]. (First p maps old→mid, then q maps mid→new.)
-func (p Perm) Compose(q Perm) Perm {
-	if len(p) != len(q) {
-		panic("sparse: Compose length mismatch")
-	}
-	r := make(Perm, len(p))
-	for i := range r {
-		r[i] = p[q[i]]
-	}
-	return r
-}
-
 // Validate checks that p is a bijection on [0, n).
 func (p Perm) Validate() error {
 	seen := make([]bool, len(p))
@@ -129,24 +116,6 @@ func PermuteRows(a *CSR, p Perm) *CSR {
 		copy(val[ptr[newI]:], vals)
 	}
 	return &CSR{N: n, M: a.M, RowPtr: ptr, ColIdx: col, Val: val}
-}
-
-// PermuteCols returns the matrix with columns relabelled through p
-// (out column inv[j] = a column j) and rows re-sorted.
-func PermuteCols(a *CSR, p Perm) *CSR {
-	if len(p) != a.M {
-		panic("sparse: PermuteCols perm length mismatch")
-	}
-	inv := p.Inverse()
-	out := a.Clone()
-	for i := 0; i < out.N; i++ {
-		lo, hi := out.RowPtr[i], out.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			out.ColIdx[k] = inv[out.ColIdx[k]]
-		}
-		sortRow(out.ColIdx[lo:hi], out.Val[lo:hi])
-	}
-	return out
 }
 
 // sortRow sorts a (cols, vals) pair by ascending column via insertion

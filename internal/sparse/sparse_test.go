@@ -162,15 +162,8 @@ func TestPermInverseComposeProperties(t *testing.T) {
 			return false
 		}
 		inv := p.Inverse()
-		id := p.Compose(inv)
-		for i, v := range id {
-			if v != i {
-				return false
-			}
-		}
-		id2 := inv.Compose(p)
-		for i, v := range id2 {
-			if v != i {
+		for i := range p {
+			if p[inv[i]] != i || inv[p[i]] != i {
 				return false
 			}
 		}
@@ -226,7 +219,7 @@ func TestPermuteSymMatVecConsistency(t *testing.T) {
 	}
 }
 
-func TestPermuteRowsAndCols(t *testing.T) {
+func TestPermuteRows(t *testing.T) {
 	a := FromDense([][]float64{
 		{1, 2, 0},
 		{0, 3, 4},
@@ -236,11 +229,6 @@ func TestPermuteRowsAndCols(t *testing.T) {
 	r := PermuteRows(a, p)
 	if r.At(0, 0) != 5 || r.At(1, 1) != 2 || r.At(2, 1) != 3 {
 		t.Errorf("PermuteRows wrong: %v", r.ToDense())
-	}
-	c := PermuteCols(a, p)
-	// column old p[new]=old → old col 2 becomes col 0
-	if c.At(1, 0) != 4 || c.At(2, 0) != 6 {
-		t.Errorf("PermuteCols wrong: %v", c.ToDense())
 	}
 }
 

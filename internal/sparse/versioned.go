@@ -1,11 +1,20 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"javelin/internal/epoch"
 )
+
+// ErrNonFinite is the one sentinel for a NaN or ±Inf value where
+// values are published or consumed: NewVersioned and UpdateValues,
+// the factorization scatter (Factorize, Refactorize), and a Krylov
+// solve's right-hand side. Every error wrapping it names the
+// offending entry.
+var ErrNonFinite = errors.New("non-finite value")
 
 // Versioned is an epoch-versioned value channel over one immutable
 // CSR sparsity pattern: the matrix-side user of the internal/epoch
@@ -41,7 +50,8 @@ type ValEpoch = epoch.Epoch[[]float64]
 // NewVersioned wraps a as an epoch-versioned matrix. The pattern
 // arrays are shared with a (immutable by CSR contract); the values
 // are copied into the first epoch's private buffer, so later updates
-// never scribble over the caller's slice. a must be valid.
+// never scribble over the caller's slice. a must be valid, with
+// finite values (else the error wraps ErrNonFinite).
 func NewVersioned(a *CSR) (*Versioned, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -51,7 +61,11 @@ func NewVersioned(a *CSR) (*Versioned, error) {
 		rowPtr: a.RowPtr,
 		colIdx: a.ColIdx,
 	}
-	v.Vals.Publish(append([]float64(nil), a.Val...))
+	vals := v.newValues()
+	if err := v.copyFinite(vals, a.Val); err != nil {
+		return nil, err
+	}
+	v.Vals.Publish(vals)
 	return v, nil
 }
 
@@ -91,15 +105,34 @@ func (v *Versioned) View(ep *ValEpoch) *CSR {
 // exists, a fresh allocation otherwise — and made current with one
 // atomic swap, so UpdateValues is safe to call concurrently with any
 // number of pinned readers and with other UpdateValues calls, and
-// never waits for readers.
+// never waits for readers. A NaN or ±Inf value fails the update with
+// an error wrapping ErrNonFinite and publishes nothing.
 func (v *Versioned) UpdateValues(vals []float64) error {
 	if len(vals) != len(v.colIdx) {
 		return fmt.Errorf("sparse: UpdateValues got %d values, pattern has %d entries", len(vals), len(v.colIdx))
 	}
 	buf := v.Vals.Grab(v.newValues)
-	copy(buf, vals)
+	if err := v.copyFinite(buf, vals); err != nil {
+		v.Vals.Recycle(buf)
+		return err
+	}
 	v.Vals.Publish(buf)
 	v.updates.Add(1)
+	return nil
+}
+
+// copyFinite copies src into dst (one value per pattern entry) and
+// fails at the first NaN or ±Inf, naming its (row, column).
+func (v *Versioned) copyFinite(dst, src []float64) error {
+	dst = dst[:len(src)]
+	for k, x := range src {
+		// x−x is 0 for every finite x and NaN for NaN and ±Inf.
+		if x-x != 0 {
+			i := sort.Search(v.n, func(i int) bool { return v.rowPtr[i+1] > k })
+			return fmt.Errorf("sparse: %w %g at entry (%d,%d)", ErrNonFinite, x, i, v.colIdx[k])
+		}
+		dst[k] = x
+	}
 	return nil
 }
 

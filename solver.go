@@ -57,7 +57,11 @@ var (
 	ErrNotConverged = errors.New("javelin: solve did not converge within MaxIter")
 	// ErrDimension: b or x length does not match the system.
 	ErrDimension = krylov.ErrDimension
-	// ErrNonFinite: the right-hand side contains NaN or Inf.
+	// ErrNonFinite: a NaN or ±Inf value. Solve wraps it (in a
+	// *SolveError) for a non-finite right-hand side; Factorize,
+	// Refactorize, NewVersionedMatrix, UpdateValues and UpdateMatrix
+	// return it wrapped, naming the entry, for non-finite matrix
+	// values, and publish nothing.
 	ErrNonFinite = krylov.ErrNonFinite
 	// ErrBreakdown: the Krylov recurrence broke down (e.g. CG on a
 	// non-SPD matrix, BiCGSTAB ρ = 0).

@@ -288,6 +288,55 @@ func TestRefactorizePatternMismatchAPI(t *testing.T) {
 	}
 }
 
+// TestRefactorizeRejectsNonFinite is the factor-side probe on a
+// 20×20 grid Laplacian: a +Inf entry fails Refactorize with
+// ErrNonFinite, leaves the factor epoch where it was, counts the
+// failure, and the previous factor keeps serving bit for bit.
+// Factorize rejects the same matrix.
+func TestRefactorizeRejectsNonFinite(t *testing.T) {
+	m := GridLaplacian(20, 20, 1, Star5, 0.1)
+	p, err := Factorize(m, DefaultOptions())
+	if err != nil {
+		t.Fatalf("Factorize: %v", err)
+	}
+	defer p.Close()
+	n := m.N()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	want := make([]float64, n)
+	p.Apply(b, want)
+
+	raw := m.Raw().Clone()
+	raw.Val[raw.Nnz()/3] = math.Inf(1)
+	bad, err := WrapCSR(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := p.Engine()
+	epoch, fails := e.FactorEpoch(), e.RefactorizeFailures()
+	if err := p.Refactorize(bad); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("Refactorize with +Inf: got %v, want ErrNonFinite", err)
+	}
+	if e.FactorEpoch() != epoch {
+		t.Fatalf("failed Refactorize moved FactorEpoch %d -> %d", epoch, e.FactorEpoch())
+	}
+	if got := e.RefactorizeFailures(); got != fails+1 {
+		t.Fatalf("RefactorizeFailures %d -> %d, want +1", fails, got)
+	}
+	z := make([]float64, n)
+	p.Apply(b, z)
+	for i := range z {
+		if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("entry %d: %g after the failed Refactorize, %g before", i, z[i], want[i])
+		}
+	}
+	if _, err := Factorize(bad, DefaultOptions()); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("Factorize with +Inf: got %v, want ErrNonFinite", err)
+	}
+}
+
 // TestNewSolverValidatesOptions covers the option-validation bugfix:
 // nonsensical bounds must fail at construction with a descriptive
 // error instead of misbehaving mid-solve.

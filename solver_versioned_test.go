@@ -2,6 +2,7 @@ package javelin
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -166,6 +167,44 @@ func TestUpdateMatrixPatternChecked(t *testing.T) {
 	}
 	if err := vm.UpdateValues(make([]float64, vm.Nnz()+3)); err == nil {
 		t.Fatal("UpdateValues accepted a wrong-length slice")
+	}
+}
+
+// TestUpdateValuesRejectsNonFinite is the NaN probe on a 20×20 grid
+// Laplacian: one NaN fails UpdateValues with ErrNonFinite and
+// publishes nothing, the next good update publishes normally, and
+// NewVersionedMatrix rejects a non-finite first generation.
+func TestUpdateValuesRejectsNonFinite(t *testing.T) {
+	m := GridLaplacian(20, 20, 1, Star5, 0.1)
+	vm, err := NewVersionedMatrix(m)
+	if err != nil {
+		t.Fatalf("NewVersionedMatrix: %v", err)
+	}
+	vals := append([]float64(nil), m.Raw().Val...)
+	k := len(vals) / 2
+	vals[k] = math.NaN()
+	if err := vm.UpdateValues(vals); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("UpdateValues with a NaN: got %v, want ErrNonFinite", err)
+	}
+	if vm.Epoch() != 1 || vm.Updates() != 0 {
+		t.Fatalf("failed UpdateValues moved epoch/updates to %d/%d", vm.Epoch(), vm.Updates())
+	}
+	vals[k] = m.Raw().Val[k]
+	if err := vm.UpdateValues(vals); err != nil {
+		t.Fatalf("UpdateValues after a rejected one: %v", err)
+	}
+	if vm.Epoch() != 2 {
+		t.Fatalf("epoch %d after a good update, want 2", vm.Epoch())
+	}
+
+	raw := m.Raw().Clone()
+	raw.Val[0] = math.Inf(-1)
+	bad, err := WrapCSR(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewVersionedMatrix(bad); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("NewVersionedMatrix with -Inf: got %v, want ErrNonFinite", err)
 	}
 }
 
