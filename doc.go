@@ -235,13 +235,23 @@
 // instructions, never FMA contraction: an FMA rounds once where
 // mul-then-add rounds twice, so a fused kernel would change solver
 // trajectories in the low bits. Switching variants therefore never
-// changes a trajectory. The dispatch layer pairs with an adaptive
-// parallel cutoff: each parallel region is entered only when a cost
-// model (flops vs the runtime's measured region-dispatch overhead)
-// predicts a win, and otherwise the same staged traversal runs inline
-// on the calling goroutine — bit-identical to the parallel execution,
-// so the cutoff is invisible except in time. Asking for 8 threads on
-// a 500-row factor now costs what the serial loop costs.
+// changes a trajectory. Every parallel region also has an inline
+// route, the same traversal run on the calling goroutine and
+// bit-identical to the dispatched one, so the choice between them is
+// invisible except in time. Two mechanisms make that choice:
+//
+//   - Flat regions (SpMV, the deterministic reductions, the factor
+//     scatter) and the factor stages use a cost model: a region opens
+//     only when its estimated flops, split over the lanes, save
+//     several times the runtime's measured region-dispatch overhead.
+//   - The triangular sweeps of a solve are measured instead, because
+//     a p2p sweep spin-waits at every level and the model cannot see
+//     that cost. On an engine's first solve at Threads > 1, a
+//     one-time probe times Apply through the p2p gangs and through
+//     the inline staged traversal, three interleaved trials each, and
+//     every later Apply, ApplyBatch, SolveLower and SolveUpper takes
+//     the faster route. Engine.SolveRoute reports the decision and
+//     both times; javelin-solve prints them.
 //
 // # Runtime metrics
 //

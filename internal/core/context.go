@@ -182,16 +182,25 @@ func (c *SolveContext) UnpinEpoch() {
 }
 
 // Apply applies the preconditioner in USER ordering: z ≈ A⁻¹ r via
-// z = P⁻¹ U⁻¹ L⁻¹ P r. r and z must have length N and may alias.
+// z = P⁻¹ U⁻¹ L⁻¹ P r. r and z must have length N and may alias. The
+// sweeps take the engine's probed route; the first solve on an engine
+// with Threads > 1 runs the probe (see Engine.SolveRoute).
 //
 //javelin:noalloc
 func (c *SolveContext) Apply(r, z []float64) {
+	c.apply(r, z, c.e.parallelSolve())
+}
+
+// apply is Apply on the route par names.
+//
+//javelin:noalloc
+func (c *SolveContext) apply(r, z []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	perm := c.e.split.Perm
 	perm.ApplyVec(r, c.tmp1)
-	c.SolveLower(c.tmp1, c.tmp1)
-	c.SolveUpper(c.tmp1, c.tmp1)
+	c.solveLower(c.tmp1, c.tmp1, par)
+	c.solveUpper(c.tmp1, c.tmp1, par)
 	perm.ApplyVecInverse(c.tmp1, z)
 }
 
@@ -213,7 +222,8 @@ func (c *SolveContext) ensureBlk(size int) []float64 {
 // sweep traverses RowPtr/ColIdx once per row and applies the update
 // to all k right-hand sides from one cache-resident factor row — one
 // p2p sweep amortized over the whole batch, which is what makes the
-// solve scale like an spmv (paper Section VI's co-design point).
+// solve scale like an spmv (paper Section VI's co-design point). Every
+// batch size takes the same probed route as Apply.
 //
 //javelin:noalloc
 func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
@@ -224,8 +234,9 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 	if k == 0 {
 		return
 	}
+	par := c.e.parallelSolve()
 	if k == 1 {
-		c.Apply(R[0], Z[0])
+		c.apply(R[0], Z[0], par)
 		return
 	}
 	c.enter()
@@ -240,8 +251,8 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 			dst[j] = R[j][oi]
 		}
 	}
-	c.solveLowerBlock(xb, k)
-	c.solveUpperBlock(xb, k)
+	c.solveLowerBlock(xb, k, par)
+	c.solveUpperBlock(xb, k, par)
 	for i := 0; i < n; i++ {
 		oi := perm[i]
 		src := xb[i*k : i*k+k]
@@ -252,21 +263,19 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 }
 
 // solveLowerBlock is the batched forward substitution on the packed
-// n×k block xb (xb[i*k+j] is entry i of right-hand side j). The
-// traversal mirrors SolveLower exactly — p2p upper stage, tiled
-// spmv-like lower sweep, group-parallel corner — with each row's
-// factor entries applied to all k columns through the dense-panel
-// micro-kernel. Batch work scales with k, so the adaptive cutoff
-// gets 2·nnz·k: a batch big enough can go parallel even when the
-// single-vector solve of the same factor stays inline.
+// n×k block xb (xb[i*k+j] is entry i of right-hand side j), on the
+// route par names. The traversal mirrors SolveLower exactly — p2p
+// upper stage, tiled spmv-like lower sweep, group-parallel corner —
+// with each row's factor entries applied to all k columns through the
+// dense-panel micro-kernel.
 //
 // Like SolveLower, the closures handed to the runtime are created
-// only on the parallel branch; the Threads==1 and sub-cutoff inline
-// paths run open-coded loops over the same kernel calls in the same
-// order (bitwise identical, and allocation-free).
+// only on the parallel branch; the Threads==1 and inline routes run
+// open-coded loops over the same kernel calls in the same order
+// (bitwise identical, and allocation-free).
 //
 //javelin:noalloc
-func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
+func (c *SolveContext) solveLowerBlock(xb []float64, k int, par bool) {
 	e := c.e
 	lu := e.factor.LU
 	vals := c.vals
@@ -278,7 +287,6 @@ func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 		}
 		return
 	}
-	par := e.rt.ParallelWorth(e.solveOps * int64(k))
 	// Upper stage under the forward p2p schedule (or inline ascending,
 	// a valid forward topological order — bitwise identical).
 	nUp, n := e.split.NUpper, e.n
@@ -341,13 +349,13 @@ func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 
 // solveUpperBlock is the batched backward substitution on the packed
 // n×k block, mirroring SolveUpper (corner groups descending, then the
-// backward p2p schedule over upper rows — or both stages inline below
-// the adaptive cutoff, bitwise identically). The row body closure is
+// backward p2p schedule over upper rows — or both stages inline when
+// par is false, bitwise identically). The row body closure is
 // created only when the parallel branch is taken; the serial and
 // inline sweeps open-code the same two kernel calls per row.
 //
 //javelin:noalloc
-func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
+func (c *SolveContext) solveUpperBlock(xb []float64, k int, par bool) {
 	e := c.e
 	lu := e.factor.LU
 	vals := c.vals
@@ -361,7 +369,6 @@ func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
 		}
 		return
 	}
-	par := e.rt.ParallelWorth(e.solveOps * int64(k))
 	nUp, n := e.split.NUpper, e.n
 	if par {
 		//javelin:alloc-ok parallel dispatch handoff; the inline path below allocates nothing

@@ -173,11 +173,12 @@ type Engine struct {
 	// kt is the numeric kernel table captured at construction, so a
 	// solve never observes a mid-run kernels.Select.
 	kt *kernels.Table
-	// Work estimates (in ~1ns ops) for the adaptive parallel cutoff:
-	// one triangular solve pass, the upper factor stage, and the lower
-	// factor stage respectively. Crude deliberately — the cutoff only
+	// Work estimates (in ~1ns ops) for the factor stages' parallel
+	// cutoff (exec.Runtime.ParallelWorth): the upper stage and the
+	// lower stage respectively. Crude deliberately — the cutoff only
 	// needs order-of-magnitude truth against measured region overhead.
-	solveOps, upperOps, lowerOps int64
+	// The solve sweeps do not use the model; see route.
+	upperOps, lowerOps int64
 
 	// cornerStart[r-NUpper] is the first sub-diagonal index of corner
 	// row r whose column is itself a corner row (>= NUpper). Columns
@@ -187,12 +188,16 @@ type Engine struct {
 	// every element on its column.
 	cornerStart []int
 
-	// solvePar is the adaptive-cutoff decision for single-vector
-	// triangular solves, evaluated once at factorization. The decision
-	// only selects scheduling — inline and parallel execution are
-	// bitwise identical — so re-evaluating it per solve would buy
-	// nothing but a GOMAXPROCS lock on every apply.
-	solvePar bool
+	// route is the probed solve route: whether the triangular sweeps
+	// of Apply, ApplyBatch, SolveLower and SolveUpper run through the
+	// p2p gangs and dispatched regions or inline on the caller, with
+	// the best probe time of each. routeOnce runs the probe on the
+	// first solve (see parallelSolve); it orders every read of route.
+	// The routes are bitwise identical, so the decision only selects
+	// scheduling, and it depends on structure and host, not on values:
+	// Refactorize keeps it.
+	routeOnce sync.Once
+	route     solveRoute
 
 	lower *lowerPlan
 
@@ -289,7 +294,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	e.kt = kernels.Active()
 	nnz := int64(permPat.Nnz())
 	upNnz := int64(permPat.RowPtr[split.NUpper])
-	e.solveOps = 2 * nnz
 	e.upperOps = 4 * upNnz
 	e.lowerOps = 4 * (nnz - upNnz)
 	if nUp := split.NUpper; nUp < a.N {
@@ -302,7 +306,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 			e.cornerStart[r-nUp] = k
 		}
 	}
-	e.solvePar = e.rt.ParallelWorth(e.solveOps)
 
 	e.buildSchedules()
 	if err := e.buildLowerPlan(); err != nil {

@@ -1,5 +1,78 @@
 package core
 
+import (
+	"math"
+	"time"
+)
+
+// solveRouteTrials is how many timed applies the route probe runs on
+// each route; the routes alternate trial by trial and each keeps its
+// best time, since timing noise only ever adds.
+const solveRouteTrials = 3
+
+// solveRoute is an engine's probed solve route and the best probe
+// time of each candidate.
+type solveRoute struct {
+	par         bool // run the sweeps through the p2p gangs
+	p2p, inline time.Duration
+}
+
+// parallelSolve reports whether the engine's triangular sweeps run
+// through the p2p route. At Threads == 1 there is only the serial
+// sweep; otherwise the first call probes both routes and every call
+// returns that decision.
+//
+//javelin:noalloc
+func (e *Engine) parallelSolve() bool {
+	if e.opt.Threads == 1 {
+		return false
+	}
+	e.routeOnce.Do(e.probeSolveRoute)
+	return e.route.par
+}
+
+// SolveRoute reports the route the engine's solves take: parallel is
+// true when the sweeps run through the p2p gangs and false when they
+// run inline on the caller, and p2p and inline are the best Apply
+// times the probe measured on each route. It runs the probe if no
+// solve has yet. At Threads == 1 there is no choice to make and no
+// probe: it returns (false, 0, 0).
+func (e *Engine) SolveRoute() (parallel bool, p2p, inline time.Duration) {
+	parallel = e.parallelSolve()
+	return parallel, e.route.p2p, e.route.inline
+}
+
+// probeSolveRoute times Apply through the p2p route and through the
+// inline staged route on a private context and a fixed vector,
+// solveRouteTrials interleaved trials each, and keeps the route with
+// the lower best time (inline on a tie). Both routes give the same
+// bits, so the probe changes when a solve finishes, never what it
+// returns. Whether a row's arithmetic outweighs the spin-waits at
+// every level depends on the factor's structure and on the host, so
+// the choice is measured here rather than modelled.
+//
+//javelin:alloc-ok one-time probe on the engine's first solve
+func (e *Engine) probeSolveRoute() {
+	c := e.AcquireContext()
+	defer e.ReleaseContext(c)
+	r := make([]float64, e.n)
+	for i := range r {
+		r[i] = 1
+	}
+	z := make([]float64, e.n)
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for t := 0; t < solveRouteTrials; t++ {
+		for i, par := range [2]bool{true, false} {
+			t0 := time.Now()
+			c.apply(r, z, par)
+			if d := time.Since(t0); d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	e.route = solveRoute{par: best[0] < best[1], p2p: best[0], inline: best[1]}
+}
+
 // SolveLower solves L·x = b on the engine's permuted indexing, where
 // L is the unit-lower factor. b and x are length-N slices in the
 // PERMUTED ordering (use Apply for the user-ordering round trip);
@@ -10,12 +83,11 @@ package core
 // spmv-like tiled sweep against the already-computed upper x, and the
 // corner is solved group-parallel.
 //
-// The adaptive cutoff may execute the whole staged traversal inline
-// when the factor is too small to repay parallel dispatch. Row
-// updates are independent within each stage, so inline and parallel
-// execution are bitwise identical; the cutoff never reroutes to the
-// Threads==1 path, whose lower-stage float association differs in
-// low bits.
+// The sweep takes the engine's probed route (see SolveRoute), which
+// may run the whole staged traversal inline on the caller. Row
+// updates are independent within each stage, so the inline and p2p
+// routes are bitwise identical; neither reroutes to the Threads==1
+// path, whose lower-stage float association differs in low bits.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -24,6 +96,14 @@ package core
 //
 //javelin:noalloc
 func (c *SolveContext) SolveLower(b, x []float64) {
+	c.solveLower(b, x, c.e.parallelSolve())
+}
+
+// solveLower is SolveLower on the route par names: the p2p gangs
+// and dispatched regions when true, inline on the caller when false.
+//
+//javelin:noalloc
+func (c *SolveContext) solveLower(b, x []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	e := c.e
@@ -43,7 +123,6 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 		kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, e.n)
 		return
 	}
-	par := e.solvePar
 	// Upper stage: p2p sweep, or the same rows inline in ascending
 	// order (a valid forward topological order) as one sweep kernel.
 	nUp, n := e.split.NUpper, e.n
@@ -129,13 +208,20 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
 // may alias). The traversal order mirrors SolveLower reversed: the
 // corner is solved first (groups descending), then the upper-stage
-// rows under the backward p2p schedule — or, below the adaptive
-// cutoff, the same stages inline (bitwise identical; see SolveLower).
-// See SolveLower's note on PinEpoch when pairing the two under
-// concurrent Refactorize.
+// rows under the backward p2p schedule — or, when the engine's probed
+// route is inline, the same stages on the caller (bitwise identical;
+// see SolveLower). See SolveLower's note on PinEpoch when pairing the
+// two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {
+	c.solveUpper(b, x, c.e.parallelSolve())
+}
+
+// solveUpper is SolveUpper on the route par names.
+//
+//javelin:noalloc
+func (c *SolveContext) solveUpper(b, x []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	e := c.e
@@ -150,7 +236,7 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 		return
 	}
 	nUp, n := e.split.NUpper, e.n
-	if e.solvePar {
+	if par {
 		//javelin:alloc-ok parallel dispatch handoff
 		rowBody := func(r int) {
 			dp := e.factor.DiagPos[r]

@@ -25,6 +25,15 @@ import (
 // executions are bitwise identical (true for all Javelin kernels:
 // partition boundaries, not participant count, define the float
 // association).
+//
+// Remaining callers: spmv.ParallelOn (PiecesFor), the factor scatter
+// and the upper, lower and corner factor stages in internal/core
+// (PiecesFor, ParallelWorth), the krylov reductions (ParallelWorth)
+// and the CSRLS baseline sweeps in internal/trisolve (PiecesFor). The
+// engine's triangular solves do not use the model: a p2p sweep
+// spin-waits at every level, a cost this model does not see, so each
+// engine times both solve routes on its first solve instead (see
+// core.Engine.SolveRoute).
 
 const (
 	// cutoffNsPerOp converts caller work estimates (ops) to

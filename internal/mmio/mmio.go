@@ -3,7 +3,8 @@
 // place of the synthetic analogues when available.
 //
 // Supported headers: matrix coordinate {real,integer,pattern}
-// {general,symmetric,skew-symmetric}. Complex matrices are rejected.
+// {general,symmetric,skew-symmetric}. Complex matrices and any other
+// field or symmetry are rejected.
 package mmio
 
 import (
@@ -11,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,7 +28,19 @@ type header struct {
 	symmetry string
 }
 
-// Read parses a MatrixMarket coordinate stream into CSR.
+// maxDim bounds the row and column counts Read accepts. The CSR's row
+// pointers are sized by n, so without a bound a one-line header could
+// demand more memory than the address space holds; 1<<28 (about
+// 2.7×10⁸) leaves room for matrices far larger than the paper's suite.
+const maxDim = 1 << 28
+
+// Read parses a MatrixMarket coordinate stream into CSR. It rejects a
+// malformed size line (a negative count, a dimension above maxDim, or
+// more entries than n·m cells), a non-square symmetric or
+// skew-symmetric matrix, a NaN or ±Inf value with an error
+// wrapping sparse.ErrNonFinite, and duplicate entries whose sum
+// overflows. Errors about one line name it, 1-based. Storage grows
+// with the entries actually read, never with the header's count alone.
 func Read(r io.Reader) (*sparse.CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	line, err := br.ReadString('\n')
@@ -40,64 +54,66 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 	if h.object != "matrix" || h.format != "coordinate" {
 		return nil, fmt.Errorf("mmio: unsupported header %q %q", h.object, h.format)
 	}
-	if h.field == "complex" {
+	switch h.field {
+	case "real", "integer", "pattern":
+	case "complex":
 		return nil, errors.New("mmio: complex matrices are not supported")
+	default:
+		return nil, fmt.Errorf("mmio: unsupported field %q", h.field)
+	}
+	switch h.symmetry {
+	case "general", "symmetric", "skew-symmetric":
+	default:
+		return nil, fmt.Errorf("mmio: unsupported symmetry %q", h.symmetry)
 	}
 
-	var n, m, nnz int
-	for {
-		line, err = br.ReadString('\n')
-		if err != nil && line == "" {
-			return nil, errors.New("mmio: missing size line")
-		}
-		t := strings.TrimSpace(line)
-		if t == "" || strings.HasPrefix(t, "%") {
-			continue
-		}
-		if _, err := fmt.Sscan(t, &n, &m, &nnz); err != nil {
-			return nil, fmt.Errorf("mmio: bad size line %q: %w", t, err)
-		}
-		break
+	lineNo := 1
+	n, m, nnz, err := readSize(br, &lineNo)
+	if err != nil {
+		return nil, err
 	}
-	capHint := nnz
-	if h.symmetry != "general" {
-		capHint = 2 * nnz
+	if h.symmetry != "general" && n != m {
+		return nil, fmt.Errorf("mmio: %s matrix must be square, got %d x %d", h.symmetry, n, m)
 	}
-	coo := sparse.NewCOO(n, m, capHint)
+	coo := sparse.NewCOO(n, m, 0)
 	count := 0
 	for count < nnz {
 		line, err = br.ReadString('\n')
 		if err != nil && line == "" {
 			return nil, fmt.Errorf("mmio: truncated data after %d of %d entries", count, nnz)
 		}
+		lineNo++
 		t := strings.TrimSpace(line)
 		if t == "" || strings.HasPrefix(t, "%") {
 			continue
 		}
 		fields := strings.Fields(t)
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("mmio: bad entry line %q", t)
+			return nil, fmt.Errorf("mmio: line %d: bad entry %q", lineNo, t)
 		}
 		i, err1 := strconv.Atoi(fields[0])
 		j, err2 := strconv.Atoi(fields[1])
 		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("mmio: bad indices in %q", t)
+			return nil, fmt.Errorf("mmio: line %d: bad indices in %q", lineNo, t)
 		}
 		v := 1.0
 		if h.field != "pattern" {
 			if len(fields) < 3 {
-				return nil, fmt.Errorf("mmio: missing value in %q", t)
+				return nil, fmt.Errorf("mmio: line %d: missing value in %q", lineNo, t)
 			}
 			v, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return nil, fmt.Errorf("mmio: bad value in %q: %w", t, err)
+				return nil, fmt.Errorf("mmio: line %d: bad value in %q: %w", lineNo, t, err)
 			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("mmio: line %d: %w %q", lineNo, sparse.ErrNonFinite, fields[2])
+			}
+		}
+		if i < 1 || i > n || j < 1 || j > m {
+			return nil, fmt.Errorf("mmio: line %d: index (%d,%d) out of range %dx%d", lineNo, i, j, n, m)
 		}
 		i--
 		j--
-		if i < 0 || i >= n || j < 0 || j >= m {
-			return nil, fmt.Errorf("mmio: index (%d,%d) out of range %dx%d", i+1, j+1, n, m)
-		}
 		coo.Add(i, j, v)
 		switch h.symmetry {
 		case "symmetric":
@@ -111,7 +127,47 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 		}
 		count++
 	}
-	return coo.ToCSR(), nil
+	a := coo.ToCSR()
+	// Duplicate entries are summed, and two finite values can sum to
+	// ±Inf.
+	for i := 0; i < a.N; i++ {
+		cols, vals := a.Row(i)
+		for k, x := range vals {
+			if math.IsInf(x, 0) {
+				return nil, fmt.Errorf("mmio: duplicate entries at (%d,%d) sum to %w %g", i+1, cols[k]+1, sparse.ErrNonFinite, x)
+			}
+		}
+	}
+	return a, nil
+}
+
+// readSize reads the size line "n m nnz" after the banner, skipping
+// comments and blank lines and advancing *lineNo past each line read.
+// The counts must be non-negative, n and m at most maxDim, and nnz at
+// most n·m.
+func readSize(br *bufio.Reader, lineNo *int) (n, m, nnz int, err error) {
+	for {
+		line, err := br.ReadString('\n')
+		if err != nil && line == "" {
+			return 0, 0, 0, errors.New("mmio: missing size line")
+		}
+		*lineNo++
+		t := strings.TrimSpace(line)
+		if t == "" || strings.HasPrefix(t, "%") {
+			continue
+		}
+		if _, err := fmt.Sscan(t, &n, &m, &nnz); err != nil {
+			return 0, 0, 0, fmt.Errorf("mmio: line %d: bad size line %q: %w", *lineNo, t, err)
+		}
+		if n < 0 || m < 0 || nnz < 0 || n > maxDim || m > maxDim {
+			return 0, 0, 0, fmt.Errorf("mmio: line %d: size %d x %d with %d entries out of range", *lineNo, n, m, nnz)
+		}
+		// n, m <= maxDim = 1<<28, so the product fits in a uint64.
+		if uint64(nnz) > uint64(n)*uint64(m) {
+			return 0, 0, 0, fmt.Errorf("mmio: line %d: %d entries do not fit a %d x %d matrix", *lineNo, nnz, n, m)
+		}
+		return n, m, nnz, nil
+	}
 }
 
 func parseHeader(line string) (header, error) {

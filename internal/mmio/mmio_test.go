@@ -2,6 +2,7 @@ package mmio
 
 import (
 	"bytes"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -89,6 +90,47 @@ func TestReadRejectsComplexAndBadInput(t *testing.T) {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d: bad input accepted", i)
 		}
+	}
+}
+
+// TestReadRejectsMalformedSizeAndNonFinite feeds inputs that Read once
+// accepted (NaN, +Inf) or panicked on (a size line sizing the entry
+// storage from a negative or impossible count). Each must return an
+// error, and a non-finite value must wrap sparse.ErrNonFinite and name
+// its line.
+func TestReadRejectsMalformedSizeAndNonFinite(t *testing.T) {
+	const general = "%%MatrixMarket matrix coordinate real general\n"
+	cases := []struct {
+		name, src string
+		nonFinite bool
+	}{
+		{"NaN value", general + "1 1 1\n1 1 NaN\n", true},
+		{"+Inf value", general + "1 1 1\n1 1 +Inf\n", true},
+		{"negative size", general + "-1 -1 -1\n", false},
+		{"negative nnz, symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 2 -3\n", false},
+		{"nnz beyond n*m", general + "3 3 99999999999999\n", false},
+		{"duplicates overflow", general + "2 2 2\n1 1 1e308\n1 1 1e308\n", true},
+		{"dimension beyond maxDim", general + "999999999999 1 0\n", false},
+		{"non-square symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Read panicked: %v", p)
+				}
+			}()
+			_, err := Read(strings.NewReader(tc.src))
+			if err == nil {
+				t.Fatal("malformed input accepted")
+			}
+			if got := errors.Is(err, sparse.ErrNonFinite); got != tc.nonFinite {
+				t.Fatalf("errors.Is(err, ErrNonFinite) = %v, want %v (err: %v)", got, tc.nonFinite, err)
+			}
+			if tc.nonFinite && !strings.Contains(err.Error(), "line 3") && !strings.Contains(err.Error(), "(1,1)") {
+				t.Fatalf("error does not locate the value: %v", err)
+			}
+		})
 	}
 }
 
