@@ -49,12 +49,13 @@ func (e *Engine) SolveRoute() (parallel bool, p2p, inline time.Duration) {
 // bits, so the probe changes when a solve finishes, never what it
 // returns. Whether a row's arithmetic outweighs the spin-waits at
 // every level depends on the factor's structure and on the host, so
-// the choice is measured here rather than modelled.
+// the choice is measured here rather than modelled. The context is
+// not drawn from the engine's pool, so the probe leaves the pool as
+// it found it.
 //
 //javelin:alloc-ok one-time probe on the engine's first solve
 func (e *Engine) probeSolveRoute() {
-	c := e.AcquireContext()
-	defer e.ReleaseContext(c)
+	c := e.NewContext()
 	r := make([]float64, e.n)
 	for i := range r {
 		r[i] = 1
