@@ -16,9 +16,8 @@ import (
 
 // Runtime is Javelin's persistent execution runtime: a fixed pool of
 // spin-then-park worker goroutines that every parallel region —
-// factorization stages, triangular-solve sweeps, SpMV, SR tile
-// batches — schedules onto, so hot paths never spawn goroutines per
-// call. One Runtime can back any number of Preconditioners and
+// factorization stages, SpMV, reductions, SR tile batches —
+// schedules onto, so hot paths never spawn goroutines per call. One Runtime can back any number of Preconditioners and
 // concurrent Appliers (set Options.Runtime); see doc.go's "Execution
 // runtime & threading contract" section for the sharing rules.
 type Runtime = exec.Runtime

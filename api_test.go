@@ -494,11 +494,12 @@ func TestRuntimeStatsAPI(t *testing.T) {
 	}
 
 	// Work on the shared runtime must show up as a delta over the
-	// snapshot. A solve alone is not guaranteed to: the adaptive
-	// parallel cutoff legitimately routes a small problem (or any
-	// problem on a GOMAXPROCS=1 machine) entirely inline, skipping
-	// the runtime. So solve for realism, then drive one explicit
-	// region — it must be visible through the engine's stats view.
+	// snapshot. A solve alone is not guaranteed to: its triangular
+	// sweeps always run inline, and the adaptive parallel cutoff
+	// legitimately runs a small matvec (or any region on a
+	// GOMAXPROCS=1 machine) inline too, skipping the runtime. So solve
+	// for realism, then drive one explicit region — it must be visible
+	// through the engine's stats view.
 	before := rt.Stats()
 	b := make([]float64, m.N())
 	x := make([]float64, m.N())

@@ -29,7 +29,6 @@ import (
 
 	"javelin"
 	"javelin/internal/bench"
-	"javelin/internal/core"
 	"javelin/internal/gen"
 	"javelin/internal/sparse"
 	"javelin/internal/util"
@@ -186,24 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: converged=%v iters=%d relres=%.3g err=%.3g time=%v\n",
 		s.Method(), st.Converged, st.Iterations, st.RelResidual,
 		errNorm, time.Since(t0))
-	printSolveRoute(stdout, e)
 	return 0
-}
-
-// printSolveRoute prints the route the engine's triangular sweeps took
-// and the probe times that chose it.
-func printSolveRoute(w io.Writer, e *core.Engine) {
-	if e.Threads() == 1 {
-		fmt.Fprintln(w, "solve route: serial (1 thread, no probe)")
-		return
-	}
-	par, p2p, inline := e.SolveRoute()
-	route := "inline"
-	if par {
-		route = "p2p"
-	}
-	fmt.Fprintf(w, "solve route: %s (best apply: p2p %v, inline %v)\n",
-		route, p2p.Round(time.Microsecond), inline.Round(time.Microsecond))
 }
 
 // runDrift demos the live-update path: solve on the fresh pair,

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -18,14 +17,7 @@ func TestRunSolveCGSmoke(t *testing.T) {
 	if !strings.Contains(s, "factorized in") || !strings.Contains(s, "converged=true") {
 		t.Fatalf("unexpected output:\n%s", s)
 	}
-	if !solveRouteLine.MatchString(s) {
-		t.Fatalf("no solve route line in output:\n%s", s)
-	}
 }
-
-// solveRouteLine matches the route report printed after a solve at
-// more than one thread.
-var solveRouteLine = regexp.MustCompile(`(?m)^solve route: (p2p|inline) \(best apply: p2p [0-9.]+[µm]?s, inline [0-9.]+[µm]?s\)$`)
 
 func TestRunSolveGMRESSmoke(t *testing.T) {
 	var out, errb bytes.Buffer

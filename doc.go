@@ -168,8 +168,8 @@
 //
 // # Execution runtime & threading contract
 //
-// Every parallel region in Javelin — factorization stages, p2p
-// triangular-solve sweeps, SR tile levels, SpMV, solver matvecs —
+// Every parallel region in Javelin — factorization stages, SR tile
+// levels, SpMV, solver matvecs and reductions —
 // schedules onto a persistent Runtime: a fixed pool of worker
 // goroutines that spin briefly then park when idle, so hot paths
 // never create goroutines per call and an idle runtime costs nothing.
@@ -193,13 +193,14 @@
 // parallelism). A runtime provides Threads-way parallelism with
 // Threads-1 workers because the goroutine opening a region always
 // helps execute it. When Options.Runtime is set, Threads is clamped
-// to the runtime's parallelism: the p2p sweeps run as gangs (all
-// lanes simultaneously, since lanes spin-wait on each other's
-// progress), and a gang wider than the runtime would have to fall
-// back to spawning goroutines per call. Concurrent solves over a
-// shared runtime are admission-controlled — gangs queue when the pool
-// is momentarily full rather than deadlocking — so oversubscription
-// degrades to serialization, never to incorrectness.
+// to the runtime's parallelism: the upper factor stage's p2p sweep
+// runs as a gang (all lanes simultaneously, since lanes spin-wait on
+// each other's progress), and a gang wider than the runtime would
+// have to fall back to spawning goroutines per call. Concurrent
+// factorizations over a shared runtime are admission-controlled —
+// gangs queue when the pool is momentarily full rather than
+// deadlocking — so oversubscription degrades to serialization, never
+// to incorrectness.
 //
 // Closing a Preconditioner (or a shared Runtime) while solves are in
 // flight is a programming error; solves issued after Close still
@@ -238,20 +239,20 @@
 // changes a trajectory. Every parallel region also has an inline
 // route, the same traversal run on the calling goroutine and
 // bit-identical to the dispatched one, so the choice between them is
-// invisible except in time. Two mechanisms make that choice:
+// invisible except in time:
 //
 //   - Flat regions (SpMV, the deterministic reductions, the factor
 //     scatter) and the factor stages use a cost model: a region opens
 //     only when its estimated flops, split over the lanes, save
 //     several times the runtime's measured region-dispatch overhead.
-//   - The triangular sweeps of a solve are measured instead, because
-//     a p2p sweep spin-waits at every level and the model cannot see
-//     that cost. On an engine's first solve at Threads > 1, a
-//     one-time probe times Apply through the p2p gangs and through
-//     the inline staged traversal, three interleaved trials each, and
-//     every later Apply, ApplyBatch, SolveLower and SolveUpper takes
-//     the faster route. Engine.SolveRoute reports the decision and
-//     both times; javelin-solve prints them.
+//   - The triangular sweeps of a solve always run inline on the
+//     calling goroutine. A p2p sweep spin-waits at every level, and
+//     on the 2-vCPU hosts it was timed on an apply through the p2p
+//     gangs took 2–13× as long as the inline sweep on every matrix
+//     tried, so the solves dispatch nothing. At Threads > 1 the lower
+//     sweep still follows the staged structure (upper rows, then the
+//     lower rows' spmv-like pass, then the corner), which gives the
+//     same bits at every Threads > 1.
 //
 // # Runtime metrics
 //

@@ -9,15 +9,15 @@ import (
 	"javelin/internal/util"
 )
 
-// TestApplyTwoThreadOverhead pins the point of the probed solve route:
+// TestApplyTwoThreadOverhead pins the point of the inline solves:
 // asking for 2 threads must never be catastrophically slower than the
 // serial loop, even on matrices far too small to parallelize and on
 // machines with one or two CPUs (where a p2p sweep's spin-waits cost
-// more than its rows). The first Apply times the p2p and inline
-// routes and keeps the faster, so where the gangs lose the staged
-// traversal runs inline and only the staging order itself differs
-// from 1T. The bound is deliberately loose — it guards against a
-// route choice that ignores the measurement, not against timer noise.
+// more than its rows). The solves never dispatch, so at 2 threads the
+// staged traversal runs inline and only the staging order itself
+// differs from 1T. The bound is deliberately loose — it guards
+// against re-introducing dispatched sweeps that lose, not against
+// timer noise.
 func TestApplyTwoThreadOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -42,7 +42,7 @@ func TestApplyTwoThreadOverhead(t *testing.T) {
 			}
 			defer e.Close()
 			ctx := e.NewContext()
-			ctx.Apply(r, z) // warm caches and run the route probe
+			ctx.Apply(r, z) // warm caches
 			return TimeBest(5, func() { ctx.Apply(r, z) }).Nanoseconds()
 		}
 		ns1 := timeApply(1)

@@ -1,13 +1,10 @@
 package core
 
-import (
-	"javelin/internal/epoch"
-	"javelin/internal/p2p"
-)
+import "javelin/internal/epoch"
 
 // SolveContext holds the per-caller mutable state of the triangular
-// solves: permutation scratch, batch blocks, the per-run progress
-// counters of the p2p schedules, and the pinned factor-value epoch.
+// solves: permutation scratch, batch blocks and the pinned
+// factor-value epoch.
 // The engine's symbolic state is immutable during solves, so any
 // number of goroutines may apply one shared Engine concurrently as
 // long as each uses its own SolveContext (create one per goroutine
@@ -31,8 +28,7 @@ import (
 // pair themselves while Refactorize may run concurrently should
 // bracket it with PinEpoch/UnpinEpoch or use an acquired context.
 type SolveContext struct {
-	e          *Engine
-	runL, runU *p2p.Run
+	e *Engine
 
 	// ep/vals is the pinned value epoch all kernels read. pins counts
 	// held window-pins — one from AcquireContext (released by
@@ -75,16 +71,11 @@ func (c *SolveContext) exit() {
 }
 
 // NewContext creates an independent solve context over the engine.
-// Contexts are cheap (one length-N vector plus per-run counters) and
+// Contexts are cheap (one length-N vector) and
 // reusable across any number of solves; each solve call reads the
 // factor values current at its entry.
 func (e *Engine) NewContext() *SolveContext {
-	return &SolveContext{
-		e:    e,
-		runL: e.schedL.NewRun(),
-		runU: e.schedU.NewRun(),
-		tmp1: make([]float64, e.n),
-	}
+	return &SolveContext{e: e, tmp1: make([]float64, e.n)}
 }
 
 // AcquireContext returns a SolveContext drawn from the engine's
@@ -182,25 +173,16 @@ func (c *SolveContext) UnpinEpoch() {
 }
 
 // Apply applies the preconditioner in USER ordering: z ≈ A⁻¹ r via
-// z = P⁻¹ U⁻¹ L⁻¹ P r. r and z must have length N and may alias. The
-// sweeps take the engine's probed route; the first solve on an engine
-// with Threads > 1 runs the probe (see Engine.SolveRoute).
+// z = P⁻¹ U⁻¹ L⁻¹ P r. r and z must have length N and may alias.
 //
 //javelin:noalloc
 func (c *SolveContext) Apply(r, z []float64) {
-	c.apply(r, z, c.e.parallelSolve())
-}
-
-// apply is Apply on the route par names.
-//
-//javelin:noalloc
-func (c *SolveContext) apply(r, z []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	perm := c.e.split.Perm
 	perm.ApplyVec(r, c.tmp1)
-	c.solveLower(c.tmp1, c.tmp1, par)
-	c.solveUpper(c.tmp1, c.tmp1, par)
+	c.SolveLower(c.tmp1, c.tmp1)
+	c.SolveUpper(c.tmp1, c.tmp1)
 	perm.ApplyVecInverse(c.tmp1, z)
 }
 
@@ -218,12 +200,11 @@ func (c *SolveContext) ensureBlk(size int) []float64 {
 // once: Z[j] ≈ A⁻¹·R[j] for each j, in USER ordering. All vectors
 // must have length N; R[j] and Z[j] may alias.
 //
-// The batch is packed into an n×k row-major block so each level-set
-// sweep traverses RowPtr/ColIdx once per row and applies the update
-// to all k right-hand sides from one cache-resident factor row — one
-// p2p sweep amortized over the whole batch, which is what makes the
-// solve scale like an spmv (paper Section VI's co-design point). Every
-// batch size takes the same probed route as Apply.
+// The batch is packed into an n×k row-major block so each sweep
+// traverses RowPtr/ColIdx once per row and applies the update to all
+// k right-hand sides from one cache-resident factor row — one sweep
+// amortized over the whole batch, which is what makes the solve
+// scale like an spmv (paper Section VI's co-design point).
 //
 //javelin:noalloc
 func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
@@ -234,9 +215,8 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 	if k == 0 {
 		return
 	}
-	par := c.e.parallelSolve()
 	if k == 1 {
-		c.apply(R[0], Z[0], par)
+		c.Apply(R[0], Z[0])
 		return
 	}
 	c.enter()
@@ -251,8 +231,8 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 			dst[j] = R[j][oi]
 		}
 	}
-	c.solveLowerBlock(xb, k, par)
-	c.solveUpperBlock(xb, k, par)
+	c.solveLowerBlock(xb, k)
+	c.solveUpperBlock(xb, k)
 	for i := 0; i < n; i++ {
 		oi := perm[i]
 		src := xb[i*k : i*k+k]
@@ -263,136 +243,38 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 }
 
 // solveLowerBlock is the batched forward substitution on the packed
-// n×k block xb (xb[i*k+j] is entry i of right-hand side j), on the
-// route par names. The traversal mirrors SolveLower exactly — p2p
-// upper stage, tiled spmv-like lower sweep, group-parallel corner —
-// with each row's factor entries applied to all k columns through the
-// dense-panel micro-kernel.
-//
-// Like SolveLower, the closures handed to the runtime are created
-// only on the parallel branch; the Threads==1 and inline routes run
-// open-coded loops over the same kernel calls in the same order
-// (bitwise identical, and allocation-free).
+// n×k block xb (xb[i*k+j] is entry i of right-hand side j): one
+// ascending sweep on the calling goroutine that applies each row's
+// sub-diagonal entries to all k columns through the dense-panel
+// micro-kernel. PanelUpdate subtracts entry by entry, so splitting a
+// lower row at the upper/corner boundary, as SolveLower's staged
+// sweep does, would give the same bits; one sweep serves every
+// thread count.
 //
 //javelin:noalloc
-func (c *SolveContext) solveLowerBlock(xb []float64, k int, par bool) {
+func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 	e := c.e
 	lu := e.factor.LU
 	vals := c.vals
-	kt := e.kt
-	if e.opt.Threads == 1 {
-		for r := 0; r < e.n; r++ {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lo, dp)
-		}
-		return
-	}
-	// Upper stage under the forward p2p schedule (or inline ascending,
-	// a valid forward topological order — bitwise identical).
-	nUp, n := e.split.NUpper, e.n
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff; the inline path below allocates nothing
-		c.runL.Execute(func(r int) {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lo, dp)
-		})
-	} else {
-		for r := 0; r < nUp; r++ {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lo, dp)
-		}
-	}
-	if nUp == n {
-		return
-	}
-	// Lower stage, part 1: L(lower, upper)·x contribution, tiled
-	// (spans are row-disjoint → race-free).
-	lp := e.lower
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff
-		e.runTiles(true, lp.solveTiles, func(t tileRange) {
-			for si := t.lo; si < t.hi; si++ {
-				sp := lp.solveSpans[si]
-				kt.PanelUpdate(xb, k, xb[sp.row*k:sp.row*k+k], vals, lu.ColIdx, sp.kLo, sp.kHi)
-			}
-		})
-	} else {
-		// Tiles partition the span list contiguously in order, so the
-		// inline walk is one flat span loop — no closure, no per-tile
-		// call.
-		for si := range lp.solveSpans {
-			sp := lp.solveSpans[si]
-			kt.PanelUpdate(xb, k, xb[sp.row*k:sp.row*k+k], vals, lu.ColIdx, sp.kLo, sp.kHi)
-		}
-	}
-	// Lower stage, part 2: corner, group-parallel. The corner entries
-	// of row r are the precomputed contiguous suffix
-	// [cornerStart[r-nUp], DiagPos[r]), so the row goes through the
-	// same panel micro-kernel as every other stage.
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff
-		cornerBody := func(r int) {
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, e.cornerStart[r-nUp], e.factor.DiagPos[r])
-		}
-		for g := 0; g < e.split.NumLowerLevels(); g++ {
-			lo := nUp + e.split.LowerLvlPtr[g]
-			hi := nUp + e.split.LowerLvlPtr[g+1]
-			e.parallelRows(lo, hi, cornerBody)
-		}
-	} else {
-		// Groups are contiguous and ascending: one plain sweep.
-		for r := nUp; r < n; r++ {
-			kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, e.cornerStart[r-nUp], e.factor.DiagPos[r])
-		}
+	for r := 0; r < e.n; r++ {
+		lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
+		e.kt.PanelUpdate(xb, k, xb[r*k:r*k+k], vals, lu.ColIdx, lo, dp)
 	}
 }
 
 // solveUpperBlock is the batched backward substitution on the packed
-// n×k block, mirroring SolveUpper (corner groups descending, then the
-// backward p2p schedule over upper rows — or both stages inline when
-// par is false, bitwise identically). The row body closure is
-// created only when the parallel branch is taken; the serial and
-// inline sweeps open-code the same two kernel calls per row.
+// n×k block, mirroring SolveUpper: one descending sweep on the
+// calling goroutine, two kernel calls per row.
 //
 //javelin:noalloc
-func (c *SolveContext) solveUpperBlock(xb []float64, k int, par bool) {
+func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
 	e := c.e
 	lu := e.factor.LU
 	vals := c.vals
-	kt := e.kt
-	if e.opt.Threads == 1 {
-		for r := e.n - 1; r >= 0; r-- {
-			dp := e.factor.DiagPos[r]
-			xr := xb[r*k : r*k+k]
-			kt.PanelUpdate(xb, k, xr, vals, lu.ColIdx, dp+1, lu.RowPtr[r+1])
-			kt.Scale(1/vals[dp], xr)
-		}
-		return
-	}
-	nUp, n := e.split.NUpper, e.n
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff; the inline path below allocates nothing
-		rowBody := func(r int) {
-			dp := e.factor.DiagPos[r]
-			xr := xb[r*k : r*k+k]
-			kt.PanelUpdate(xb, k, xr, vals, lu.ColIdx, dp+1, lu.RowPtr[r+1])
-			kt.Scale(1/vals[dp], xr)
-		}
-		for g := e.split.NumLowerLevels() - 1; g >= 0; g-- {
-			lo := nUp + e.split.LowerLvlPtr[g]
-			hi := nUp + e.split.LowerLvlPtr[g+1]
-			e.parallelRows(lo, hi, rowBody)
-		}
-		c.runU.Execute(rowBody)
-		return
-	}
-	// Rows within a corner group are independent and the groups are
-	// contiguous descending → one backward sweep; descending order over
-	// the upper rows is likewise a valid backward topological order.
-	for r := n - 1; r >= 0; r-- {
+	for r := e.n - 1; r >= 0; r-- {
 		dp := e.factor.DiagPos[r]
 		xr := xb[r*k : r*k+k]
-		kt.PanelUpdate(xb, k, xr, vals, lu.ColIdx, dp+1, lu.RowPtr[r+1])
-		kt.Scale(1/vals[dp], xr)
+		e.kt.PanelUpdate(xb, k, xr, vals, lu.ColIdx, dp+1, lu.RowPtr[r+1])
+		e.kt.Scale(1/vals[dp], xr)
 	}
 }

@@ -147,8 +147,8 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 		}
 		gotL, gotU := pack(), pack()
 		ctx.PinEpoch()
-		ctx.solveLowerBlock(gotL, k, e.parallelSolve())
-		ctx.solveUpperBlock(gotU, k, e.parallelSolve())
+		ctx.solveLowerBlock(gotL, k)
+		ctx.solveUpperBlock(gotU, k)
 		ctx.UnpinEpoch()
 		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {

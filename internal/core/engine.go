@@ -4,9 +4,9 @@
 // stage, co-designed with the sparse triangular solves that apply the
 // resulting preconditioner (paper Sections III, V, VI).
 //
-// The engine owns the permuted factor, the p2p schedules for the
-// forward (L) and backward (U) sweeps, and the lower-stage plan; the
-// same structures drive both numeric factorization and the solves,
+// The engine owns the permuted factor, the p2p schedule of the upper
+// factor stage, and the lower-stage plan; the level-set split and the
+// lower-stage spans drive both numeric factorization and the solves,
 // which is the paper's central co-design point.
 package core
 
@@ -98,8 +98,7 @@ type Options struct {
 	AllowPatternMismatch bool
 	// Runtime, when non-nil, is the shared persistent execution
 	// runtime the engine schedules every parallel region on —
-	// factorization stages, p2p solve sweeps, SR tile batches, and
-	// scatter. Several engines (and all their SolveContexts) may share
+	// factorization stages, SR tile batches, and scatter. Several engines (and all their SolveContexts) may share
 	// one Runtime; the engine does not close it. When nil, the engine
 	// creates a private runtime sized to Threads and owns it (Close
 	// releases it). Threads is clamped to the runtime's parallelism so
@@ -162,8 +161,7 @@ type Engine struct {
 	factor *ilu.Factor // on permuted indexing
 	method LowerMethod // resolved (never LowerAuto)
 
-	schedL *p2p.Schedule // forward deps (ILU upper stage + L-solve)
-	schedU *p2p.Schedule // backward deps on upper rows (U-solve)
+	schedL *p2p.Schedule // forward deps of the ILU upper stage
 
 	// invPerm caches split.Perm.Inverse() so the per-Refactorize
 	// scatter stays allocation-free (the permutation is immutable
@@ -177,7 +175,7 @@ type Engine struct {
 	// cutoff (exec.Runtime.ParallelWorth): the upper stage and the
 	// lower stage respectively. Crude deliberately — the cutoff only
 	// needs order-of-magnitude truth against measured region overhead.
-	// The solve sweeps do not use the model; see route.
+	// The solves always run inline and need no estimate.
 	upperOps, lowerOps int64
 
 	// cornerStart[r-NUpper] is the first sub-diagonal index of corner
@@ -187,17 +185,6 @@ type Engine struct {
 	// so the corner solve sweeps explicit bounds instead of filtering
 	// every element on its column.
 	cornerStart []int
-
-	// route is the probed solve route: whether the triangular sweeps
-	// of Apply, ApplyBatch, SolveLower and SolveUpper run through the
-	// p2p gangs and dispatched regions or inline on the caller, with
-	// the best probe time of each. routeOnce runs the probe on the
-	// first solve (see parallelSolve); it orders every read of route.
-	// The routes are bitwise identical, so the decision only selects
-	// scheduling, and it depends on structure and host, not on values:
-	// Refactorize keeps it.
-	routeOnce sync.Once
-	route     solveRoute
 
 	lower *lowerPlan
 
@@ -401,14 +388,11 @@ func (e *Engine) Close() {
 	})
 }
 
-// buildSchedules constructs the p2p plans. Forward dependencies of
-// row r are the sub-diagonal columns of the factor pattern (identical
-// for the ILU upper stage and the L triangular solve). Backward
-// dependencies (U solve) are the super-diagonal columns restricted to
-// upper rows, with levels recomputed on the reverse DAG.
+// buildSchedules constructs the p2p plan of the ILU upper stage. The
+// forward dependencies of row r are the sub-diagonal columns of the
+// factor pattern.
 func (e *Engine) buildSchedules() {
 	lu := e.factor.LU
-	nUp := e.split.NUpper
 	// Forward levels: contiguous ranges straight from the split.
 	fwdLevels := make([][]int, e.split.CutLevel)
 	for l := 0; l < e.split.CutLevel; l++ {
@@ -426,35 +410,6 @@ func (e *Engine) buildSchedules() {
 				break
 			}
 			emit(c)
-		}
-	})
-
-	// Backward levels over upper rows only.
-	lvlB := make([]int, nUp)
-	maxB := 0
-	for r := nUp - 1; r >= 0; r-- {
-		l := 0
-		for k := e.factor.DiagPos[r] + 1; k < lu.RowPtr[r+1]; k++ {
-			c := lu.ColIdx[k]
-			if c < nUp && lvlB[c]+1 > l {
-				l = lvlB[c] + 1
-			}
-		}
-		lvlB[r] = l
-		if l > maxB {
-			maxB = l
-		}
-	}
-	bwdLevels := make([][]int, maxB+1)
-	if nUp == 0 {
-		bwdLevels = nil
-	}
-	for r := 0; r < nUp; r++ {
-		bwdLevels[lvlB[r]] = append(bwdLevels[lvlB[r]], r)
-	}
-	e.schedU = p2p.NewSchedule(e.rt, bwdLevels, e.n, e.opt.Threads, func(r int, emit func(int)) {
-		for k := e.factor.DiagPos[r] + 1; k < lu.RowPtr[r+1]; k++ {
-			emit(lu.ColIdx[k])
 		}
 	})
 }

@@ -33,10 +33,9 @@ type lowerPlan struct {
 	// srLevels: one subblock per upper level (SR method only).
 	srLevels []srLevel
 	// solveSpans cover, per lower row, all its sub-diagonal entries
-	// with columns in the upper stage; used by the forward solve's
-	// spmv-like sweep (and exposed as the stri tiling of Section VI).
+	// with columns in the upper stage; used by SolveLower's staged
+	// spmv-like sweep (the stri structure of paper Section VI).
 	solveSpans []rowSpan
-	solveTiles []tileRange
 }
 
 // buildLowerPlan constructs the lower-stage structures. It is cheap
@@ -62,7 +61,6 @@ func (e *Engine) buildLowerPlan() error {
 			lp.solveSpans = append(lp.solveSpans, rowSpan{row: r, kLo: lo, kHi: k})
 		}
 	}
-	lp.solveTiles = makeTiles(lp.solveSpans, e.opt.TileSize)
 
 	if e.method != LowerSR {
 		return nil

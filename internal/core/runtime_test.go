@@ -137,9 +137,8 @@ func TestSharedRuntimeAcrossEngines(t *testing.T) {
 }
 
 // TestNoGoroutineGrowthAcrossSolves is the acceptance criterion: on a
-// warm runtime, no hot path — p2p solve sweeps, SR tile batches,
-// corner groups, scatter/refactorize, SpMV — spawns goroutines per
-// call.
+// warm runtime, no hot path — solves, SR tile batches, corner
+// groups, scatter/refactorize, SpMV — spawns goroutines per call.
 func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	a := gen.GridLaplacian(60, 60, 1, gen.Star5, 0.2)
 	opt := DefaultOptions()

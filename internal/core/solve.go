@@ -1,94 +1,21 @@
 package core
 
-import (
-	"math"
-	"time"
-)
-
-// solveRouteTrials is how many timed applies the route probe runs on
-// each route; the routes alternate trial by trial and each keeps its
-// best time, since timing noise only ever adds.
-const solveRouteTrials = 3
-
-// solveRoute is an engine's probed solve route and the best probe
-// time of each candidate.
-type solveRoute struct {
-	par         bool // run the sweeps through the p2p gangs
-	p2p, inline time.Duration
-}
-
-// parallelSolve reports whether the engine's triangular sweeps run
-// through the p2p route. At Threads == 1 there is only the serial
-// sweep; otherwise the first call probes both routes and every call
-// returns that decision.
-//
-//javelin:noalloc
-func (e *Engine) parallelSolve() bool {
-	if e.opt.Threads == 1 {
-		return false
-	}
-	e.routeOnce.Do(e.probeSolveRoute)
-	return e.route.par
-}
-
-// SolveRoute reports the route the engine's solves take: parallel is
-// true when the sweeps run through the p2p gangs and false when they
-// run inline on the caller, and p2p and inline are the best Apply
-// times the probe measured on each route. It runs the probe if no
-// solve has yet. At Threads == 1 there is no choice to make and no
-// probe: it returns (false, 0, 0).
-func (e *Engine) SolveRoute() (parallel bool, p2p, inline time.Duration) {
-	parallel = e.parallelSolve()
-	return parallel, e.route.p2p, e.route.inline
-}
-
-// probeSolveRoute times Apply through the p2p route and through the
-// inline staged route on a private context and a fixed vector,
-// solveRouteTrials interleaved trials each, and keeps the route with
-// the lower best time (inline on a tie). Both routes give the same
-// bits, so the probe changes when a solve finishes, never what it
-// returns. Whether a row's arithmetic outweighs the spin-waits at
-// every level depends on the factor's structure and on the host, so
-// the choice is measured here rather than modelled. The context is
-// not drawn from the engine's pool, so the probe leaves the pool as
-// it found it.
-//
-//javelin:alloc-ok one-time probe on the engine's first solve
-func (e *Engine) probeSolveRoute() {
-	c := e.NewContext()
-	r := make([]float64, e.n)
-	for i := range r {
-		r[i] = 1
-	}
-	z := make([]float64, e.n)
-	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	for t := 0; t < solveRouteTrials; t++ {
-		for i, par := range [2]bool{true, false} {
-			t0 := time.Now()
-			c.apply(r, z, par)
-			if d := time.Since(t0); d < best[i] {
-				best[i] = d
-			}
-		}
-	}
-	e.route = solveRoute{par: best[0] < best[1], p2p: best[0], inline: best[1]}
-}
-
 // SolveLower solves L·x = b on the engine's permuted indexing, where
 // L is the unit-lower factor. b and x are length-N slices in the
 // PERMUTED ordering (use Apply for the user-ordering round trip);
 // b and x may alias.
 //
-// Structure (paper Section VI): upper-stage rows run under the same
-// p2p schedule as factorization; lower-stage rows then perform an
-// spmv-like tiled sweep against the already-computed upper x, and the
-// corner is solved group-parallel.
-//
-// The sweep takes the engine's probed route (see SolveRoute), which
-// may run the whole staged traversal inline on the caller. Row
-// updates are independent within each stage, so the inline and p2p
-// routes are bitwise identical; neither reroutes to the Threads==1
-// path, whose lower-stage float association differs in low bits.
+// The sweep runs on the calling goroutine. At Threads == 1 it is one
+// whole-sweep forward substitution. At Threads > 1 it follows the
+// factor's staged structure (paper Section VI): the upper-stage rows
+// in ascending order, then the spmv-like sweep of the lower rows
+// against the already-computed upper x, then the corner. The staged
+// sweep sums each lower row's upper-stage entries before subtracting
+// them, so its low bits differ from the Threads == 1 sweep, and it
+// gives the same bits at every Threads > 1. Neither sweep is
+// dispatched: the paper's p2p solve spin-waits at every level, and on
+// the 2-vCPU hosts it was timed on, an apply through the p2p gangs
+// took 2–13× as long as the inline sweep on every matrix tried.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -97,18 +24,11 @@ func (e *Engine) probeSolveRoute() {
 //
 //javelin:noalloc
 func (c *SolveContext) SolveLower(b, x []float64) {
-	c.solveLower(b, x, c.e.parallelSolve())
-}
-
-// solveLower is SolveLower on the route par names: the p2p gangs
-// and dispatched regions when true, inline on the caller when false.
-//
-//javelin:noalloc
-func (c *SolveContext) solveLower(b, x []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	e := c.e
 	lu := e.factor.LU
+	dps := e.factor.DiagPos
 	vals := c.vals
 	kt := e.kt
 	if &b[0] != &x[0] {
@@ -121,166 +41,55 @@ func (c *SolveContext) solveLower(b, x []float64, par bool) {
 		// works from explicit bounds instead of a per-element
 		// compare-and-break: identical elements, identical order,
 		// identical rounding.
-		kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, e.n)
+		kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, e.n)
 		return
 	}
-	// Upper stage: p2p sweep, or the same rows inline in ascending
-	// order (a valid forward topological order) as one sweep kernel.
+	// Upper stage: the rows in ascending order (a valid forward
+	// topological order) as one sweep kernel.
 	nUp, n := e.split.NUpper, e.n
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff; the inline path allocates nothing
-		c.runL.Execute(func(r int) {
-			lo, dp := lu.RowPtr[r], e.factor.DiagPos[r]
-			x[r] = kt.SubGather(x[r], vals[lo:dp], lu.ColIdx[lo:dp], x)
-		})
-	} else {
-		kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, nUp)
-	}
+	kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, nUp)
 	if nUp == n {
 		return
 	}
 	// Lower stage, part 1: subtract the L(lower, upper)·x contribution
-	// with the solve tiles (row-disjoint spans → race-free). Spans are
-	// ~3 elements: the gather is inlined rather than dispatched
-	// through the kernel table (bit-identical — same ascending-index
-	// chained sum the Gather contract pins).
-	lp := e.lower
+	// span by span. Spans are ~3 elements, so the gather is open-coded
+	// (the same ascending-index chained sum the Gather contract pins).
 	cols := lu.ColIdx
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff
-		e.runTiles(true, lp.solveTiles, func(t tileRange) {
-			for si := t.lo; si < t.hi; si++ {
-				sp := lp.solveSpans[si]
-				s := 0.0
-				for k := sp.kLo; k < sp.kHi; k++ {
-					s += vals[k] * x[cols[k]]
-				}
-				x[sp.row] -= s
-			}
-		})
-	} else {
-		// Tiles partition the span list contiguously in order, so the
-		// inline walk is one flat span loop — no closure, no per-tile
-		// call.
-		for si := range lp.solveSpans {
-			sp := lp.solveSpans[si]
-			s := 0.0
-			for k := sp.kLo; k < sp.kHi; k++ {
-				s += vals[k] * x[cols[k]]
-			}
-			x[sp.row] -= s
+	for _, sp := range e.lower.solveSpans {
+		s := 0.0
+		for k := sp.kLo; k < sp.kHi; k++ {
+			s += vals[k] * x[cols[k]]
 		}
+		x[sp.row] -= s
 	}
-	// Lower stage, part 2: corner solve, group-parallel (rows within a
-	// group are independent; groups in ascending order). The corner
-	// entries of row r are the precomputed contiguous suffix
-	// [cornerStart[r-nUp], DiagPos[r]) — same elements, same order,
-	// same rounding as the old per-element column filter.
-	dps := e.factor.DiagPos
+	// Lower stage, part 2: the corner, one sweep over [nUp, n). The
+	// corner entries of row r are the precomputed contiguous suffix
+	// [cornerStart[r-nUp], DiagPos[r]).
 	cs := e.cornerStart
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff
-		cornerBody := func(r int) {
-			s := x[r]
-			for k := cs[r-nUp]; k < dps[r]; k++ {
-				s -= vals[k] * x[cols[k]]
-			}
-			x[r] = s
+	for r := nUp; r < n; r++ {
+		s := x[r]
+		for k := cs[r-nUp]; k < dps[r]; k++ {
+			s -= vals[k] * x[cols[k]]
 		}
-		for g := 0; g < e.split.NumLowerLevels(); g++ {
-			lo := nUp + e.split.LowerLvlPtr[g]
-			hi := nUp + e.split.LowerLvlPtr[g+1]
-			e.parallelRows(lo, hi, cornerBody)
-		}
-	} else {
-		// Groups are contiguous and ascending, so the inline corner
-		// pass is one plain sweep over [nUp, n) — no per-group
-		// bookkeeping, no per-row closure call.
-		for r := nUp; r < n; r++ {
-			s := x[r]
-			for k := cs[r-nUp]; k < dps[r]; k++ {
-				s -= vals[k] * x[cols[k]]
-			}
-			x[r] = s
-		}
+		x[r] = s
 	}
 }
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
-// may alias). The traversal order mirrors SolveLower reversed: the
-// corner is solved first (groups descending), then the upper-stage
-// rows under the backward p2p schedule — or, when the engine's probed
-// route is inline, the same stages on the caller (bitwise identical;
-// see SolveLower). See SolveLower's note on PinEpoch when pairing the
+// may alias) as one backward-substitution sweep on the calling
+// goroutine, at every thread count. Descending row order covers the
+// corner before the upper-stage rows, which is the order the staged
+// structure needs. See SolveLower's note on PinEpoch when pairing the
 // two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {
-	c.solveUpper(b, x, c.e.parallelSolve())
-}
-
-// solveUpper is SolveUpper on the route par names.
-//
-//javelin:noalloc
-func (c *SolveContext) solveUpper(b, x []float64, par bool) {
 	c.enter()
 	defer c.exit()
 	e := c.e
 	lu := e.factor.LU
-	vals := c.vals
-	kt := e.kt
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	if e.opt.Threads == 1 {
-		kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, e.n)
-		return
-	}
-	nUp, n := e.split.NUpper, e.n
-	if par {
-		//javelin:alloc-ok parallel dispatch handoff
-		rowBody := func(r int) {
-			dp := e.factor.DiagPos[r]
-			hi := lu.RowPtr[r+1]
-			s := kt.SubGather(x[r], vals[dp+1:hi], lu.ColIdx[dp+1:hi], x)
-			x[r] = s / vals[dp]
-		}
-		for g := e.split.NumLowerLevels() - 1; g >= 0; g-- {
-			lo := nUp + e.split.LowerLvlPtr[g]
-			hi := nUp + e.split.LowerLvlPtr[g+1]
-			e.parallelRows(lo, hi, rowBody)
-		}
-		c.runU.Execute(rowBody)
-		return
-	}
-	// Inline: rows within a corner group are independent and the
-	// groups are contiguous descending, so the corner pass is one
-	// backward sweep; descending row order is likewise a valid
-	// backward topological order over the upper rows.
-	if nUp < n {
-		kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, nUp, n)
-	}
-	kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, vals, x, 0, nUp)
-}
-
-// parallelRows runs body(r) for r in [lo, hi) as a dynamic region on
-// the engine's runtime, falling back to inline execution for small
-// ranges where even block claiming costs more than the work.
-//
-//javelin:noalloc
-func (e *Engine) parallelRows(lo, hi int, body func(r int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if n < 2*e.opt.Threads || e.opt.Threads == 1 {
-		for r := lo; r < hi; r++ {
-			body(r)
-		}
-		return
-	}
-	//javelin:alloc-ok parallel dispatch handoff (the re-indexing shim escapes with the region)
-	e.rt.ForDynamic(n, e.opt.Threads, 8, func(i int) {
-		body(lo + i)
-	})
+	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
 }

@@ -394,7 +394,7 @@ func (j *job) claimableLocked() bool {
 
 // gang is one admitted Gang call: pieces bodies that are guaranteed
 // to all be running concurrently (they may spin-wait on each other).
-// Allocated per call (a gang is per solve sweep, not per row).
+// Allocated per call (a gang is per p2p sweep, not per row).
 type gang struct {
 	body      func(piece int)
 	remaining atomic.Int64

@@ -1,17 +1,10 @@
 package mmio
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"testing"
 )
-
-// fuzzMaxDim caps the dimensions of the inputs FuzzRead parses. A
-// valid file may declare up to maxDim rows, and Read then rightly
-// allocates O(n) row pointers; at fuzzing rates that would only slow
-// the search and strain the host.
-const fuzzMaxDim = 1 << 12
 
 // FuzzRead checks that Read never panics, that whatever it accepts is
 // a valid CSR holding only finite values, and that Write followed by
@@ -19,9 +12,6 @@ const fuzzMaxDim = 1 << 12
 // corpus is under testdata/fuzz/FuzzRead.
 func FuzzRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n, m, ok := declaredSize(data); ok && (n > fuzzMaxDim || m > fuzzMaxDim) {
-			t.Skip("declared dimensions above the fuzzing budget")
-		}
 		a, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -56,16 +46,4 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 	})
-}
-
-// declaredSize returns the dimensions data's size line declares, if
-// it has a banner line and a well-formed size line.
-func declaredSize(data []byte) (n, m int, ok bool) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	if _, err := br.ReadString('\n'); err != nil {
-		return 0, 0, false
-	}
-	lineNo := 1
-	n, m, _, err := readSize(br, &lineNo)
-	return n, m, err == nil
 }

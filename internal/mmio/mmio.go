@@ -28,19 +28,28 @@ type header struct {
 	symmetry string
 }
 
-// maxDim bounds the row and column counts Read accepts. The CSR's row
-// pointers are sized by n, so without a bound a one-line header could
-// demand more memory than the address space holds; 1<<28 (about
-// 2.7×10⁸) leaves room for matrices far larger than the paper's suite.
+// maxDim bounds the row and column counts the size line may declare,
+// so the nnz ≤ n·m check cannot overflow; 1<<28 (about 2.7×10⁸)
+// leaves room for matrices far larger than the paper's suite.
 const maxDim = 1 << 28
+
+// dimSlack is how many empty rows or columns Read accepts: n and m may
+// exceed the number of stored entries by at most this much. The CSR's
+// row pointers are sized by n, so without it a one-line size line
+// could demand gigabytes that no entry in the file backs. A square
+// matrix with a full diagonal has at least n entries, so real inputs
+// are far inside the bound.
+const dimSlack = 1 << 16
 
 // Read parses a MatrixMarket coordinate stream into CSR. It rejects a
 // malformed size line (a negative count, a dimension above maxDim, or
 // more entries than n·m cells), a non-square symmetric or
 // skew-symmetric matrix, a NaN or ±Inf value with an error
-// wrapping sparse.ErrNonFinite, and duplicate entries whose sum
-// overflows. Errors about one line name it, 1-based. Storage grows
-// with the entries actually read, never with the header's count alone.
+// wrapping sparse.ErrNonFinite, duplicate entries whose sum
+// overflows, and a dimension that exceeds the stored entries by more
+// than dimSlack. Errors about one line name it, 1-based. Storage
+// grows with the entries actually read: neither the header's entry
+// count nor its dimensions alone size an allocation.
 func Read(r io.Reader) (*sparse.CSR, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	line, err := br.ReadString('\n')
@@ -126,6 +135,11 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 			}
 		}
 		count++
+	}
+	// Symmetric files store each off-diagonal entry once, so count
+	// the expanded entries, not the lines.
+	if stored := len(coo.I); n > stored+dimSlack || m > stored+dimSlack {
+		return nil, fmt.Errorf("mmio: %d x %d matrix with %d stored entries has more than %d empty rows or columns", n, m, stored, dimSlack)
 	}
 	a := coo.ToCSR()
 	// Duplicate entries are summed, and two finite values can sum to

@@ -3,6 +3,7 @@ package mmio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -111,6 +112,8 @@ func TestReadRejectsMalformedSizeAndNonFinite(t *testing.T) {
 		{"nnz beyond n*m", general + "3 3 99999999999999\n", false},
 		{"duplicates overflow", general + "2 2 2\n1 1 1e308\n1 1 1e308\n", true},
 		{"dimension beyond maxDim", general + "999999999999 1 0\n", false},
+		{"rows beyond entries", general + "268435456 1 0\n", false},
+		{"columns beyond entries", general + "1 268435456 1\n1 1 1.0\n", false},
 		{"non-square symmetric", "%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n", false},
 	}
 	for _, tc := range cases {
@@ -131,6 +134,41 @@ func TestReadRejectsMalformedSizeAndNonFinite(t *testing.T) {
 				t.Fatalf("error does not locate the value: %v", err)
 			}
 		})
+	}
+}
+
+// TestReadDimensionSlack pins the bound on empty rows and columns: a
+// dimension may exceed the stored entries by dimSlack and no more, so
+// the size line alone cannot size the row pointers.
+func TestReadDimensionSlack(t *testing.T) {
+	const general = "%%MatrixMarket matrix coordinate real general\n"
+	accept := []string{
+		fmt.Sprintf("%d 1 0\n", dimSlack),
+		fmt.Sprintf("%d %d 1\n1 1 2.0\n", dimSlack+1, dimSlack+1),
+	}
+	for _, src := range accept {
+		a, err := Read(strings.NewReader(general + src))
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+	}
+	reject := []string{
+		fmt.Sprintf("%d 1 0\n", dimSlack+1),
+		fmt.Sprintf("1 %d 0\n", dimSlack+1),
+		fmt.Sprintf("%d %d 1\n1 1 2.0\n", dimSlack+2, dimSlack+2),
+	}
+	for _, src := range reject {
+		if _, err := Read(strings.NewReader(general + src)); err == nil {
+			t.Fatalf("%q: accepted more than dimSlack empty rows or columns", src)
+		}
+	}
+	// A symmetric line stores two entries, so it backs two rows.
+	sym := fmt.Sprintf("%%%%MatrixMarket matrix coordinate real symmetric\n%d %d 1\n2 1 1.0\n", dimSlack+2, dimSlack+2)
+	if _, err := Read(strings.NewReader(sym)); err != nil {
+		t.Fatalf("symmetric: %v", err)
 	}
 }
 
