@@ -248,7 +248,7 @@
 //   - The triangular sweeps of a solve always run inline on the
 //     calling goroutine. A p2p sweep spin-waits at every level, and
 //     on the 2-vCPU hosts it was timed on an apply through the p2p
-//     gangs took 2–13× as long as the inline sweep on every matrix
+//     gangs took 2–13× as long as the 1-thread sweep on every matrix
 //     tried, so the solves dispatch nothing. At Threads > 1 the lower
 //     sweep still follows the staged structure (upper rows, then the
 //     lower rows' spmv-like pass, then the corner), which gives the

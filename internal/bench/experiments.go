@@ -259,8 +259,11 @@ type Fig12Row struct {
 
 // RunFig12 measures maxspeedup(m, mat, p) = time(CSR-LS, mat, 1) /
 // min over i ≤ p of time(m, mat, i) for the barrier baseline, the
-// p2p level-scheduled solver, and the full two-stage solver. Timing
+// level-scheduled engine, and the full two-stage engine. Timing
 // covers a forward+backward sweep pair (one preconditioner apply).
+// The engines' sweeps run inline at every thread count (see
+// core.SolveContext.SolveLower), so their columns measure the sweep
+// order, not parallel speedup; only CSR-LS dispatches.
 func RunFig12(cfg Config) []Fig12Row {
 	cfg = cfg.WithDefaults()
 	t := &Table{
@@ -307,7 +310,8 @@ func RunFig12(cfg Config) []Fig12Row {
 			if d < bestCSRLS {
 				bestCSRLS = d
 			}
-			// Engines are built per thread count for the p2p plans.
+			// Engines are built per thread count: Threads > 1 selects
+			// the staged lower sweep.
 			dLS := timeEngineSolve(cfg, a, p, core.LowerNone, b)
 			if dLS > 0 && dLS < bestLS {
 				bestLS = dLS

@@ -98,11 +98,12 @@ type Options struct {
 	AllowPatternMismatch bool
 	// Runtime, when non-nil, is the shared persistent execution
 	// runtime the engine schedules every parallel region on —
-	// factorization stages, SR tile batches, and scatter. Several engines (and all their SolveContexts) may share
-	// one Runtime; the engine does not close it. When nil, the engine
-	// creates a private runtime sized to Threads and owns it (Close
-	// releases it). Threads is clamped to the runtime's parallelism so
-	// p2p gangs never exceed capacity.
+	// factorization stages, SR tile batches, and scatter. Several
+	// engines (and all their SolveContexts) may share one Runtime;
+	// the engine does not close it. When nil, the engine creates a
+	// private runtime sized to Threads and owns it (Close releases
+	// it). Threads is clamped to the runtime's parallelism so p2p
+	// gangs never exceed capacity.
 	Runtime *exec.Runtime
 }
 

@@ -15,7 +15,7 @@ package core
 // gives the same bits at every Threads > 1. Neither sweep is
 // dispatched: the paper's p2p solve spin-waits at every level, and on
 // the 2-vCPU hosts it was timed on, an apply through the p2p gangs
-// took 2–13× as long as the inline sweep on every matrix tried.
+// took 2–13× as long as the 1-thread sweep on every matrix tried.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -77,10 +77,11 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
 // may alias) as one backward-substitution sweep on the calling
-// goroutine, at every thread count. Descending row order covers the
-// corner before the upper-stage rows, which is the order the staged
-// structure needs. See SolveLower's note on PinEpoch when pairing the
-// two under concurrent Refactorize.
+// goroutine, at every thread count: solving the corner and then the
+// upper-stage rows, each descending, is the same row order with the
+// same per-row arithmetic, so a staged form would give the same bits.
+// See SolveLower's note on PinEpoch when pairing the two under
+// concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {
