@@ -189,6 +189,10 @@ type Engine struct {
 
 	lower *lowerPlan
 
+	// maxRow is the longest factor row, the size of a lane's row
+	// buffer.
+	maxRow int
+
 	// rt executes every parallel region of the engine. Owned (and
 	// closed by Close) only when Options.Runtime was nil.
 	rt        *exec.Runtime
@@ -274,6 +278,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 			return nil, fmt.Errorf("core: row %d lacks a diagonal entry; apply a zero-free-diagonal permutation first", i)
 		}
 		diagPos[i] = dp
+		e.maxRow = max(e.maxRow, permPat.RowPtr[i+1]-permPat.RowPtr[i])
 	}
 	e.factor = &ilu.Factor{LU: permPat, DiagPos: diagPos}
 	if opt.Modified {

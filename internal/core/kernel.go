@@ -10,59 +10,93 @@ import (
 // pivotFloor mirrors the serial reference's guard.
 const pivotFloor = 1e-300
 
-// eliminatePivots applies the up-looking elimination of paper Fig. 1
-// to row r, restricted to pivot columns j with pivotLo <= j <
-// min(pivotHi, r). Rows j in that range must already be final. The
-// update walk is a sorted two-pointer merge between row r and U-row j,
-// so the kernel needs no dense scratch and is safe to run on many
-// rows concurrently as long as each row is owned by one goroutine.
-// f supplies only the symbolic structure; the numeric values read and
-// written live in vals, the epoch buffer being built.
+// lane is one worker's elimination scratch: the position map of the
+// standard ILU(0) row kernel (Saad, "Iterative Methods for Sparse
+// Linear Systems", §10.3). Every Factorize/Refactorize allocates one
+// lane per thread and drops them on return. Each parallel route hands
+// a lane to exactly one worker (the p2p worker index, the scatter's
+// Ranges piece, the lower-stage loop's Ranges piece), so rows take a
+// lane without synchronizing.
+type lane struct {
+	// pos maps a column to 1 + its offset in the row suffix loaded
+	// into w, and to 0 when the row has no entry there. It is all
+	// zero between rows.
+	pos []int32
+	// w[1:] holds the loaded row suffix; w[0] is the MILU
+	// accumulator, the slot every update to an absent column lands
+	// in, so the update loop has no branch.
+	w []float64
+}
+
+// newLanes allocates count lanes for an n-row factor whose longest
+// row has maxRow entries, in two backing arrays.
+func newLanes(count, n, maxRow int) []lane {
+	pos := make([]int32, count*n)
+	w := make([]float64, count*(maxRow+1))
+	lanes := make([]lane, count)
+	for i := range lanes {
+		lanes[i] = lane{
+			pos: pos[i*n : (i+1)*n : (i+1)*n],
+			w:   w[i*(maxRow+1) : (i+1)*(maxRow+1) : (i+1)*(maxRow+1)],
+		}
+	}
+	return lanes
+}
+
+// eliminate applies to row r the up-looking updates of paper Fig. 1
+// for the pivot entries stored at [kLo, kHi) of the row, whose U-rows
+// must already be final: row r loses lij × (U-row j right of its
+// diagonal) for each pivot column j in turn. With divide set, each
+// pivot entry is first turned into lij = a_rj / u_jj; otherwise it
+// already holds lij (the SR DIVIDE tiles made it).
 //
-// The returned comp accumulates MILU compensation (updates whose
-// target column is absent from row r's pattern); callers add it to
-// the diagonal in finishRow. comp is always computed; it is ignored
-// unless Options.Modified.
-func eliminatePivots(f *ilu.Factor, vals []float64, r, pivotLo, pivotHi int) (comp float64, err error) {
-	lu := f.LU
-	lo, hi := lu.RowPtr[r], lu.RowPtr[r+1]
-	limit := pivotHi
-	if r < limit {
-		limit = r
+// The row's entries from kLo on are loaded into the lane, updated
+// through the position map and stored back; every update target
+// (a column right of a pivot) lies in that suffix. Each target, and
+// the accumulator, receives its updates in pivot order, the order the
+// serial reference applies them in. The returned comp is the MILU
+// compensation, the sum of the updates whose column is absent from
+// the row; callers add it to the diagonal in finishRow (it is always
+// computed and ignored unless Options.Modified). f supplies only the
+// symbolic structure; the values read and written live in vals, the
+// epoch buffer being built.
+func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, divide bool) (comp float64, err error) {
+	if kLo >= kHi {
+		return 0, nil
 	}
-	for k := lo; k < hi; k++ {
-		j := lu.ColIdx[k]
-		if j >= limit {
-			break
-		}
-		if j < pivotLo {
-			continue
-		}
-		piv := vals[f.DiagPos[j]]
-		if !(math.Abs(piv) >= pivotFloor) {
-			return comp, fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
-		}
-		lij := vals[k] / piv
-		vals[k] = lij
-		// Merge U-row j (cols > j) into row r (entries after k).
-		kk := f.DiagPos[j] + 1
-		ujEnd := lu.RowPtr[j+1]
-		k2 := k + 1
-		for kk < ujEnd {
-			uc := lu.ColIdx[kk]
-			for k2 < hi && lu.ColIdx[k2] < uc {
-				k2++
+	cols, rowPtr, diag := f.LU.ColIdx, f.LU.RowPtr, f.DiagPos
+	end := rowPtr[r+1]
+	row := cols[kLo:end]
+	pos, w := ln.pos, ln.w[:1+len(row)]
+	for i, c := range row {
+		pos[c] = int32(1 + i)
+	}
+	w[0] = 0
+	copy(w[1:], vals[kLo:end])
+	for k := kLo; k < kHi; k++ {
+		j := cols[k]
+		lij := w[1+k-kLo]
+		if divide {
+			piv := vals[diag[j]]
+			if !(math.Abs(piv) >= pivotFloor) {
+				err = fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
+				break
 			}
-			if k2 < hi && lu.ColIdx[k2] == uc {
-				vals[k2] -= lij * vals[kk]
-				k2++
-			} else {
-				comp -= lij * vals[kk]
-			}
-			kk++
+			lij /= piv
+			w[1+k-kLo] = lij
+		}
+		uLo, uHi := diag[j]+1, rowPtr[j+1]
+		uCols, uVals := cols[uLo:uHi], vals[uLo:uHi]
+		uVals = uVals[:len(uCols)]
+		for t, c := range uCols {
+			w[pos[c]] -= lij * uVals[t]
 		}
 	}
-	return comp, nil
+	for _, c := range row {
+		pos[c] = 0
+	}
+	copy(vals[kLo:end], w[1:])
+	return w[0], err
 }
 
 // finishRow applies τ dropping and MILU compensation to a fully
@@ -113,22 +147,4 @@ func (e *Engine) finishRow(vals []float64, r int, comp float64) error {
 		e.rowSumU[r] = s
 	}
 	return nil
-}
-
-// searchRow returns the position of column j within the sorted cols
-// slice, or -1 when absent.
-func searchRow(cols []int, j int) int {
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cols[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cols) && cols[lo] == j {
-		return lo
-	}
-	return -1
 }

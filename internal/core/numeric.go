@@ -50,29 +50,7 @@ func (e *Engine) refactorize(a *sparse.CSR) error {
 	e.refacMu.Lock()
 	defer e.refacMu.Unlock()
 	vals := e.vals.Grab(e.newValues)
-	if err := e.scatter(a, vals); err != nil {
-		e.vals.Recycle(vals)
-		return err
-	}
-	if e.lower != nil {
-		for i := range e.lower.comp {
-			e.lower.comp[i] = 0
-		}
-	}
-	err := e.factorUpper(vals)
-	if err == nil {
-		switch e.method {
-		case LowerNone:
-			// nothing: no lower rows
-		case LowerER:
-			err = e.factorLowerER(vals)
-		case LowerSR:
-			err = e.factorLowerSR(vals)
-		default:
-			err = fmt.Errorf("core: unresolved lower method %v", e.method)
-		}
-	}
-	if err != nil {
+	if err := e.factorInto(vals, a); err != nil {
 		e.vals.Recycle(vals)
 		return err
 	}
@@ -94,10 +72,107 @@ func (e *Engine) newValues() []float64 {
 	return make([]float64, len(e.factor.LU.Val))
 }
 
+// factorInto scatters a into vals and factors it there, stage by
+// stage, as one build pass.
+func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
+	b := e.newBuild(vals)
+	if err := b.scatter(a); err != nil {
+		return err
+	}
+	if e.lower != nil {
+		clear(e.lower.comp)
+	}
+	if err := b.factorUpper(); err != nil {
+		return err
+	}
+	switch e.method {
+	case LowerNone:
+		return nil // no lower rows
+	case LowerER:
+		return b.factorLowerER()
+	case LowerSR:
+		return b.factorLowerSR()
+	}
+	return fmt.Errorf("core: unresolved lower method %v", e.method)
+}
+
+// build is one numeric factorization pass (Factorize or Refactorize):
+// the epoch buffer being filled, one elimination lane per thread, the
+// first error, and the lower-stage loop in flight. It is allocated per
+// call and dropped on return, so the Engine keeps no numeric scratch.
+// Loop bodies are method expressions and the one claim closure is
+// bound here, so a pass allocates the same few objects whatever its
+// number of rows, tiles or levels.
+type build struct {
+	e     *Engine
+	vals  []float64
+	lanes []lane
+	err   atomic.Pointer[error]
+
+	// The chunk-1 loop in flight (see forEach): body(b, lane, i) for
+	// i in [0, n), claimed off next by one Ranges piece per lane.
+	n     int
+	next  atomic.Int64
+	body  func(b *build, ln *lane, i int)
+	claim func(piece, lo, hi int)
+
+	// Loop parameters: the SR level of the tile loops and the first
+	// row of the corner group being factored.
+	lvl  *srLevel
+	row0 int
+}
+
+func (e *Engine) newBuild(vals []float64) *build {
+	b := &build{e: e, vals: vals, lanes: newLanes(e.opt.Threads, e.n, e.maxRow)}
+	b.claim = b.claimLoop
+	return b
+}
+
+// fail records err if it is the pass's first error. Rows already
+// running still finish, but the pass is condemned.
+func (b *build) fail(err error) { b.err.CompareAndSwap(nil, &err) }
+
+func (b *build) firstErr() error {
+	if p := b.err.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// forEach runs body(b, lane, i) for i in [0, n). With par set, more
+// than one item and more than one lane it is a chunk-1 dynamic loop
+// (the paper's OpenMP DYNAMIC/CHUNK_SIZE=1 configuration): one Ranges
+// piece per lane, each claiming items off a shared cursor and running
+// them on its piece's lane. Otherwise the items run inline, in order,
+// on lane 0. Items must be independent (disjoint rows), so both routes
+// give bitwise-identical results.
+func (b *build) forEach(par bool, n int, body func(b *build, ln *lane, i int)) {
+	if !par || n <= 1 || len(b.lanes) == 1 {
+		for i := 0; i < n; i++ {
+			body(b, &b.lanes[0], i)
+		}
+		return
+	}
+	b.n, b.body = n, body
+	b.next.Store(0)
+	p := min(len(b.lanes), n)
+	b.e.rt.Ranges(p, p, b.claim)
+	b.body = nil
+}
+
+// claimLoop is one lane's Ranges piece of a forEach loop.
+func (b *build) claimLoop(piece, _, _ int) {
+	ln := &b.lanes[piece]
+	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
+		b.body(b, ln, i)
+	}
+}
+
 // scatter copies a's values into the epoch build buffer on the
 // permuted factor pattern in parallel (the paper's copy-with-
-// first-touch step). It rejects two kinds of input, reporting the
-// first bad entry it meets:
+// first-touch step); each Ranges piece finds an entry's slot through
+// its lane's position map. It rejects two kinds of input, reporting
+// the first bad entry it meets:
 //   - a NaN or ±Inf value (sparse.ErrNonFinite): factoring it would
 //     publish a poisoned factor that every later solve fails on;
 //   - an entry of a absent from the pattern (ErrPatternMismatch):
@@ -105,67 +180,71 @@ func (e *Engine) newValues() []float64 {
 //     condemn a different matrix than the caller passed, unless
 //     Options.AllowPatternMismatch permits dropping
 //     (τ-refactorization).
-func (e *Engine) scatter(a *sparse.CSR, vals []float64) error {
+func (b *build) scatter(a *sparse.CSR) error {
+	e, vals := b.e, b.vals
 	lu := e.factor.LU
-	perm := e.split.Perm
-	inv := e.invPerm
+	perm, inv := e.split.Perm, e.invPerm
 	allow := e.opt.AllowPatternMismatch
-	var bad atomic.Value
-	rowBody := func(newI int) {
-		lo, hi := lu.RowPtr[newI], lu.RowPtr[newI+1]
-		for k := lo; k < hi; k++ {
-			vals[k] = 0
-		}
-		lcols := lu.ColIdx[lo:hi]
-		oldI := perm[newI]
-		cols, avals := a.Row(oldI)
-		for k, j := range cols {
-			x := avals[k]
-			// Only the first bad entry is reported; a genuinely changed
-			// pattern can have millions, and building an error per
-			// entry would make the failure path itself expensive.
-			if x-x != 0 { // NaN or ±Inf
-				if bad.Load() == nil {
-					bad.CompareAndSwap(nil, fmt.Errorf(
-						"core: %w %g at entry (%d,%d) of the factorization input", sparse.ErrNonFinite, x, oldI, j)) //nolint:errcheck
+	body := func(piece, lo, hi int) {
+		pos := b.lanes[piece].pos
+		for newI := lo; newI < hi; newI++ {
+			base, end := lu.RowPtr[newI], lu.RowPtr[newI+1]
+			lcols := lu.ColIdx[base:end]
+			for i, c := range lcols {
+				pos[c] = int32(1 + i)
+			}
+			clear(vals[base:end])
+			oldI := perm[newI]
+			cols, avals := a.Row(oldI)
+			for k, j := range cols {
+				x := avals[k]
+				// Only the first bad entry is reported; a genuinely
+				// changed pattern can have millions, and building an
+				// error per entry would make the failure path itself
+				// expensive.
+				if x-x != 0 { // NaN or ±Inf
+					if b.err.Load() == nil {
+						b.fail(fmt.Errorf(
+							"core: %w %g at entry (%d,%d) of the factorization input", sparse.ErrNonFinite, x, oldI, j))
+					}
+				} else if p := pos[inv[j]]; p > 0 {
+					vals[base+int(p)-1] = x
+				} else if !allow && b.err.Load() == nil {
+					b.fail(fmt.Errorf(
+						"%w: entry (%d,%d) of the refactorization input", ErrPatternMismatch, oldI, j))
 				}
-			} else if p := searchRow(lcols, inv[j]); p >= 0 {
-				vals[lo+p] = x
-			} else if !allow && bad.Load() == nil {
-				bad.CompareAndSwap(nil, fmt.Errorf(
-					"%w: entry (%d,%d) of the refactorization input", ErrPatternMismatch, oldI, j)) //nolint:errcheck
+			}
+			for _, c := range lcols {
+				pos[c] = 0
 			}
 		}
 	}
-	// ~4 ops per pattern entry (zero + binary-search copy); below the
-	// cutoff the region is pure overhead and the rows run inline.
+	// ~4 ops per pattern entry (map set and clear, zero, copy); below
+	// the cutoff the region is pure overhead and the rows run inline.
 	if pieces := e.rt.PiecesFor(4*int64(lu.Nnz()), e.opt.Threads); pieces <= 1 {
-		for newI := 0; newI < e.n; newI++ {
-			rowBody(newI)
-		}
+		body(0, 0, e.n)
 	} else {
-		e.rt.For(e.n, pieces, rowBody)
+		e.rt.Ranges(e.n, pieces, body)
 	}
-	if v := bad.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
+	return b.firstErr()
 }
 
 // factorUpper runs the upper stage: up-looking elimination of rows
-// [0, NUpper) driven by the p2p schedule. Each row is fully
-// eliminated (its dependencies are all upper rows) and finished.
-func (e *Engine) factorUpper(vals []float64) error {
-	var firstErr atomic.Value
-	rowBody := func(r int) {
-		comp, err := eliminatePivots(e.factor, vals, r, 0, r)
+// [0, NUpper) driven by the p2p schedule, each row on its worker's
+// lane. Each row is fully eliminated (its dependencies are all upper
+// rows) and finished.
+func (b *build) factorUpper() error {
+	e := b.e
+	lu, diag := e.factor.LU, e.factor.DiagPos
+	rowBody := func(w, r int) {
+		comp, err := b.lanes[w].eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], true)
 		if err == nil {
-			err = e.finishRow(vals, r, comp)
+			err = e.finishRow(b.vals, r, comp)
 		}
 		if err != nil {
-			// Record the first error; later rows may divide by a bad
-			// pivot but the factorization is already condemned.
-			firstErr.CompareAndSwap(nil, err) //nolint:errcheck
+			// Later rows may divide by a bad pivot, but the
+			// factorization is already condemned.
+			b.fail(err)
 		}
 	}
 	// Below the cutoff, walk the scheduled rows inline in ascending
@@ -176,13 +255,10 @@ func (e *Engine) factorUpper(vals []float64) error {
 		e.schedL.Run(rowBody)
 	} else {
 		for r := 0; r < e.split.NUpper; r++ {
-			rowBody(r)
+			rowBody(0, r)
 		}
 	}
-	if v := firstErr.Load(); v != nil {
-		return v.(error)
-	}
-	return nil
+	return b.firstErr()
 }
 
 // factorLowerER is the Even-Rows method (paper Fig. 7/8): phase 1
@@ -190,47 +266,34 @@ func (e *Engine) factorUpper(vals []float64) error {
 // live in the upper stage (those rows are final); phase 2 factors the
 // corner serially in ascending row order, preserving exact up-looking
 // arithmetic order.
-func (e *Engine) factorLowerER(vals []float64) error {
-	nUp, n := e.split.NUpper, e.n
-	nLower := n - nUp
+func (b *build) factorLowerER() error {
+	e := b.e
+	nLower := e.n - e.split.NUpper
 	if nLower == 0 {
 		return nil
 	}
-	var firstErr atomic.Value
-	comps := e.lower.comp
-	// Phase 1: FACTOR_L — dynamic schedule, chunk 1 (the paper's
-	// OpenMP DYNAMIC/CHUNK_SIZE=1 configuration); inline below the
+	// Phase 1: FACTOR_L — chunk-1 dynamic loop; inline below the
 	// cutoff (rows are independent, so the results are identical).
-	phase1 := func(i int) {
-		r := nUp + i
-		comp, err := eliminatePivots(e.factor, vals, r, 0, nUp)
-		if err != nil {
-			firstErr.CompareAndSwap(nil, err) //nolint:errcheck
-			return
-		}
-		comps[i] = comp
-	}
-	if e.rt.ParallelWorth(e.lowerOps) {
-		e.rt.ForDynamic(nLower, e.opt.Threads, 1, phase1)
-	} else {
-		for i := 0; i < nLower; i++ {
-			phase1(i)
-		}
-	}
-	if v := firstErr.Load(); v != nil {
-		return v.(error)
+	b.forEach(e.rt.ParallelWorth(e.lowerOps), nLower, (*build).eliminateUpperPivots)
+	if err := b.firstErr(); err != nil {
+		return err
 	}
 	// Phase 2: FACTOR_LU on the corner, serial.
-	for r := nUp; r < n; r++ {
-		comp, err := eliminatePivots(e.factor, vals, r, nUp, r)
-		if err != nil {
-			return err
-		}
-		if err := e.finishRow(vals, r, comp+comps[r-nUp]); err != nil {
-			return err
-		}
+	return b.serialCorner()
+}
+
+// eliminateUpperPivots is ER phase 1 for lower row NUpper+i: the
+// pivots whose columns are upper-stage rows. Its compensation waits in
+// lower.comp for the row's corner phase.
+func (b *build) eliminateUpperPivots(ln *lane, i int) {
+	e := b.e
+	r := e.split.NUpper + i
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.factor.LU.RowPtr[r], e.cornerStart[i], true)
+	if err != nil {
+		b.fail(err)
+		return
 	}
-	return nil
+	e.lower.comp[i] = comp
 }
 
 // factorLowerSR is the Segmented-Rows method (paper Fig. 5/6). Lower
@@ -238,147 +301,116 @@ func (e *Engine) factorLowerER(vals []float64) error {
 // level of their column; within a level the columns are independent
 // (guaranteed by the lower(A+Aᵀ) level order), so each level is
 // processed as DIVIDE tiles followed by row-partitioned UPDATE tiles,
-// each a dynamic region on the runtime, and finally the corner is
+// each a chunk-1 loop on the runtime, and finally the corner is
 // factored level-group by level-group (or serially under
 // Options.SerialCorner).
-func (e *Engine) factorLowerSR(vals []float64) error {
+func (b *build) factorLowerSR() error {
+	e := b.e
 	lp := e.lower
 	if lp == nil || e.split.NLower() == 0 {
 		return nil
 	}
-	lu := e.factor.LU
-	var firstErr atomic.Value
-	recordErr := func(err error) {
-		firstErr.CompareAndSwap(nil, err) //nolint:errcheck
-	}
 	// Tiles are row-disjoint, so the inline route below the cutoff is
 	// bitwise identical to the dynamic dispatch.
 	par := e.rt.ParallelWorth(e.lowerOps)
-
 	for li := range lp.srLevels {
-		lvl := &lp.srLevels[li]
-		if len(lvl.spans) == 0 {
+		b.lvl = &lp.srLevels[li]
+		if len(b.lvl.spans) == 0 {
 			continue
 		}
-		// DIVIDE_COLUMNS: val[k] /= U[j,j] for each entry in the level.
-		e.runTiles(par, lvl.divTiles, func(t tileRange) {
-			for si := t.lo; si < t.hi; si++ {
-				sp := lvl.spans[si]
-				for k := sp.kLo; k < sp.kHi; k++ {
-					j := lu.ColIdx[k]
-					piv := vals[e.factor.DiagPos[j]]
-					if !(math.Abs(piv) >= pivotFloor) {
-						recordErr(fmt.Errorf("core: SR zero pivot at column %d", j))
-						return
-					}
-					vals[k] /= piv
-				}
-			}
-		})
-		if v := firstErr.Load(); v != nil {
-			return v.(error)
+		b.forEach(par, len(b.lvl.divTiles), (*build).divideTile)
+		if err := b.firstErr(); err != nil {
+			return err
 		}
-		// UPDATE_BLOCK: for each span (one row's entries in this
-		// level), apply the merge updates into that row. Spans are
-		// row-disjoint, so tiles can run concurrently.
-		e.runTiles(par, lvl.updTiles, func(t tileRange) {
-			for si := t.lo; si < t.hi; si++ {
-				sp := lvl.spans[si]
-				comp := applyUpdates(e, vals, sp)
-				if e.opt.Modified {
-					e.lower.comp[sp.row-e.split.NUpper] += comp
-				}
-			}
-		})
+		b.forEach(par, len(b.lvl.updTiles), (*build).updateTile)
 	}
-
-	// FACTOR_LU on the corner.
-	return e.factorCorner(vals)
+	b.lvl = nil
+	return b.factorCorner()
 }
 
-// applyUpdates subtracts, for each already-divided pivot entry in the
-// span, lij × U-row(j) from row sp.row (merge walk), mirroring the
-// second half of eliminatePivots.
-func applyUpdates(e *Engine, vals []float64, sp rowSpan) (comp float64) {
-	lu := e.factor.LU
-	hi := lu.RowPtr[sp.row+1]
-	for k := sp.kLo; k < sp.kHi; k++ {
-		j := lu.ColIdx[k]
-		lij := vals[k]
-		kk := e.factor.DiagPos[j] + 1
-		ujEnd := lu.RowPtr[j+1]
-		k2 := k + 1
-		for kk < ujEnd {
-			uc := lu.ColIdx[kk]
-			for k2 < hi && lu.ColIdx[k2] < uc {
-				k2++
+// divideTile is DIVIDE_COLUMNS on tile i of the current level:
+// val[k] /= U[j,j] for each entry.
+func (b *build) divideTile(_ *lane, i int) {
+	e := b.e
+	t := b.lvl.divTiles[i]
+	for _, sp := range b.lvl.spans[t.lo:t.hi] {
+		for k := sp.kLo; k < sp.kHi; k++ {
+			j := e.factor.LU.ColIdx[k]
+			piv := b.vals[e.factor.DiagPos[j]]
+			if !(math.Abs(piv) >= pivotFloor) {
+				b.fail(fmt.Errorf("core: SR zero pivot at column %d", j))
+				return
 			}
-			if k2 < hi && lu.ColIdx[k2] == uc {
-				vals[k2] -= lij * vals[kk]
-				k2++
-			} else {
-				comp -= lij * vals[kk]
-			}
-			kk++
+			b.vals[k] /= piv
 		}
 	}
-	return comp
+}
+
+// updateTile is UPDATE_BLOCK on tile i of the current level: each
+// span (one row's entries in this level, already divided) updates its
+// row. Spans are row-disjoint, so tiles can run concurrently.
+func (b *build) updateTile(ln *lane, i int) {
+	e := b.e
+	t := b.lvl.updTiles[i]
+	for _, sp := range b.lvl.spans[t.lo:t.hi] {
+		comp, _ := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, false)
+		if e.opt.Modified {
+			e.lower.comp[sp.row-e.split.NUpper] += comp
+		}
+	}
 }
 
 // factorCorner factors the trailing (lower × lower) block. Rows are
 // grouped by their original level; rows within a group are mutually
-// independent under the lower(A+Aᵀ) order, so each group runs in
-// parallel with a barrier between groups — unless SerialCorner.
-func (e *Engine) factorCorner(vals []float64) error {
+// independent under the lower(A+Aᵀ) order, so each group is a chunk-1
+// loop with a barrier between groups — unless SerialCorner.
+func (b *build) factorCorner() error {
+	e := b.e
 	nUp, n := e.split.NUpper, e.n
 	// Serial ascending order equals groups-ascending with independent
 	// rows inside each group, so the cutoff's serial route is bitwise
 	// identical to the group-parallel one.
 	if e.opt.SerialCorner || e.split.NumLowerLevels() <= 1 && n-nUp <= 64 ||
 		!e.rt.ParallelWorth(e.lowerOps) {
-		for r := nUp; r < n; r++ {
-			comp, err := eliminatePivots(e.factor, vals, r, nUp, r)
-			if err != nil {
-				return err
-			}
-			if err := e.finishRow(vals, r, comp+e.lower.comp[r-nUp]); err != nil {
-				return err
-			}
-		}
-		return nil
+		return b.serialCorner()
 	}
-	var firstErr atomic.Value
+	ptr := e.split.LowerLvlPtr
 	for g := 0; g < e.split.NumLowerLevels(); g++ {
-		lo := nUp + e.split.LowerLvlPtr[g]
-		hi := nUp + e.split.LowerLvlPtr[g+1]
-		e.rt.ForDynamic(hi-lo, e.opt.Threads, 1, func(i int) {
-			r := lo + i
-			comp, err := eliminatePivots(e.factor, vals, r, nUp, r)
-			if err == nil {
-				err = e.finishRow(vals, r, comp+e.lower.comp[r-nUp])
-			}
-			if err != nil {
-				firstErr.CompareAndSwap(nil, err) //nolint:errcheck
-			}
-		})
-		if v := firstErr.Load(); v != nil {
-			return v.(error)
+		b.row0 = nUp + ptr[g]
+		b.forEach(true, ptr[g+1]-ptr[g], (*build).cornerGroupRow)
+		if err := b.firstErr(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// runTiles runs body once per tile. With par set, more than one tile
-// and more than one thread, the tiles are a chunk-1 ForDynamic region
-// (the schedule ER phase 1 uses); otherwise they are walked inline in
-// order. Tiles are row-disjoint, so bodies never race and both routes
-// give bitwise-identical results.
-func (e *Engine) runTiles(par bool, tiles []tileRange, body func(tileRange)) {
-	if !par || len(tiles) <= 1 || e.opt.Threads == 1 {
-		for _, t := range tiles {
-			body(t)
+// serialCorner factors the corner rows in ascending order on lane 0.
+func (b *build) serialCorner() error {
+	for r := b.e.split.NUpper; r < b.e.n; r++ {
+		if err := b.cornerRow(&b.lanes[0], r); err != nil {
+			return err
 		}
-		return
 	}
-	e.rt.ForDynamic(len(tiles), e.opt.Threads, 1, func(i int) { body(tiles[i]) })
+	return nil
+}
+
+// cornerGroupRow factors row i of the current corner group.
+func (b *build) cornerGroupRow(ln *lane, i int) {
+	if err := b.cornerRow(ln, b.row0+i); err != nil {
+		b.fail(err)
+	}
+}
+
+// cornerRow eliminates corner row r against its corner pivots (columns
+// in [NUpper, r), whose rows are final) and finishes it with the
+// compensation its upper-stage pivots left in lower.comp.
+func (b *build) cornerRow(ln *lane, r int) error {
+	e := b.e
+	i := r - e.split.NUpper
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r], true)
+	if err != nil {
+		return err
+	}
+	return e.finishRow(b.vals, r, comp+e.lower.comp[i])
 }

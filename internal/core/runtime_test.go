@@ -179,10 +179,11 @@ func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 }
 
 // TestRunTilesDispatchesEachTileOnce drives the parallel branch of
-// runTiles directly (par is an argument, so no measured cutoff decides
-// whether the branch is reached): 101 tiles of uneven cost must each
-// run exactly once, as one chunk-1 dynamic region, at every thread
-// count.
+// the build's chunk-1 loop directly (par is an argument, so no
+// measured cutoff decides whether the branch is reached): 101 tiles of
+// uneven cost must each run exactly once, at every thread count, as
+// one region of one Ranges piece per lane, and no lane may serve two
+// tiles at once.
 func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
 	const nTiles = 101
 	tiles := make([]tileRange, nTiles)
@@ -192,21 +193,32 @@ func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
 		rt := exec.New(threads)
 		e := &Engine{opt: Options{Threads: threads}, rt: rt}
+		b := e.newBuild(nil)
 		var runs [nTiles]atomic.Int32
 		var sink atomic.Uint64
+		busy := make([]atomic.Bool, threads)
+		var shared atomic.Int32
 		s0 := rt.Stats()
-		e.runTiles(true, tiles, func(t tileRange) {
+		b.forEach(true, nTiles, func(b *build, ln *lane, i int) {
+			li := 0
+			for ln != &b.lanes[li] {
+				li++
+			}
+			if !busy[li].CompareAndSwap(false, true) {
+				shared.Add(1)
+			}
 			// Uneven cost: every seventh tile does 100× the work.
 			work := 100
-			if t.lo%7 == 0 {
+			if tiles[i].lo%7 == 0 {
 				work = 10000
 			}
-			x := uint64(t.lo)
+			x := uint64(tiles[i].lo)
 			for k := 0; k < work; k++ {
 				x = x*6364136223846793005 + 1442695040888963407
 			}
 			sink.Add(x)
-			runs[t.lo].Add(1)
+			runs[tiles[i].lo].Add(1)
+			busy[li].Store(false)
 		})
 		d := rt.Stats().Sub(s0)
 		rt.Close()
@@ -215,9 +227,12 @@ func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
 				t.Fatalf("threads=%d: tile %d ran %d times, want 1", threads, i, got)
 			}
 		}
-		if d.Regions != 1 || d.Chunks != nTiles {
-			t.Fatalf("threads=%d: Regions=%d Chunks=%d, want one region of %d chunk-1 claims",
-				threads, d.Regions, d.Chunks, nTiles)
+		if n := shared.Load(); n != 0 {
+			t.Fatalf("threads=%d: %d tiles started on a lane already in use", threads, n)
+		}
+		if d.Regions != 1 || d.Chunks != uint64(threads) {
+			t.Fatalf("threads=%d: Regions=%d Chunks=%d, want one region of %d lane pieces",
+				threads, d.Regions, d.Chunks, threads)
 		}
 	}
 }

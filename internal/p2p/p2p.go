@@ -33,20 +33,17 @@ type paddedCounter struct {
 // each. Dependencies outside the scheduled row set are ignored.
 type DepFunc func(row int, emit func(dep int))
 
-// Schedule is a p2p execution plan: an assignment of rows to workers
-// and pruned dependency lists. The plan itself is immutable after
-// NewSchedule; all per-execution state (the per-worker progress
-// counters) lives in Run objects, so any number of concurrent
-// executions can share one plan — build once per (pattern, workers),
-// then either call Schedule.Run (convenience, one execution at a
-// time) or give each goroutine its own NewRun.
+// Schedule is a p2p execution plan: an assignment of rows to workers,
+// pruned dependency lists, and the per-worker progress counters of the
+// sweep in flight. Build it once per (pattern, workers) and Run it any
+// number of times, one sweep at a time.
 type Schedule struct {
 	Workers int
-	// rt executes the sweeps: each Execute is one gang of Workers
-	// pieces on the persistent runtime (no per-call goroutines).
+	// rt executes the sweeps: each Run is one gang of Workers pieces
+	// on the persistent runtime (no per-call goroutines).
 	rt *exec.Runtime
 	// RowOf[w] lists the rows of worker w in execution order
-	// (level-major, round-robin dealt within each level).
+	// (level-major, dealt in contiguous blocks within each level).
 	RowOf [][]int
 
 	ownerOf []int32 // -1 when the row is not scheduled
@@ -59,23 +56,9 @@ type Schedule struct {
 	depW   [][]int32
 	depS   [][]int32
 
-	// defaultRun backs the Schedule.Run convenience method; concurrent
-	// executions must use separate NewRun objects instead.
-	defaultRun *Run
-}
-
-// Run holds the mutable state of one Schedule execution: the
-// per-worker published progress counters. A Run may be reused for any
-// number of sequential executions; distinct Runs over the same
-// Schedule may execute concurrently (each goroutine needs its own).
-type Run struct {
-	s        *Schedule
+	// progress[w] is the number of rows worker w has completed in the
+	// running sweep.
 	progress []paddedCounter
-}
-
-// NewRun creates an independent execution state for the schedule.
-func (s *Schedule) NewRun() *Run {
-	return &Run{s: s, progress: make([]paddedCounter, s.Workers)}
 }
 
 // NewSchedule builds a plan for rows grouped into levels (levels[l] is
@@ -103,6 +86,8 @@ func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc)
 		depPtr:  make([][]int32, workers),
 		depW:    make([][]int32, workers),
 		depS:    make([][]int32, workers),
+
+		progress: make([]paddedCounter, workers),
 	}
 	for i := range s.ownerOf {
 		s.ownerOf[i] = -1
@@ -158,41 +143,31 @@ func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc)
 			s.depPtr[w][k+1] = int32(len(s.depW[w]))
 		}
 	}
-	s.defaultRun = s.NewRun()
 	return s
 }
 
-// Run executes body(row) for every scheduled row on the schedule's
-// built-in default Run. It is the convenience path for single-caller
-// use; for concurrent executions over one schedule, give each caller
-// its own NewRun and call Execute on it.
-func (s *Schedule) Run(body func(row int)) {
-	s.defaultRun.Execute(body)
-}
-
-// Execute runs body(row) for every scheduled row as one gang of
+// Run executes body(w, row) for every scheduled row as one gang of
 // Workers pieces on the schedule's runtime, honoring all dependencies
-// via p2p spin waits. The gang guarantee (all pieces running at once)
-// is what makes the spin waits safe; concurrent Executes over a
-// shared runtime are admission-controlled, not deadlocked. body must
-// complete the row before returning. A Run must not be executed
+// via p2p spin waits; w is the worker that owns the row, so body may
+// index per-worker scratch by it. The gang guarantee (all pieces
+// running at once) is what makes the spin waits safe; concurrent gangs
+// over a shared runtime are admission-controlled, not deadlocked. body
+// must complete the row before returning. A Schedule must not be run
 // concurrently with itself.
-func (r *Run) Execute(body func(row int)) {
-	for i := range r.progress {
-		r.progress[i].v.Store(0)
+func (s *Schedule) Run(body func(w, row int)) {
+	for i := range s.progress {
+		s.progress[i].v.Store(0)
 	}
-	s := r.s
 	if s.Workers == 1 {
-		r.runWorker(0, body)
+		s.runWorker(0, body)
 		return
 	}
 	s.rt.Gang(s.Workers, func(w int) {
-		r.runWorker(w, body)
+		s.runWorker(w, body)
 	})
 }
 
-func (r *Run) runWorker(w int, body func(row int)) {
-	s := r.s
+func (s *Schedule) runWorker(w int, body func(w, row int)) {
 	rows := s.RowOf[w]
 	depPtr, depW, depS := s.depPtr[w], s.depW[w], s.depS[w]
 	for k, row := range rows {
@@ -204,14 +179,14 @@ func (r *Run) runWorker(w int, body func(row int)) {
 			// the producer's cache line and from starving runnable
 			// goroutines when workers exceed cores.
 			spins := 0
-			for r.progress[ow].v.Load() < need {
+			for s.progress[ow].v.Load() < need {
 				spins++
 				if spins > 512 && spins&63 == 0 {
 					runtime.Gosched()
 				}
 			}
 		}
-		body(row)
-		r.progress[w].v.Store(int64(k + 1))
+		body(w, row)
+		s.progress[w].v.Store(int64(k + 1))
 	}
 }

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -59,7 +58,7 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 		s := buildFromMatrixLevels(n, deps, workers)
 		done := make([]atomic.Bool, n)
 		var violations atomic.Int64
-		s.Run(func(r int) {
+		s.Run(func(_, r int) {
 			for _, d := range deps[r] {
 				if !done[d].Load() {
 					violations.Add(1)
@@ -90,13 +89,20 @@ func TestScheduleRunsEveryRowExactlyOnce(t *testing.T) {
 		}
 		s := buildFromMatrixLevels(n, deps, 1+rng.Intn(7))
 		counts := make([]atomic.Int64, n)
-		s.Run(func(r int) { counts[r].Add(1) })
+		var foreign atomic.Int64
+		s.Run(func(w, r int) {
+			counts[r].Add(1)
+			if s.ownerOf[r] != int32(w) {
+				foreign.Add(1)
+			}
+		})
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				return false
 			}
 		}
-		return true
+		// body's worker index is the row's owner.
+		return foreign.Load() == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -155,7 +161,7 @@ func TestScheduleReusable(t *testing.T) {
 		out := make([]int, 0, 4)
 		lock := make(chan struct{}, 1)
 		lock <- struct{}{}
-		s.Run(func(r int) {
+		s.Run(func(_, r int) {
 			<-lock
 			out = append(out, r)
 			lock <- struct{}{}
@@ -170,7 +176,7 @@ func TestSingleWorkerIsSequential(t *testing.T) {
 	deps := [][]int{nil, {0}, {1}, {2}}
 	s := buildFromMatrixLevels(4, deps, 1)
 	var got []int
-	s.Run(func(r int) { got = append(got, r) })
+	s.Run(func(_, r int) { got = append(got, r) })
 	for i, r := range got {
 		if r != i {
 			t.Fatalf("sequential order violated: %v", got)
@@ -189,59 +195,8 @@ func TestDepsOutsideScheduleIgnored(t *testing.T) {
 		}
 	})
 	ran := make([]atomic.Bool, 4)
-	s.Run(func(r int) { ran[r].Store(true) })
+	s.Run(func(_, r int) { ran[r].Store(true) })
 	if !ran[2].Load() || !ran[3].Load() {
 		t.Fatal("scheduled rows did not run")
-	}
-}
-
-func TestConcurrentRunsShareOneSchedule(t *testing.T) {
-	// Many goroutines execute the same immutable plan at once, each
-	// with its own Run; every execution must honor dependencies and
-	// cover every row exactly once.
-	rng := util.NewRNG(7)
-	n := 400
-	deps := make([][]int, n)
-	for i := 1; i < n; i++ {
-		for e := 0; e < rng.Intn(4); e++ {
-			deps[i] = append(deps[i], rng.Intn(i))
-		}
-	}
-	s := buildFromMatrixLevels(n, deps, 4)
-	const goroutines = 6
-	errs := make(chan string, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run := s.NewRun()
-			for round := 0; round < 3; round++ {
-				done := make([]atomic.Bool, n)
-				var violations, count atomic.Int64
-				run.Execute(func(r int) {
-					for _, d := range deps[r] {
-						if !done[d].Load() {
-							violations.Add(1)
-						}
-					}
-					done[r].Store(true)
-					count.Add(1)
-				})
-				if v := violations.Load(); v != 0 {
-					errs <- "dependency violations"
-					return
-				}
-				if count.Load() != int64(n) {
-					errs <- "row count mismatch"
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
 	}
 }
