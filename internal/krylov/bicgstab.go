@@ -1,8 +1,6 @@
 package krylov
 
 import (
-	"math"
-
 	"javelin/internal/sparse"
 	"javelin/internal/util"
 )
@@ -53,8 +51,8 @@ func BiCGSTAB(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Sta
 			return st, err
 		}
 		rhoNew := rd.Dot(rhat, r)
-		if rhoNew == 0 || math.IsNaN(rhoNew) {
-			return st, breakdown("BiCGSTAB ρ = %g", rhoNew)
+		if err := checkInner("BiCGSTAB ρ", rhoNew, ""); err != nil {
+			return st, err
 		}
 		beta := (rhoNew / rho) * (alpha / omega)
 		rho = rhoNew
@@ -64,8 +62,8 @@ func BiCGSTAB(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Sta
 		m.Apply(p, phat)
 		opt.matVec(a, phat, v)
 		rv := rd.Dot(rhat, v)
-		if rv == 0 || math.IsNaN(rv) {
-			return st, breakdown("BiCGSTAB r̂ᵀv = %g", rv)
+		if err := checkInner("BiCGSTAB r̂ᵀv", rv, ""); err != nil {
+			return st, err
 		}
 		alpha = rho / rv
 		for i := range s {
@@ -83,8 +81,8 @@ func BiCGSTAB(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Sta
 		m.Apply(s, shat)
 		opt.matVec(a, shat, t)
 		tt := rd.Dot(t, t)
-		if tt == 0 || math.IsNaN(tt) {
-			return st, breakdown("BiCGSTAB tᵀt = %g", tt)
+		if err := checkInner("BiCGSTAB tᵀt", tt, ""); err != nil {
+			return st, err
 		}
 		omega = rd.Dot(t, s) / tt
 		if omega == 0 {

@@ -20,8 +20,9 @@ var (
 	// in the right-hand side; such a solve can only produce garbage,
 	// so it is rejected up front instead of silently diverging.
 	ErrNonFinite = sparse.ErrNonFinite
-	// ErrBreakdown reports a Krylov recurrence breakdown (zero or NaN
-	// inner product, singular Hessenberg, ω stagnation).
+	// ErrBreakdown reports a Krylov recurrence breakdown (zero or
+	// non-finite inner product, singular Hessenberg, ω stagnation). A
+	// non-finite one also wraps ErrNonFinite.
 	ErrBreakdown = errors.New("krylov: breakdown")
 	// ErrStopped reports that the per-iteration Monitor callback
 	// requested a stop.
@@ -81,4 +82,20 @@ func (o Options) ctxErr() error {
 
 func breakdown(format string, a ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrBreakdown}, a...)...)
+}
+
+// checkInner returns nil for a usable inner product v (the recurrence
+// term named term) and a breakdown error otherwise. A NaN or ±Inf v
+// means non-finite values reached the recurrence, through the matrix,
+// the preconditioner or an overflow: that error wraps both
+// ErrBreakdown and ErrNonFinite and makes no guess about the matrix. A
+// finite zero wraps ErrBreakdown alone and ends with zeroHint.
+func checkInner(term string, v float64, zeroHint string) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: %s = %g: %w", ErrBreakdown, term, v, ErrNonFinite)
+	}
+	if v == 0 {
+		return breakdown("%s = 0%s", term, zeroHint)
+	}
+	return nil
 }

@@ -161,8 +161,8 @@ func CG(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats, er
 		}
 		opt.matVec(a, p, ap)
 		pap := rd.Dot(p, ap)
-		if pap == 0 || math.IsNaN(pap) {
-			return st, breakdown("CG pᵀAp = %g; matrix may not be SPD", pap)
+		if err := checkInner("CG pᵀAp", pap, "; matrix may not be SPD"); err != nil {
+			return st, err
 		}
 		alpha := rz / pap
 		util.Axpy(alpha, p, x)

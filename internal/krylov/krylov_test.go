@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"javelin/internal/core"
@@ -350,6 +351,74 @@ func TestTypedErrors(t *testing.T) {
 	ind := coo.ToCSR()
 	if _, err := CG(ind, Identity{}, []float64{1, 1}, make([]float64, 2), Options{}); !errors.Is(err, ErrBreakdown) {
 		t.Errorf("CG indefinite: %v", err)
+	}
+}
+
+// poisonPC is the identity preconditioner except on its at-th Apply,
+// which writes a NaN.
+type poisonPC struct{ calls, at int }
+
+func (p *poisonPC) Apply(r, z []float64) {
+	p.calls++
+	copy(z, r)
+	if p.calls == p.at {
+		z[0] = math.NaN()
+	}
+}
+
+// TestNonFiniteBreakdownBlamesValues: when a NaN or ±Inf reaches an
+// inner product, through the matrix or the preconditioner, CG and
+// BiCGSTAB fail with an error wrapping both ErrBreakdown and
+// ErrNonFinite that names the inner product and does not guess that
+// the matrix is not SPD. Only a finite zero pᵀAp keeps that hint.
+func TestNonFiniteBreakdownBlamesValues(t *testing.T) {
+	grid := gen.GridLaplacian(5, 5, 1, gen.Star5, 1)
+	b, _ := problem(t, grid, 3)
+	nanA := grid.Clone()
+	nanA.Val[7] = math.NaN()
+	diag := func(d float64) *sparse.CSR {
+		coo := sparse.NewCOO(2, 2, 2)
+		coo.Add(0, 0, d)
+		coo.Add(1, 1, d)
+		return coo.ToCSR()
+	}
+	big := []float64{10, 10} // 10·1e308 overflows Ap
+	cg := func(a *sparse.CSR, m Preconditioner, b []float64) error {
+		_, err := CG(a, m, b, make([]float64, a.N), Options{})
+		return err
+	}
+	bicg := func(a *sparse.CSR, m Preconditioner, b []float64) error {
+		_, err := BiCGSTAB(a, m, b, make([]float64, a.N), Options{})
+		return err
+	}
+	for _, c := range []struct {
+		name, term string
+		err        error
+	}{
+		{"CG NaN in A", "pᵀAp = NaN", cg(nanA, Identity{}, b)},
+		{"CG +Inf pᵀAp", "pᵀAp = +Inf", cg(diag(1e308), Identity{}, big)},
+		{"CG -Inf pᵀAp", "pᵀAp = -Inf", cg(diag(-1e308), Identity{}, big)},
+		{"CG NaN preconditioner", "pᵀAp = NaN", cg(grid, &poisonPC{at: 1}, b)},
+		{"BiCGSTAB NaN in A", "ρ = NaN", bicg(nanA, Identity{}, b)},
+		{"BiCGSTAB NaN preconditioner, first apply", "r̂ᵀv = NaN", bicg(grid, &poisonPC{at: 1}, b)},
+		{"BiCGSTAB NaN preconditioner, second apply", "tᵀt = NaN", bicg(grid, &poisonPC{at: 2}, b)},
+	} {
+		if !errors.Is(c.err, ErrBreakdown) || !errors.Is(c.err, ErrNonFinite) {
+			t.Errorf("%s: %v, want ErrBreakdown and ErrNonFinite", c.name, c.err)
+			continue
+		}
+		if msg := c.err.Error(); !strings.Contains(msg, c.term) || strings.Contains(msg, "SPD") {
+			t.Errorf("%s: %q, want %q and no SPD guess", c.name, msg, c.term)
+		}
+	}
+	// A finite zero pᵀAp (diag(1,-1), b = (1,1)) is a breakdown of the
+	// recurrence, not of the values, and keeps the hint.
+	coo := sparse.NewCOO(2, 2, 2)
+	coo.Add(0, 0, 1)
+	coo.Add(1, 1, -1)
+	err := cg(coo.ToCSR(), Identity{}, []float64{1, 1})
+	if !errors.Is(err, ErrBreakdown) || errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "SPD") {
+		t.Errorf("CG zero pᵀAp: %v, want ErrBreakdown with the SPD hint and without ErrNonFinite", err)
 	}
 }
 

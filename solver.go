@@ -58,13 +58,15 @@ var (
 	// ErrDimension: b or x length does not match the system.
 	ErrDimension = krylov.ErrDimension
 	// ErrNonFinite: a NaN or ±Inf value. Solve wraps it (in a
-	// *SolveError) for a non-finite right-hand side; Factorize,
-	// Refactorize, NewVersionedMatrix, UpdateValues and UpdateMatrix
-	// return it wrapped, naming the entry, for non-finite matrix
-	// values, and publish nothing.
+	// *SolveError) for a non-finite right-hand side, and together
+	// with ErrBreakdown when a non-finite inner product stops the
+	// recurrence; Factorize, Refactorize, NewVersionedMatrix,
+	// UpdateValues and UpdateMatrix return it wrapped, naming the
+	// entry, for non-finite matrix values, and publish nothing.
 	ErrNonFinite = krylov.ErrNonFinite
 	// ErrBreakdown: the Krylov recurrence broke down (e.g. CG on a
-	// non-SPD matrix, BiCGSTAB ρ = 0).
+	// non-SPD matrix, BiCGSTAB ρ = 0). A NaN or ±Inf inner product
+	// wraps ErrNonFinite too.
 	ErrBreakdown = krylov.ErrBreakdown
 	// ErrStopped: the WithMonitor callback returned false.
 	ErrStopped = krylov.ErrStopped
