@@ -13,6 +13,16 @@
 //     either the Segmented-Rows (SR, row-disjoint tiles on a dynamic
 //     loop) or Even-Rows (ER, statically blocked) method.
 //
+// Every stage eliminates a row with the standard position-map row
+// kernel (Saad, "Iterative Methods for Sparse Linear Systems",
+// §10.3): the row is loaded into a buffer, a column map sends each
+// update straight to its slot, and updates to columns outside the
+// pattern land in one accumulator slot (the MILU compensation), so
+// the update loop has no branch. Each factorization allocates one
+// such lane per thread and drops them when it returns; a row runs on
+// the lane of the worker that owns it, with no synchronization per
+// row. The factor values do not depend on the thread count.
+//
 // The same permutation and tile structures drive the sparse
 // triangular solves, so the preconditioner applies at spmv-like
 // scalability without reformatting — the paper's co-design thesis.
@@ -173,6 +183,11 @@
 // schedules onto a persistent Runtime: a fixed pool of worker
 // goroutines that spin briefly then park when idle, so hot paths
 // never create goroutines per call and an idle runtime costs nothing.
+// The factor stages index their per-lane scratch by a lane the region
+// itself hands out: the upper stage's p2p worker index, the scatter's
+// Ranges piece, and for the chunk-1 lower-stage loops (ER phase 1, SR
+// tiles, corner groups) one Ranges piece per lane, each claiming
+// items off a shared cursor.
 //
 // Ownership rules:
 //

@@ -26,7 +26,7 @@ import (
 // miss or another goroutine's allocation can only add).
 func TestRefactorizeAllocationsPerCall(t *testing.T) {
 	small := gen.TetraMesh(6, 6, 6, 0x31)
-	large := gen.TetraMesh(12, 6, 12, 0x31)
+	large := gen.TetraMesh(24, 6, 6, 0x31)
 	for _, threads := range []int{1, 2} {
 		for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
 			var inline, dispatched [2]uint64

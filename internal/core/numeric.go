@@ -157,7 +157,6 @@ func (b *build) forEach(par bool, n int, body func(b *build, ln *lane, i int)) {
 	b.next.Store(0)
 	p := min(len(b.lanes), n)
 	b.e.rt.Ranges(p, p, b.claim)
-	b.body = nil
 }
 
 // claimLoop is one lane's Ranges piece of a forEach loop.
@@ -324,7 +323,6 @@ func (b *build) factorLowerSR() error {
 		}
 		b.forEach(par, len(b.lvl.updTiles), (*build).updateTile)
 	}
-	b.lvl = nil
 	return b.factorCorner()
 }
 

@@ -9,12 +9,13 @@
 // generalized into a shared substrate: every SpMV, level-set sweep,
 // factor stage and SR tile level of every engine runs here instead of
 // spawning goroutines per call. SR tiles are all known before a level
-// starts and none spawns more work, so they run as a chunk-1
-// ForDynamic region, the same loop ER phase 1 uses; no work stealing
-// is needed. Loop regions are claim-based (atomic block dealing over
-// persistent workers), so a region costs two mutex hops and a handful
-// of atomics instead of goroutine creation, and an idle Runtime parks
-// its workers and costs nothing.
+// starts and none spawns more work, so they run as a chunk-1 loop, the
+// one ER phase 1 and the corner groups use: one Ranges piece per lane,
+// each claiming tiles off a shared cursor with its own scratch; no
+// work stealing is needed. Loop regions are claim-based (atomic block
+// dealing over persistent workers), so a region costs two mutex hops
+// and a handful of atomics instead of goroutine creation, and an idle
+// Runtime parks its workers and costs nothing.
 //
 // # Concurrency model
 //

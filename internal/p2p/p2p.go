@@ -2,15 +2,15 @@
 // Park et al. that Javelin uses in place of per-level barriers
 // (paper Section III-A, Fig. 4).
 //
-// Rows of each level are dealt round-robin to worker threads. Because
-// a worker processes its rows in ascending (level, deal) order, the
-// assignment induces an implied total order per worker: when worker t
-// has published progress counter c, every row dealt to t with deal
-// index < c is complete. The full dependency set of a row is therefore
-// pruned to at most one wait per producing worker — the maximum deal
-// index among its dependencies on that worker — and waits become cheap
-// spins on per-worker atomic counters, letting fast threads run ahead
-// of slow ones instead of stalling at a barrier.
+// Rows of each level are dealt to worker threads in contiguous blocks.
+// Because a worker processes its rows in ascending (level, deal)
+// order, the assignment induces an implied total order per worker:
+// when worker t has published progress counter c, every row dealt to
+// t with deal index < c is complete. The full dependency set of a row
+// is therefore pruned to at most one wait per producing worker — the
+// maximum deal index among its dependencies on that worker — and
+// waits become cheap spins on per-worker atomic counters, letting fast
+// threads run ahead of slow ones instead of stalling at a barrier.
 package p2p
 
 import (
@@ -78,15 +78,14 @@ func NewSchedule(rt *exec.Runtime, levels [][]int, n, workers int, deps DepFunc)
 		rt = exec.Default()
 	}
 	s := &Schedule{
-		Workers: workers,
-		rt:      rt,
-		RowOf:   make([][]int, workers),
-		ownerOf: make([]int32, n),
-		seqOf:   make([]int32, n),
-		depPtr:  make([][]int32, workers),
-		depW:    make([][]int32, workers),
-		depS:    make([][]int32, workers),
-
+		Workers:  workers,
+		rt:       rt,
+		RowOf:    make([][]int, workers),
+		ownerOf:  make([]int32, n),
+		seqOf:    make([]int32, n),
+		depPtr:   make([][]int32, workers),
+		depW:     make([][]int32, workers),
+		depS:     make([][]int32, workers),
 		progress: make([]paddedCounter, workers),
 	}
 	for i := range s.ownerOf {
