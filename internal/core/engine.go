@@ -205,9 +205,9 @@ type Engine struct {
 	// here. The symbolic structures above are shared by every epoch.
 	vals epoch.Cell[[]float64]
 	// refacMu serializes Refactorize (build + publish) against
-	// itself: the build shares lower-stage scratch. It is never taken
-	// on a solve path, so factor refreshes and solves proceed
-	// concurrently.
+	// itself: the build shares the lower-stage compensation scratch
+	// and schedL's progress counters. It is never taken on a solve
+	// path, so factor refreshes and solves proceed concurrently.
 	refacMu sync.Mutex
 	// refacFails counts Refactorize calls that returned an error and
 	// left the previous epoch serving (the drift policy's failure

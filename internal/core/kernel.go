@@ -87,7 +87,7 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, divide
 		}
 		uLo, uHi := diag[j]+1, rowPtr[j+1]
 		uCols, uVals := cols[uLo:uHi], vals[uLo:uHi]
-		uVals = uVals[:len(uCols)]
+		uVals = uVals[:len(uCols)] // drops the bounds check below
 		for t, c := range uCols {
 			w[pos[c]] -= lij * uVals[t]
 		}
