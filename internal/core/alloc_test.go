@@ -22,8 +22,9 @@ import (
 // level. testing.AllocsPerRun runs at GOMAXPROCS=1, where the cost
 // model keeps every stage inline, so the dispatched routes are counted
 // separately: every stage forced parallel, at the process's
-// GOMAXPROCS, taking the fewest allocations of five calls (a sync.Pool
-// miss or another goroutine's allocation can only add).
+// GOMAXPROCS, taking the fewest allocations of ten calls (a sync.Pool
+// miss or another goroutine's allocation, such as a parking worker's
+// wait record, can only add).
 func TestRefactorizeAllocationsPerCall(t *testing.T) {
 	small := gen.TetraMesh(6, 6, 6, 0x31)
 	large := gen.TetraMesh(24, 6, 6, 0x31)
@@ -47,10 +48,14 @@ func TestRefactorizeAllocationsPerCall(t *testing.T) {
 				refactorize()
 				inline[i] = uint64(testing.AllocsPerRun(10, refactorize))
 				e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
-				refactorize() // warm the runtime's pools
+				// Finish any GC cycle the earlier tests left pending
+				// (it would empty the runtime's pools mid-trial), then
+				// warm the pools.
+				runtime.GC()
+				refactorize()
 				dispatched[i] = math.MaxUint64
 				var ms runtime.MemStats
-				for trial := 0; trial < 5; trial++ {
+				for trial := 0; trial < 10; trial++ {
 					runtime.ReadMemStats(&ms)
 					before := ms.Mallocs
 					refactorize()

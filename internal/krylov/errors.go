@@ -18,7 +18,8 @@ var (
 	ErrDimension = errors.New("krylov: dimension mismatch")
 	// ErrNonFinite (sparse.ErrNonFinite) reports a NaN or Inf entry
 	// in the right-hand side; such a solve can only produce garbage,
-	// so it is rejected up front instead of silently diverging.
+	// so it is rejected up front instead of silently diverging. A
+	// breakdown on a NaN or ±Inf inner product wraps it too.
 	ErrNonFinite = sparse.ErrNonFinite
 	// ErrBreakdown reports a Krylov recurrence breakdown (zero or
 	// non-finite inner product, singular Hessenberg, ω stagnation). A
