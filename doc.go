@@ -19,9 +19,10 @@
 // update straight to its slot, and updates to columns outside the
 // pattern land in one accumulator slot (the MILU compensation), so
 // the update loop has no branch. Each factorization allocates one
-// such lane per thread and drops them when it returns; a row runs on
-// the lane of the worker that owns it, with no synchronization per
-// row. The factor values do not depend on the thread count.
+// map and buffer (a lane) per thread and drops them when it returns;
+// a row runs on the lane of the worker that owns it, with no
+// synchronization per row. For a given lower-stage method the factor
+// values do not depend on the thread count.
 //
 // The same permutation and tile structures drive the sparse
 // triangular solves, so the preconditioner applies at spmv-like
