@@ -34,11 +34,11 @@ func NewRuntime(threads int) *Runtime { return exec.New(threads) }
 func DefaultRuntime() *Runtime { return exec.Default() }
 
 // RuntimeStats is a snapshot of a Runtime's activity counters:
-// regions executed, chunk claims, gang admissions and admission-queue
-// wait, and worker park/wake churn (StealAttempts/StealSuccesses are
-// always 0). Collection is always on and costs only per-region
-// atomics, so snapshots are cheap and safe to poll from monitoring
-// loops; RuntimeStats.Sub subtracts an earlier snapshot for per-phase
+// regions executed, chunk claims, and worker park/wake churn
+// (StealAttempts, StealSuccesses, Gangs and GangWaitNs are always 0).
+// Collection is always on and costs only per-region atomics, so
+// snapshots are cheap and safe to poll from monitoring loops;
+// RuntimeStats.Sub subtracts an earlier snapshot for per-phase
 // deltas. Obtain one from Runtime.Stats() or
 // Preconditioner.RuntimeStats(); see doc.go's "Runtime metrics"
 // section.

@@ -515,7 +515,7 @@ func TestRuntimeStatsAPI(t *testing.T) {
 	}
 	rt.For(1024, 0, func(int) {})
 	delta := p.RuntimeStats().Sub(before)
-	if delta.Regions == 0 && delta.Gangs == 0 {
+	if delta.Regions == 0 {
 		t.Fatalf("runtime work produced no visible activity: %+v", delta)
 	}
 

@@ -22,7 +22,7 @@
 // files use.
 //
 // -compare re-measures with the current flags and prints per-record
-// new/old time ratios against a committed BENCH_*.json baseline
+// new/old time ratios against a checked-in BENCH_*.json baseline
 // (either JSON shape). The exit status is nonzero when any matched
 // record runs slower than -threshold times its baseline, so the mode
 // can gate perf in CI; records only one side has are listed but never
@@ -30,8 +30,8 @@
 //
 // -stats runs every engine on one shared execution runtime (sized to
 // the widest thread count in the sweep) and reports its activity
-// counters — regions, chunk claims, gang admissions + queue wait,
-// park/wake churn — after the experiments. In text mode the
+// counters — regions, chunk claims, park/wake churn — after the
+// experiments. In text mode the
 // counters print as a table; combined with -json they are emitted as
 // a "runtime_stats" object alongside the records.
 //
@@ -141,8 +141,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var rt *exec.Runtime
 	if *stats {
-		// One shared pool for every engine, wide enough for the widest
-		// gang in the sweep, so the counters cover the whole run.
+		// One shared pool for every engine, at least as wide as the
+		// widest thread count in the sweep (each engine's Threads is
+		// clamped to it), so the counters cover the whole run.
 		width := util.MaxThreads()
 		for _, p := range cfg.WithDefaults().Threads {
 			if p > width {

@@ -87,7 +87,7 @@ func TestRunTableStats(t *testing.T) {
 }
 
 func TestRunCompareSmoke(t *testing.T) {
-	// Compare against the committed pr5 baseline with a threshold no
+	// Compare against the checked-in pr5 baseline with a threshold no
 	// machine can trip: the mode must match records, print ratios, and
 	// exit 0. Records in the baseline but not re-measured here (other
 	// matrices) are listed, not failed.

@@ -22,10 +22,9 @@
 // live-update surface is observable from the CLI.
 //
 // -stats appends the process-wide execution runtime's activity
-// counter deltas (regions, chunk claims, gang admissions + queue
-// wait, park/wake churn) for the printed tables — the
-// structural passes (symmetric permutation scatter, level-set
-// computation) run on that shared pool.
+// counter deltas (regions, chunk claims, park/wake churn) for the
+// printed tables — the structural passes (symmetric permutation
+// scatter, level-set computation) run on that shared pool.
 package main
 
 import (

@@ -7,11 +7,32 @@
 // (ILU(k), ILU(τ), ILU(k,τ), optionally modified/MILU) using an
 // up-looking row algorithm scheduled in two stages:
 //
-//   - an upper stage of level-scheduled rows synchronized with
-//     point-to-point spin waits instead of barriers, and
+//   - an upper stage of level-scheduled rows, factored level by level
+//     with a barrier after each level, and
 //   - a lower stage for the trailing small/dense levels, factored by
 //     either the Segmented-Rows (SR, row-disjoint tiles on a dynamic
 //     loop) or Even-Rows (ER, statically blocked) method.
+//
+// The upper stage departs from the paper here. The paper synchronizes
+// it with point-to-point spin waits (Park et al., ISC 2014): each
+// thread owns fixed rows and waits on the progress counters of the
+// threads that own its rows' dependencies. That only terminates if
+// every thread is running, and a Go program sharing its processors
+// cannot promise that. With 16 solving goroutines beside a
+// Refactorize on 2 Ps, one descheduled lane stalled the others for
+// tens of seconds, and 20 runs of the live-refactorize hammer test
+// (TestSolverLiveRefactorizeHammer) at GOMAXPROCS=2 on a 2-vCPU host
+// did not finish in 120 s. Javelin instead runs each level as a loop
+// whose blocks of rows any lane may claim (Anderson & Saad's level
+// scheduling, 1989), so a lane that never starts holds no rows and
+// the caller can finish every level alone; the same 20 runs take
+// 0.1–0.5 s. On that host the 2-thread
+// upper stage costs about the same on the benchmark's PDE and circuit
+// matrices (best of 30 per round, 8 rounds: 2.07–2.55 ms with p2p
+// against 2.05–2.76 ms in blocks on parabolic_fem, 0.67–0.92 against
+// 0.62–0.72 ms on trans4) and about 13% more in the median on
+// TSOPF_RS_b300_c2 (2.66–3.18 against 3.15–3.92 ms), whose 133 levels
+// of a median 5 rows each pay a barrier.
 //
 // Every stage eliminates a row with the standard position-map row
 // kernel (Saad, "Iterative Methods for Sparse Linear Systems",
@@ -185,10 +206,10 @@
 // goroutines that spin briefly then park when idle, so hot paths
 // never create goroutines per call and an idle runtime costs nothing.
 // The factor stages index their per-lane scratch by a lane the region
-// itself hands out: the upper stage's p2p worker index, the scatter's
-// Ranges piece, and for the chunk-1 lower-stage loops (ER phase 1, SR
-// tiles, corner groups) one Ranges piece per lane, each claiming
-// items off a shared cursor.
+// itself hands out: the scatter's Ranges piece, and for the chunk-1
+// loops (the upper stage's row blocks, ER phase 1, SR tiles, corner
+// groups) one Ranges piece per lane, each claiming items off a shared
+// cursor.
 //
 // Ownership rules:
 //
@@ -209,14 +230,11 @@
 // parallelism). A runtime provides Threads-way parallelism with
 // Threads-1 workers because the goroutine opening a region always
 // helps execute it. When Options.Runtime is set, Threads is clamped
-// to the runtime's parallelism: the upper factor stage's p2p sweep
-// runs as a gang (all lanes simultaneously, since lanes spin-wait on
-// each other's progress), and a gang wider than the runtime would
-// have to fall back to spawning goroutines per call. Concurrent
-// factorizations over a shared runtime are admission-controlled —
-// gangs queue when the pool is momentarily full rather than
-// deadlocking — so oversubscription degrades to serialization, never
-// to incorrectness.
+// to the runtime's parallelism, the most lanes that can run a region
+// at once. No region body waits on another: every region can be
+// finished by the goroutine that opened it, so concurrent
+// factorizations and solves over a shared runtime, or a runtime whose
+// workers are all busy, only slow a region down and never stall it.
 //
 // Closing a Preconditioner (or a shared Runtime) while solves are in
 // flight is a programming error; solves issued after Close still
@@ -263,21 +281,20 @@
 //     several times the runtime's measured region-dispatch overhead.
 //   - The triangular sweeps of a solve always run inline on the
 //     calling goroutine. A p2p sweep spin-waits at every level, and
-//     on the 2-vCPU hosts it was timed on an apply through the p2p
-//     gangs took 2–13× as long as the 1-thread sweep on every matrix
-//     tried, so the solves dispatch nothing. At Threads > 1 the lower
-//     sweep still follows the staged structure (upper rows, then the
-//     lower rows' spmv-like pass, then the corner), which gives the
-//     same bits at every Threads > 1.
+//     on the 2-vCPU hosts it was timed on an apply through it took
+//     2–13× as long as the 1-thread sweep on every matrix tried, so
+//     the solves dispatch nothing. At Threads > 1 the lower sweep
+//     still follows the staged structure (upper rows, then the lower
+//     rows' spmv-like pass, then the corner), which gives the same
+//     bits at every Threads > 1.
 //
 // # Runtime metrics
 //
 // Every Runtime meters its own activity through always-on counters:
-// parallel regions executed, chunks claimed off region cursors, gang
-// admissions with total admission-queue wait, and worker park/wake
-// and spin-to-park transitions. Each counted event is per region or
-// per gang, never per loop iteration, so the counters stay off the hot
-// loops; Runtime.Stats() returns them as a RuntimeStats snapshot:
+// parallel regions executed, chunks claimed off region cursors, and
+// worker park/wake and spin-to-park transitions. Each counted event is
+// per region, never per loop iteration, so the counters stay off the
+// hot loops; Runtime.Stats() returns them as a RuntimeStats snapshot:
 //
 //	rt := javelin.NewRuntime(8)
 //	defer rt.Close()
@@ -289,15 +306,14 @@
 // Preconditioner.RuntimeStats() reads the same counters through the
 // engine (covering its private runtime, or the shared one when
 // Options.Runtime was set). The snapshot answers capacity-planning
-// questions for shared pools: GangWaitNs/Gangs is the admission queue
-// pressure that says a pool is too narrow for its concurrent solvers,
-// Chunks/Regions is the fan-out regions actually realize, and high
-// SpinToParks with few Parks means the pool sits at its churn point.
-// StealAttempts/StealSuccesses are always 0: the runtime has no
-// work-stealing scheduler. The javelin-info and javelin-bench tools
-// print the same counters under a -stats flag (javelin-bench -json
-// -stats emits them as a "runtime_stats" JSON object alongside the
-// bench records).
+// questions for shared pools: Chunks/Regions is the fan-out regions
+// actually realize, and high SpinToParks with few Parks means the
+// pool sits at its churn point. StealAttempts/StealSuccesses are
+// always 0, since the runtime has no work-stealing scheduler, and so
+// are Gangs/GangWaitNs, since it has no gang construct. The
+// javelin-info and javelin-bench tools print the same counters under
+// a -stats flag (javelin-bench -json -stats emits them as a
+// "runtime_stats" JSON object alongside the bench records).
 //
 // # Static analysis & enforced invariants
 //
@@ -387,6 +403,6 @@
 // new locking — must pass the suite.
 //
 // The internal packages hold the substrates (sparse structures, level
-// scheduling, p2p synchronization, the execution runtime, orderings,
-// Krylov solvers, baselines); this package is the supported surface.
+// scheduling, the execution runtime, orderings, Krylov solvers,
+// baselines); this package is the supported surface.
 package javelin

@@ -19,7 +19,7 @@ func main() {
 	fmt.Printf("matrix: n=%d nnz=%d rd=%.2f\n", m.N(), m.Nnz(), m.RowDensity())
 
 	// Factorize with the paper defaults: ILU(0), level scheduling on
-	// lower(A+Aᵀ) with p2p sync, automatic SR/ER lower stage.
+	// lower(A+Aᵀ), automatic SR/ER lower stage.
 	p, err := javelin.Factorize(m, javelin.DefaultOptions())
 	if err != nil {
 		log.Fatalf("factorize: %v", err)

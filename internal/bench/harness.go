@@ -37,8 +37,8 @@ type Config struct {
 	// Runtime, when non-nil, is a shared execution runtime every
 	// engine the harness builds schedules on (instead of per-engine
 	// private pools). Size it to at least the widest thread count in
-	// the sweep, or gangs degrade to the spawn fallback. The caller
-	// owns and closes it. Runtime.Stats() then aggregates the whole
+	// the sweep: each engine's Threads is clamped to its width. The
+	// caller owns and closes it. Runtime.Stats() then aggregates the whole
 	// run's scheduler activity — the counters behind the tools'
 	// -stats flag.
 	Runtime *exec.Runtime

@@ -30,7 +30,7 @@ type Record struct {
 // RunJSON measures numeric refactorization and preconditioner
 // application for every selected suite matrix across the thread
 // sweep, and writes the records to cfg.Out as a JSON array (the
-// format behind javelin-bench -json, and of the committed BENCH_*.json
+// format behind javelin-bench -json, and of the checked-in BENCH_*.json
 // perf-trajectory files).
 //
 // With cfg.Stats and cfg.Runtime set, the output is instead an object

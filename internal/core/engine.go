@@ -1,13 +1,13 @@
 // Package core implements the Javelin engine: parallel incomplete LU
-// factorization with a level-scheduled, point-to-point-synchronized
-// upper stage and a Segmented-Rows (SR) or Even-Rows (ER) lower
-// stage, co-designed with the sparse triangular solves that apply the
-// resulting preconditioner (paper Sections III, V, VI).
+// factorization with a level-scheduled upper stage and a
+// Segmented-Rows (SR) or Even-Rows (ER) lower stage, co-designed with
+// the sparse triangular solves that apply the resulting
+// preconditioner (paper Sections III, V, VI).
 //
-// The engine owns the permuted factor, the p2p schedule of the upper
-// factor stage, and the lower-stage plan; the level-set split and the
-// lower-stage spans drive both numeric factorization and the solves,
-// which is the paper's central co-design point.
+// The engine owns the permuted factor, the level-set split and the
+// lower-stage plan; the split and the lower-stage spans drive both
+// numeric factorization and the solves, which is the paper's central
+// co-design point.
 package core
 
 import (
@@ -21,7 +21,6 @@ import (
 	"javelin/internal/ilu"
 	"javelin/internal/kernels"
 	"javelin/internal/levelset"
-	"javelin/internal/p2p"
 	"javelin/internal/sparse"
 	"javelin/internal/util"
 )
@@ -39,7 +38,7 @@ const (
 	// LowerSR is the Segmented-Rows method.
 	LowerSR
 	// LowerNone disables the second stage: every level is handled by
-	// level scheduling with p2p synchronization (the paper's "LS").
+	// the level-scheduled upper stage (the paper's "LS").
 	LowerNone
 )
 
@@ -102,8 +101,9 @@ type Options struct {
 	// engines (and all their SolveContexts) may share one Runtime;
 	// the engine does not close it. When nil, the engine creates a
 	// private runtime sized to Threads and owns it (Close releases
-	// it). Threads is clamped to the runtime's parallelism so p2p
-	// gangs never exceed capacity.
+	// it). Threads is clamped to the runtime's parallelism, the most
+	// lanes that can run a stage at once; the clamped value also feeds
+	// the ER/SR auto rule.
 	Runtime *exec.Runtime
 }
 
@@ -139,8 +139,8 @@ func (o Options) withDefaults() Options {
 // symbolic structures so that Refactorize and the triangular solves
 // are cheap.
 //
-// Concurrency contract: the symbolic state — pattern, schedules,
-// split, and lower-stage plan — is immutable after Factorize. The
+// Concurrency contract: the symbolic state — pattern, split, and
+// lower-stage plan — is immutable after Factorize. The
 // numeric factor values are epoch-versioned: every solve reads from
 // the epoch its SolveContext pinned on entry, and Refactorize builds
 // the next epoch in a private buffer and publishes it with one atomic
@@ -161,8 +161,6 @@ type Engine struct {
 	split  *levelset.Split
 	factor *ilu.Factor // on permuted indexing
 	method LowerMethod // resolved (never LowerAuto)
-
-	schedL *p2p.Schedule // forward deps of the ILU upper stage
 
 	// invPerm caches split.Perm.Inverse() so the per-Refactorize
 	// scatter stays allocation-free (the permutation is immutable
@@ -206,8 +204,8 @@ type Engine struct {
 	vals epoch.Cell[[]float64]
 	// refacMu serializes Refactorize (build + publish) against
 	// itself: the build shares the lower-stage compensation scratch
-	// and schedL's progress counters. It is never taken on a solve
-	// path, so factor refreshes and solves proceed concurrently.
+	// and the MILU row sums. It is never taken on a solve path, so
+	// factor refreshes and solves proceed concurrently.
 	refacMu sync.Mutex
 	// refacFails counts Refactorize calls that returned an error and
 	// left the previous epoch serving (the drift policy's failure
@@ -300,7 +298,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		}
 	}
 
-	e.buildSchedules()
 	if err := e.buildLowerPlan(); err != nil {
 		e.Close()
 		return nil, err
@@ -390,32 +387,6 @@ func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
 		if e.ownRT {
 			e.rt.Close()
-		}
-	})
-}
-
-// buildSchedules constructs the p2p plan of the ILU upper stage. The
-// forward dependencies of row r are the sub-diagonal columns of the
-// factor pattern.
-func (e *Engine) buildSchedules() {
-	lu := e.factor.LU
-	// Forward levels: contiguous ranges straight from the split.
-	fwdLevels := make([][]int, e.split.CutLevel)
-	for l := 0; l < e.split.CutLevel; l++ {
-		lo, hi := e.split.UpperLvlPtr[l], e.split.UpperLvlPtr[l+1]
-		rows := make([]int, hi-lo)
-		for i := range rows {
-			rows[i] = lo + i
-		}
-		fwdLevels[l] = rows
-	}
-	e.schedL = p2p.NewSchedule(e.rt, fwdLevels, e.n, e.opt.Threads, func(r int, emit func(int)) {
-		cols, _ := lu.Row(r)
-		for _, c := range cols {
-			if c >= r {
-				break
-			}
-			emit(c)
 		}
 	})
 }

@@ -205,9 +205,9 @@ func digestValues(v []float64) uint64 {
 // TestFactorBits reproduces every pinned digest at Threads 1-4: after
 // Factorize, after a Refactorize on the cost model's routes, and after
 // a Refactorize with every factor stage forced onto its dispatched
-// route (p2p gang, lower-stage lanes). With one P the model and the
-// forced route both run inline on lane 0, so run it at GOMAXPROCS=1
-// and at the default to cover both.
+// route (upper-level blocks and lower-stage loops on lanes). With one
+// P the model and the forced route both run inline on lane 0, so run
+// it at GOMAXPROCS=1 and at the default to cover both.
 func TestFactorBits(t *testing.T) {
 	rt := exec.New(4)
 	defer rt.Close()

@@ -98,7 +98,7 @@ func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 
 // build is one numeric factorization pass (Factorize or Refactorize):
 // the epoch buffer being filled, one elimination lane per thread, the
-// first error, and the lower-stage loop in flight. It is allocated per
+// first error, and the chunk-1 loop in flight. It is allocated per
 // call and dropped on return, so the Engine keeps no numeric scratch.
 // Loop bodies are method expressions and the one claim closure is
 // bound here, so a pass allocates the same few objects whatever its
@@ -116,10 +116,13 @@ type build struct {
 	body  func(b *build, ln *lane, i int)
 	claim func(piece, lo, hi int)
 
-	// Loop parameters: the SR level of the tile loops and the first
-	// row of the corner group being factored.
-	lvl  *srLevel
-	row0 int
+	// Loop parameters: the SR level of the tile loops, the rows
+	// [row0, row1) of the upper level being factored in items of blk
+	// rows, and row0 again as the first row of the corner group being
+	// factored.
+	lvl        *srLevel
+	row0, row1 int
+	blk        int
 }
 
 func (e *Engine) newBuild(vals []float64) *build {
@@ -229,35 +232,48 @@ func (b *build) scatter(a *sparse.CSR) error {
 }
 
 // factorUpper runs the upper stage: up-looking elimination of rows
-// [0, NUpper) driven by the p2p schedule, each row on its worker's
-// lane. Each row is fully eliminated (its dependencies are all upper
-// rows) and finished.
+// [0, NUpper), level by level with a barrier between levels (Anderson
+// & Saad's level scheduling). Rows of a level are contiguous and
+// independent, so each level is a chunk-1 loop over blocks of about a
+// quarter of a lane's share: enough items for lanes to balance uneven
+// rows, few enough that claims stay cheap. A lane that never starts
+// holds no rows, so the caller can finish every level alone. Below the
+// cutoff the blocks run inline in ascending order, every row seeing
+// the same finished dependencies, so both routes give the same bits.
 func (b *build) factorUpper() error {
 	e := b.e
+	par := e.rt.ParallelWorth(e.upperOps)
+	ptr := e.split.UpperLvlPtr
+	for l := 0; l < e.split.CutLevel; l++ {
+		b.row0, b.row1 = ptr[l], ptr[l+1]
+		rows := b.row1 - b.row0
+		b.blk = (rows + 4*len(b.lanes) - 1) / (4 * len(b.lanes))
+		b.forEach(par, (rows+b.blk-1)/b.blk, (*build).upperBlock)
+		if err := b.firstErr(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// upperBlock factors block i of the current upper level. Each row is
+// fully eliminated (its pivots are rows of earlier levels) and
+// finished.
+func (b *build) upperBlock(ln *lane, i int) {
+	e := b.e
 	lu, diag := e.factor.LU, e.factor.DiagPos
-	rowBody := func(w, r int) {
-		comp, err := b.lanes[w].eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], true)
+	lo := b.row0 + i*b.blk
+	hi := min(lo+b.blk, b.row1)
+	for r := lo; r < hi; r++ {
+		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], true)
 		if err == nil {
 			err = e.finishRow(b.vals, r, comp)
 		}
 		if err != nil {
-			// Later rows may divide by a bad pivot, but the
-			// factorization is already condemned.
 			b.fail(err)
+			return
 		}
 	}
-	// Below the cutoff, walk the scheduled rows inline in ascending
-	// order — a valid forward topological order, so every row sees
-	// exactly the finished dependencies the p2p sweep would have given
-	// it and the factor values are bitwise identical.
-	if e.rt.ParallelWorth(e.upperOps) {
-		e.schedL.Run(rowBody)
-	} else {
-		for r := 0; r < e.split.NUpper; r++ {
-			rowBody(0, r)
-		}
-	}
-	return b.firstErr()
 }
 
 // factorLowerER is the Even-Rows method (paper Fig. 7/8): phase 1

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"javelin/internal/exec"
 	"javelin/internal/gen"
@@ -175,6 +176,68 @@ func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if after > before {
 		t.Fatalf("goroutines grew %d -> %d across warm solves", before, after)
+	}
+}
+
+// TestRefactorizeWithBusyRuntime: a Refactorize must finish when no
+// worker of its runtime is free. A side region holds the only worker
+// of a shared two-lane runtime in a body that blocks, and every factor
+// stage is forced onto its dispatched route, so the caller has to
+// factor every stage alone, under every lower method.
+func TestRefactorizeWithBusyRuntime(t *testing.T) {
+	rt := exec.New(2)
+	defer rt.Close()
+	a := testMatrices(t)["power"]
+	for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
+		opt := DefaultOptions()
+		opt.Threads = 2
+		opt.Runtime = rt
+		opt.Lower = method
+		opt.TileSize = 64
+		opt.Split.MinRowsPerLevel = 8
+		e, err := Factorize(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := digestValues(e.Factor().LU.Val)
+		e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+
+		// Both pieces of the side region block, so once both have
+		// entered, one of them holds the runtime's only worker.
+		release := make(chan struct{})
+		var entered sync.WaitGroup
+		entered.Add(2)
+		sideDone := make(chan struct{})
+		go func() {
+			defer close(sideDone)
+			rt.Ranges(2, 2, func(int, int, int) {
+				entered.Done()
+				<-release
+			})
+		}()
+		entered.Wait()
+
+		done := make(chan error, 1)
+		go func() { done <- e.Refactorize(a) }()
+		var timedOut bool
+		select {
+		case err = <-done:
+		case <-time.After(10 * time.Second):
+			timedOut = true
+		}
+		close(release)
+		<-sideDone
+		if timedOut {
+			<-done // the released worker lets it finish
+			t.Fatalf("%v: Refactorize did not return within 10 s while the runtime's only worker was busy", method)
+		}
+		if err != nil {
+			t.Fatalf("%v: Refactorize: %v", method, err)
+		}
+		if got := digestValues(e.Factor().LU.Val); got != want {
+			t.Errorf("%v: digest %#016x after Refactorize, want %#016x from Factorize", method, got, want)
+		}
+		e.Close()
 	}
 }
 

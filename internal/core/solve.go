@@ -14,8 +14,8 @@ package core
 // them, so its low bits differ from the Threads == 1 sweep, and it
 // gives the same bits at every Threads > 1. Neither sweep is
 // dispatched: the paper's p2p solve spin-waits at every level, and on
-// the 2-vCPU hosts it was timed on, an apply through the p2p gangs
-// took 2–13× as long as the 1-thread sweep on every matrix tried.
+// the 2-vCPU hosts it was timed on, an apply through it took 2–13× as
+// long as the 1-thread sweep on every matrix tried.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under

@@ -60,7 +60,7 @@ func BenchmarkForSpawnedN1e3(b *testing.B)     { benchFor(b, 1000, false) }
 func BenchmarkForWarmRuntimeN1e5(b *testing.B) { benchFor(b, 100000, true) }
 func BenchmarkForSpawnedN1e5(b *testing.B)     { benchFor(b, 100000, false) }
 
-// BenchmarkStatsSnapshot prices the Stats() snapshot itself (four
+// BenchmarkStatsSnapshot prices the Stats() snapshot itself (two
 // atomic loads plus the park counters under r.mu) so the snapshot path
 // stays cheap enough to poll from monitoring loops.
 func BenchmarkStatsSnapshot(b *testing.B) {
@@ -70,20 +70,5 @@ func BenchmarkStatsSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Stats()
-	}
-}
-
-// BenchmarkForDynamicChunked exercises the counter-instrumented
-// dynamic-claim path (one chunk counter bump per block claim) at the
-// chunk=1 granularity the paper's imbalanced lower-stage rows use.
-func BenchmarkForDynamicChunked(b *testing.B) {
-	r := New(4)
-	defer r.Close()
-	x := make([]float64, 4096)
-	body := func(i int) { x[i] += 1 }
-	r.ForDynamic(len(x), 4, 64, body)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.ForDynamic(len(x), 4, 64, body)
 	}
 }

@@ -1,68 +1,57 @@
 // Package exec is Javelin's persistent execution runtime: one fixed
-// set of worker goroutines serving the engine's three parallel
-// constructs — claim-based loops (For with static blocks, ForDynamic
-// with OpenMP-style dynamic chunks), per-piece-scratch fork-join
-// (Ranges), and gang-scheduled sweeps (Gang) for the point-to-point
-// synchronized stages that need all lanes running at once.
+// set of worker goroutines serving the engine's two parallel
+// constructs, claim-based loops in static blocks (For) and
+// per-piece-scratch fork-join (Ranges).
 //
 // This is the "specialized light weight tasking library" of the paper
 // generalized into a shared substrate: every SpMV, level-set sweep,
 // factor stage and SR tile level of every engine runs here instead of
-// spawning goroutines per call. SR tiles are all known before a level
-// starts and none spawns more work, so they run as a chunk-1 loop, the
-// one ER phase 1 and the corner groups use: one Ranges piece per lane,
-// each claiming tiles off a shared cursor with its own scratch; no
-// work stealing is needed. Loop regions are claim-based (atomic block
-// dealing over persistent workers), so a region costs two mutex hops
-// and a handful of atomics instead of goroutine creation, and an idle
-// Runtime parks its workers and costs nothing.
+// spawning goroutines per call. The factor's chunk-1 loops (the upper
+// stage's row blocks, ER phase 1, the SR tiles and the corner groups)
+// are all known before a level starts and none spawns more work, so
+// each runs as one Ranges piece per lane, each piece claiming items
+// off a shared cursor with its own scratch; no work stealing is
+// needed. Loop regions are claim-based (atomic block dealing over
+// persistent workers), so a region costs two mutex hops and a handful
+// of atomics instead of goroutine creation, and an idle Runtime parks
+// its workers and costs nothing.
 //
 // # Concurrency model
 //
 // A Runtime is safe for concurrent use: any number of goroutines may
-// open loop regions (For/ForDynamic/Ranges) at the same time; their
-// blocks interleave over the shared workers and every caller helps
-// execute its own region, so a region always completes even with zero
-// free workers. Gang is the exception that needs real concurrency (its
-// pieces spin-wait on each other), so gangs go through admission
-// control: a gang starts only when enough workers are uncommitted, and
-// waits for capacity otherwise (admission is capacity-ordered, not
-// FIFO) — correct under any amount of sharing, at worst serialized,
-// never deadlocked. Loop bodies must not wait on other iterations of
-// the same region; bodies that synchronize with each other belong in
-// Gang.
+// open regions (For/Ranges) at the same time; their blocks interleave
+// over the shared workers and every caller helps execute its own
+// region, so a region always completes even with zero free workers.
+// That holds only because bodies never wait on each other: nothing
+// guarantees that two blocks, of one region or of two, ever run at
+// the same time, so a body must not wait on another one to make
+// progress.
 //
 // # Metrics
 //
-// Every Runtime meters its own activity — regions, chunk claims, gang
-// admissions and queue wait, park/wake churn — through always-on
-// counters; Stats() returns a snapshot and Stats.Sub gives per-phase
-// deltas. See stats.go.
+// Every Runtime meters its own activity — regions, chunk claims,
+// park/wake churn — through always-on counters; Stats() returns a
+// snapshot and Stats.Sub gives per-phase deltas. See stats.go.
 package exec
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Runtime is a persistent worker pool serving three constructs: claim
-// loops (For/ForDynamic), Ranges, and Gang. Loops and Ranges are jobs
-// on one open-region list that idle workers join; gang pieces are
-// queued separately behind admission control. Create with New, share
-// freely, release with Close. The zero value is not usable.
+// Runtime is a persistent worker pool serving two constructs, claim
+// loops (For) and Ranges, both jobs on one open-region list that idle
+// workers join. Create with New, share freely, release with Close.
+// The zero value is not usable.
 type Runtime struct {
 	workers int // worker goroutine count == Parallelism()-1
 
-	mu        sync.Mutex
-	cond      *sync.Cond // workers park here
-	gangCond  *sync.Cond // Gang admission waits here
-	jobs      []*job     //javelin:plain-under-mu mu
-	gangQ     gangQueue  //javelin:plain-under-mu mu
-	committed int        //javelin:plain-under-mu mu
-	sleeping  int        //javelin:plain-under-mu mu
-	closed    bool       //javelin:plain-under-mu mu
+	mu       sync.Mutex
+	cond     *sync.Cond // workers park here
+	jobs     []*job     //javelin:plain-under-mu mu
+	sleeping int        //javelin:plain-under-mu mu
+	closed   bool       //javelin:plain-under-mu mu
 
 	// Park-path counters, guarded by mu and incremented only where it
 	// is already held. The spin-to-park transition is timing-bistable
@@ -76,7 +65,7 @@ type Runtime struct {
 
 	wg sync.WaitGroup
 
-	// stats holds the region and gang counters Stats() reports, in an
+	// stats holds the region counters Stats() reports, in an
 	// allocation of its own so they share no cache line with mu. See
 	// stats.go.
 	stats *laneStats
@@ -99,7 +88,6 @@ func New(parallelism int) *Runtime {
 	}
 	r := &Runtime{workers: parallelism - 1}
 	r.cond = sync.NewCond(&r.mu)
-	r.gangCond = sync.NewCond(&r.mu)
 	r.stats = new(laneStats)
 	r.jobPool.New = func() any {
 		j := new(job)
@@ -130,9 +118,9 @@ func Default() *Runtime {
 func (r *Runtime) Parallelism() int { return r.workers + 1 }
 
 // Close shuts down the workers after pending work drains. Regions
-// opened after Close still complete — the caller runs them alone (and
-// Gang falls back to spawning) — so a closed Runtime degrades rather
-// than breaks. Close is idempotent and safe for concurrent use.
+// opened after Close still complete — the caller runs them alone — so
+// a closed Runtime degrades rather than breaks. Close is idempotent
+// and safe for concurrent use.
 func (r *Runtime) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -142,7 +130,6 @@ func (r *Runtime) Close() {
 	}
 	r.closed = true
 	r.cond.Broadcast()
-	r.gangCond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
 }
@@ -205,21 +192,6 @@ func (j *job) awaitDone() {
 // maxPar <= 0 means the runtime's full parallelism. Blocks until the
 // region completes.
 func (r *Runtime) For(n, maxPar int, body func(i int)) {
-	r.loop(n, maxPar, 0, body)
-}
-
-// ForDynamic runs body(i) for i in [0, n) with dynamic scheduling in
-// blocks of chunk iterations, mirroring OpenMP schedule(dynamic,
-// chunk) (the paper uses chunk=1 for the imbalanced lower-stage
-// rows). maxPar <= 0 means full parallelism.
-func (r *Runtime) ForDynamic(n, maxPar, chunk int, body func(i int)) {
-	if chunk < 1 {
-		chunk = 1
-	}
-	r.loop(n, maxPar, chunk, body)
-}
-
-func (r *Runtime) loop(n, maxPar, chunk int, body func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -238,9 +210,7 @@ func (r *Runtime) loop(n, maxPar, chunk int, body func(i int)) {
 		r.stats.chunks.Add(1)
 		return
 	}
-	if chunk <= 0 { // static: one block per participant
-		chunk = (n + par - 1) / par
-	}
+	chunk := (n + par - 1) / par
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, chunk, int32(par)
 	j.blocks = int64((n + chunk - 1) / chunk)
@@ -251,9 +221,9 @@ func (r *Runtime) loop(n, maxPar, chunk int, body func(i int)) {
 // Ranges splits [0, n) into exactly pieces contiguous ranges and runs
 // body(piece, lo, hi) once per non-empty piece; empty pieces (when
 // pieces > n) are skipped entirely. Piece indices are distinct, so
-// bodies may own scratch slots indexed by piece. Unlike Gang, pieces
-// are not guaranteed to run simultaneously — bodies must not wait on
-// one another.
+// bodies may own scratch slots indexed by piece. Pieces are not
+// guaranteed to run simultaneously — bodies must not wait on one
+// another.
 func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 	if pieces < 1 {
 		pieces = 1
@@ -390,161 +360,13 @@ func (j *job) claimableLocked() bool {
 }
 
 // ---------------------------------------------------------------------
-// Gang scheduling (p2p sweeps)
-// ---------------------------------------------------------------------
-
-// gang is one admitted Gang call: pieces bodies that are guaranteed
-// to all be running concurrently (they may spin-wait on each other).
-// Allocated per call (a gang is per p2p sweep, not per row).
-type gang struct {
-	body      func(piece int)
-	remaining atomic.Int64
-
-	// Completion parking for the caller, as in job.
-	mu   sync.Mutex
-	cond *sync.Cond
-}
-
-func (g *gang) pieceDone() {
-	if g.remaining.Add(-1) == 0 {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
-}
-
-type gangPiece struct {
-	g     *gang
-	piece int
-}
-
-// gangQueue is a FIFO of assigned gang pieces.
-type gangQueue struct {
-	items []gangPiece
-	head  int
-}
-
-func (q *gangQueue) push(p gangPiece) { q.items = append(q.items, p) }
-
-func (q *gangQueue) pop() (gangPiece, bool) {
-	if q.head >= len(q.items) {
-		return gangPiece{}, false
-	}
-	p := q.items[q.head]
-	q.items[q.head] = gangPiece{}
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return p, true
-}
-
-func (q *gangQueue) empty() bool { return q.head >= len(q.items) }
-
-// Gang runs body(0) .. body(pieces-1) with all pieces guaranteed to
-// execute concurrently — the contract the point-to-point synchronized
-// sweeps need, since a piece spin-waits on other pieces' progress
-// counters. The caller runs piece 0; pieces-1 workers are reserved
-// through admission control, so concurrent gangs on a shared runtime
-// queue up instead of deadlocking. If the runtime is too narrow
-// (pieces-1 > workers) or closed, Gang falls back to spawning
-// goroutines — correct, but the per-call-spawn path the runtime
-// exists to avoid, so size runtimes to at least the widest gang.
-func (r *Runtime) Gang(pieces int, body func(piece int)) {
-	if pieces <= 0 {
-		return
-	}
-	if pieces == 1 {
-		body(0)
-		return
-	}
-	need := pieces - 1
-	if need > r.workers {
-		r.spawnGang(pieces, body)
-		return
-	}
-	g := &gang{body: body}
-	g.cond = sync.NewCond(&g.mu)
-	g.remaining.Store(int64(pieces))
-
-	r.mu.Lock()
-	if r.workers-r.committed < need && !r.closed {
-		// Admission must wait for capacity; meter the queue time (the
-		// clock is only read on this contended path, never when the
-		// gang is admitted immediately).
-		t0 := time.Now()
-		for r.workers-r.committed < need && !r.closed {
-			r.gangCond.Wait()
-		}
-		r.stats.gangWaitNs.Add(uint64(time.Since(t0)))
-	}
-	if r.closed {
-		r.mu.Unlock()
-		r.spawnGang(pieces, body)
-		return
-	}
-	r.committed += need
-	r.stats.gangs.Add(1)
-	for p := 1; p < pieces; p++ {
-		r.gangQ.push(gangPiece{g: g, piece: p})
-	}
-	if r.sleeping > 0 {
-		r.cond.Broadcast()
-	}
-	r.mu.Unlock()
-
-	body(0)
-	g.pieceDone()
-	for spins := 0; g.remaining.Load() > 0; spins++ {
-		if spins < 64 {
-			runtime.Gosched()
-			continue
-		}
-		g.mu.Lock()
-		for g.remaining.Load() > 0 {
-			g.cond.Wait()
-		}
-		g.mu.Unlock()
-		break
-	}
-}
-
-// spawnGang is the goroutine-per-piece fallback for gangs wider than
-// the runtime (or after Close).
-func (r *Runtime) spawnGang(pieces int, body func(piece int)) {
-	r.stats.gangs.Add(1)
-	var wg sync.WaitGroup
-	wg.Add(pieces - 1)
-	for p := 1; p < pieces; p++ {
-		go func(p int) {
-			defer wg.Done()
-			body(p)
-		}(p)
-	}
-	body(0)
-	wg.Wait()
-}
-
-// ---------------------------------------------------------------------
 // Worker loop
 // ---------------------------------------------------------------------
 
-// step finds and executes one unit of work; false when none exists.
-// Gang pieces come first (they gate whole sweeps and hold reserved
-// capacity), then open loop regions (For/ForDynamic/Ranges).
+// step joins the first open region that still has unclaimed blocks
+// and runs claims there; false when none exists.
 func (r *Runtime) step() bool {
 	r.mu.Lock()
-	if gp, ok := r.gangQ.pop(); ok {
-		r.mu.Unlock()
-		gp.g.body(gp.piece)
-		r.mu.Lock()
-		r.committed--
-		r.mu.Unlock()
-		r.gangCond.Signal()
-		gp.g.pieceDone()
-		return true
-	}
 	for _, j := range r.jobs {
 		if j.claimableLocked() {
 			j.active.Add(1) // join under r.mu (see runJob)
@@ -559,9 +381,6 @@ func (r *Runtime) step() bool {
 
 // hasWorkLocked reports whether any work is visible (r.mu held).
 func (r *Runtime) hasWorkLocked() bool {
-	if !r.gangQ.empty() {
-		return true
-	}
 	for _, j := range r.jobs {
 		if j.claimableLocked() {
 			return true

@@ -23,26 +23,10 @@ func TestForCoversRangeOnce(t *testing.T) {
 	}
 }
 
-func TestForDynamicCoversRangeOnce(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	for _, chunk := range []int{1, 3, 64, 10000} {
-		n := 777
-		hits := make([]atomic.Int32, n)
-		r.ForDynamic(n, 4, chunk, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("chunk=%d: index %d hit %d times", chunk, i, hits[i].Load())
-			}
-		}
-	}
-}
-
 func TestForEmptyAndSmall(t *testing.T) {
 	r := New(4)
 	defer r.Close()
 	r.For(0, 4, func(int) { t.Error("body called for n=0") })
-	r.ForDynamic(0, 4, 1, func(int) { t.Error("body called for n=0") })
 	r.Ranges(0, 4, func(int, int, int) { t.Error("body called for n=0") })
 	ran := false
 	r.For(1, 8, func(i int) { ran = true })
@@ -119,94 +103,22 @@ func TestConcurrentRegionsShareRuntime(t *testing.T) {
 	}
 }
 
-// TestGangPiecesRunConcurrently proves the gang contract: every piece
-// spins until all pieces have arrived, which only terminates if all
-// of them are genuinely running at once.
-func TestGangPiecesRunConcurrently(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	for rep := 0; rep < 20; rep++ {
-		var arrived atomic.Int32
-		r.Gang(4, func(p int) {
-			arrived.Add(1)
-			for arrived.Load() < 4 {
-				runtime.Gosched()
-			}
-		})
-	}
-}
-
-// TestGangAdmissionSerializes runs more concurrent gangs than the
-// runtime can hold at once; admission control must queue them rather
-// than deadlock.
-func TestGangAdmissionSerializes(t *testing.T) {
-	r := New(2) // capacity for one 2-piece gang at a time
-	defer r.Close()
-	var wg sync.WaitGroup
-	var done atomic.Int32
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arrived atomic.Int32
-			r.Gang(2, func(p int) {
-				arrived.Add(1)
-				for arrived.Load() < 2 {
-					runtime.Gosched()
-				}
-			})
-			done.Add(1)
-		}()
-	}
-	wg.Wait()
-	if done.Load() != 4 {
-		t.Fatalf("completed %d of 4 gangs", done.Load())
-	}
-}
-
-func TestGangWiderThanRuntimeFallsBack(t *testing.T) {
-	r := New(1) // zero workers
-	defer r.Close()
-	var arrived atomic.Int32
-	r.Gang(4, func(p int) {
-		arrived.Add(1)
-		for arrived.Load() < 4 {
-			runtime.Gosched()
-		}
-	})
-	if arrived.Load() != 4 {
-		t.Fatalf("ran %d of 4 pieces", arrived.Load())
-	}
-}
-
 func TestMixedConstructsConcurrently(t *testing.T) {
 	r := New(4)
 	defer r.Close()
 	var wg sync.WaitGroup
 	var forTotal, rangesTotal atomic.Int64
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for rep := 0; rep < 30; rep++ {
-			r.ForDynamic(64, 4, 1, func(i int) { forTotal.Add(1) })
+			r.For(64, 4, func(i int) { forTotal.Add(1) })
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for rep := 0; rep < 30; rep++ {
 			r.Ranges(16, 4, func(piece, lo, hi int) { rangesTotal.Add(int64(hi - lo)) })
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for rep := 0; rep < 30; rep++ {
-			var arrived atomic.Int32
-			r.Gang(2, func(p int) {
-				arrived.Add(1)
-				for arrived.Load() < 2 {
-					runtime.Gosched()
-				}
-			})
 		}
 	}()
 	wg.Wait()
@@ -254,23 +166,15 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 }
 
 // TestClosedRuntimeDegrades: regions opened after Close must still
-// complete correctly (caller-driven, or spawn-fallback for gangs).
+// complete correctly, driven by the caller alone.
 func TestClosedRuntimeDegrades(t *testing.T) {
 	r := New(4)
 	r.Close()
 	var count atomic.Int64
 	r.For(100, 4, func(i int) { count.Add(1) })
-	r.ForDynamic(50, 4, 1, func(i int) { count.Add(1) })
-	var arrived atomic.Int32
-	r.Gang(3, func(p int) {
-		arrived.Add(1)
-		for arrived.Load() < 3 {
-			runtime.Gosched()
-		}
-	})
 	r.Ranges(20, 4, func(piece, lo, hi int) { count.Add(int64(hi - lo)) })
-	if count.Load() != 170 || arrived.Load() != 3 {
-		t.Fatalf("count=%d arrived=%d", count.Load(), arrived.Load())
+	if count.Load() != 120 {
+		t.Fatalf("count=%d", count.Load())
 	}
 }
 
@@ -282,8 +186,6 @@ func TestNoGoroutineGrowthWhenWarm(t *testing.T) {
 	defer r.Close()
 	warm := func() {
 		r.For(256, 4, func(i int) {})
-		r.ForDynamic(256, 4, 1, func(i int) {})
-		r.Gang(4, func(p int) {})
 		r.Ranges(256, 4, func(piece, lo, hi int) {})
 	}
 	warm()

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Stats is a snapshot of a Runtime's activity counters. It answers the capacity-planning questions a shared
-// pool raises: how many regions are being opened, how evenly chunks
-// spread (claim contention), how long gangs queue for admission
-// (GangWaitNs/Gangs), and how much park/wake churn the spin-then-park
+// Stats is a snapshot of a Runtime's activity counters. It answers
+// the capacity-planning questions a shared pool raises: how many
+// regions are being opened, how evenly chunks spread (claim
+// contention), and how much park/wake churn the spin-then-park
 // workers see when the pool runs near idle or near saturation.
 //
 // Counters are cumulative since the Runtime was created. For a
@@ -19,16 +19,15 @@ import (
 //	delta := rt.Stats().Sub(before)
 //
 // Collection is always on and cheap: every counted event is per
-// region or per gang, never per iteration, so the counters share one
+// region, never per iteration, so the counters share one
 // padded allocation written only by the goroutines opening regions
 // (workers write none), and the park-path counters are plain fields
 // bumped under r.mu. JSON tags make the
 // snapshot directly embeddable in the machine-readable bench records
 // (javelin-bench -json -stats).
 type Stats struct {
-	// Regions counts parallel loop regions executed
-	// (For/ForDynamic/Ranges calls with n > 0), including ones that
-	// ran inline on the caller.
+	// Regions counts parallel loop regions executed (For/Ranges calls
+	// with n > 0), including ones that ran inline on the caller.
 	Regions uint64 `json:"regions"`
 	// Chunks counts blocks claimed off region cursors and executed.
 	// Chunks/Regions is the average fan-out actually realized.
@@ -39,9 +38,10 @@ type Stats struct {
 	// compiling.
 	StealAttempts  uint64 `json:"steal_attempts"`
 	StealSuccesses uint64 `json:"steal_successes"`
-	// Gangs counts gang calls scheduled (admitted through capacity
-	// control or spawned via the fallback); GangWaitNs is the total
-	// time gang callers spent blocked in the admission queue.
+	// Gangs and GangWaitNs are always 0: the runtime has no gang
+	// construct (the upper factor stage runs level by level as claim
+	// loops). The fields remain only so existing readers of the
+	// snapshot keep compiling.
 	Gangs      uint64 `json:"gangs"`
 	GangWaitNs uint64 `json:"gang_wait_ns"`
 	// Parks counts worker transitions into the parked state (blocked
@@ -91,15 +91,13 @@ func (s Stats) String() string {
 }
 
 // laneStats holds the atomic counters of the callers' lane: the
-// goroutines that open regions and gangs. The padding rounds the struct to 128 bytes (two cache lines:
-// the adjacent-line prefetcher pulls pairs), so its own allocation
-// shares no line with any other object.
+// goroutines that open regions. The padding rounds the struct to 128
+// bytes (two cache lines: the adjacent-line prefetcher pulls pairs),
+// so its own allocation shares no line with any other object.
 type laneStats struct {
-	regions    atomic.Uint64
-	chunks     atomic.Uint64
-	gangs      atomic.Uint64
-	gangWaitNs atomic.Uint64
-	_          [96]byte
+	regions atomic.Uint64
+	chunks  atomic.Uint64
+	_       [112]byte
 }
 
 // Stats returns a snapshot of the counters plus the mutex-guarded
@@ -109,10 +107,8 @@ type laneStats struct {
 // before its chunks land in Chunks).
 func (r *Runtime) Stats() Stats {
 	s := Stats{
-		Regions:    r.stats.regions.Load(),
-		Chunks:     r.stats.chunks.Load(),
-		Gangs:      r.stats.gangs.Load(),
-		GangWaitNs: r.stats.gangWaitNs.Load(),
+		Regions: r.stats.regions.Load(),
+		Chunks:  r.stats.chunks.Load(),
 	}
 	r.mu.Lock()
 	s.Parks = r.pkParks

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 	"unsafe"
 )
 
@@ -34,27 +33,14 @@ func TestStatsCountsInlineRegions(t *testing.T) {
 	defer r.Close()
 	s0 := r.Stats()
 	r.For(100, 8, func(int) {})
-	r.ForDynamic(100, 8, 16, func(int) {})
 	r.Ranges(100, 4, func(int, int, int) {})
 	r.For(0, 8, func(int) {}) // empty: not a region
 	d := r.Stats().Sub(s0)
-	if d.Regions != 3 {
-		t.Fatalf("Regions = %d, want 3", d.Regions)
+	if d.Regions != 2 {
+		t.Fatalf("Regions = %d, want 2", d.Regions)
 	}
 	if d.Chunks == 0 {
 		t.Fatalf("Chunks = 0, want > 0")
-	}
-}
-
-func TestStatsCountsDynamicChunks(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	s0 := r.Stats()
-	// 1000 iterations in chunks of 10 → exactly 100 blocks claimed.
-	r.ForDynamic(1000, 4, 10, func(int) {})
-	d := r.Stats().Sub(s0)
-	if d.Chunks != 100 {
-		t.Fatalf("Chunks = %d, want 100", d.Chunks)
 	}
 }
 
@@ -74,84 +60,6 @@ func TestStatsRangesSkipsEmptyPiecesInChunks(t *testing.T) {
 		if d.Regions != 1 {
 			t.Fatalf("parallelism=%d: Regions = %d, want 1", par, d.Regions)
 		}
-	}
-}
-
-func TestStatsCountsGangsAndAdmissionWait(t *testing.T) {
-	r := New(3) // 2 workers: two 3-piece gangs cannot overlap
-	defer r.Close()
-	s0 := r.Stats()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var spin [3]int // per-call scratch; pieces own distinct slots
-			r.Gang(3, func(piece int) {
-				// Busy the gang long enough that admissions collide.
-				for i := 0; i < 10000; i++ {
-					spin[piece]++
-				}
-			})
-		}()
-	}
-	wg.Wait()
-	d := r.Stats().Sub(s0)
-	if d.Gangs != 4 {
-		t.Fatalf("Gangs = %d, want 4", d.Gangs)
-	}
-}
-
-func TestStatsMetersGangAdmissionWait(t *testing.T) {
-	r := New(3) // 2 workers: one 3-piece gang fills the pool
-	defer r.Close()
-	// Gang A occupies all capacity until released; gang B must queue
-	// for admission, and the queue time must land in GangWaitNs.
-	// Retry in case B's goroutine is slow to reach admission.
-	for attempt := 0; attempt < 5; attempt++ {
-		s0 := r.Stats()
-		release := make(chan struct{})
-		started := make(chan struct{}, 3)
-		aDone := make(chan struct{})
-		go func() {
-			r.Gang(3, func(int) {
-				started <- struct{}{}
-				<-release
-			})
-			close(aDone)
-		}()
-		for i := 0; i < 3; i++ {
-			<-started // A holds all workers committed
-		}
-		bEntered := make(chan struct{})
-		bDone := make(chan struct{})
-		go func() {
-			close(bEntered)
-			r.Gang(3, func(int) {})
-			close(bDone)
-		}()
-		<-bEntered
-		time.Sleep(30 * time.Millisecond) // let B reach the admission queue
-		close(release)
-		<-aDone
-		<-bDone
-		d := r.Stats().Sub(s0)
-		if d.GangWaitNs > 0 {
-			return // metered: B's queue time was recorded
-		}
-	}
-	t.Fatal("GangWaitNs stayed 0 across 5 forced admission waits")
-}
-
-func TestStatsCountsSpawnFallbackGangs(t *testing.T) {
-	r := New(2) // 1 worker: a 4-piece gang exceeds capacity
-	defer r.Close()
-	s0 := r.Stats()
-	r.Gang(4, func(int) {})
-	d := r.Stats().Sub(s0)
-	if d.Gangs != 1 {
-		t.Fatalf("Gangs = %d, want 1 (spawn fallback must count)", d.Gangs)
 	}
 }
 

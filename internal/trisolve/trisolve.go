@@ -1,7 +1,7 @@
 // Package trisolve provides sparse triangular solve (stri)
 // implementations outside the Javelin engine: the serial CSR solves
 // and the barrier-based level-set solver (CSR-LS) that Section VI
-// uses as its baseline. The engine's own p2p/tiled solves live in
+// uses as its baseline. The engine's own staged solves live in
 // internal/core; Fig. 12 compares all three.
 package trisolve
 
