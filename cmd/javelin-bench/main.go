@@ -5,47 +5,30 @@
 //
 //	javelin-bench -exp all -scale 0.05
 //	javelin-bench -exp fig10 -threads 1,2,4,8 -matrices wang3,scircuit
-//	javelin-bench -json -scale 0.02 -threads 1,2 > BENCH_now.json
-//	javelin-bench -json -stats -scale 0.02 -threads 1,2 -matrices wang3
-//	javelin-bench -compare BENCH_pr6.json -variant go-blocked -scale 0.02 -threads 1,2
-//	javelin-bench -json -variant go-blocked,avx2 > BENCH_paired.json
+//	javelin-bench -exp table1 -stats -scale 0.02 -matrices wang3
+//	javelin-bench -exp fig12 -variant go-blocked -scale 0.02
 //
 // Experiments: table1, table2, table3, table4, fig9, fig10, fig11,
 // fig12, fig13, all. Figures 10 and 11 are the same strong-scaling
 // experiment at different thread sweeps (the paper's Haswell and KNL
 // machines); here both sweep -threads.
 //
-// -json switches to machine-readable output: a JSON array of
-// {matrix, n, nnz, method, op, threads, ns_per_op} records covering
-// refactorization and preconditioner application across the thread
-// sweep — the format the repository's BENCH_*.json perf trajectory
-// files use.
-//
-// -compare re-measures with the current flags and prints per-record
-// new/old time ratios against a checked-in BENCH_*.json baseline
-// (either JSON shape). The exit status is nonzero when any matched
-// record runs slower than -threshold times its baseline, so the mode
-// can gate perf in CI; records only one side has are listed but never
-// fail the run.
-//
 // -stats runs every engine on one shared execution runtime (sized to
-// the widest thread count in the sweep) and reports its activity
-// counters — regions, chunk claims, park/wake churn — after the
-// experiments. In text mode the
-// counters print as a table; combined with -json they are emitted as
-// a "runtime_stats" object alongside the records.
+// the widest thread count in the sweep) and prints its activity
+// counters — regions, chunk claims, park/wake churn — as a table
+// after the experiments.
 //
 // -variant forces a numeric kernel table (kernels.Select before any
 // engine is constructed), overriding the build's CPU-detected
 // default — the A/B switch for comparing kernel variants on equal
-// terms. With -json it accepts a comma-separated list and runs the
-// whole suite once per table, so a single invocation produces paired
-// records distinguished by their "variant" field. -list-variants
-// prints the registered table names and exits.
+// terms. -list-variants prints the registered table names and exits.
+//
+// Performance claims about the library are measured with the
+// repository's benchmark module (benchmark/), which records repeat
+// spreads and the host; this command reproduces the paper's tables.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -67,17 +50,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("javelin-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment: table1|table2|table3|table4|fig9|fig10|fig11|fig12|fig13|all")
-		scale     = fs.Float64("scale", 0.05, "suite scale factor in (0,1]; 1.0 = paper-size matrices")
-		threads   = fs.String("threads", "", "comma-separated thread counts (default 1,2,4,...,GOMAXPROCS)")
-		repeats   = fs.Int("repeats", 3, "timing repetitions (best-of)")
-		matrices  = fs.String("matrices", "", "comma-separated Table-I names to include (default all)")
-		jsonOut   = fs.Bool("json", false, "emit machine-readable JSON records instead of tables")
-		stats     = fs.Bool("stats", false, "run on one shared runtime and report its activity counters")
-		compare   = fs.String("compare", "", "BENCH_*.json baseline: re-measure and print per-record new/old ratios")
-		threshold = fs.Float64("threshold", 1.5, "with -compare, exit nonzero when any ratio exceeds this")
-		variant   = fs.String("variant", "", "force a numeric kernel table; comma-separated list (with -json) runs the suite once per table")
-		listVar   = fs.Bool("list-variants", false, "print the registered kernel variant names, one per line, and exit")
+		exp      = fs.String("exp", "all", "experiment: table1|table2|table3|table4|fig9|fig10|fig11|fig12|fig13|all")
+		scale    = fs.Float64("scale", 0.05, "suite scale factor in (0,1]; 1.0 = paper-size matrices")
+		threads  = fs.String("threads", "", "comma-separated thread counts (default 1,2,4,...,GOMAXPROCS)")
+		repeats  = fs.Int("repeats", 3, "timing repetitions (best-of)")
+		matrices = fs.String("matrices", "", "comma-separated Table-I names to include (default all)")
+		stats    = fs.Bool("stats", false, "run on one shared runtime and report its activity counters")
+		variant  = fs.String("variant", "", "force a numeric kernel table by name")
+		listVar  = fs.Bool("list-variants", false, "print the registered kernel variant names, one per line, and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -90,29 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var variantNames []string
 	if *variant != "" {
-		for _, tok := range strings.Split(*variant, ",") {
-			name := strings.TrimSpace(tok)
-			// Validate every name up front: a typo must not surface
-			// only after the first table's suite already ran.
-			if _, err := kernels.Lookup(name); err != nil {
-				fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-				return 2
-			}
-			variantNames = append(variantNames, name)
-		}
-		if len(variantNames) > 1 && !*jsonOut {
-			fmt.Fprintf(stderr, "javelin-bench: multiple -variant names need -json (paired records)\n")
-			return 2
-		}
-		if len(variantNames) > 1 && (*stats || *compare != "") {
-			fmt.Fprintf(stderr, "javelin-bench: multiple -variant names cannot combine with -stats or -compare\n")
-			return 2
-		}
 		// Select before any engine construction: engines capture the
-		// active table at Factorize, so this decides every record.
-		if _, err := kernels.Select(variantNames[0]); err != nil {
+		// active table at Factorize, so this decides every timing.
+		if _, err := kernels.Select(*variant); err != nil {
 			fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
 			return 2
 		}
@@ -153,62 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rt = exec.New(width)
 		defer rt.Close()
 		cfg.Runtime = rt
-		cfg.Stats = true
-	}
-
-	if *compare != "" {
-		data, err := os.ReadFile(*compare)
-		if err != nil {
-			fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-			return 2
-		}
-		old, err := bench.LoadRecords(data)
-		if err != nil {
-			fmt.Fprintf(stderr, "javelin-bench: %s: %v\n", *compare, err)
-			return 2
-		}
-		recs, err := bench.CollectRecords(cfg)
-		if err != nil {
-			fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-			return 1
-		}
-		pairs, onlyOld, onlyNew := bench.CompareRecords(old, recs)
-		if bench.PrintComparison(stdout, pairs, onlyOld, onlyNew, *threshold) > 0 {
-			return 1
-		}
-		return 0
-	}
-
-	if *jsonOut {
-		if len(variantNames) > 1 {
-			// Paired A/B records: the suite once per forced table, all
-			// records in one array, distinguished by "variant".
-			var all []bench.Record
-			for _, name := range variantNames {
-				if _, err := kernels.Select(name); err != nil {
-					fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-					return 1
-				}
-				recs, err := bench.CollectRecords(cfg)
-				if err != nil {
-					fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-					return 1
-				}
-				all = append(all, recs...)
-			}
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(all); err != nil {
-				fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		if err := bench.RunJSON(cfg); err != nil {
-			fmt.Fprintf(stderr, "javelin-bench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	runExp := func(name string) int {

@@ -243,14 +243,16 @@
 // # Numeric kernels & dispatch
 //
 // Every numeric inner loop — dot products and norms, axpy/scale
-// vector updates, CSR row-range SpMV, the gather and chained-subtract
-// row kernels of the triangular substitutions, and the dense-panel
-// update behind ApplyBatch — lives in one internal kernel table,
-// selected once at process init and captured per engine at
+// vector updates, CSR row-range SpMV (every Krylov matvec, at every
+// thread count), the row-range forward and backward substitutions
+// (whole sweeps, or single rows for the CSR-LS baseline), and the
+// dense-panel update behind ApplyBatch — lives in one internal kernel
+// table, selected once at process init and captured per engine at
 // factorization, so a binary reports exactly which variant produced
 // its numbers: javelin-info prints it (with the detected CPU features
-// and the asm-backed slots), and javelin-bench -json stamps each
-// record with a "variant" field.
+// and the asm-backed slots), and so does the repository benchmark's
+// host stamp. Matrix.MatVec keeps a plain Go loop outside the table,
+// as the independent reference the kernels are checked against.
 //
 // Selection order: -tags purego always forces "go-reference" (the
 // textbook loops, zero assembly linked); otherwise on amd64 runtime
@@ -261,8 +263,7 @@
 // bounds-check-eliminated pure Go. A table whose instructions the
 // machine cannot execute is never registered at all. To A/B variants
 // on equal terms, javelin-bench -variant forces a table before any
-// engine exists ("-variant go-blocked,avx2" with -json emits paired
-// records from one run).
+// engine exists.
 //
 // All variants are bitwise-identical by contract — every variant
 // keeps one chained accumulator in the reference summation order, and
@@ -312,8 +313,7 @@
 // always 0, since the runtime has no work-stealing scheduler, and so
 // are Gangs/GangWaitNs, since it has no gang construct. The
 // javelin-info and javelin-bench tools print the same counters under
-// a -stats flag (javelin-bench -json -stats emits them as a
-// "runtime_stats" JSON object alongside the bench records).
+// a -stats flag.
 //
 // # Static analysis & enforced invariants
 //

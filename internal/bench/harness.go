@@ -42,10 +42,6 @@ type Config struct {
 	// run's scheduler activity — the counters behind the tools'
 	// -stats flag.
 	Runtime *exec.Runtime
-	// Stats adds the shared runtime's counter snapshot to
-	// machine-readable output (RunJSON emits a "runtime_stats" object
-	// alongside the records). Requires Runtime to be set.
-	Stats bool
 }
 
 // EngineOptions returns the paper-default engine configuration at the

@@ -80,10 +80,6 @@ type Options struct {
 	// TileSize is the SR tile granularity in nonzeros; 0 means the
 	// default (512).
 	TileSize int
-	// SerialCorner forces the final corner block to be factored
-	// serially even under SR (ER always uses a serial corner, which
-	// the paper found "good enough").
-	SerialCorner bool
 	// AllowPatternMismatch makes Refactorize silently ignore entries
 	// of the new matrix that fall outside the factorized pattern
 	// instead of failing with ErrPatternMismatch. The documented use

@@ -18,11 +18,11 @@ type tileRange struct {
 // srLevel groups the lower-stage entries whose columns belong to one
 // upper level — the subblock L_{k,i} of paper Fig. 5. Each lower row
 // contributes at most one span per level, so spans are row-disjoint
-// within a level and UPDATE tiles never race.
+// within a level and UPDATE tiles never race. DIVIDE and UPDATE run
+// over the same tiles.
 type srLevel struct {
-	spans    []rowSpan
-	divTiles []tileRange
-	updTiles []tileRange
+	spans []rowSpan
+	tiles []tileRange
 }
 
 // lowerPlan holds the second-stage structures shared by factorization
@@ -89,9 +89,7 @@ func (e *Engine) buildLowerPlan() error {
 	}
 	for li := range lp.srLevels {
 		lvl := &lp.srLevels[li]
-		tiles := makeTiles(lvl.spans, e.opt.TileSize)
-		lvl.divTiles = tiles
-		lvl.updTiles = tiles
+		lvl.tiles = makeTiles(lvl.spans, e.opt.TileSize)
 	}
 	return nil
 }

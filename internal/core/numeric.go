@@ -317,8 +317,8 @@ func (b *build) eliminateUpperPivots(ln *lane, i int) {
 // (guaranteed by the lower(A+Aᵀ) level order), so each level is
 // processed as DIVIDE tiles followed by row-partitioned UPDATE tiles,
 // each a chunk-1 loop on the runtime, and finally the corner is
-// factored level-group by level-group (or serially under
-// Options.SerialCorner).
+// factored level-group by level-group (serially when the cutoff finds
+// it too small to dispatch).
 func (b *build) factorLowerSR() error {
 	e := b.e
 	lp := e.lower
@@ -333,11 +333,11 @@ func (b *build) factorLowerSR() error {
 		if len(b.lvl.spans) == 0 {
 			continue
 		}
-		b.forEach(par, len(b.lvl.divTiles), (*build).divideTile)
+		b.forEach(par, len(b.lvl.tiles), (*build).divideTile)
 		if err := b.firstErr(); err != nil {
 			return err
 		}
-		b.forEach(par, len(b.lvl.updTiles), (*build).updateTile)
+		b.forEach(par, len(b.lvl.tiles), (*build).updateTile)
 	}
 	return b.factorCorner()
 }
@@ -346,7 +346,7 @@ func (b *build) factorLowerSR() error {
 // val[k] /= U[j,j] for each entry.
 func (b *build) divideTile(_ *lane, i int) {
 	e := b.e
-	t := b.lvl.divTiles[i]
+	t := b.lvl.tiles[i]
 	for _, sp := range b.lvl.spans[t.lo:t.hi] {
 		for k := sp.kLo; k < sp.kHi; k++ {
 			j := e.factor.LU.ColIdx[k]
@@ -365,7 +365,7 @@ func (b *build) divideTile(_ *lane, i int) {
 // row. Spans are row-disjoint, so tiles can run concurrently.
 func (b *build) updateTile(ln *lane, i int) {
 	e := b.e
-	t := b.lvl.updTiles[i]
+	t := b.lvl.tiles[i]
 	for _, sp := range b.lvl.spans[t.lo:t.hi] {
 		comp, _ := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, false)
 		if e.opt.Modified {
@@ -377,14 +377,14 @@ func (b *build) updateTile(ln *lane, i int) {
 // factorCorner factors the trailing (lower × lower) block. Rows are
 // grouped by their original level; rows within a group are mutually
 // independent under the lower(A+Aᵀ) order, so each group is a chunk-1
-// loop with a barrier between groups — unless SerialCorner.
+// loop with a barrier between groups.
 func (b *build) factorCorner() error {
 	e := b.e
 	nUp, n := e.split.NUpper, e.n
 	// Serial ascending order equals groups-ascending with independent
 	// rows inside each group, so the cutoff's serial route is bitwise
 	// identical to the group-parallel one.
-	if e.opt.SerialCorner || e.split.NumLowerLevels() <= 1 && n-nUp <= 64 ||
+	if e.split.NumLowerLevels() <= 1 && n-nUp <= 64 ||
 		!e.rt.ParallelWorth(e.lowerOps) {
 		return b.serialCorner()
 	}

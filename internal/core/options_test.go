@@ -88,29 +88,6 @@ func TestSRTileSizeDoesNotChangeValues(t *testing.T) {
 	}
 }
 
-func TestSerialCornerOptionMatches(t *testing.T) {
-	a := gen.TetraMesh(7, 7, 7, 44)
-	optA := DefaultOptions()
-	optA.Lower = LowerSR
-	optA.Threads = 4
-	optA.Split.MinRowsPerLevel = 16
-	e1, err := Factorize(a, optA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e1.Close()
-	optB := optA
-	optB.SerialCorner = true
-	e2, err := Factorize(a, optB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	if d := maxFactorDiff(e1.Factor(), e2.Factor()); d != 0 {
-		t.Errorf("SerialCorner changed values by %g", d)
-	}
-}
-
 func TestAutoSelectionRules(t *testing.T) {
 	// Many excluded rows → ER; few → SR; none → LS.
 	aMany := gen.GridLaplacian(300, 5, 1, gen.Star5, 1) // long thin: many small levels

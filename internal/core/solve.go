@@ -52,8 +52,8 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 		return
 	}
 	// Lower stage, part 1: subtract the L(lower, upper)·x contribution
-	// span by span. Spans are ~3 elements, so the gather is open-coded
-	// (the same ascending-index chained sum the Gather contract pins).
+	// span by span. Spans are ~3 elements, so the row sum is open-coded
+	// (the same ascending-index chained sum SpMVRows pins).
 	cols := lu.ColIdx
 	for _, sp := range e.lower.solveSpans {
 		s := 0.0

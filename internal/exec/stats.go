@@ -22,9 +22,8 @@ import (
 // region, never per iteration, so the counters share one
 // padded allocation written only by the goroutines opening regions
 // (workers write none), and the park-path counters are plain fields
-// bumped under r.mu. JSON tags make the
-// snapshot directly embeddable in the machine-readable bench records
-// (javelin-bench -json -stats).
+// bumped under r.mu. JSON tags give the snapshot stable snake_case
+// names when an embedder marshals it (javelin.RuntimeStats).
 type Stats struct {
 	// Regions counts parallel loop regions executed (For/Ranges calls
 	// with n > 0), including ones that ran inline on the caller.

@@ -10,31 +10,29 @@ import "javelin/internal/cpuid"
 // (not merely unselected) on machines that would fault executing it.
 //
 // Slot policy: the elementwise kernels (Axpy, Scale, PanelUpdate)
-// vectorize fully; the ordered-reduction kernels (Gather, SubGather,
-// SpMVRows, TriLower, TriUpper) vectorize their independent
-// multiplies and keep the scalar accumulator chain, so they remain
-// bitwise identical to go-blocked but stay latency-bound on the
-// chain. Dot, SumSq and the permutation copies keep the go-blocked
-// bodies: a chained-accumulator dot gains nothing from asm, and the
-// permutation copies are pure load/store that the Go compiler already
-// emits optimally. Slots are plain function values, so mixing Go and
-// asm bodies in one table is the intended composition.
+// vectorize fully; the row-range reductions (SpMVRows, TriLower,
+// TriUpper) vectorize their independent multiplies and keep the
+// scalar accumulator chain, so they remain bitwise identical to
+// go-blocked but stay latency-bound on the chain. Dot, SumSq and the
+// permutation copies keep the go-blocked bodies: a chained-accumulator
+// dot gains nothing from asm, and the permutation copies are pure
+// load/store that the Go compiler already emits optimally. Slots are
+// plain function values, so mixing Go and asm bodies in one table is
+// the intended composition.
 var avx2Table = &Table{
 	Name:        "avx2",
 	Dot:         dotBlocked,
 	SumSq:       sumSqBlocked,
 	Axpy:        axpyAVX2,
 	Scale:       scaleAVX2,
-	Gather:      gatherAVX2,
-	SubGather:   subGatherAVX2,
 	SpMVRows:    spmvRowsAVX2,
 	PanelUpdate: panelUpdateAVX2,
 	TriLower:    triLowerAVX2,
 	TriUpper:    triUpperAVX2,
 	GatherPerm:  gatherPermBlocked,
 	ScatterPerm: scatterPermBlocked,
-	AsmSlots: []string{"Axpy", "Scale", "Gather", "SubGather",
-		"SpMVRows", "PanelUpdate", "TriLower", "TriUpper"},
+	AsmSlots: []string{"Axpy", "Scale", "SpMVRows", "PanelUpdate",
+		"TriLower", "TriUpper"},
 }
 
 // archTables contributes the feature-gated tables to the registry.
@@ -55,12 +53,6 @@ func axpyAVX2(alpha float64, x, y []float64)
 
 //go:noescape
 func scaleAVX2(alpha float64, x []float64)
-
-//go:noescape
-func gatherAVX2(vals []float64, cols []int, x []float64) float64
-
-//go:noescape
-func subGatherAVX2(s float64, vals []float64, cols []int, x []float64) float64
 
 //go:noescape
 func spmvRowsAVX2(rowPtr, colIdx []int, vals, x, y []float64, lo, hi int)

@@ -7,7 +7,7 @@
 //   - Elementwise kernels (axpy, scale, panel update) vectorize
 //     freely: each output element is one mul and one add/sub, the
 //     same rounding steps as the Go bodies in any lane arrangement.
-//   - Reduction kernels (gather, the trisolve row bodies) vectorize
+//   - Reduction kernels (the spmv and trisolve row bodies) vectorize
 //     only the independent multiplies: four products are formed in
 //     YMM lanes, then folded into the accumulator with four *scalar*
 //     chained VADDSD/VSUBSD in ascending index order — exactly the
@@ -18,11 +18,11 @@
 // the upper YMM state never mixes with legacy SSE, and every routine
 // ends with VZEROUPPER before returning to Go code.
 //
-// Exit-path audit: each of the 8 TEXT blocks has exactly one RET,
+// Exit-path audit: each of the 6 TEXT blocks has exactly one RET,
 // reached by every early-out jump through the block's single epilogue,
-// and each RET is immediately preceded by VZEROUPPER — 8 of each, 1:1.
-// (A naive `grep -c VZEROUPPER` reports 9 because the mention in this
-// header counts too; the asmvet analyzer strips comments before
+// and each RET is immediately preceded by VZEROUPPER — 6 of each, 1:1.
+// (A naive `grep -c VZEROUPPER` reports more, because the mentions in
+// this header count too; the asmvet analyzer strips comments before
 // matching.) Both this pairing and the no-FMA rule above are enforced
 // by `javelin-vet` (internal/analyzers: asmvet), which blocks CI on
 // any RET in an AVX-bodied TEXT block that is not preceded by
@@ -207,114 +207,13 @@ pdone:
 	VZEROUPPER
 	RET
 
-// func gatherAVX2(vals []float64, cols []int, x []float64) float64
-// Returns 0 + vals[0]*x[cols[0]] + vals[1]*x[cols[1]] + … as a single
-// chained accumulation in ascending index order. Blocks of four form
-// their products in YMM lanes (independent — safe to vectorize), then
-// fold into the accumulator with four scalar adds in reference order.
-TEXT ·gatherAVX2(SB), NOSPLIT, $0-80
-	MOVQ   vals_base+0(FP), R8
-	MOVQ   cols_base+24(FP), R9
-	MOVQ   cols_len+32(FP), CX
-	MOVQ   x_base+48(FP), R10
-	VXORPD X0, X0, X0
-	XORQ   AX, AX
-
-g4:
-	MOVQ         CX, DX
-	SUBQ         AX, DX
-	CMPQ         DX, $4
-	JLT          gtail
-	MOVQ         (R9)(AX*8), DX
-	MOVQ         8(R9)(AX*8), R12
-	VMOVSD       (R10)(DX*8), X1
-	VMOVHPD      (R10)(R12*8), X1, X1
-	MOVQ         16(R9)(AX*8), DX
-	MOVQ         24(R9)(AX*8), R12
-	VMOVSD       (R10)(DX*8), X2
-	VMOVHPD      (R10)(R12*8), X2, X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       (R8)(AX*8), Y1, Y1 // p0..p3 = vals*x, order-free
-	VADDSD       X1, X0, X0         // s += p0
-	VPERMILPD    $1, X1, X3
-	VADDSD       X3, X0, X0         // s += p1
-	VEXTRACTF128 $1, Y1, X2
-	VADDSD       X2, X0, X0         // s += p2
-	VPERMILPD    $1, X2, X3
-	VADDSD       X3, X0, X0         // s += p3
-	ADDQ         $4, AX
-	JMP          g4
-
-gtail:
-	CMPQ   AX, CX
-	JGE    gdone
-	MOVQ   (R9)(AX*8), DX
-	VMOVSD (R10)(DX*8), X1
-	VMULSD (R8)(AX*8), X1, X1
-	VADDSD X1, X0, X0
-	INCQ   AX
-	JMP    gtail
-
-gdone:
-	VMOVSD X0, ret+72(FP)
-	VZEROUPPER
-	RET
-
-// func subGatherAVX2(s float64, vals []float64, cols []int, x []float64) float64
-// The triangular-substitution row body: the same block structure as
-// gatherAVX2 but a SUBTRACTION chain from the incoming s —
-// ((s − p0) − p1) − …, never s − (p0+p1+…).
-TEXT ·subGatherAVX2(SB), NOSPLIT, $0-88
-	MOVQ   vals_base+8(FP), R8
-	MOVQ   cols_base+32(FP), R9
-	MOVQ   cols_len+40(FP), CX
-	MOVQ   x_base+56(FP), R10
-	VMOVSD s+0(FP), X0
-	XORQ   AX, AX
-
-sg4:
-	MOVQ         CX, DX
-	SUBQ         AX, DX
-	CMPQ         DX, $4
-	JLT          sgtail
-	MOVQ         (R9)(AX*8), DX
-	MOVQ         8(R9)(AX*8), R12
-	VMOVSD       (R10)(DX*8), X1
-	VMOVHPD      (R10)(R12*8), X1, X1
-	MOVQ         16(R9)(AX*8), DX
-	MOVQ         24(R9)(AX*8), R12
-	VMOVSD       (R10)(DX*8), X2
-	VMOVHPD      (R10)(R12*8), X2, X2
-	VINSERTF128  $1, X2, Y1, Y1
-	VMULPD       (R8)(AX*8), Y1, Y1
-	VSUBSD       X1, X0, X0
-	VPERMILPD    $1, X1, X3
-	VSUBSD       X3, X0, X0
-	VEXTRACTF128 $1, Y1, X2
-	VSUBSD       X2, X0, X0
-	VPERMILPD    $1, X2, X3
-	VSUBSD       X3, X0, X0
-	ADDQ         $4, AX
-	JMP          sg4
-
-sgtail:
-	CMPQ   AX, CX
-	JGE    sgdone
-	MOVQ   (R9)(AX*8), DX
-	VMOVSD (R10)(DX*8), X1
-	VMULSD (R8)(AX*8), X1, X1
-	VSUBSD X1, X0, X0
-	INCQ   AX
-	JMP    sgtail
-
-sgdone:
-	VMOVSD X0, ret+80(FP)
-	VZEROUPPER
-	RET
-
 // func spmvRowsAVX2(rowPtr, colIdx []int, vals, x, y []float64, lo, hi int)
-// y[i] = gather(row i) for i in [lo,hi); the row loop lives in asm so
-// short rows do not pay a Go→asm call each.
+// y[i] = Σ vals[k]*x[colIdx[k]] over row i, for i in [lo,hi): a single
+// chained accumulation per row in ascending index order. Blocks of
+// four form their products in YMM lanes (independent — safe to
+// vectorize), then fold into the accumulator with four scalar adds in
+// reference order. The row loop lives in asm so short rows do not pay
+// a Go→asm call each.
 TEXT ·spmvRowsAVX2(SB), NOSPLIT, $0-136
 	MOVQ rowPtr_base+0(FP), R8
 	MOVQ colIdx_base+24(FP), R9

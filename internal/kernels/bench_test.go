@@ -137,18 +137,3 @@ func BenchmarkTriLowerSweep(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkGatherRow32(b *testing.B) {
-	const n = 4096
-	rng := rand.New(rand.NewSource(13))
-	rowPtr, colIdx, vals := benchCSR(rng, n, 32)
-	x := benchVec(n)
-	lo, hi := rowPtr[n-1], rowPtr[n]
-	benchVariants(b, func(b *testing.B, tb *kernels.Table) {
-		var s float64
-		for i := 0; i < b.N; i++ {
-			s += tb.Gather(vals[lo:hi], colIdx[lo:hi], x)
-		}
-		_ = s
-	})
-}

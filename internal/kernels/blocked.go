@@ -21,8 +21,6 @@ var blockedTable = &Table{
 	SumSq:       sumSqBlocked,
 	Axpy:        axpyBlocked,
 	Scale:       scaleBlocked,
-	Gather:      gatherBlocked,
-	SubGather:   subGatherBlocked,
 	SpMVRows:    spmvRowsBlocked,
 	PanelUpdate: panelUpdateBlocked,
 	TriLower:    triLowerBlocked,
@@ -103,6 +101,9 @@ func scaleBlocked(alpha float64, x []float64) {
 	}
 }
 
+// gatherBlocked is the row body of spmvRowsBlocked: one chained
+// accumulator over the row's entries in index order.
+//
 //javelin:noalloc
 func gatherBlocked(vals []float64, cols []int, x []float64) float64 {
 	n := len(cols)
@@ -123,34 +124,13 @@ func gatherBlocked(vals []float64, cols []int, x []float64) float64 {
 	return s
 }
 
-// subGatherBlocked is the triangular-substitution row kernel: a
-// CHAIN of subtractions, s = ((s − v₀·x₀) − v₁·x₁) − …, never the
-// subtraction of a gathered sum — (s−a)−b and s−(a+b) round
+// triLowerBlocked and triUpperBlocked are the triangular-substitution
+// row kernels: a CHAIN of subtractions, s = ((s − v₀·x₀) − v₁·x₁) − …,
+// never the subtraction of a gathered sum — (s−a)−b and s−(a+b) round
 // differently, and every solver trajectory is pinned to the former.
-//
-//javelin:noalloc
-func subGatherBlocked(s float64, vals []float64, cols []int, x []float64) float64 {
-	n := len(cols)
-	vals = vals[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		c4 := cols[i : i+4 : i+4]
-		v4 := vals[i : i+4 : i+4]
-		s -= v4[0] * x[c4[0]]
-		s -= v4[1] * x[c4[1]]
-		s -= v4[2] * x[c4[2]]
-		s -= v4[3] * x[c4[3]]
-	}
-	for ; i < n; i++ {
-		s -= vals[i] * x[cols[i]]
-	}
-	return s
-}
-
-// triLowerBlocked and triUpperBlocked carry the unrolled subtraction
-// chain inline rather than calling subGatherBlocked per row: factor
-// rows average a handful of nonzeros, so even a direct (non-inlinable)
-// call per row is measurable against the sweep itself.
+// The unrolled chain sits inline in the row loop: factor rows average
+// a handful of nonzeros, so even a direct (non-inlinable) call per row
+// is measurable against the sweep itself.
 //
 //javelin:noalloc
 func triLowerBlocked(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int) {

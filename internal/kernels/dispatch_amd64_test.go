@@ -49,7 +49,6 @@ func TestArchTablesFeatureGated(t *testing.T) {
 	for name, fn := range map[string]bool{
 		"Dot": tb.Dot != nil, "SumSq": tb.SumSq != nil,
 		"Axpy": tb.Axpy != nil, "Scale": tb.Scale != nil,
-		"Gather": tb.Gather != nil, "SubGather": tb.SubGather != nil,
 		"SpMVRows": tb.SpMVRows != nil, "PanelUpdate": tb.PanelUpdate != nil,
 		"TriLower": tb.TriLower != nil, "TriUpper": tb.TriUpper != nil,
 		"GatherPerm": tb.GatherPerm != nil, "ScatterPerm": tb.ScatterPerm != nil,

@@ -1,10 +1,14 @@
 // Package kernels is the single home of Javelin's numeric inner
 // loops: the vector primitives (dot, sum-of-squares, axpy, scale),
-// the sparse row primitives (gather, CSR SpMV over row ranges), and
-// the dense-panel micro-kernel behind the packed n×k batched solves.
-// Every consumer — spmv, trisolve, krylov's reductions, the engine's
-// triangular sweeps — dispatches through the table selected here
-// instead of open-coding its own per-element loop.
+// the sparse row-range kernels (CSR SpMV, forward and backward
+// substitution), the permutation copies, and the dense-panel
+// micro-kernel behind the packed n×k batched solves. Every consumer —
+// spmv (and through it every Krylov matvec), trisolve, krylov's
+// reductions, the engine's triangular sweeps — dispatches through the
+// table selected here instead of open-coding its own per-element
+// loop. The plain loop in sparse.CSR.MatVec stays outside on purpose:
+// it is the independent check the tests and the benchmark's residual
+// hold these kernels to.
 //
 // # Variants and dispatch
 //
@@ -30,7 +34,8 @@
 //
 // All variants of a kernel must be bitwise equivalent: same inputs,
 // same float64 bits out, pinned by cross-variant fuzz tests. For the
-// reduction kernels (Dot, SumSq, Gather) this means every variant
+// reduction kernels (Dot, SumSq, and the row sums of SpMVRows,
+// TriLower and TriUpper) this means every variant
 // performs the additions in exactly the reference's ascending index
 // order with a single chained accumulator — unrolling buys dropped
 // bounds checks and independent loads, NOT reassociation. The
@@ -70,27 +75,12 @@ func Axpy(alpha float64, x, y []float64) { active.Axpy(alpha, x, y) }
 // Scale computes x[i] *= alpha.
 func Scale(alpha float64, x []float64) { active.Scale(alpha, x) }
 
-// Gather returns Σ vals[i]·x[cols[i]] accumulated in index order —
-// the sparse row kernel shared by SpMV and the triangular sweeps
-// (with vals the factor-value slice of the pinned epoch, per the PR 5
-// explicit-vals signature style). len(vals) must equal len(cols).
-func Gather(vals []float64, cols []int, x []float64) float64 {
-	return active.Gather(vals, cols, x)
-}
-
-// SubGather returns s − vals[0]·x[cols[0]] − vals[1]·x[cols[1]] − …
-// as a CHAIN of subtractions in index order — the triangular
-// substitution row kernel. It is deliberately distinct from
-// s − Gather(...): (s−a)−b and s−(a+b) round differently, and the
-// solvers' trajectories are pinned to the chained form.
-func SubGather(s float64, vals []float64, cols []int, x []float64) float64 {
-	return active.SubGather(s, vals, cols, x)
-}
-
 // SpMVRows computes y[i] = Σ vals[k]·x[colIdx[k]] over each row i in
-// [lo, hi) of a CSR matrix — one call per contiguous row block, so a
-// parallel SpMV costs one dispatch per block instead of one closure
-// call per row.
+// [lo, hi) of a CSR matrix, each sum accumulated in index order — one
+// call per contiguous row block, so a parallel SpMV costs one
+// dispatch per block instead of one closure call per row. vals is
+// indexed by the pattern, so a pinned epoch's buffer can stand in for
+// the matrix's own values.
 func SpMVRows(rowPtr, colIdx []int, vals, x, y []float64, lo, hi int) {
 	active.SpMVRows(rowPtr, colIdx, vals, x, y, lo, hi)
 }
@@ -104,17 +94,20 @@ func PanelUpdate(xb []float64, k int, xr []float64, vals []float64, colIdx []int
 }
 
 // TriLower performs forward substitution in place over rows [lo, hi)
-// ascending: x[r] -= Σ vals[k]·x[colIdx[k]] for k in [rowPtr[r],
-// diagPos[r]), each row a SubGather chain. The whole sweep is one
-// dispatch — factor rows are short, so per-row dispatch would rival
-// the arithmetic.
+// ascending: x[r] = ((x[r] − v₀·x₀) − v₁·x₁) − … over k in
+// [rowPtr[r], diagPos[r]), a CHAIN of subtractions in index order.
+// It is deliberately not x[r] minus a gathered sum: (s−a)−b and
+// s−(a+b) round differently, and the solvers' trajectories are pinned
+// to the chained form. The whole sweep is one dispatch — factor rows
+// are short, so per-row dispatch would rival the arithmetic.
 func TriLower(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int) {
 	active.TriLower(rowPtr, diagPos, colIdx, vals, x, lo, hi)
 }
 
 // TriUpper performs backward substitution in place over rows [lo, hi)
 // descending: x[r] = (x[r] − Σ super-diagonal vals·x) / vals[diagPos[r]],
-// each row a SubGather chain followed by the diagonal division.
+// each row the same subtraction chain as TriLower followed by the
+// diagonal division.
 func TriUpper(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int) {
 	active.TriUpper(rowPtr, diagPos, colIdx, vals, x, lo, hi)
 }

@@ -176,20 +176,6 @@ func TestCrossVariantBitwise(t *testing.T) {
 				m := n + 1
 				rowPtr, colIdx, vals := randCSRRows(rng, n, m, 9)
 				xv := randVecOff(rng, m, off)
-				for r := 0; r < n; r++ {
-					lo, hi := rowPtr[r], rowPtr[r+1]
-					a := ref.Gather(vals[lo:hi], colIdx[lo:hi], xv)
-					b := tb.Gather(vals[lo:hi], colIdx[lo:hi], xv)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("%s Gather row=%d: %x vs %x", name, r, a, b)
-					}
-					s0 := rng.NormFloat64()
-					a = ref.SubGather(s0, vals[lo:hi], colIdx[lo:hi], xv)
-					b = tb.SubGather(s0, vals[lo:hi], colIdx[lo:hi], xv)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("%s SubGather row=%d: %x vs %x", name, r, a, b)
-					}
-				}
 				yra := make([]float64, n)
 				yrb := make([]float64, n)
 				ref.SpMVRows(rowPtr, colIdx, vals, xv, yra, 0, n)
@@ -272,6 +258,28 @@ func TestCrossVariantTriSweeps(t *testing.T) {
 					ref.TriUpper(rowPtr, diagPos, colIdx, vals, xa, lo, hi)
 					tb.TriUpper(rowPtr, diagPos, colIdx, vals, xb, lo, hi)
 					requireSame(t, name+" TriUpper", xa, xb)
+
+					// Single rows [r, r+1) in sweep order, the call
+					// shape of the CSR-LS baseline, give the whole
+					// sweep's bits under both tables.
+					copy(xa, x0)
+					ref.TriLower(rowPtr, diagPos, colIdx, vals, xa, 0, n)
+					for _, v := range pair {
+						copy(xb, x0)
+						for r := 0; r < n; r++ {
+							v.TriLower(rowPtr, diagPos, colIdx, vals, xb, r, r+1)
+						}
+						requireSame(t, name+" "+v.Name+" TriLower rows", xa, xb)
+					}
+					copy(xa, x0)
+					ref.TriUpper(rowPtr, diagPos, colIdx, vals, xa, 0, n)
+					for _, v := range pair {
+						copy(xb, x0)
+						for r := n - 1; r >= 0; r-- {
+							v.TriUpper(rowPtr, diagPos, colIdx, vals, xb, r, r+1)
+						}
+						requireSame(t, name+" "+v.Name+" TriUpper rows", xa, xb)
+					}
 				}
 			}
 		}

@@ -11,8 +11,6 @@ var referenceTable = &Table{
 	SumSq:       sumSqRef,
 	Axpy:        axpyRef,
 	Scale:       scaleRef,
-	Gather:      gatherRef,
-	SubGather:   subGatherRef,
 	SpMVRows:    spmvRowsRef,
 	PanelUpdate: panelUpdateRef,
 	TriLower:    triLowerRef,
@@ -47,21 +45,6 @@ func scaleRef(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-func gatherRef(vals []float64, cols []int, x []float64) float64 {
-	s := 0.0
-	for i, c := range cols {
-		s += vals[i] * x[c]
-	}
-	return s
-}
-
-func subGatherRef(s float64, vals []float64, cols []int, x []float64) float64 {
-	for i, c := range cols {
-		s -= vals[i] * x[c]
-	}
-	return s
 }
 
 func spmvRowsRef(rowPtr, colIdx []int, vals, x, y []float64, lo, hi int) {

@@ -16,8 +16,6 @@ type Table struct {
 	SumSq       func(x []float64) float64
 	Axpy        func(alpha float64, x, y []float64)
 	Scale       func(alpha float64, x []float64)
-	Gather      func(vals []float64, cols []int, x []float64) float64
-	SubGather   func(s float64, vals []float64, cols []int, x []float64) float64
 	SpMVRows    func(rowPtr, colIdx []int, vals, x, y []float64, lo, hi int)
 	PanelUpdate func(xb []float64, k int, xr []float64, vals []float64, colIdx []int, lo, hi int)
 	// TriLower / TriUpper are whole-sweep substitution kernels over a
@@ -27,7 +25,8 @@ type Table struct {
 	// by the diagonal). They exist so the serial substitution paths —
 	// the hottest loops in a preconditioner application — pay one
 	// dispatch per sweep instead of one per (often 3–8 element) row.
-	// Each row is the same subtraction chain as SubGather.
+	// Each row is one subtraction chain in index order, so a sweep
+	// cut into single-row calls [r, r+1) gives the same bits.
 	TriLower func(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int)
 	TriUpper func(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int)
 	// GatherPerm / ScatterPerm are the permutation copies wrapped
@@ -68,7 +67,7 @@ func Variants() []string {
 }
 
 // Variant returns the active variant's name — the value javelin-info
-// and javelin-bench report.
+// and the repository benchmark's host stamp report.
 func Variant() string { return active.Name }
 
 // Active returns the active kernel table. Constructors that want a

@@ -47,14 +47,16 @@ type Stats struct {
 // Work, when non-nil, supplies reusable storage so the solve performs
 // no per-call allocation (after the workspace has grown to size).
 //
-// Threads > 1 runs the solver's matrix–vector products in parallel on
-// Runtime (nil means the process-wide default runtime) — the
-// SpMV-bound half of every Krylov iteration, which on a warm runtime
-// costs block claims rather than goroutine spawns. Threads <= 1 keeps
-// the serial kernel. Vector reductions (Dot, Norm2) use deterministic
-// blocked summation at every thread count — fixed block size, ordered
-// combine (see reduce.go) — so the convergence trajectory is
-// bit-identical whether a solve runs on 1 thread or many.
+// Every matrix–vector product runs spmv.ParallelVals, the kernel
+// table's SpMVRows. Threads > 1 deals its row ranges on Runtime (nil
+// means the process-wide default runtime) — the SpMV-bound half of
+// every Krylov iteration, which on a warm runtime costs block claims
+// rather than goroutine spawns. Threads <= 1 runs the same kernel
+// inline and never touches a runtime. Vector reductions (Dot, Norm2)
+// use deterministic blocked summation at every thread count — fixed
+// block size, ordered combine (see reduce.go) — so the convergence
+// trajectory is bit-identical whether a solve runs on 1 thread or
+// many.
 //
 // Ctx, when non-nil, is checked at the top of every iteration: once it
 // is canceled (or its deadline passes) the solve returns ctx.Err()
@@ -87,11 +89,7 @@ func (o Options) matVec(a *sparse.CSR, x, y []float64) {
 	if vals == nil {
 		vals = a.Val
 	}
-	if o.Threads > 1 {
-		spmv.ParallelVals(o.Runtime, a, vals, x, y, o.Threads)
-		return
-	}
-	a.MatVecVals(vals, x, y)
+	spmv.ParallelVals(o.Runtime, a, vals, x, y, o.Threads)
 }
 
 // workspace returns the caller's workspace or a private throwaway.

@@ -14,11 +14,12 @@ import (
 
 // ParallelOn computes y = A·x with row ranges dealt in contiguous
 // blocks on the given runtime (nil means the process-wide default).
-// The region is sized by the adaptive cutoff: sub-threshold matrices
-// run the serial blocked kernel inline, and worthwhile ones get one
-// kernel call per piece (not one closure dispatch per row). Row sums
-// are independent, so the result is bitwise identical at any piece
-// count.
+// threads <= 1 runs the kernel inline over all rows without touching
+// a runtime. Otherwise the region is sized by the adaptive cutoff:
+// sub-threshold matrices run the same kernel inline, and worthwhile
+// ones get one kernel call per piece (not one closure dispatch per
+// row). Row sums are independent, so the result is bitwise identical
+// at any piece count.
 func ParallelOn(rt *exec.Runtime, a *sparse.CSR, x, y []float64, threads int) {
 	ParallelVals(rt, a, a.Val, x, y, threads)
 }
@@ -28,10 +29,13 @@ func ParallelOn(rt *exec.Runtime, a *sparse.CSR, x, y []float64, threads int) {
 // Versioned epoch's buffer rather than a.Val. Same kernel, same piece
 // dealing, bitwise identical at any piece count.
 func ParallelVals(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, threads int) {
-	if rt == nil {
-		rt = exec.Default()
+	pieces := 1
+	if threads > 1 {
+		if rt == nil {
+			rt = exec.Default()
+		}
+		pieces = rt.PiecesFor(2*int64(a.Nnz()), threads)
 	}
-	pieces := rt.PiecesFor(2*int64(a.Nnz()), threads)
 	if pieces <= 1 {
 		kernels.SpMVRows(a.RowPtr, a.ColIdx, vals, x, y, 0, a.N)
 		return

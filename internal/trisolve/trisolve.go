@@ -137,8 +137,7 @@ func (s *CSRLS) SolveLower(b, x []float64) {
 		rows := s.fwd.LevelRows(l)
 		s.parallelLevel(len(rows), s.fwdOps[l], func(i int) {
 			r := rows[i]
-			lo, dp := lu.RowPtr[r], s.f.DiagPos[r]
-			x[r] = kernels.SubGather(x[r], lu.Val[lo:dp], lu.ColIdx[lo:dp], x)
+			kernels.TriLower(lu.RowPtr, s.f.DiagPos, lu.ColIdx, lu.Val, x, r, r+1)
 		})
 	}
 }
@@ -154,10 +153,7 @@ func (s *CSRLS) SolveUpper(b, x []float64) {
 		rows := s.bwdRows[s.bwdPtr[l]:s.bwdPtr[l+1]]
 		s.parallelLevel(len(rows), s.bwdOps[l], func(i int) {
 			r := rows[i]
-			dp := s.f.DiagPos[r]
-			hi := lu.RowPtr[r+1]
-			sum := kernels.SubGather(x[r], lu.Val[dp+1:hi], lu.ColIdx[dp+1:hi], x)
-			x[r] = sum / lu.Val[dp]
+			kernels.TriUpper(lu.RowPtr, s.f.DiagPos, lu.ColIdx, lu.Val, x, r, r+1)
 		})
 	}
 }
