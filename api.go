@@ -8,7 +8,6 @@ import (
 	"javelin/internal/exec"
 	"javelin/internal/gen"
 	"javelin/internal/krylov"
-	"javelin/internal/levelset"
 	"javelin/internal/mmio"
 	"javelin/internal/order"
 	"javelin/internal/sparse"
@@ -16,7 +15,7 @@ import (
 
 // Runtime is Javelin's persistent execution runtime: a fixed pool of
 // spin-then-park worker goroutines that every parallel region —
-// factorization stages, SpMV, reductions, SR tile batches —
+// factorization stages, SpMV, reductions, lower-stage tiles —
 // schedules onto, so hot paths never spawn goroutines per call. One Runtime can back any number of Preconditioners and
 // concurrent Appliers (set Options.Runtime); see doc.go's "Execution
 // runtime & threading contract" section for the sharing rules.
@@ -226,20 +225,12 @@ const (
 	LowerNone = core.LowerNone
 )
 
-// PatternSource selects which pattern drives level scheduling.
-type PatternSource = levelset.PatternSource
-
-// Level-scheduling pattern sources.
-const (
-	PatternLowerA   = levelset.LowerA
-	PatternLowerAAT = levelset.LowerAAT
-)
-
 // Options configures Factorize; see core.Options for field semantics.
 type Options = core.Options
 
 // DefaultOptions returns the paper-default configuration: ILU(0),
-// lower(A+Aᵀ) level pattern, automatic SR/ER selection, A=16 split.
+// automatic SR/ER selection, A=16 split. Levels are always computed
+// on lower(A+Aᵀ).
 func DefaultOptions() Options { return core.DefaultOptions() }
 
 // Preconditioner is a factorized Javelin ILU ready to apply.

@@ -282,52 +282,6 @@ func benchSplitA(b *testing.B, minRows int) {
 func BenchmarkAblationSplitA16(b *testing.B) { benchSplitA(b, 16) }
 func BenchmarkAblationSplitA32(b *testing.B) { benchSplitA(b, 32) }
 
-// Ablation: SR tile size.
-func benchTileSize(b *testing.B, tile int) {
-	a := benchMatrix(b, "TSOPF_RS_b300_c2")
-	opt := core.DefaultOptions()
-	opt.Threads = 4
-	opt.Lower = core.LowerSR
-	opt.TileSize = tile
-	e, err := core.Factorize(a, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Refactorize(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationTile128(b *testing.B)  { benchTileSize(b, 128) }
-func BenchmarkAblationTile1024(b *testing.B) { benchTileSize(b, 1024) }
-
-// Ablation: lower(A) vs lower(A+Aᵀ) level pattern (Table IV's question).
-func benchPatternSource(b *testing.B, src levelset.PatternSource) {
-	a := benchMatrix(b, "trans4")
-	opt := core.DefaultOptions()
-	opt.Threads = 4
-	opt.Pattern = src
-	opt.Lower = core.LowerER
-	e, err := core.Factorize(a, opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer e.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Refactorize(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationPatternLowerA(b *testing.B)   { benchPatternSource(b, levelset.LowerA) }
-func BenchmarkAblationPatternLowerAAT(b *testing.B) { benchPatternSource(b, levelset.LowerAAT) }
-
 // Ablation: the serial reference (dense-scratch up-looking) vs the
 // engine's merge-kernel at one thread.
 func BenchmarkSerialReferenceILU(b *testing.B) {

@@ -10,8 +10,19 @@
 //   - an upper stage of level-scheduled rows, factored level by level
 //     with a barrier after each level, and
 //   - a lower stage for the trailing small/dense levels, factored by
-//     either the Segmented-Rows (SR, row-disjoint tiles on a dynamic
-//     loop) or Even-Rows (ER, statically blocked) method.
+//     either the Segmented-Rows (SR) or Even-Rows (ER) method. Both
+//     run one span-elimination loop, level by level over row-disjoint
+//     tiles on a dynamic loop, and then the same corner factorization.
+//     They differ only in how the loop cuts the lower rows'
+//     eliminations against the upper stage into parallel work: ER
+//     has one level with one row per tile, SR one level per upper
+//     level with tiles of several rows' spans.
+//
+// This SR keeps whole row spans in each tile, unlike the paper's
+// segmented-scan SR, which can split a row across tiles. With whole
+// spans, one up-looking elimination per span divides each pivot entry
+// just before using it and gives the same bits, which is why DIVIDE
+// and UPDATE are one pass here.
 //
 // The upper stage departs from the paper here. The paper synchronizes
 // it with point-to-point spin waits (Park et al., ISC 2014): each
@@ -200,14 +211,14 @@
 //
 // # Execution runtime & threading contract
 //
-// Every parallel region in Javelin — factorization stages, SR tile
-// levels, SpMV, solver matvecs and reductions —
+// Every parallel region in Javelin — factorization stages, lower-stage
+// tile levels, SpMV, solver matvecs and reductions —
 // schedules onto a persistent Runtime: a fixed pool of worker
 // goroutines that spin briefly then park when idle, so hot paths
 // never create goroutines per call and an idle runtime costs nothing.
 // The factor stages index their per-lane scratch by a lane the region
 // itself hands out: the scatter's Ranges piece, and for the chunk-1
-// loops (the upper stage's row blocks, ER phase 1, SR tiles, corner
+// loops (the upper stage's row blocks, the lower stage's tiles, corner
 // groups) one Ranges piece per lane, each claiming items off a shared
 // cursor.
 //

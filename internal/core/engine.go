@@ -4,6 +4,11 @@
 // the sparse triangular solves that apply the resulting
 // preconditioner (paper Sections III, V, VI).
 //
+// SR and ER share one lower stage and differ only in its plan: the
+// levels of row-disjoint span tiles that eliminate the lower rows
+// against the finished upper stage before the shared corner (see
+// lowerPlan.levels and build.factorLower).
+//
 // The engine owns the permuted factor, the level-set split and the
 // lower-stage plan; the split and the lower-stage spans drive both
 // numeric factorization and the solves, which is the paper's central
@@ -33,9 +38,12 @@ const (
 	// structure (paper: "Javelin by default will make the choice for
 	// the user based on the matrix structure").
 	LowerAuto LowerMethod = iota
-	// LowerER is the Even-Rows method.
+	// LowerER is the Even-Rows method: the lower rows are eliminated
+	// against the upper stage row by row, in parallel.
 	LowerER
-	// LowerSR is the Segmented-Rows method.
+	// LowerSR is the Segmented-Rows method: the lower rows are
+	// eliminated against one upper level at a time, in tiles of
+	// several rows' spans.
 	LowerSR
 	// LowerNone disables the second stage: every level is handled by
 	// the level-scheduled upper stage (the paper's "LS").
@@ -68,18 +76,12 @@ type Options struct {
 	Modified bool
 	// Threads is the worker count; 0 means GOMAXPROCS.
 	Threads int
-	// Lower selects the second-stage method.
+	// Lower selects the second-stage method; Factorize rejects a value
+	// other than the four LowerMethod constants.
 	Lower LowerMethod
-	// Pattern selects the level-scheduling pattern; LowerAAT (the
-	// default, required by SR and stri tiling) or LowerA (usable with
-	// LS/ER only; Table IV's comparison).
-	Pattern levelset.PatternSource
 	// Split tunes the two-stage partition (Table III's sensitivity
 	// parameter A is Split.MinRowsPerLevel).
 	Split levelset.SplitOptions
-	// TileSize is the SR tile granularity in nonzeros; 0 means the
-	// default (512).
-	TileSize int
 	// AllowPatternMismatch makes Refactorize silently ignore entries
 	// of the new matrix that fall outside the factorized pattern
 	// instead of failing with ErrPatternMismatch. The documented use
@@ -93,7 +95,7 @@ type Options struct {
 	AllowPatternMismatch bool
 	// Runtime, when non-nil, is the shared persistent execution
 	// runtime the engine schedules every parallel region on —
-	// factorization stages, SR tile batches, and scatter. Several
+	// factorization stages, lower-stage tiles, and scatter. Several
 	// engines (and all their SolveContexts) may share one Runtime;
 	// the engine does not close it. When nil, the engine creates a
 	// private runtime sized to Threads and owns it (Close releases
@@ -101,15 +103,19 @@ type Options struct {
 	// lanes that can run a stage at once; the clamped value also feeds
 	// the ER/SR auto rule.
 	Runtime *exec.Runtime
+
+	// tileNnz is the SR tile granularity in nonzeros; 0 means 512.
+	// Only tests set it, so that small matrices get several tiles per
+	// level.
+	tileNnz int
 }
 
 // DefaultOptions returns the paper-default configuration: ILU(0),
-// lower(A+Aᵀ) levels, automatic lower method, A=16 split.
+// automatic lower method, A=16 split.
 func DefaultOptions() Options {
 	return Options{
 		FillLevel: 0,
 		Lower:     LowerAuto,
-		Pattern:   levelset.LowerAAT,
 		Split:     levelset.DefaultSplitOptions(),
 	}
 }
@@ -125,8 +131,8 @@ func (o Options) withDefaults() Options {
 	if o.Runtime != nil && o.Threads > o.Runtime.Parallelism() {
 		o.Threads = o.Runtime.Parallelism()
 	}
-	if o.TileSize <= 0 {
-		o.TileSize = 512
+	if o.tileNnz <= 0 {
+		o.tileNnz = 512
 	}
 	return o
 }
@@ -222,7 +228,12 @@ type Engine struct {
 // order.ZeroFreeDiagonal permutation first if needed). The matrix is
 // assumed already preordered by the caller (e.g. ND or RCM); Javelin
 // only adds its level-set permutation on top, exactly as in the paper.
+// Levels are computed on lower(A+Aᵀ), which keeps the columns of one
+// SR subblock independent and the rows of one corner group too.
 func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
+	if opt.Lower < LowerAuto || opt.Lower > LowerNone {
+		return nil, fmt.Errorf("core: unknown lower method %d", int(opt.Lower))
+	}
 	opt = opt.withDefaults()
 	if a.N != a.M {
 		return nil, errors.New("core: matrix must be square")
@@ -237,9 +248,9 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 
 	var split *levelset.Split
 	if opt.Lower == LowerNone {
-		split = levelset.NoSplit(pattern, opt.Pattern)
+		split = levelset.NoSplit(pattern, levelset.LowerAAT)
 	} else {
-		split = levelset.ComputeSplit(pattern, opt.Pattern, opt.Split)
+		split = levelset.ComputeSplit(pattern, levelset.LowerAAT, opt.Split)
 	}
 
 	e := &Engine{
@@ -294,10 +305,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		}
 	}
 
-	if err := e.buildLowerPlan(); err != nil {
-		e.Close()
-		return nil, err
-	}
+	e.buildLowerPlan()
 
 	if err := e.Refactorize(a); err != nil {
 		e.Close()
@@ -308,7 +316,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 
 // resolveMethod applies the paper's auto rule: ER needs more excluded
 // rows than threads (so imbalance averages out); SR handles the
-// few-rows / imbalanced-nnz case. LowerA pattern cannot drive SR.
+// few-rows / imbalanced-nnz case.
 func (e *Engine) resolveMethod() LowerMethod {
 	m := e.opt.Lower
 	if m != LowerAuto {
@@ -317,9 +325,6 @@ func (e *Engine) resolveMethod() LowerMethod {
 	nLower := e.split.NLower()
 	if nLower == 0 {
 		return LowerNone
-	}
-	if e.opt.Pattern == levelset.LowerA {
-		return LowerER
 	}
 	if nLower >= 2*e.opt.Threads {
 		return LowerER

@@ -12,8 +12,8 @@ import (
 
 // factorBits pins the factor values of every testMatrices matrix
 // under LS/ER/SR × ILU(0)/ILU(1) × MILU off/on × τ ∈ {0, 0.05}
-// (MinRowsPerLevel 8, TileSize 64): the FNV-64a digest of the
-// permuted LU value array, little-endian float64 bits in storage
+// (MinRowsPerLevel 8, SR tiles of 64 nonzeros): the FNV-64a digest of
+// the permuted LU value array, little-endian float64 bits in storage
 // order. They were recorded from the two-pointer merge kernel this
 // package used before the position-map kernel, and match it at every
 // thread count.
@@ -205,7 +205,8 @@ func digestValues(v []float64) uint64 {
 // TestFactorBits reproduces every pinned digest at Threads 1-4: after
 // Factorize, after a Refactorize on the cost model's routes, and after
 // a Refactorize with every factor stage forced onto its dispatched
-// route (upper-level blocks and lower-stage loops on lanes). With one
+// route (upper-level blocks, lower-stage tiles and, where the corner
+// has more than one group or 64 rows, corner groups on lanes). With one
 // P the model and the forced route both run inline on lane 0, so run
 // it at GOMAXPROCS=1 and at the default to cover both.
 func TestFactorBits(t *testing.T) {
@@ -236,7 +237,7 @@ func TestFactorBits(t *testing.T) {
 							opt.FillLevel = fill
 							opt.Modified = milu
 							opt.DropTol = tau
-							opt.TileSize = 64
+							opt.tileNnz = 64
 							opt.Split.MinRowsPerLevel = 8
 							e, err := Factorize(a, opt)
 							if err != nil {

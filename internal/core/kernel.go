@@ -45,10 +45,10 @@ func newLanes(count, n, maxRow int) []lane {
 
 // eliminate applies to row r the up-looking updates of paper Fig. 1
 // for the pivot entries stored at [kLo, kHi) of the row, whose U-rows
-// must already be final: row r loses lij × (U-row j right of its
-// diagonal) for each pivot column j in turn. With divide set, each
-// pivot entry is first turned into lij = a_rj / u_jj; otherwise it
-// already holds lij (the SR DIVIDE tiles made it).
+// must already be final: for each pivot column j in turn, the entry
+// becomes lij = a_rj / u_jj and row r loses lij × (U-row j right of
+// its diagonal). Every factor stage, the lower stage's spans included,
+// eliminates through this one pass.
 //
 // The row's entries from kLo on are loaded into the lane, updated
 // through the position map and stored back; every update target
@@ -60,7 +60,7 @@ func newLanes(count, n, maxRow int) []lane {
 // computed and ignored unless Options.Modified). f supplies only the
 // symbolic structure; the values read and written live in vals, the
 // epoch buffer being built.
-func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, divide bool) (comp float64, err error) {
+func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int) (comp float64, err error) {
 	if kLo >= kHi {
 		return 0, nil
 	}
@@ -75,16 +75,13 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, divide
 	copy(w[1:], vals[kLo:end])
 	for k := kLo; k < kHi; k++ {
 		j := cols[k]
-		lij := w[1+k-kLo]
-		if divide {
-			piv := vals[diag[j]]
-			if !(math.Abs(piv) >= pivotFloor) {
-				err = fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
-				break
-			}
-			lij /= piv
-			w[1+k-kLo] = lij
+		piv := vals[diag[j]]
+		if !(math.Abs(piv) >= pivotFloor) {
+			err = fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
+			break
 		}
+		lij := w[1+k-kLo] / piv
+		w[1+k-kLo] = lij
 		uLo, uHi := diag[j]+1, rowPtr[j+1]
 		uCols, uVals := cols[uLo:uHi], vals[uLo:uHi]
 		uVals = uVals[:len(uCols)] // drops the bounds check below

@@ -7,20 +7,18 @@ type rowSpan struct {
 	kLo, kHi int
 }
 
-// tileRange is a tile: a slice [lo, hi) of a span list whose total
-// nonzero count is about Options.TileSize. Tiles are the scheduling
-// granule of the SR method (paper Fig. 5: tiles "can span multiple
-// rows").
+// tileRange is a tile: a slice [lo, hi) of a level's span list, the
+// scheduling granule of the lower stage (paper Fig. 5: tiles "can
+// span multiple rows"). A tile always holds whole spans.
 type tileRange struct {
 	lo, hi int
 }
 
-// srLevel groups the lower-stage entries whose columns belong to one
-// upper level — the subblock L_{k,i} of paper Fig. 5. Each lower row
-// contributes at most one span per level, so spans are row-disjoint
-// within a level and UPDATE tiles never race. DIVIDE and UPDATE run
-// over the same tiles.
-type srLevel struct {
+// lowerLevel is one step of the lower stage's plan: spans whose pivot
+// rows are all final before the step starts, cut into tiles. Each
+// lower row has at most one span per level, so tiles are row-disjoint
+// and run concurrently.
+type lowerLevel struct {
 	spans []rowSpan
 	tiles []tileRange
 }
@@ -28,10 +26,14 @@ type srLevel struct {
 // lowerPlan holds the second-stage structures shared by factorization
 // and the triangular solves.
 type lowerPlan struct {
-	// comp accumulates per-lower-row MILU compensation across phases.
+	// comp accumulates each lower row's MILU compensation from its
+	// spans for the row's corner phase.
 	comp []float64
-	// srLevels: one subblock per upper level (SR method only).
-	srLevels []srLevel
+	// levels eliminate the lower rows' upper-stage pivots. ER is one
+	// level of solveSpans, one span per tile. SR is one level per
+	// upper level (the subblock L_{k,i} of paper Fig. 5), in tiles of
+	// about Options.tileNnz nonzeros.
+	levels []lowerLevel
 	// solveSpans cover, per lower row, all its sub-diagonal entries
 	// with columns in the upper stage; used by SolveLower's staged
 	// spmv-like sweep (the stri structure of paper Section VI).
@@ -40,11 +42,11 @@ type lowerPlan struct {
 
 // buildLowerPlan constructs the lower-stage structures. It is cheap
 // for ER (one span per row) and O(nnz of the lower block) for SR.
-func (e *Engine) buildLowerPlan() error {
+func (e *Engine) buildLowerPlan() {
 	nUp, n := e.split.NUpper, e.n
 	e.lower = &lowerPlan{}
 	if n == nUp {
-		return nil
+		return
 	}
 	lp := e.lower
 	lp.comp = make([]float64, n-nUp)
@@ -62,14 +64,15 @@ func (e *Engine) buildLowerPlan() error {
 		}
 	}
 
-	if e.method != LowerSR {
-		return nil
+	if e.method == LowerER {
+		lp.levels = []lowerLevel{{spans: lp.solveSpans, tiles: makeTiles(lp.solveSpans, 1)}}
+		return
 	}
 
 	// SR subblocks: split each lower row's upper-column entries by the
 	// level of the column. Upper levels occupy contiguous new-index
 	// column ranges, so a sorted row splits into consecutive spans.
-	lp.srLevels = make([]srLevel, e.split.CutLevel)
+	lp.levels = make([]lowerLevel, e.split.CutLevel)
 	ptr := e.split.UpperLvlPtr
 	for r := nUp; r < n; r++ {
 		lo, hi := lu.RowPtr[r], lu.RowPtr[r+1]
@@ -83,31 +86,24 @@ func (e *Engine) buildLowerPlan() error {
 			for k < hi && lu.ColIdx[k] < colHi {
 				k++
 			}
-			lp.srLevels[l].spans = append(lp.srLevels[l].spans,
+			lp.levels[l].spans = append(lp.levels[l].spans,
 				rowSpan{row: r, kLo: start, kHi: k})
 		}
 	}
-	for li := range lp.srLevels {
-		lvl := &lp.srLevels[li]
-		lvl.tiles = makeTiles(lvl.spans, e.opt.TileSize)
+	for li := range lp.levels {
+		lvl := &lp.levels[li]
+		lvl.tiles = makeTiles(lvl.spans, e.opt.tileNnz)
 	}
-	return nil
 }
 
-// makeTiles chunks a span list into tiles of roughly tileSize
-// nonzeros (at least one span per tile).
-func makeTiles(spans []rowSpan, tileSize int) []tileRange {
-	if len(spans) == 0 {
-		return nil
-	}
-	if tileSize < 1 {
-		tileSize = 1
-	}
+// makeTiles chunks a span list into tiles of roughly tileNnz nonzeros
+// (at least one span per tile).
+func makeTiles(spans []rowSpan, tileNnz int) []tileRange {
 	var tiles []tileRange
 	lo, acc := 0, 0
 	for i, sp := range spans {
 		acc += sp.kHi - sp.kLo
-		if acc >= tileSize {
+		if acc >= tileNnz {
 			tiles = append(tiles, tileRange{lo: lo, hi: i + 1})
 			lo, acc = i+1, 0
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"javelin/internal/ilu"
@@ -79,21 +78,14 @@ func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 	if err := b.scatter(a); err != nil {
 		return err
 	}
-	if e.lower != nil {
-		clear(e.lower.comp)
-	}
+	clear(e.lower.comp)
 	if err := b.factorUpper(); err != nil {
 		return err
 	}
-	switch e.method {
-	case LowerNone:
-		return nil // no lower rows
-	case LowerER:
-		return b.factorLowerER()
-	case LowerSR:
-		return b.factorLowerSR()
+	if e.split.NLower() == 0 {
+		return nil // LS, or a split that moved no rows down
 	}
-	return fmt.Errorf("core: unresolved lower method %v", e.method)
+	return b.factorLower()
 }
 
 // build is one numeric factorization pass (Factorize or Refactorize):
@@ -116,11 +108,11 @@ type build struct {
 	body  func(b *build, ln *lane, i int)
 	claim func(piece, lo, hi int)
 
-	// Loop parameters: the SR level of the tile loops, the rows
+	// Loop parameters: the lower level of the tile loops, the rows
 	// [row0, row1) of the upper level being factored in items of blk
 	// rows, and row0 again as the first row of the corner group being
 	// factored.
-	lvl        *srLevel
+	lvl        *lowerLevel
 	row0, row1 int
 	blk        int
 }
@@ -265,7 +257,7 @@ func (b *build) upperBlock(ln *lane, i int) {
 	lo := b.row0 + i*b.blk
 	hi := min(lo+b.blk, b.row1)
 	for r := lo; r < hi; r++ {
-		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], true)
+		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r])
 		if err == nil {
 			err = e.finishRow(b.vals, r, comp)
 		}
@@ -276,101 +268,38 @@ func (b *build) upperBlock(ln *lane, i int) {
 	}
 }
 
-// factorLowerER is the Even-Rows method (paper Fig. 7/8): phase 1
-// eliminates, for every lower row in parallel, the pivot columns that
-// live in the upper stage (those rows are final); phase 2 factors the
-// corner serially in ascending row order, preserving exact up-looking
-// arithmetic order.
-func (b *build) factorLowerER() error {
+// factorLower runs the lower stage (paper Section V): the levels of
+// the method's plan (lowerPlan.levels), each a chunk-1 loop over its
+// tiles with a barrier after it, then the corner. A tile holds whole
+// spans and eliminate divides each pivot entry just before using it,
+// so SR needs no separate DIVIDE pass. Tiles of a level are
+// row-disjoint, so the inline route below the cutoff is bitwise
+// identical to the dynamic dispatch.
+func (b *build) factorLower() error {
 	e := b.e
-	nLower := e.n - e.split.NUpper
-	if nLower == 0 {
-		return nil
-	}
-	// Phase 1: FACTOR_L — chunk-1 dynamic loop; inline below the
-	// cutoff (rows are independent, so the results are identical).
-	b.forEach(e.rt.ParallelWorth(e.lowerOps), nLower, (*build).eliminateUpperPivots)
-	if err := b.firstErr(); err != nil {
-		return err
-	}
-	// Phase 2: FACTOR_LU on the corner, serial.
-	return b.serialCorner()
-}
-
-// eliminateUpperPivots is ER phase 1 for lower row NUpper+i: the
-// pivots whose columns are upper-stage rows. Its compensation waits in
-// lower.comp for the row's corner phase.
-func (b *build) eliminateUpperPivots(ln *lane, i int) {
-	e := b.e
-	r := e.split.NUpper + i
-	comp, err := ln.eliminate(e.factor, b.vals, r, e.factor.LU.RowPtr[r], e.cornerStart[i], true)
-	if err != nil {
-		b.fail(err)
-		return
-	}
-	e.lower.comp[i] = comp
-}
-
-// factorLowerSR is the Segmented-Rows method (paper Fig. 5/6). Lower
-// rows' sub-diagonal entries are grouped into subblocks by the upper
-// level of their column; within a level the columns are independent
-// (guaranteed by the lower(A+Aᵀ) level order), so each level is
-// processed as DIVIDE tiles followed by row-partitioned UPDATE tiles,
-// each a chunk-1 loop on the runtime, and finally the corner is
-// factored level-group by level-group (serially when the cutoff finds
-// it too small to dispatch).
-func (b *build) factorLowerSR() error {
-	e := b.e
-	lp := e.lower
-	if lp == nil || e.split.NLower() == 0 {
-		return nil
-	}
-	// Tiles are row-disjoint, so the inline route below the cutoff is
-	// bitwise identical to the dynamic dispatch.
 	par := e.rt.ParallelWorth(e.lowerOps)
-	for li := range lp.srLevels {
-		b.lvl = &lp.srLevels[li]
-		if len(b.lvl.spans) == 0 {
-			continue
-		}
-		b.forEach(par, len(b.lvl.tiles), (*build).divideTile)
+	for li := range e.lower.levels {
+		b.lvl = &e.lower.levels[li]
+		b.forEach(par, len(b.lvl.tiles), (*build).lowerTile)
 		if err := b.firstErr(); err != nil {
 			return err
 		}
-		b.forEach(par, len(b.lvl.tiles), (*build).updateTile)
 	}
 	return b.factorCorner()
 }
 
-// divideTile is DIVIDE_COLUMNS on tile i of the current level:
-// val[k] /= U[j,j] for each entry.
-func (b *build) divideTile(_ *lane, i int) {
+// lowerTile eliminates the spans of tile i of the current lower level.
+// Their compensation waits in lower.comp for the rows' corner phase.
+func (b *build) lowerTile(ln *lane, i int) {
 	e := b.e
 	t := b.lvl.tiles[i]
 	for _, sp := range b.lvl.spans[t.lo:t.hi] {
-		for k := sp.kLo; k < sp.kHi; k++ {
-			j := e.factor.LU.ColIdx[k]
-			piv := b.vals[e.factor.DiagPos[j]]
-			if !(math.Abs(piv) >= pivotFloor) {
-				b.fail(fmt.Errorf("core: SR zero pivot at column %d", j))
-				return
-			}
-			b.vals[k] /= piv
+		comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi)
+		if err != nil {
+			b.fail(err)
+			return
 		}
-	}
-}
-
-// updateTile is UPDATE_BLOCK on tile i of the current level: each
-// span (one row's entries in this level, already divided) updates its
-// row. Spans are row-disjoint, so tiles can run concurrently.
-func (b *build) updateTile(ln *lane, i int) {
-	e := b.e
-	t := b.lvl.tiles[i]
-	for _, sp := range b.lvl.spans[t.lo:t.hi] {
-		comp, _ := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, false)
-		if e.opt.Modified {
-			e.lower.comp[sp.row-e.split.NUpper] += comp
-		}
+		e.lower.comp[sp.row-e.split.NUpper] += comp
 	}
 }
 
@@ -386,23 +315,18 @@ func (b *build) factorCorner() error {
 	// identical to the group-parallel one.
 	if e.split.NumLowerLevels() <= 1 && n-nUp <= 64 ||
 		!e.rt.ParallelWorth(e.lowerOps) {
-		return b.serialCorner()
+		for r := nUp; r < n; r++ {
+			if err := b.cornerRow(&b.lanes[0], r); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	ptr := e.split.LowerLvlPtr
 	for g := 0; g < e.split.NumLowerLevels(); g++ {
 		b.row0 = nUp + ptr[g]
 		b.forEach(true, ptr[g+1]-ptr[g], (*build).cornerGroupRow)
 		if err := b.firstErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serialCorner factors the corner rows in ascending order on lane 0.
-func (b *build) serialCorner() error {
-	for r := b.e.split.NUpper; r < b.e.n; r++ {
-		if err := b.cornerRow(&b.lanes[0], r); err != nil {
 			return err
 		}
 	}
@@ -422,7 +346,7 @@ func (b *build) cornerGroupRow(ln *lane, i int) {
 func (b *build) cornerRow(ln *lane, r int) error {
 	e := b.e
 	i := r - e.split.NUpper
-	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r], true)
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r])
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"javelin/internal/gen"
 	"javelin/internal/ilu"
+	"javelin/internal/sparse"
 )
 
 func TestEngineILU1MatchesSerial(t *testing.T) {
@@ -66,14 +69,14 @@ func TestEngineDropTolMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSRTileSizeDoesNotChangeValues(t *testing.T) {
+func TestSRTileNnzDoesNotChangeValues(t *testing.T) {
 	a := gen.PowerFlow(gen.PowerFlowOptions{Blocks: 12, BlockSize: 25, BlockFill: 0.4, ChainSpan: 2, Seed: 5})
 	var ref *ilu.Factor
 	for _, tile := range []int{16, 64, 511, 4096} {
 		opt := DefaultOptions()
 		opt.Lower = LowerSR
 		opt.Threads = 4
-		opt.TileSize = tile
+		opt.tileNnz = tile
 		opt.Split.MinRowsPerLevel = 8
 		e, err := Factorize(a, opt)
 		if err != nil {
@@ -85,6 +88,47 @@ func TestSRTileSizeDoesNotChangeValues(t *testing.T) {
 			t.Errorf("tile=%d changed values by %g", tile, d)
 		}
 		e.Close()
+	}
+}
+
+// TestZeroValueOptionsMatchSerialReference builds SR options from the
+// zero value, as a caller who skips DefaultOptions would, and requires
+// the serial reference's bits on every test matrix: no zero-valued
+// option may select a level order under which SR is wrong.
+func TestZeroValueOptionsMatchSerialReference(t *testing.T) {
+	for name, a := range testMatrices(t) {
+		for _, threads := range []int{1, 2, 4} {
+			opt := Options{Lower: LowerSR, Threads: threads}
+			e, err := Factorize(a, opt)
+			if err != nil {
+				t.Fatalf("%s threads=%d: %v", name, threads, err)
+			}
+			ref := referenceFactor(t, a, e, opt)
+			if k, d := valueMismatch(e.Factor(), ref); k >= 0 {
+				t.Errorf("%s threads=%d: %v factor differs from the serial reference from entry %d on (max |diff| %g)",
+					name, threads, e.Method(), k, d)
+			}
+			e.Close()
+		}
+	}
+}
+
+// TestFactorizeRejectsUnknownLowerMethod: a Lower value outside the
+// four methods fails with an error naming it, before any other check
+// (the 2×3 matrix would fail as not square).
+func TestFactorizeRejectsUnknownLowerMethod(t *testing.T) {
+	a := sparse.NewCOO(2, 3, 0).ToCSR()
+	for _, m := range []LowerMethod{-1, 4} {
+		opt := DefaultOptions()
+		opt.Lower = m
+		e, err := Factorize(a, opt)
+		if err == nil {
+			e.Close()
+			t.Fatalf("Lower=%d: Factorize returned no error", m)
+		}
+		if want := fmt.Sprintf("unknown lower method %d", m); !strings.Contains(err.Error(), want) {
+			t.Errorf("Lower=%d: error %q does not contain %q", m, err, want)
+		}
 	}
 }
 
@@ -105,22 +149,6 @@ func TestAutoSelectionRules(t *testing.T) {
 	}
 	if e.Split().NLower() == 0 && e.Method() != LowerNone {
 		t.Errorf("auto picked %v with no lower rows", e.Method())
-	}
-}
-
-func TestLowerAPatternCannotDriveSRAuto(t *testing.T) {
-	a := gen.TetraMesh(7, 7, 7, 3)
-	opt := DefaultOptions()
-	opt.Pattern = 0 // LowerA
-	opt.Threads = 32
-	opt.Split.MinRowsPerLevel = 64
-	e, err := Factorize(a, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if e.Split().NLower() > 0 && e.Method() == LowerSR {
-		t.Error("auto chose SR with lower(A) levels; SR requires A+Aᵀ independence")
 	}
 }
 

@@ -138,7 +138,7 @@ func TestSharedRuntimeAcrossEngines(t *testing.T) {
 }
 
 // TestNoGoroutineGrowthAcrossSolves is the acceptance criterion: on a
-// warm runtime, no hot path — solves, SR tile batches, corner
+// warm runtime, no hot path — solves, lower-stage tiles, corner
 // groups, scatter/refactorize, SpMV — spawns goroutines per call.
 func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	a := gen.GridLaplacian(60, 60, 1, gen.Star5, 0.2)
@@ -193,7 +193,7 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 		opt.Threads = 2
 		opt.Runtime = rt
 		opt.Lower = method
-		opt.TileSize = 64
+		opt.tileNnz = 64
 		opt.Split.MinRowsPerLevel = 8
 		e, err := Factorize(a, opt)
 		if err != nil {

@@ -5,9 +5,10 @@
 //
 // This is the "specialized light weight tasking library" of the paper
 // generalized into a shared substrate: every SpMV, level-set sweep,
-// factor stage and SR tile level of every engine runs here instead of
-// spawning goroutines per call. The factor's chunk-1 loops (the upper
-// stage's row blocks, ER phase 1, the SR tiles and the corner groups)
+// factor stage and lower-stage tile level of every engine runs here
+// instead of spawning goroutines per call. The factor's chunk-1 loops
+// (the upper stage's row blocks, the lower stage's tiles and the
+// corner groups)
 // are all known before a level starts and none spawns more work, so
 // each runs as one Ranges piece per lane, each piece claiming items
 // off a shared cursor with its own scratch; no work stealing is
