@@ -15,10 +15,11 @@ import (
 
 // Runtime is Javelin's persistent execution runtime: a fixed pool of
 // spin-then-park worker goroutines that every parallel region —
-// factorization stages, SpMV, reductions, lower-stage tiles —
-// schedules onto, so hot paths never spawn goroutines per call. One Runtime can back any number of Preconditioners and
-// concurrent Appliers (set Options.Runtime); see doc.go's "Execution
-// runtime & threading contract" section for the sharing rules.
+// factorization stages, SpMV, reductions — schedules onto, so hot
+// paths never spawn goroutines per call. One Runtime can back any
+// number of Preconditioners and concurrent Appliers (set
+// Options.Runtime); see doc.go's "Execution runtime & threading
+// contract" section for the sharing rules.
 type Runtime = exec.Runtime
 
 // NewRuntime creates a runtime with the given total parallelism
@@ -217,10 +218,16 @@ func PermuteRows(m *Matrix, p Permutation) *Matrix {
 // LowerMethod selects the lower-stage algorithm.
 type LowerMethod = core.LowerMethod
 
-// Lower-stage methods.
+// Lower-stage methods. ER and SR both eliminate each lower row in one
+// pass and differ only in how a row sums its MILU compensation, so
+// without MILU they give the same factor.
 const (
 	LowerAuto = core.LowerAuto
-	LowerER   = core.LowerER
+	// LowerER (Even-Rows) sums a lower row's MILU compensation in one
+	// run.
+	LowerER = core.LowerER
+	// LowerSR (Segmented-Rows) sums it one upper level (one segment)
+	// at a time.
 	LowerSR   = core.LowerSR
 	LowerNone = core.LowerNone
 )

@@ -11,18 +11,19 @@
 //     with a barrier after each level, and
 //   - a lower stage for the trailing small/dense levels, factored by
 //     either the Segmented-Rows (SR) or Even-Rows (ER) method. Both
-//     run one span-elimination loop, level by level over row-disjoint
-//     tiles on a dynamic loop, and then the same corner factorization.
-//     They differ only in how the loop cuts the lower rows'
-//     eliminations against the upper stage into parallel work: ER
-//     has one level with one row per tile, SR one level per upper
-//     level with tiles of several rows' spans.
+//     eliminate each lower row against the finished upper stage in
+//     one pass, one row per item of a dynamic loop, and then run the
+//     same corner factorization. They differ only in how a lower row
+//     sums its MILU compensation: SR per upper level (the paper's
+//     segments), ER in one run. Without MILU their factors are equal.
 //
-// This SR keeps whole row spans in each tile, unlike the paper's
-// segmented-scan SR, which can split a row across tiles. With whole
-// spans, one up-looking elimination per span divides each pivot entry
-// just before using it and gives the same bits, which is why DIVIDE
-// and UPDATE are one pass here.
+// This SR never splits a row across threads, unlike the paper's
+// segmented-scan SR, which cuts a lower row's eliminations by upper
+// level so that threads can share one long row. Lower rows are
+// independent once the upper stage is final, and one up-looking pass
+// per row divides each pivot entry just before using it, which is why
+// DIVIDE and UPDATE are one pass here; eliminating a row once per
+// upper level would only reload its suffix every time.
 //
 // The upper stage departs from the paper here. The paper synchronizes
 // it with point-to-point spin waits (Park et al., ISC 2014): each
@@ -56,9 +57,10 @@
 // synchronization per row. For a given lower-stage method the factor
 // values do not depend on the thread count.
 //
-// The same permutation and tile structures drive the sparse
-// triangular solves, so the preconditioner applies at spmv-like
-// scalability without reformatting — the paper's co-design thesis.
+// The same permutation drives the sparse triangular solves, and the
+// lower rows' spans drive both methods' elimination and SolveLower's
+// staged sweep, so the preconditioner applies without reformatting —
+// the paper's co-design thesis.
 //
 // # Quick start
 //
@@ -106,12 +108,13 @@
 // # Concurrency model
 //
 // The symbolic state of a factorized Preconditioner — permutation,
-// level schedules, tile plans, sparsity pattern — is immutable and
-// only read by solves. The numeric factor values are epoch-versioned:
-// Refactorize scatters and factors the new matrix into an inactive
-// value buffer (reusing all symbolic structure) and publishes it with
-// one atomic swap, so refreshing the factor never mutates values a
-// solve is reading and never waits for solve traffic to drain.
+// level schedules, lower-row spans, sparsity pattern — is immutable
+// and only read by solves. The numeric factor values are
+// epoch-versioned: Refactorize scatters and factors the new matrix
+// into an inactive value buffer (reusing all symbolic structure) and
+// publishes it with one atomic swap, so refreshing the factor never
+// mutates values a solve is reading and never waits for solve traffic
+// to drain.
 //
 //   - A Solver.Solve call pins the epoch current when it starts and
 //     uses that one consistent snapshot for every preconditioner
@@ -211,14 +214,14 @@
 //
 // # Execution runtime & threading contract
 //
-// Every parallel region in Javelin — factorization stages, lower-stage
-// tile levels, SpMV, solver matvecs and reductions —
-// schedules onto a persistent Runtime: a fixed pool of worker
-// goroutines that spin briefly then park when idle, so hot paths
-// never create goroutines per call and an idle runtime costs nothing.
+// Every parallel region in Javelin — factorization stages, SpMV,
+// solver matvecs and reductions — schedules onto a persistent
+// Runtime: a fixed pool of worker goroutines that spin briefly then
+// park when idle, so hot paths never create goroutines per call and an
+// idle runtime costs nothing.
 // The factor stages index their per-lane scratch by a lane the region
 // itself hands out: the scatter's Ranges piece, and for the chunk-1
-// loops (the upper stage's row blocks, the lower stage's tiles, corner
+// loops (the upper stage's row blocks, the lower stage's rows, corner
 // groups) one Ranges piece per lane, each claiming items off a shared
 // cursor.
 //

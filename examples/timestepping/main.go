@@ -136,6 +136,6 @@ func main() {
 	fmt.Printf("matrix epochs published: %d; auto-refactorizations: %d triggered, %d published, %d failed\n",
 		vm.Epoch(), ds.Triggers, ds.Published, ds.Failures)
 	fmt.Println("pattern-reuse means each refactorization skips symbolic analysis,")
-	fmt.Println("level scheduling, and tile construction entirely — and the drift")
+	fmt.Println("level scheduling, and lower-stage planning entirely — and the drift")
 	fmt.Println("policy spends that cost only when a stale factor measurably hurts.")
 }

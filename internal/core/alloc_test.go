@@ -18,7 +18,7 @@ import (
 // TestRefactorizeAllocationsPerCall: a warm Refactorize makes as many
 // allocations on TetraMesh(6,6,6) as on a matrix four times larger,
 // under every lower method at Threads 1 and 2, because its scratch
-// (one lane per thread) is allocated per call, never per row, tile or
+// (one lane per thread) is allocated per call, never per row or
 // level. testing.AllocsPerRun runs at GOMAXPROCS=1, where the cost
 // model keeps every stage inline, so the dispatched routes are counted
 // separately: every stage forced parallel, at the process's

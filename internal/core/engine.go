@@ -4,10 +4,11 @@
 // the sparse triangular solves that apply the resulting
 // preconditioner (paper Sections III, V, VI).
 //
-// SR and ER share one lower stage and differ only in its plan: the
-// levels of row-disjoint span tiles that eliminate the lower rows
-// against the finished upper stage before the shared corner (see
-// lowerPlan.levels and build.factorLower).
+// SR and ER share one lower stage: each lower row is eliminated
+// against the finished upper stage in one pass, one row per item of a
+// dynamic loop, before the shared corner (see build.factorLower). They
+// differ only in how a row's MILU compensation is summed: SR sums it
+// per upper level (the paper's segments), ER in one run.
 //
 // The engine owns the permuted factor, the level-set split and the
 // lower-stage plan; the split and the lower-stage spans drive both
@@ -42,8 +43,9 @@ const (
 	// against the upper stage row by row, in parallel.
 	LowerER
 	// LowerSR is the Segmented-Rows method: the lower rows are
-	// eliminated against one upper level at a time, in tiles of
-	// several rows' spans.
+	// eliminated as under ER, but each row's MILU compensation is
+	// summed one upper level (one segment) at a time. Without MILU its
+	// factor equals ER's.
 	LowerSR
 	// LowerNone disables the second stage: every level is handled by
 	// the level-scheduled upper stage (the paper's "LS").
@@ -94,20 +96,14 @@ type Options struct {
 	// silently wrong.
 	AllowPatternMismatch bool
 	// Runtime, when non-nil, is the shared persistent execution
-	// runtime the engine schedules every parallel region on —
-	// factorization stages, lower-stage tiles, and scatter. Several
-	// engines (and all their SolveContexts) may share one Runtime;
-	// the engine does not close it. When nil, the engine creates a
-	// private runtime sized to Threads and owns it (Close releases
-	// it). Threads is clamped to the runtime's parallelism, the most
-	// lanes that can run a stage at once; the clamped value also feeds
-	// the ER/SR auto rule.
+	// runtime the engine schedules every parallel region on — the
+	// factor stages and the scatter. Several engines (and all their
+	// SolveContexts) may share one Runtime; the engine does not close
+	// it. When nil, the engine creates a private runtime sized to
+	// Threads and owns it (Close releases it). Threads is clamped to
+	// the runtime's parallelism, the most lanes that can run a stage
+	// at once; the clamped value also feeds the ER/SR auto rule.
 	Runtime *exec.Runtime
-
-	// tileNnz is the SR tile granularity in nonzeros; 0 means 512.
-	// Only tests set it, so that small matrices get several tiles per
-	// level.
-	tileNnz int
 }
 
 // DefaultOptions returns the paper-default configuration: ILU(0),
@@ -130,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Runtime != nil && o.Threads > o.Runtime.Parallelism() {
 		o.Threads = o.Runtime.Parallelism()
-	}
-	if o.tileNnz <= 0 {
-		o.tileNnz = 512
 	}
 	return o
 }
@@ -228,8 +221,8 @@ type Engine struct {
 // order.ZeroFreeDiagonal permutation first if needed). The matrix is
 // assumed already preordered by the caller (e.g. ND or RCM); Javelin
 // only adds its level-set permutation on top, exactly as in the paper.
-// Levels are computed on lower(A+Aᵀ), which keeps the columns of one
-// SR subblock independent and the rows of one corner group too.
+// Levels are computed on lower(A+Aᵀ), which keeps the rows of one
+// corner group independent.
 func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	if opt.Lower < LowerAuto || opt.Lower > LowerNone {
 		return nil, fmt.Errorf("core: unknown lower method %d", int(opt.Lower))
@@ -314,9 +307,11 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	return e, nil
 }
 
-// resolveMethod applies the paper's auto rule: ER needs more excluded
-// rows than threads (so imbalance averages out); SR handles the
-// few-rows / imbalanced-nnz case.
+// resolveMethod applies the paper's auto rule: ER when there are at
+// least twice as many lower rows as threads, SR otherwise. Both
+// methods run the same per-row plan, so the rule picks only the order
+// a lower row's MILU compensation is summed in; without MILU their
+// factors are equal.
 func (e *Engine) resolveMethod() LowerMethod {
 	m := e.opt.Lower
 	if m != LowerAuto {

@@ -30,18 +30,23 @@ func testMatrices(tb testing.TB) map[string]*sparse.CSR {
 // entry-for-entry.
 func referenceFactor(tb testing.TB, a *sparse.CSR, e *Engine, opt Options) *ilu.Factor {
 	tb.Helper()
+	f, err := serialFactor(a, e, opt)
+	if err != nil {
+		tb.Fatalf("reference factorization failed: %v", err)
+	}
+	return f
+}
+
+// serialFactor is referenceFactor returning the reference's error.
+func serialFactor(a *sparse.CSR, e *Engine, opt Options) (*ilu.Factor, error) {
 	permA := sparse.PermuteSym(a, e.Perm(), 1)
 	pat := e.Factor().LU.Clone()
 	for i := range pat.Val {
 		pat.Val[i] = 0
 	}
-	f, err := ilu.FactorizeWithPattern(permA, pat, ilu.Options{
+	return ilu.FactorizeWithPattern(permA, pat, ilu.Options{
 		FillLevel: opt.FillLevel, DropTol: opt.DropTol, Modified: opt.Modified,
 	})
-	if err != nil {
-		tb.Fatalf("reference factorization failed: %v", err)
-	}
-	return f
 }
 
 func maxFactorDiff(a, b *ilu.Factor) float64 {
@@ -95,7 +100,6 @@ func TestEngineMatchesSerialReferenceSR(t *testing.T) {
 			opt := DefaultOptions()
 			opt.Threads = 4
 			opt.Lower = LowerSR
-			opt.tileNnz = 64
 			opt.Split.MinRowsPerLevel = 8
 			e, err := Factorize(a, opt)
 			if err != nil {

@@ -12,11 +12,10 @@ import (
 
 // factorBits pins the factor values of every testMatrices matrix
 // under LS/ER/SR × ILU(0)/ILU(1) × MILU off/on × τ ∈ {0, 0.05}
-// (MinRowsPerLevel 8, SR tiles of 64 nonzeros): the FNV-64a digest of
-// the permuted LU value array, little-endian float64 bits in storage
-// order. They were recorded from the two-pointer merge kernel this
-// package used before the position-map kernel, and match it at every
-// thread count.
+// (MinRowsPerLevel 8): the FNV-64a digest of the permuted LU value
+// array, little-endian float64 bits in storage order. They were
+// recorded from the two-pointer merge kernel this package used before
+// the position-map kernel, and match it at every thread count.
 var factorBits = map[string]uint64{
 	"banded/LS/ilu0/milu=false/tau=0":     0xf008518d0e4e5f59,
 	"banded/LS/ilu0/milu=false/tau=0.05":  0x407c585dc7b791aa,
@@ -205,10 +204,10 @@ func digestValues(v []float64) uint64 {
 // TestFactorBits reproduces every pinned digest at Threads 1-4: after
 // Factorize, after a Refactorize on the cost model's routes, and after
 // a Refactorize with every factor stage forced onto its dispatched
-// route (upper-level blocks, lower-stage tiles and, where the corner
-// has more than one group or 64 rows, corner groups on lanes). With one
-// P the model and the forced route both run inline on lane 0, so run
-// it at GOMAXPROCS=1 and at the default to cover both.
+// route (upper-level blocks, lower rows and, where the corner has more
+// than one group or 64 rows, corner groups on lanes). With one P the
+// model and the forced route both run inline on lane 0, so run it at
+// GOMAXPROCS=1 and at the default to cover both.
 func TestFactorBits(t *testing.T) {
 	rt := exec.New(4)
 	defer rt.Close()
@@ -237,7 +236,6 @@ func TestFactorBits(t *testing.T) {
 							opt.FillLevel = fill
 							opt.Modified = milu
 							opt.DropTol = tau
-							opt.tileNnz = 64
 							opt.Split.MinRowsPerLevel = 8
 							e, err := Factorize(a, opt)
 							if err != nil {

@@ -60,7 +60,14 @@ func newLanes(count, n, maxRow int) []lane {
 // computed and ignored unless Options.Modified). f supplies only the
 // symbolic structure; the values read and written live in vals, the
 // epoch buffer being built.
-func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int) (comp float64, err error) {
+//
+// lvlEnds, non-nil for SR's lower rows only, are the upper levels'
+// column ends: the accumulator is closed into comp and restarted at
+// each one the pivots cross, so comp is the per-level sum
+// ((0 + c₀) + c₁) + … that eliminating the row one upper level at a
+// time gives. comp is +0 until a level closes and the accumulator is
+// never −0, so every other caller gets the accumulator's bits.
+func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, lvlEnds []int) (comp float64, err error) {
 	if kLo >= kHi {
 		return 0, nil
 	}
@@ -75,6 +82,11 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int) (comp 
 	copy(w[1:], vals[kLo:end])
 	for k := kLo; k < kHi; k++ {
 		j := cols[k]
+		for len(lvlEnds) > 0 && j >= lvlEnds[0] {
+			comp += w[0]
+			w[0] = 0
+			lvlEnds = lvlEnds[1:]
+		}
 		piv := vals[diag[j]]
 		if !(math.Abs(piv) >= pivotFloor) {
 			err = fmt.Errorf("%w at column %d (row %d)", ilu.ErrZeroPivot, j, r)
@@ -93,7 +105,7 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int) (comp 
 		pos[c] = 0
 	}
 	copy(vals[kLo:end], w[1:])
-	return w[0], err
+	return comp + w[0], err
 }
 
 // finishRow applies τ dropping and MILU compensation to a fully

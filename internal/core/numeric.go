@@ -78,7 +78,6 @@ func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 	if err := b.scatter(a); err != nil {
 		return err
 	}
-	clear(e.lower.comp)
 	if err := b.factorUpper(); err != nil {
 		return err
 	}
@@ -94,7 +93,7 @@ func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 // call and dropped on return, so the Engine keeps no numeric scratch.
 // Loop bodies are method expressions and the one claim closure is
 // bound here, so a pass allocates the same few objects whatever its
-// number of rows, tiles or levels.
+// number of rows or levels.
 type build struct {
 	e     *Engine
 	vals  []float64
@@ -108,11 +107,9 @@ type build struct {
 	body  func(b *build, ln *lane, i int)
 	claim func(piece, lo, hi int)
 
-	// Loop parameters: the lower level of the tile loops, the rows
-	// [row0, row1) of the upper level being factored in items of blk
-	// rows, and row0 again as the first row of the corner group being
-	// factored.
-	lvl        *lowerLevel
+	// Loop parameters: the rows [row0, row1) of the upper level being
+	// factored in items of blk rows, and row0 again as the first row of
+	// the corner group being factored.
 	row0, row1 int
 	blk        int
 }
@@ -257,7 +254,7 @@ func (b *build) upperBlock(ln *lane, i int) {
 	lo := b.row0 + i*b.blk
 	hi := min(lo+b.blk, b.row1)
 	for r := lo; r < hi; r++ {
-		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r])
+		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], nil)
 		if err == nil {
 			err = e.finishRow(b.vals, r, comp)
 		}
@@ -268,39 +265,34 @@ func (b *build) upperBlock(ln *lane, i int) {
 	}
 }
 
-// factorLower runs the lower stage (paper Section V): the levels of
-// the method's plan (lowerPlan.levels), each a chunk-1 loop over its
-// tiles with a barrier after it, then the corner. A tile holds whole
-// spans and eliminate divides each pivot entry just before using it,
-// so SR needs no separate DIVIDE pass. Tiles of a level are
-// row-disjoint, so the inline route below the cutoff is bitwise
-// identical to the dynamic dispatch.
+// factorLower runs the lower stage (paper Section V): a chunk-1 loop
+// with one item per lower row, each eliminating the row against all
+// its upper-stage pivots in one pass, then the corner. Lower rows are
+// independent once the upper stage is final, so the inline route below
+// the cutoff is bitwise identical to the dynamic dispatch. ER and SR
+// differ only in the order a row's MILU compensation is summed in
+// (lowerPlan.lvlEnds).
 func (b *build) factorLower() error {
 	e := b.e
-	par := e.rt.ParallelWorth(e.lowerOps)
-	for li := range e.lower.levels {
-		b.lvl = &e.lower.levels[li]
-		b.forEach(par, len(b.lvl.tiles), (*build).lowerTile)
-		if err := b.firstErr(); err != nil {
-			return err
-		}
+	b.forEach(e.rt.ParallelWorth(e.lowerOps), len(e.lower.spans), (*build).lowerRow)
+	if err := b.firstErr(); err != nil {
+		return err
 	}
 	return b.factorCorner()
 }
 
-// lowerTile eliminates the spans of tile i of the current lower level.
-// Their compensation waits in lower.comp for the rows' corner phase.
-func (b *build) lowerTile(ln *lane, i int) {
+// lowerRow eliminates the row of span i against its upper-stage
+// pivots. Its compensation waits in lower.comp for the row's corner
+// phase.
+func (b *build) lowerRow(ln *lane, i int) {
 	e := b.e
-	t := b.lvl.tiles[i]
-	for _, sp := range b.lvl.spans[t.lo:t.hi] {
-		comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi)
-		if err != nil {
-			b.fail(err)
-			return
-		}
-		e.lower.comp[sp.row-e.split.NUpper] += comp
+	sp := e.lower.spans[i]
+	comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, e.lower.lvlEnds)
+	if err != nil {
+		b.fail(err)
+		return
 	}
+	e.lower.comp[sp.row-e.split.NUpper] = comp
 }
 
 // factorCorner factors the trailing (lower × lower) block. Rows are
@@ -346,7 +338,7 @@ func (b *build) cornerGroupRow(ln *lane, i int) {
 func (b *build) cornerRow(ln *lane, r int) error {
 	e := b.e
 	i := r - e.split.NUpper
-	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r])
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r], nil)
 	if err != nil {
 		return err
 	}

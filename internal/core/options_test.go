@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"javelin/internal/gen"
-	"javelin/internal/ilu"
 	"javelin/internal/sparse"
 )
 
@@ -64,28 +63,6 @@ func TestEngineDropTolMatchesSerial(t *testing.T) {
 		ref := referenceFactor(t, a, e, opt)
 		if d := maxFactorDiff(e.Factor(), ref); d != 0 {
 			t.Errorf("%v with τ: differs from serial by %g", lower, d)
-		}
-		e.Close()
-	}
-}
-
-func TestSRTileNnzDoesNotChangeValues(t *testing.T) {
-	a := gen.PowerFlow(gen.PowerFlowOptions{Blocks: 12, BlockSize: 25, BlockFill: 0.4, ChainSpan: 2, Seed: 5})
-	var ref *ilu.Factor
-	for _, tile := range []int{16, 64, 511, 4096} {
-		opt := DefaultOptions()
-		opt.Lower = LowerSR
-		opt.Threads = 4
-		opt.tileNnz = tile
-		opt.Split.MinRowsPerLevel = 8
-		e, err := Factorize(a, opt)
-		if err != nil {
-			t.Fatalf("tile=%d: %v", tile, err)
-		}
-		if ref == nil {
-			ref = e.Factor()
-		} else if d := maxFactorDiff(e.Factor(), ref); d != 0 {
-			t.Errorf("tile=%d changed values by %g", tile, d)
 		}
 		e.Close()
 	}

@@ -138,7 +138,7 @@ func TestSharedRuntimeAcrossEngines(t *testing.T) {
 }
 
 // TestNoGoroutineGrowthAcrossSolves is the acceptance criterion: on a
-// warm runtime, no hot path — solves, lower-stage tiles, corner
+// warm runtime, no hot path — solves, lower-stage rows, corner
 // groups, scatter/refactorize, SpMV — spawns goroutines per call.
 func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 	a := gen.GridLaplacian(60, 60, 1, gen.Star5, 0.2)
@@ -193,7 +193,6 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 		opt.Threads = 2
 		opt.Runtime = rt
 		opt.Lower = method
-		opt.tileNnz = 64
 		opt.Split.MinRowsPerLevel = 8
 		e, err := Factorize(a, opt)
 		if err != nil {
@@ -241,28 +240,64 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 	}
 }
 
-// TestRunTilesDispatchesEachTileOnce drives the parallel branch of
-// the build's chunk-1 loop directly (par is an argument, so no
-// measured cutoff decides whether the branch is reached): 101 tiles of
-// uneven cost must each run exactly once, at every thread count, as
-// one region of one Ranges piece per lane, and no lane may serve two
-// tiles at once.
-func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
-	const nTiles = 101
-	tiles := make([]tileRange, nTiles)
-	for i := range tiles {
-		tiles[i] = tileRange{lo: i, hi: i + 1}
+// TestSROpensAsManyRegionsAsER: SR's lower stage is ER's loop, one
+// item per lower row on every lane, and differs only in the order it
+// sums MILU compensation. So with every factor stage forced onto its
+// dispatched route, a Refactorize opens as many runtime regions under
+// SR as under ER on every test matrix. An SR stage that loops per
+// upper level opens a different number; where each level holds one
+// item it runs every level inline on lane 0 and never reaches a
+// second lane.
+func TestSROpensAsManyRegionsAsER(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("with one P the forced routes run inline and open no region")
 	}
+	rt := exec.New(2)
+	defer rt.Close()
+	for name, a := range testMatrices(t) {
+		var regions [2]uint64
+		for i, method := range []LowerMethod{LowerER, LowerSR} {
+			opt := DefaultOptions()
+			opt.Threads = 2
+			opt.Runtime = rt
+			opt.Lower = method
+			opt.Split.MinRowsPerLevel = 8
+			e, err := Factorize(a, opt)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, method, err)
+			}
+			e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+			s0 := rt.Stats()
+			if err := e.Refactorize(a); err != nil {
+				t.Fatalf("%s %v: Refactorize: %v", name, method, err)
+			}
+			regions[i] = rt.Stats().Sub(s0).Regions
+			e.Close()
+		}
+		if regions[0] != regions[1] {
+			t.Errorf("%s: a dispatched Refactorize opened %d regions under SR, %d under ER", name, regions[1], regions[0])
+		}
+	}
+}
+
+// TestForEachDispatchesEachItemOnce drives the parallel branch of the
+// build's chunk-1 loop directly (par is an argument, so no measured
+// cutoff decides whether the branch is reached): 101 items of uneven
+// cost must each run exactly once, at every thread count, as one
+// region of one Ranges piece per lane, and no lane may serve two
+// items at once.
+func TestForEachDispatchesEachItemOnce(t *testing.T) {
+	const nItems = 101
 	for _, threads := range []int{2, 4, 8} {
 		rt := exec.New(threads)
 		e := &Engine{opt: Options{Threads: threads}, rt: rt}
 		b := e.newBuild(nil)
-		var runs [nTiles]atomic.Int32
+		var runs [nItems]atomic.Int32
 		var sink atomic.Uint64
 		busy := make([]atomic.Bool, threads)
 		var shared atomic.Int32
 		s0 := rt.Stats()
-		b.forEach(true, nTiles, func(b *build, ln *lane, i int) {
+		b.forEach(true, nItems, func(b *build, ln *lane, i int) {
 			li := 0
 			for ln != &b.lanes[li] {
 				li++
@@ -270,28 +305,28 @@ func TestRunTilesDispatchesEachTileOnce(t *testing.T) {
 			if !busy[li].CompareAndSwap(false, true) {
 				shared.Add(1)
 			}
-			// Uneven cost: every seventh tile does 100× the work.
+			// Uneven cost: every seventh item does 100× the work.
 			work := 100
-			if tiles[i].lo%7 == 0 {
+			if i%7 == 0 {
 				work = 10000
 			}
-			x := uint64(tiles[i].lo)
+			x := uint64(i)
 			for k := 0; k < work; k++ {
 				x = x*6364136223846793005 + 1442695040888963407
 			}
 			sink.Add(x)
-			runs[tiles[i].lo].Add(1)
+			runs[i].Add(1)
 			busy[li].Store(false)
 		})
 		d := rt.Stats().Sub(s0)
 		rt.Close()
 		for i := range runs {
 			if got := runs[i].Load(); got != 1 {
-				t.Fatalf("threads=%d: tile %d ran %d times, want 1", threads, i, got)
+				t.Fatalf("threads=%d: item %d ran %d times, want 1", threads, i, got)
 			}
 		}
 		if n := shared.Load(); n != 0 {
-			t.Fatalf("threads=%d: %d tiles started on a lane already in use", threads, n)
+			t.Fatalf("threads=%d: %d items started on a lane already in use", threads, n)
 		}
 		if d.Regions != 1 || d.Chunks != uint64(threads) {
 			t.Fatalf("threads=%d: Regions=%d Chunks=%d, want one region of %d lane pieces",

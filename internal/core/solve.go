@@ -55,7 +55,7 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 	// span by span. Spans are ~3 elements, so the row sum is open-coded
 	// (the same ascending-index chained sum SpMVRows pins).
 	cols := lu.ColIdx
-	for _, sp := range e.lower.solveSpans {
+	for _, sp := range e.lower.spans {
 		s := 0.0
 		for k := sp.kLo; k < sp.kHi; k++ {
 			s += vals[k] * x[cols[k]]

@@ -4,18 +4,18 @@
 // per-piece-scratch fork-join (Ranges).
 //
 // This is the "specialized light weight tasking library" of the paper
-// generalized into a shared substrate: every SpMV, level-set sweep,
-// factor stage and lower-stage tile level of every engine runs here
-// instead of spawning goroutines per call. The factor's chunk-1 loops
-// (the upper stage's row blocks, the lower stage's tiles and the
-// corner groups)
-// are all known before a level starts and none spawns more work, so
-// each runs as one Ranges piece per lane, each piece claiming items
-// off a shared cursor with its own scratch; no work stealing is
-// needed. Loop regions are claim-based (atomic block dealing over
-// persistent workers), so a region costs two mutex hops and a handful
-// of atomics instead of goroutine creation, and an idle Runtime parks
-// its workers and costs nothing.
+// generalized into a shared substrate: every SpMV, reduction, factor
+// scatter and factor stage of every engine runs here instead of
+// spawning goroutines per call (the triangular solves run inline on
+// their caller). The factor's chunk-1 loops (the upper stage's row
+// blocks, the lower stage's rows and the corner groups) are all known
+// before they start and none spawns more work, so each runs as one
+// Ranges piece per lane, each piece claiming items off a shared cursor
+// with its own scratch; no work stealing is needed. Loop regions are
+// claim-based (atomic block dealing over persistent workers), so a
+// region costs two mutex hops and a handful of atomics instead of
+// goroutine creation, and an idle Runtime parks its workers and costs
+// nothing.
 //
 // # Concurrency model
 //

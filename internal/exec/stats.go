@@ -32,9 +32,9 @@ type Stats struct {
 	// Chunks/Regions is the average fan-out actually realized.
 	Chunks uint64 `json:"chunks"`
 	// StealAttempts and StealSuccesses are always 0: the runtime has
-	// no work-stealing scheduler (lower-stage tiles run as Ranges regions).
-	// The fields remain only so existing readers of the snapshot keep
-	// compiling.
+	// no work-stealing scheduler (the factor stages' chunk-1 loops run
+	// as Ranges regions). The fields remain only so existing readers of
+	// the snapshot keep compiling.
 	StealAttempts  uint64 `json:"steal_attempts"`
 	StealSuccesses uint64 `json:"steal_successes"`
 	// Gangs and GangWaitNs are always 0: the runtime has no gang

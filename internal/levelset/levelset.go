@@ -32,9 +32,10 @@ type PatternSource int
 const (
 	// LowerA uses the strictly lower triangle of A itself.
 	LowerA PatternSource = iota
-	// LowerAAT uses the strictly lower triangle of A+Aᵀ. Required by
-	// the Segmented-Rows method: it guarantees columns within one
-	// level of a lower-stage subblock are mutually independent.
+	// LowerAAT uses the strictly lower triangle of A+Aᵀ, the source
+	// the engine levels on: two rows of one level share no entry in
+	// either triangle, so the rows of one lower-stage corner group are
+	// mutually independent in any order.
 	LowerAAT
 )
 

@@ -5,7 +5,8 @@
 //
 // Javelin deliberately stays in plain CSR — the paper's thesis is that
 // scalable ILU and triangular solves do not need exotic formats, only
-// a level-aware permutation plus a small amount of tile metadata.
+// a level-aware permutation plus a small amount of per-row span
+// metadata.
 package sparse
 
 import (
