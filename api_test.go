@@ -204,6 +204,22 @@ func TestFactorizeNilMatrix(t *testing.T) {
 	}
 }
 
+// TestFactorizeEmptyMatrix: a 0×0 matrix is rejected with an error
+// rather than accepted into a Preconditioner whose Apply, and every
+// Solver over it, would index an empty vector.
+func TestFactorizeEmptyMatrix(t *testing.T) {
+	m := NewBuilder(0, 0).Build()
+	for _, threads := range []int{1, 2} {
+		opt := DefaultOptions()
+		opt.Threads = threads
+		p, err := Factorize(m, opt)
+		if err == nil {
+			p.Close()
+			t.Fatalf("threads=%d: Factorize accepted a 0×0 matrix", threads)
+		}
+	}
+}
+
 func TestApplierConcurrentSolvesShareOnePreconditioner(t *testing.T) {
 	m := GridLaplacian(40, 40, 1, Star5, 0.2)
 	opt := DefaultOptions()
@@ -495,7 +511,8 @@ func TestRuntimeStatsAPI(t *testing.T) {
 
 	// Work on the shared runtime must show up as a delta over the
 	// snapshot. A solve alone is not guaranteed to: its triangular
-	// sweeps always run inline, and the adaptive parallel cutoff
+	// sweeps run inline unless the engine's probe found the phased
+	// route faster on this host, and the adaptive parallel cutoff
 	// legitimately runs a small matvec (or any region on a
 	// GOMAXPROCS=1 machine) inline too, skipping the runtime. So solve
 	// for realism, then drive one explicit region — it must be visible

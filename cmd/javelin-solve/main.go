@@ -10,6 +10,11 @@
 //	javelin-solve -matrix trans4 -solver auto -timeout 30s
 //	javelin-solve -matrix wang3 -scale 0.02 -drift
 //
+// The line after "factorized in" names the route of the solves'
+// upper-stage rows, inline or phased, with the best times of the probe
+// that Factorize ran on each (core.Engine.SolveRoute); at one thread,
+// or where fewer than two lanes can run, no probe runs.
+//
 // -drift demos the live-update path: the matrix is wrapped in a
 // VersionedMatrix, solved, drifted (a diagonal-scaled value update is
 // published mid-session), solved again against the now-stale factor,
@@ -122,6 +127,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "factorized in %v (levels=%d upper=%d lower=%d method=%s)\n",
 		time.Since(t0), e.Split().Lv.Count, e.Split().NUpper,
 		e.Split().NLower(), p.Method())
+	// The route of the solves' upper-stage rows, and the timings of the
+	// probe that chose it (none at one thread or one runnable lane).
+	route, r := "inline", e.SolveRoute()
+	if r.Phased {
+		route = "phased"
+	}
+	if r.InlineBest == 0 {
+		fmt.Fprintf(stdout, "solve route: %s (no probe)\n", route)
+	} else {
+		fmt.Fprintf(stdout, "solve route: %s (probe best: inline %v, phased %v)\n", route, r.InlineBest, r.PhasedBest)
+	}
 
 	// The Solver inherits the engine's thread count and runtime, so
 	// its matvecs ride the same worker pool as the factorization.

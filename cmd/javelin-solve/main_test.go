@@ -100,3 +100,34 @@ func TestRunSolveReportsNonConvergence(t *testing.T) {
 		t.Fatalf("stderr:\n%s", errb.String())
 	}
 }
+
+// TestRunSolvePrintsSolveRoute: the line after "factorized in" names
+// the solves' route, without a probe at one thread and with the
+// probe's best time on each route when one ran.
+func TestRunSolvePrintsSolveRoute(t *testing.T) {
+	for _, threads := range []string{"1", "2"} {
+		var out, errb bytes.Buffer
+		rc := run([]string{"-matrix", "wang3", "-scale", "0.02", "-solver", "cg",
+			"-threads", threads}, &out, &errb)
+		if rc != 0 {
+			t.Fatalf("threads=%s: rc=%d stderr=%s", threads, rc, errb.String())
+		}
+		lines := strings.Split(out.String(), "\n")
+		i := 0
+		for i < len(lines) && !strings.HasPrefix(lines[i], "factorized in") {
+			i++
+		}
+		if i+1 >= len(lines) {
+			t.Fatalf("threads=%s: no line after \"factorized in\":\n%s", threads, out.String())
+		}
+		route := lines[i+1]
+		probed := strings.HasPrefix(route, "solve route: inline (probe best: inline ") ||
+			strings.HasPrefix(route, "solve route: phased (probe best: inline ")
+		switch {
+		case route == "solve route: inline (no probe)":
+		case threads == "2" && probed && strings.Contains(route, ", phased "):
+		default:
+			t.Fatalf("threads=%s: route line %q", threads, route)
+		}
+	}
+}

@@ -57,7 +57,10 @@
 // synchronization per row. For a given lower-stage method the factor
 // values do not depend on the thread count.
 //
-// The same permutation drives the sparse triangular solves, and the
+// The same permutation drives the sparse triangular solves: the upper
+// levels drive both the level-by-level factor stage and the solves'
+// phased sweeps (one region per sweep, a barrier per level, where
+// Factorize measures that route faster than a plain sweep), and the
 // lower rows' spans drive both methods' elimination and SolveLower's
 // staged sweep, so the preconditioner applies without reformatting —
 // the paper's co-design thesis.
@@ -214,8 +217,9 @@
 //
 // # Execution runtime & threading contract
 //
-// Every parallel region in Javelin — factorization stages, SpMV,
-// solver matvecs and reductions — schedules onto a persistent
+// Every parallel region in Javelin — factorization stages, phased
+// triangular sweeps, SpMV, solver matvecs and reductions — schedules
+// onto a persistent
 // Runtime: a fixed pool of worker goroutines that spin briefly then
 // park when idle, so hot paths never create goroutines per call and an
 // idle runtime costs nothing.
@@ -294,14 +298,21 @@
 //     scatter) and the factor stages use a cost model: a region opens
 //     only when its estimated flops, split over the lanes, save
 //     several times the runtime's measured region-dispatch overhead.
-//   - The triangular sweeps of a solve always run inline on the
-//     calling goroutine. A p2p sweep spin-waits at every level, and
-//     on the 2-vCPU hosts it was timed on an apply through it took
-//     2–13× as long as the 1-thread sweep on every matrix tried, so
-//     the solves dispatch nothing. At Threads > 1 the lower sweep
-//     still follows the staged structure (upper rows, then the lower
+//   - The triangular sweeps of a solve choose their route by
+//     measurement. At Threads > 1, where two lanes can run at once,
+//     Factorize times the forward sweep of the upper stage inline and
+//     as one phased region (each level's rows cut into one range per
+//     lane, a barrier between levels, Anderson & Saad's level
+//     scheduling) and keeps the faster; Refactorize keeps the choice,
+//     and Engine.SolveRoute reports it with the probe's times. Both
+//     sweeps then run their upper-stage rows on that route; the lower
+//     rows and the corner always run inline. At Threads > 1 the lower
+//     sweep follows the staged structure (upper rows, then the lower
 //     rows' spmv-like pass, then the corner), which gives the same
-//     bits at every Threads > 1.
+//     bits at every Threads > 1 and on both routes. The paper's p2p
+//     sweep, which waited on other lanes row by row, is not used: on
+//     the 2-vCPU hosts it was timed on, an apply through it took
+//     2–13× as long as the 1-thread sweep on every matrix tried.
 //
 // # Runtime metrics
 //

@@ -261,9 +261,11 @@ type Fig12Row struct {
 // min over i ≤ p of time(m, mat, i) for the barrier baseline, the
 // level-scheduled engine, and the full two-stage engine. Timing
 // covers a forward+backward sweep pair (one preconditioner apply).
-// The engines' sweeps run inline at every thread count (see
-// core.SolveContext.SolveLower), so their columns measure the sweep
-// order, not parallel speedup; only CSR-LS dispatches.
+// The engines' sweeps run their upper-stage rows on the route each
+// engine's Factorize measured faster on this host, inline or one
+// phased region per sweep (see core.Engine.SolveRoute), so their
+// columns show parallel speedup only where the phased route won; at
+// Threads 1 they measure the sweep order alone.
 func RunFig12(cfg Config) []Fig12Row {
 	cfg = cfg.WithDefaults()
 	t := &Table{
@@ -311,7 +313,7 @@ func RunFig12(cfg Config) []Fig12Row {
 				bestCSRLS = d
 			}
 			// Engines are built per thread count: Threads > 1 selects
-			// the staged lower sweep.
+			// the staged lower sweep and probes the upper stage's route.
 			dLS := timeEngineSolve(cfg, a, p, core.LowerNone, b)
 			if dLS > 0 && dLS < bestLS {
 				bestLS = dLS

@@ -9,15 +9,16 @@ import (
 	"javelin/internal/util"
 )
 
-// TestApplyTwoThreadOverhead pins the point of the inline solves:
-// asking for 2 threads must never be catastrophically slower than the
-// serial loop, even on matrices far too small to parallelize and on
-// machines with one or two CPUs (where a p2p sweep's spin-waits cost
-// more than its rows). The solves never dispatch, so at 2 threads the
-// staged traversal runs inline and only the staging order itself
-// differs from 1T. The bound is deliberately loose — it guards
-// against re-introducing dispatched sweeps that lose, not against
-// timer noise.
+// TestApplyTwoThreadOverhead pins the point of the probed solve
+// route: asking for 2 threads must never be catastrophically slower
+// than the serial loop, even on matrices far too small to parallelize
+// and on machines with one or two CPUs (where waiting at a level
+// barrier costs more than the level's rows). At 2 threads Factorize
+// times the upper-stage sweep inline and phased and keeps the faster,
+// and with one P it runs no probe and stays inline, so a 2T apply
+// differs from 1T only in the staging order or where the phased
+// route measured faster. The bound is deliberately loose — it guards
+// against a route choice that loses, not against timer noise.
 func TestApplyTwoThreadOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

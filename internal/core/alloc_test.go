@@ -76,3 +76,44 @@ func TestRefactorizeAllocationsPerCall(t *testing.T) {
 		}
 	}
 }
+
+// TestPhasedApplyAllocations: a warm Apply on the phased route
+// allocates nothing. Its region bodies are bound when the context is
+// made, and the region itself comes from the runtime's pool. The count
+// is the fewest allocations of ten calls, as in
+// TestRefactorizeAllocationsPerCall's dispatched route.
+func TestPhasedApplyAllocations(t *testing.T) {
+	a := gen.TetraMesh(8, 8, 8, 0x31)
+	for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
+		opt := DefaultOptions()
+		opt.Threads = 2
+		opt.Lower = method
+		opt.Split.MinRowsPerLevel = 8
+		e, err := Factorize(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceSolveRoute(e, true)
+		c := e.NewContext()
+		r := make([]float64, a.N)
+		for i := range r {
+			r[i] = 1
+		}
+		z := make([]float64, a.N)
+		runtime.GC()
+		c.Apply(r, z)
+		fewest := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for trial := 0; trial < 10; trial++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			c.Apply(r, z)
+			runtime.ReadMemStats(&ms)
+			fewest = min(fewest, ms.Mallocs-before)
+		}
+		e.Close()
+		if fewest != 0 {
+			t.Errorf("%v: a warm phased Apply allocates %d objects, want 0", method, fewest)
+		}
+	}
+}

@@ -42,6 +42,12 @@ type SolveContext struct {
 
 	tmp1 []float64 // Apply permutation scratch (solves run in place on it)
 	blk  []float64 // packed n×k batch scratch (lazily grown)
+
+	// x is the vector of the phased sweep in flight, and forward and
+	// backward are its region bodies, bound once here so a solve
+	// allocates no closure (see Engine.route).
+	x                 []float64
+	forward, backward func(i int)
 }
 
 // retainedBlkRHS caps the batch scratch a released context keeps: a
@@ -75,7 +81,9 @@ func (c *SolveContext) exit() {
 // reusable across any number of solves; each solve call reads the
 // factor values current at its entry.
 func (e *Engine) NewContext() *SolveContext {
-	return &SolveContext{e: e, tmp1: make([]float64, e.n)}
+	c := &SolveContext{e: e, tmp1: make([]float64, e.n)}
+	c.forward, c.backward = c.forwardPiece, c.backwardPiece
+	return c
 }
 
 // AcquireContext returns a SolveContext drawn from the engine's

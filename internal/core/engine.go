@@ -97,12 +97,13 @@ type Options struct {
 	AllowPatternMismatch bool
 	// Runtime, when non-nil, is the shared persistent execution
 	// runtime the engine schedules every parallel region on — the
-	// factor stages and the scatter. Several engines (and all their
-	// SolveContexts) may share one Runtime; the engine does not close
-	// it. When nil, the engine creates a private runtime sized to
-	// Threads and owns it (Close releases it). Threads is clamped to
-	// the runtime's parallelism, the most lanes that can run a stage
-	// at once; the clamped value also feeds the ER/SR auto rule.
+	// factor stages, the scatter and the phased solves. Several engines
+	// (and all their SolveContexts) may share one Runtime; the engine
+	// does not close it. When nil, the engine creates a private runtime
+	// sized to Threads and owns it (Close releases it). Threads is
+	// clamped to the runtime's parallelism, the most lanes that can run
+	// a stage at once; the clamped value also feeds the ER/SR auto
+	// rule.
 	Runtime *exec.Runtime
 }
 
@@ -169,8 +170,13 @@ type Engine struct {
 	// cutoff (exec.Runtime.ParallelWorth): the upper stage and the
 	// lower stage respectively. Crude deliberately — the cutoff only
 	// needs order-of-magnitude truth against measured region overhead.
-	// The solves always run inline and need no estimate.
+	// The solves need no estimate: Factorize times their two routes.
 	upperOps, lowerOps int64
+
+	// route is what Factorize's probe of the solves' two routes found
+	// (see chooseSolveRoute). Unless it carries a plan, the solves run
+	// their upper-stage rows inline.
+	route *solveRoute
 
 	// cornerStart[r-NUpper] is the first sub-diagonal index of corner
 	// row r whose column is itself a corner row (>= NUpper). Columns
@@ -230,6 +236,9 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	opt = opt.withDefaults()
 	if a.N != a.M {
 		return nil, errors.New("core: matrix must be square")
+	}
+	if a.N == 0 {
+		return nil, errors.New("core: matrix is empty")
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -304,6 +313,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
+	e.chooseSolveRoute()
 	return e, nil
 }
 

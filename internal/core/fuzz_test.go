@@ -39,7 +39,10 @@ const miluRelTol = 1e-12
 // magnitude above that, and the dispatched Refactorize must reproduce
 // the first Factorize bit for bit. MILU compensation can cancel a
 // pivot; inputs on which the reference itself reports a zero pivot
-// are skipped. The seed corpus is under testdata/fuzz/FuzzFactorize.
+// are skipped. At Threads > 1 each accepted factor is then applied
+// (SolveLower, SolveUpper and Apply) on the inline and the phased
+// solve route, which must give identical bits. The seed corpus is
+// under testdata/fuzz/FuzzFactorize.
 func FuzzFactorize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -126,6 +129,19 @@ func FuzzFactorize(f *testing.F) {
 		check("dispatched Refactorize")
 		if digestValues(e.Factor().LU.Val) != want {
 			t.Fatalf("%v %s: the dispatched Refactorize differs from Factorize", e.Method(), cfg)
+		}
+		if e.Threads() > 1 {
+			b := make([]float64, n)
+			for i := range b {
+				b[i] = 1 + float64(i%5)
+			}
+			forceSolveRoute(e, false)
+			inline := solveBits(e, b)
+			forceSolveRoute(e, true)
+			if i := firstBitDiff(solveBits(e, b), inline); i >= 0 {
+				op := []string{"SolveLower", "SolveUpper", "Apply"}[i/n]
+				t.Fatalf("%v %s: phased %s differs from inline at row %d", e.Method(), cfg, op, i%n)
+			}
 		}
 	})
 }

@@ -1,21 +1,29 @@
 package core
 
+import (
+	"math"
+	"runtime"
+	"time"
+)
+
 // SolveLower solves L·x = b on the engine's permuted indexing, where
 // L is the unit-lower factor. b and x are length-N slices in the
 // PERMUTED ordering (use Apply for the user-ordering round trip);
 // b and x may alias.
 //
-// The sweep runs on the calling goroutine. At Threads == 1 it is one
-// whole-sweep forward substitution. At Threads > 1 it follows the
-// factor's staged structure (paper Section VI): the upper-stage rows
-// in ascending order, then the spmv-like sweep of the lower rows
-// against the already-computed upper x, then the corner. The staged
-// sweep sums each lower row's upper-stage entries before subtracting
-// them, so its low bits differ from the Threads == 1 sweep, and it
-// gives the same bits at every Threads > 1. Neither sweep is
-// dispatched: the paper's p2p solve spin-waits at every level, and on
-// the 2-vCPU hosts it was timed on, an apply through it took 2–13× as
-// long as the 1-thread sweep on every matrix tried.
+// At Threads == 1 it is one whole-sweep forward substitution on the
+// calling goroutine. At Threads > 1 it follows the factor's staged
+// structure (paper Section VI): the upper-stage rows level by level,
+// then the spmv-like sweep of the lower rows against the
+// already-computed upper x, then the corner. The staged sweep sums
+// each lower row's upper-stage entries before subtracting them, so its
+// low bits differ from the Threads == 1 sweep, and it gives the same
+// bits at every Threads > 1. The upper-stage rows run either inline
+// or as one exec.Runtime.Phases region, each level's rows cut into one
+// range per lane with a barrier between levels; Factorize picks the
+// route by timing both (see Engine.SolveRoute). TriLower is row-local
+// and every row's entries point to earlier levels, so both routes give
+// the same bits. The lower stage and the corner always run inline.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -44,10 +52,14 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 		kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, e.n)
 		return
 	}
-	// Upper stage: the rows in ascending order (a valid forward
-	// topological order) as one sweep kernel.
+	// Upper stage: the levels in ascending order (a valid forward
+	// topological order), phased or as one sweep kernel.
 	nUp, n := e.split.NUpper, e.n
-	kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, nUp)
+	if p := e.phasedPlan(); p != nil {
+		c.runPhased(p.fwdGate, c.forward, x)
+	} else {
+		kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, nUp)
+	}
 	if nUp == n {
 		return
 	}
@@ -76,12 +88,15 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 }
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
-// may alias) as one backward-substitution sweep on the calling
-// goroutine, at every thread count: solving the corner and then the
-// upper-stage rows, each descending, is the same row order with the
-// same per-row arithmetic, so a staged form would give the same bits.
-// See SolveLower's note on PinEpoch when pairing the two under
-// concurrent Refactorize.
+// may alias) by backward substitution. Inline it is one descending
+// sweep on the calling goroutine, at every thread count. On the
+// phased route (see SolveLower) it sweeps the lower rows [NUpper, n)
+// inline, descending, and then the upper-stage levels in descending
+// order as one exec.Runtime.Phases region. Under the lower(A+Aᵀ)
+// leveling every U entry of an upper-stage row points to a later
+// level or to a lower row, and TriUpper is row-local, so both routes
+// give the same bits. See SolveLower's note on PinEpoch when pairing
+// the two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {
@@ -92,5 +107,173 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
+	p := e.phasedPlan()
+	if p == nil {
+		e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
+		return
+	}
+	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, e.split.NUpper, e.n)
+	c.runPhased(p.bwdGate, c.backward, x)
+}
+
+// solveRoute is the outcome of an engine's route probe: the best time
+// of the forward upper-stage sweep on each route and, when the phased
+// route won, its piece plan.
+type solveRoute struct {
+	inlineBest, phasedBest time.Duration
+	plan                   *sweepPlan
+}
+
+// phasedPlan returns the piece plan of the phased route, or nil when
+// the solves run inline.
+func (e *Engine) phasedPlan() *sweepPlan {
+	if e.route == nil {
+		return nil
+	}
+	return e.route.plan
+}
+
+// sweepPlan is the phased route's piece plan over the upper stage:
+// each level's rows cut into one contiguous range per lane. Forward
+// piece i covers rows [cut[i], cut[i+1]), levels ascending; backward
+// piece i is forward piece len(cut)-2-i, so its levels descend. Each
+// gate entry counts the pieces of the phases (levels) before the
+// piece's own in its sweep.
+type sweepPlan struct {
+	cut              []int
+	fwdGate, bwdGate []int32
+}
+
+// newSweepPlan cuts every upper level into min(Threads, rows) ranges
+// of nearly equal row counts.
+func (e *Engine) newSweepPlan() *sweepPlan {
+	ptr, levels, lanes := e.split.UpperLvlPtr, e.split.CutLevel, e.opt.Threads
+	pieces := 0
+	for l := 0; l < levels; l++ {
+		pieces += min(lanes, ptr[l+1]-ptr[l])
+	}
+	p := &sweepPlan{
+		cut:     make([]int, pieces+1),
+		fwdGate: make([]int32, pieces),
+		bwdGate: make([]int32, pieces),
+	}
+	i := 0
+	for l := 0; l < levels; l++ {
+		lo, rows := ptr[l], ptr[l+1]-ptr[l]
+		k := min(lanes, rows)
+		first := i
+		for q := 0; q < k; q++ {
+			p.cut[i] = lo + q*rows/k
+			p.fwdGate[i] = int32(first)
+			i++
+		}
+		for j := first; j < i; j++ {
+			p.bwdGate[pieces-1-j] = int32(pieces - i)
+		}
+	}
+	p.cut[pieces] = e.split.NUpper
+	return p
+}
+
+// runPhased runs one sweep of the phased route over x: the pieces of
+// gate, each through body, as one runtime region of up to Threads
+// lanes.
+//
+//javelin:noalloc
+func (c *SolveContext) runPhased(gate []int32, body func(i int), x []float64) {
+	c.x = x
+	c.e.rt.Phases(gate, c.e.opt.Threads, body)
+	c.x = nil
+}
+
+// forwardPiece runs TriLower over the rows of forward piece i.
+//
+//javelin:noalloc
+func (c *SolveContext) forwardPiece(i int) {
+	e := c.e
+	lu, cut := e.factor.LU, e.route.plan.cut
+	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, c.x, cut[i], cut[i+1])
+}
+
+// backwardPiece runs TriUpper over the rows of backward piece i.
+//
+//javelin:noalloc
+func (c *SolveContext) backwardPiece(i int) {
+	e := c.e
+	lu, cut := e.factor.LU, e.route.plan.cut
+	j := len(cut) - 2 - i
+	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, c.x, cut[j], cut[j+1])
+}
+
+// SolveRoute reports how an engine's solves run their upper-stage
+// rows and the probe behind the choice.
+type SolveRoute struct {
+	// Phased is true when the rows run level by level through
+	// exec.Runtime.Phases, false when they run inline.
+	Phased bool
+	// InlineBest and PhasedBest are the probe's best times for one
+	// forward sweep of the upper stage on each route, both 0 when no
+	// probe ran.
+	InlineBest, PhasedBest time.Duration
+}
+
+// SolveRoute returns the route the solves take and the probe's best
+// time on each route. It only reports; nothing sets the route but
+// Factorize.
+func (e *Engine) SolveRoute() SolveRoute {
+	r := e.route
+	if r == nil {
+		return SolveRoute{}
+	}
+	return SolveRoute{Phased: r.plan != nil, InlineBest: r.inlineBest, PhasedBest: r.phasedBest}
+}
+
+// probeTrials is the number of timed trials per route in the solve
+// route probe.
+const probeTrials = 5
+
+// chooseSolveRoute times the forward upper-stage sweep inline and
+// phased on this host and keeps the phased route only if its best time
+// is lower. An engine with one thread, or where fewer than two lanes
+// can run at once (Threads never exceeds the runtime's parallelism),
+// runs no probe and stays inline, and so does one whose levels all
+// hold a single row. The probe sweeps a private zero vector, which
+// both routes keep zero, so every run costs the same; after one
+// untimed run of each route it interleaves the trials, each timed on
+// the second of two back-to-back runs, so that waking a parked worker
+// is not charged to the phased route.
+func (e *Engine) chooseSolveRoute() {
+	if min(e.opt.Threads, runtime.GOMAXPROCS(0)) < 2 {
+		return
+	}
+	p := e.newSweepPlan()
+	if len(p.fwdGate) == e.split.CutLevel {
+		return // no level has two rows to share
+	}
+	r := &solveRoute{plan: p}
+	e.route = r
+	c := e.NewContext()
+	c.enter()
+	defer c.exit()
+	lu, x := e.factor.LU, c.tmp1
+	inline := func() {
+		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.split.NUpper)
+	}
+	phased := func() { c.runPhased(p.fwdGate, c.forward, x) }
+	second := func(run func()) time.Duration {
+		run()
+		t0 := time.Now()
+		run()
+		return time.Since(t0)
+	}
+	inline()
+	phased()
+	r.inlineBest, r.phasedBest = math.MaxInt64, math.MaxInt64
+	for t := 0; t < probeTrials; t++ {
+		r.inlineBest = min(r.inlineBest, second(inline))
+		r.phasedBest = min(r.phasedBest, second(phased))
+	}
+	if r.phasedBest >= r.inlineBest {
+		r.plan = nil
+	}
 }

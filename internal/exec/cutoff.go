@@ -30,10 +30,10 @@ import (
 // and the upper, lower and corner factor stages in internal/core
 // (PiecesFor, ParallelWorth), the krylov reductions (ParallelWorth)
 // and the CSRLS baseline sweeps in internal/trisolve (PiecesFor). The
-// engine's triangular solves do not use the model: they always run
-// inline, because a p2p sweep spin-waits at every level, a cost this
-// model does not see and one that outweighed the rows on every matrix
-// timed.
+// engine's triangular solves do not use the model: each engine times
+// its upper-stage sweep inline and as one Phases region at Factorize
+// and keeps the faster route, because a phased sweep pays a barrier
+// per level, a cost this model does not see.
 
 const (
 	// cutoffNsPerOp converts caller work estimates (ops) to

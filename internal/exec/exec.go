@@ -1,17 +1,20 @@
 // Package exec is Javelin's persistent execution runtime: one fixed
-// set of worker goroutines serving the engine's two parallel
-// constructs, claim-based loops in static blocks (For) and
-// per-piece-scratch fork-join (Ranges).
+// set of worker goroutines serving the engine's three parallel
+// constructs, claim-based loops in static blocks (For),
+// per-piece-scratch fork-join (Ranges) and sequences of phases with a
+// barrier between each (Phases).
 //
 // This is the "specialized light weight tasking library" of the paper
 // generalized into a shared substrate: every SpMV, reduction, factor
-// scatter and factor stage of every engine runs here instead of
-// spawning goroutines per call (the triangular solves run inline on
-// their caller). The factor's chunk-1 loops (the upper stage's row
-// blocks, the lower stage's rows and the corner groups) are all known
-// before they start and none spawns more work, so each runs as one
-// Ranges piece per lane, each piece claiming items off a shared cursor
-// with its own scratch; no work stealing is needed. Loop regions are
+// scatter, factor stage and phased triangular sweep of every engine
+// runs here instead of spawning goroutines per call. A phased sweep is
+// one Phases region: its phases are the levels and its pieces each
+// level's row ranges (Anderson & Saad's level scheduling, the barriers
+// inside one region). The factor's chunk-1 loops (the upper stage's
+// row blocks, the lower stage's rows and the corner groups) are all
+// known before they start and none spawns more work, so each runs as
+// one Ranges piece per lane, each piece claiming items off a shared
+// cursor with its own scratch; no work stealing is needed. Loop regions are
 // claim-based (atomic block dealing over persistent workers), so a
 // region costs two mutex hops and a handful of atomics instead of
 // goroutine creation, and an idle Runtime parks its workers and costs
@@ -20,13 +23,23 @@
 // # Concurrency model
 //
 // A Runtime is safe for concurrent use: any number of goroutines may
-// open regions (For/Ranges) at the same time; their blocks interleave
-// over the shared workers and every caller helps execute its own
-// region, so a region always completes even with zero free workers.
-// That holds only because bodies never wait on each other: nothing
+// open regions (For/Ranges/Phases) at the same time; their blocks
+// interleave over the shared workers and every caller helps execute
+// its own region, so a region always completes even with zero free
+// workers. That holds only because no body waits on another: nothing
 // guarantees that two blocks, of one region or of two, ever run at
 // the same time, so a body must not wait on another one to make
 // progress.
+//
+// Phases allows exactly one wait, and it sits outside the bodies and
+// before the claim: a participant claims piece i only once gate[i]
+// pieces of its region have completed, and holds no piece while it
+// waits. Pieces are claimed in index order and gate[i] never exceeds
+// i, so every piece waited on was claimed earlier, by a participant
+// that is running it and waits on nothing. No participant waits on a
+// lane that has not joined or on one that is itself waiting, so the
+// caller can run every piece alone and a Phases region completes like
+// any other.
 //
 // # Metrics
 //
@@ -41,10 +54,10 @@ import (
 	"sync/atomic"
 )
 
-// Runtime is a persistent worker pool serving two constructs, claim
-// loops (For) and Ranges, both jobs on one open-region list that idle
-// workers join. Create with New, share freely, release with Close.
-// The zero value is not usable.
+// Runtime is a persistent worker pool serving three constructs, claim
+// loops (For), Ranges and Phases, all jobs on one open-region list
+// that idle workers join. Create with New, share freely, release with
+// Close. The zero value is not usable.
 type Runtime struct {
 	workers int // worker goroutine count == Parallelism()-1
 
@@ -152,6 +165,9 @@ type job struct {
 	// rangeBody, when set, selects Ranges mode: one call per block
 	// (piece) instead of per iteration, empty pieces skipped.
 	rangeBody func(piece, lo, hi int)
+	// gate, when set, selects Phases mode: blocks of one iteration,
+	// block i claimed only once gate[i] blocks have completed.
+	gate []int32
 
 	next      atomic.Int64 // next unclaimed block index
 	remaining atomic.Int64 // blocks not yet completed
@@ -215,7 +231,7 @@ func (r *Runtime) For(n, maxPar int, body func(i int)) {
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, chunk, int32(par)
 	j.blocks = int64((n + chunk - 1) / chunk)
-	j.body, j.rangeBody = body, nil
+	j.body, j.rangeBody, j.gate = body, nil, nil
 	r.runJob(j)
 }
 
@@ -263,8 +279,41 @@ func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, chunk, int32(pieces)
 	j.blocks = int64(pieces)
-	j.body = nil
-	j.rangeBody = body
+	j.body, j.rangeBody, j.gate = nil, body, nil
+	r.runJob(j)
+}
+
+// Phases runs body(i) once for each piece i in [0, len(gate)), piece i
+// starting only once gate[i] pieces have completed. With gate[i] the
+// number of pieces in the phases before piece i's, one region runs
+// phase after phase with a barrier between each. gate[i] must not
+// exceed i. Participants claim pieces in index order, each only once
+// its gate has opened, so one waits only on pieces already claimed
+// and running (see the package doc), and maxPar caps their number
+// (<= 0 means the runtime's full parallelism). With one participant
+// the pieces run in order on the caller. Blocks until every piece has
+// completed.
+func (r *Runtime) Phases(gate []int32, maxPar int, body func(i int)) {
+	n := len(gate)
+	if n == 0 {
+		return
+	}
+	r.stats.regions.Add(1)
+	par := r.workers + 1
+	if maxPar > 0 && maxPar < par {
+		par = maxPar
+	}
+	if par <= 1 || n == 1 {
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		r.stats.chunks.Add(1)
+		return
+	}
+	j := r.jobPool.Get().(*job)
+	j.n, j.chunk, j.limit = n, 1, int32(min(par, n))
+	j.blocks = int64(n)
+	j.body, j.rangeBody, j.gate = body, nil, gate
 	r.runJob(j)
 }
 
@@ -311,7 +360,7 @@ func (r *Runtime) runJob(j *job) {
 		}
 	}
 	r.stats.chunks.Add(uint64(charged))
-	j.body, j.rangeBody = nil, nil
+	j.body, j.rangeBody, j.gate = nil, nil, nil
 	r.jobPool.Put(j)
 }
 
@@ -324,7 +373,12 @@ func (r *Runtime) runJob(j *job) {
 func (j *job) runClaims() {
 	n, chunk := j.n, j.chunk
 	for {
-		b := j.next.Add(1) - 1
+		var b int64
+		if j.gate != nil {
+			b = j.claimOpen()
+		} else {
+			b = j.next.Add(1) - 1
+		}
 		if b >= j.blocks {
 			break
 		}
@@ -352,6 +406,34 @@ func (j *job) runClaims() {
 		j.mu.Lock()
 		j.cond.Broadcast()
 		j.mu.Unlock()
+	}
+}
+
+// gateSpins is how many times a Phases participant rereads the
+// completion count before it starts yielding its P between reads.
+const gateSpins = 256
+
+// claimOpen claims the next block of a Phases region once its gate
+// has opened, or returns a value >= j.blocks when every block is
+// claimed. The wait
+// comes before the claim, so a participant never holds a piece while
+// it waits: one that is descheduled mid-wait delays nobody. It spins
+// briefly, then yields with runtime.Gosched between reads.
+func (j *job) claimOpen() int64 {
+	for spins := 0; ; spins++ {
+		b := j.next.Load()
+		if b >= j.blocks {
+			return b
+		}
+		if j.blocks-j.remaining.Load() >= int64(j.gate[b]) {
+			if j.next.CompareAndSwap(b, b+1) {
+				return b
+			}
+			continue
+		}
+		if spins >= gateSpins {
+			runtime.Gosched()
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversRangeOnce(t *testing.T) {
@@ -196,5 +197,164 @@ func TestNoGoroutineGrowthWhenWarm(t *testing.T) {
 	after := runtime.NumGoroutine()
 	if after > before {
 		t.Fatalf("goroutines grew from %d to %d across warm regions", before, after)
+	}
+}
+
+// phaseGate returns the gate of consecutive phases of the given sizes:
+// each piece waits on every piece of the phases before its own.
+func phaseGate(sizes ...int) []int32 {
+	var gate []int32
+	for _, s := range sizes {
+		first := int32(len(gate))
+		for k := 0; k < s; k++ {
+			gate = append(gate, first)
+		}
+	}
+	return gate
+}
+
+// TestPhasesRunsEachPieceOnceAfterItsGate: every piece runs exactly
+// once and starts only when at least gate[i] pieces have finished, on
+// phase gates of uneven sizes, an all-zero gate (a plain loop), one
+// piece per phase, and a sliding gate that is not a phase structure.
+// On the phase gates no piece starts before every piece of the earlier
+// phases has finished.
+func TestPhasesRunsEachPieceOnceAfterItsGate(t *testing.T) {
+	sliding := make([]int32, 40)
+	for i := range sliding {
+		sliding[i] = int32(max(0, i-3))
+	}
+	gates := []struct {
+		name   string
+		gate   []int32
+		phased bool
+	}{
+		{"uneven", phaseGate(3, 1, 5, 2, 1, 7, 4), true},
+		{"all-zero", make([]int32, 33), true},
+		{"one-per-phase", phaseGate(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), true},
+		{"sliding", sliding, false},
+	}
+	for _, lanes := range []int{1, 2, 4} {
+		r := New(lanes)
+		for _, g := range gates {
+			for _, maxPar := range []int{0, 1, 2, 8} {
+				n := len(g.gate)
+				runs := make([]atomic.Int32, n)
+				finished := make([]atomic.Bool, n)
+				var done atomic.Int32
+				var sink atomic.Uint64
+				r.Phases(g.gate, maxPar, func(i int) {
+					if got := done.Load(); got < g.gate[i] {
+						t.Errorf("lanes=%d %s maxPar=%d: piece %d started after %d pieces finished, gate %d",
+							lanes, g.name, maxPar, i, got, g.gate[i])
+					}
+					if g.phased {
+						for j := 0; j < int(g.gate[i]); j++ {
+							if !finished[j].Load() {
+								t.Errorf("lanes=%d %s maxPar=%d: piece %d started before piece %d of an earlier phase finished",
+									lanes, g.name, maxPar, i, j)
+							}
+						}
+					}
+					// Uneven cost, so that lanes overtake each other.
+					x := uint64(i)
+					for k := 0; k < 200*(1+i%5); k++ {
+						x = x*6364136223846793005 + 1442695040888963407
+					}
+					sink.Add(x)
+					runs[i].Add(1)
+					finished[i].Store(true)
+					done.Add(1)
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Fatalf("lanes=%d %s maxPar=%d: piece %d ran %d times, want 1", lanes, g.name, maxPar, i, got)
+					}
+				}
+			}
+		}
+		r.Close()
+	}
+	New(2).Phases(nil, 0, func(int) { t.Error("body called for an empty gate") })
+}
+
+// TestPhasesGateHoldsBackLaterPhases: while one lane runs a piece of
+// the first phase, the lane that finished the phase's other piece does
+// not start a piece of the second phase.
+func TestPhasesGateHoldsBackLaterPhases(t *testing.T) {
+	r := New(2)
+	defer r.Close()
+	var started [4]atomic.Bool
+	r.Phases(phaseGate(2, 2), 2, func(i int) {
+		started[i].Store(true)
+		if i != 0 {
+			return
+		}
+		// Piece 1 can only run on the other lane while this one is
+		// here; once it has, that lane is free to reach for phase two.
+		for t0 := time.Now(); !started[1].Load(); runtime.Gosched() {
+			if time.Since(t0) > 10*time.Second {
+				t.Error("no second lane ran piece 1 within 10 s")
+				return
+			}
+		}
+		for t0 := time.Now(); time.Since(t0) < 5*time.Millisecond; runtime.Gosched() {
+			if started[2].Load() || started[3].Load() {
+				t.Error("a piece of the second phase started before the first phase finished")
+				return
+			}
+		}
+	})
+}
+
+// TestPhasesCompletesWithBusyWorker: a Phases region finishes when the
+// runtime's only worker is held in a blocked region, the caller
+// running every piece alone, one after another.
+func TestPhasesCompletesWithBusyWorker(t *testing.T) {
+	r := New(2)
+	defer r.Close()
+	release := make(chan struct{})
+	var entered sync.WaitGroup
+	entered.Add(2)
+	sideDone := make(chan struct{})
+	go func() {
+		defer close(sideDone)
+		r.Ranges(2, 2, func(int, int, int) {
+			entered.Done()
+			<-release
+		})
+	}()
+	entered.Wait()
+
+	gate := phaseGate(2, 2, 2, 2, 1, 2)
+	runs := make([]atomic.Int32, len(gate))
+	var busy, overlaps atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Phases(gate, 2, func(i int) {
+			if busy.Add(1) != 1 {
+				overlaps.Add(1)
+			}
+			runs[i].Add(1)
+			busy.Add(-1)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		close(release)
+		<-done
+		t.Fatal("Phases did not return within 10 s while the runtime's only worker was busy")
+	}
+	close(release)
+	<-sideDone
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Fatalf("piece %d ran %d times, want 1", i, got)
+		}
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d pieces overlapped another with the only worker busy", n)
 	}
 }

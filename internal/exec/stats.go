@@ -25,8 +25,9 @@ import (
 // bumped under r.mu. JSON tags give the snapshot stable snake_case
 // names when an embedder marshals it (javelin.RuntimeStats).
 type Stats struct {
-	// Regions counts parallel loop regions executed (For/Ranges calls
-	// with n > 0), including ones that ran inline on the caller.
+	// Regions counts parallel loop regions executed (For/Ranges/Phases
+	// calls with at least one iteration or piece), including ones that
+	// ran inline on the caller.
 	Regions uint64 `json:"regions"`
 	// Chunks counts blocks claimed off region cursors and executed.
 	// Chunks/Regions is the average fan-out actually realized.
