@@ -12,10 +12,10 @@
 //   - a lower stage for the trailing small/dense levels, factored by
 //     either the Segmented-Rows (SR) or Even-Rows (ER) method. Both
 //     eliminate each lower row against the finished upper stage in
-//     one pass, one row per item of a dynamic loop, and then run the
-//     same corner factorization. They differ only in how a lower row
-//     sums its MILU compensation: SR per upper level (the paper's
-//     segments), ER in one run. Without MILU their factors are equal.
+//     one pass, one row per piece, and then run the same corner
+//     factorization. They differ only in how a lower row sums its
+//     MILU compensation: SR per upper level (the paper's segments),
+//     ER in one run. Without MILU their factors are equal.
 //
 // This SR never splits a row across threads, unlike the paper's
 // segmented-scan SR, which cuts a lower row's eliminations by upper
@@ -34,9 +34,10 @@
 // Refactorize on 2 Ps, one descheduled lane stalled the others for
 // tens of seconds, and 20 runs of the live-refactorize hammer test
 // (TestSolverLiveRefactorizeHammer) at GOMAXPROCS=2 on a 2-vCPU host
-// did not finish in 120 s. Javelin instead runs each level as a loop
-// whose blocks of rows any lane may claim (Anderson & Saad's level
-// scheduling, 1989), so a lane that never starts holds no rows and
+// did not finish in 120 s. Javelin instead cuts each level into
+// blocks of rows that any lane may claim once the level before has
+// finished (Anderson & Saad's level scheduling, 1989), all levels in
+// one runtime region, so a lane that never starts holds no rows and
 // the caller can finish every level alone; the same 20 runs take
 // 0.1–0.5 s. On that host the 2-thread
 // upper stage costs about the same on the benchmark's PDE and circuit
@@ -57,13 +58,14 @@
 // synchronization per row. For a given lower-stage method the factor
 // values do not depend on the thread count.
 //
-// The same permutation drives the sparse triangular solves: the upper
-// levels drive both the level-by-level factor stage and the solves'
-// phased sweeps (one region per sweep, a barrier per level, where
-// Factorize measures that route faster than a plain sweep), and the
-// lower rows' spans drive both methods' elimination and SolveLower's
-// staged sweep, so the preconditioner applies without reformatting —
-// the paper's co-design thesis.
+// The same permutation drives the sparse triangular solves, and one
+// level scheduler runs both: the upper levels are the phases of the
+// factorization pass's one region (a gate per level, then the lower
+// rows, then the corner groups) and of the solves' phased sweeps (one
+// region per sweep, where Factorize measures that route faster than a
+// plain sweep), and the lower rows' spans drive both methods'
+// elimination and SolveLower's staged sweep, so the preconditioner
+// applies without reformatting — the paper's co-design thesis.
 //
 // # Quick start
 //
@@ -224,10 +226,10 @@
 // park when idle, so hot paths never create goroutines per call and an
 // idle runtime costs nothing.
 // The factor stages index their per-lane scratch by a lane the region
-// itself hands out: the scatter's Ranges piece, and for the chunk-1
-// loops (the upper stage's row blocks, the lower stage's rows, corner
-// groups) one Ranges piece per lane, each claiming items off a shared
-// cursor.
+// itself hands out: the scatter's Ranges piece, and for the numeric
+// stages the lane number Phases passes each piece (the caller is lane
+// 0, each worker that joins takes the next number), so no two pieces
+// running at once share scratch.
 //
 // Ownership rules:
 //
@@ -298,6 +300,9 @@
 //     scatter) and the factor stages use a cost model: a region opens
 //     only when its estimated flops, split over the lanes, save
 //     several times the runtime's measured region-dispatch overhead.
+//     A factorization pass asks once for all its numeric stages: below
+//     the cutoff its one Phases region runs every piece in order on
+//     the caller.
 //   - The triangular sweeps of a solve choose their route by
 //     measurement. At Threads > 1, where two lanes can run at once,
 //     Factorize times the forward sweep of the upper stage inline and

@@ -47,7 +47,7 @@ func TestRefactorizeAllocationsPerCall(t *testing.T) {
 				refactorize() // the second value buffer
 				refactorize()
 				inline[i] = uint64(testing.AllocsPerRun(10, refactorize))
-				e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+				e.factorOps = math.MaxInt64 / 2
 				// Finish any GC cycle the earlier tests left pending
 				// (it would empty the runtime's pools mid-trial), then
 				// warm the pools.

@@ -47,7 +47,7 @@ type SolveContext struct {
 	// backward are its region bodies, bound once here so a solve
 	// allocates no closure (see Engine.route).
 	x                 []float64
-	forward, backward func(i int)
+	forward, backward func(lane, i int)
 }
 
 // retainedBlkRHS caps the batch scratch a released context keeps: a

@@ -5,15 +5,17 @@
 // preconditioner (paper Sections III, V, VI).
 //
 // SR and ER share one lower stage: each lower row is eliminated
-// against the finished upper stage in one pass, one row per item of a
-// dynamic loop, before the shared corner (see build.factorLower). They
-// differ only in how a row's MILU compensation is summed: SR sums it
-// per upper level (the paper's segments), ER in one run.
+// against the finished upper stage in one pass, one piece per row,
+// before the shared corner (see build.lowerRow). They differ only in
+// how a row's MILU compensation is summed: SR sums it per upper level
+// (the paper's segments), ER in one run.
 //
 // The engine owns the permuted factor, the level-set split and the
 // lower-stage plan; the split and the lower-stage spans drive both
 // numeric factorization and the solves, which is the paper's central
-// co-design point.
+// co-design point. Both run their levels on one level scheduler,
+// exec.Runtime.Phases: a factorization pass is one region after its
+// scatter (see factorPlan), a phased solve one region per sweep.
 package core
 
 import (
@@ -166,12 +168,15 @@ type Engine struct {
 	// kt is the numeric kernel table captured at construction, so a
 	// solve never observes a mid-run kernels.Select.
 	kt *kernels.Table
-	// Work estimates (in ~1ns ops) for the factor stages' parallel
-	// cutoff (exec.Runtime.ParallelWorth): the upper stage and the
-	// lower stage respectively. Crude deliberately — the cutoff only
-	// needs order-of-magnitude truth against measured region overhead.
-	// The solves need no estimate: Factorize times their two routes.
-	upperOps, lowerOps int64
+	// factorOps is the work estimate (in ~1ns ops, 4 per factor
+	// entry) behind each pass's one parallel cutoff
+	// (exec.Runtime.ParallelWorth) for its factor region. Crude
+	// deliberately — the cutoff only needs order-of-magnitude truth
+	// against measured region overhead. The solves need no estimate:
+	// Factorize times their two routes.
+	factorOps int64
+	// plan is the factor region's piece plan.
+	plan *factorPlan
 
 	// route is what Factorize's probe of the solves' two routes found
 	// (see chooseSolveRoute). Unless it carries a plan, the solves run
@@ -292,10 +297,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		e.rowSumU = make([]float64, a.N)
 	}
 	e.kt = kernels.Active()
-	nnz := int64(permPat.Nnz())
-	upNnz := int64(permPat.RowPtr[split.NUpper])
-	e.upperOps = 4 * upNnz
-	e.lowerOps = 4 * (nnz - upNnz)
+	e.factorOps = 4 * int64(permPat.Nnz())
 	if nUp := split.NUpper; nUp < a.N {
 		e.cornerStart = make([]int, a.N-nUp)
 		for r := nUp; r < a.N; r++ {
@@ -308,6 +310,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	}
 
 	e.buildLowerPlan()
+	e.plan = e.newFactorPlan()
 
 	if err := e.Refactorize(a); err != nil {
 		e.Close()

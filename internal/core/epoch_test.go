@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"javelin/internal/exec"
 	"javelin/internal/gen"
 	"javelin/internal/ilu"
 	"javelin/internal/sparse"
@@ -454,6 +455,75 @@ func TestRefactorizeNaNPivotFails(t *testing.T) {
 			if !sameVec(z, refA) {
 				t.Fatalf("lower=%v: failed Refactorize disturbed the published factor", lower)
 			}
+		}
+	}
+}
+
+// TestRefactorizeFailureInFactorRegion: a zero pivot met inside the
+// dispatched factor region fails the Refactorize with ErrZeroPivot,
+// leaves the published epoch serving untouched and counts one failure,
+// and the next good Refactorize publishes the factor Factorize gave.
+// Row Perm()[0] of A becomes row 0, a row of the first upper level
+// with no pivots to eliminate, so zeroing its diagonal makes its own
+// pivot exactly 0; the pieces after it skip their rows once the pass
+// has failed.
+func TestRefactorizeFailureInFactorRegion(t *testing.T) {
+	rt := exec.New(2)
+	defer rt.Close()
+	for name, a := range testMatrices(t) {
+		for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
+			opt := DefaultOptions()
+			opt.Threads = 2
+			opt.Runtime = rt
+			opt.Lower = method
+			opt.Split.MinRowsPerLevel = 8
+			e, err := Factorize(a, opt)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, method, err)
+			}
+			e.factorOps = math.MaxInt64 / 2
+			want := digestValues(e.Factor().LU.Val)
+			b := make([]float64, a.N)
+			for i := range b {
+				b[i] = float64(i%7) - 3
+			}
+			refA := make([]float64, a.N)
+			e.NewContext().Apply(b, refA)
+
+			aBad := a.Clone()
+			r := e.Perm()[0]
+			cols, vals := aBad.Row(r)
+			for k, c := range cols {
+				if c == r {
+					vals[k] = 0
+				}
+			}
+			epoch, fails := e.FactorEpoch(), e.RefactorizeFailures()
+			if err := e.Refactorize(aBad); !errors.Is(err, ilu.ErrZeroPivot) {
+				t.Fatalf("%s %v: want ErrZeroPivot, got %v", name, method, err)
+			}
+			if e.FactorEpoch() != epoch {
+				t.Fatalf("%s %v: failed Refactorize moved FactorEpoch %d -> %d", name, method, epoch, e.FactorEpoch())
+			}
+			if got := e.RefactorizeFailures(); got != fails+1 {
+				t.Fatalf("%s %v: RefactorizeFailures %d -> %d, want +1", name, method, fails, got)
+			}
+			z := make([]float64, a.N)
+			e.NewContext().Apply(b, z)
+			if !sameVec(z, refA) {
+				t.Fatalf("%s %v: failed Refactorize disturbed the published factor", name, method)
+			}
+
+			if err := e.Refactorize(a); err != nil {
+				t.Fatalf("%s %v: Refactorize after failure: %v", name, method, err)
+			}
+			if e.FactorEpoch() != epoch+1 {
+				t.Fatalf("%s %v: good Refactorize after failure left FactorEpoch at %d, want %d", name, method, e.FactorEpoch(), epoch+1)
+			}
+			if got := digestValues(e.Factor().LU.Val); got != want {
+				t.Fatalf("%s %v: digest %#016x after recovery, want %#016x from Factorize", name, method, got, want)
+			}
+			e.Close()
 		}
 	}
 }

@@ -202,12 +202,11 @@ func digestValues(v []float64) uint64 {
 }
 
 // TestFactorBits reproduces every pinned digest at Threads 1-4: after
-// Factorize, after a Refactorize on the cost model's routes, and after
-// a Refactorize with every factor stage forced onto its dispatched
-// route (upper-level blocks, lower rows and, where the corner has more
-// than one group or 64 rows, corner groups on lanes). With one P the
-// model and the forced route both run inline on lane 0, so run it at
-// GOMAXPROCS=1 and at the default to cover both.
+// Factorize, after a Refactorize on the cost model's route, and after
+// a Refactorize with the factor region forced onto Threads lanes
+// (upper-level row ranges, lower rows and corner groups shared among
+// lanes). With one P the model and the forced route both run inline on
+// lane 0, so run it at GOMAXPROCS=1 and at the default to cover both.
 func TestFactorBits(t *testing.T) {
 	rt := exec.New(4)
 	defer rt.Close()
@@ -251,7 +250,7 @@ func TestFactorBits(t *testing.T) {
 								t.Fatalf("%s threads=%d: Refactorize: %v", key, threads, err)
 							}
 							check("Refactorize")
-							e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+							e.factorOps = math.MaxInt64 / 2
 							if err := e.Refactorize(a); err != nil {
 								t.Fatalf("%s threads=%d: dispatched Refactorize: %v", key, threads, err)
 							}

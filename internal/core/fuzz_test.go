@@ -122,7 +122,7 @@ func FuzzFactorize(f *testing.F) {
 			}
 		}
 		check("Factorize")
-		e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+		e.factorOps = math.MaxInt64 / 2
 		if err := e.Refactorize(a); err != nil {
 			t.Fatalf("%s: dispatched Refactorize: %v", cfg, err)
 		}

@@ -14,9 +14,9 @@ const pivotFloor = 1e-300
 // standard ILU(0) row kernel (Saad, "Iterative Methods for Sparse
 // Linear Systems", §10.3). Every Factorize/Refactorize allocates one
 // lane per thread and drops them on return. Each parallel route hands
-// a lane to exactly one worker (the scatter's Ranges piece, or the
-// Ranges piece of a factor stage's chunk-1 loop), so rows take a lane
-// without synchronizing.
+// a lane to exactly one worker at a time (the scatter's Ranges piece,
+// or the lane number exec.Runtime.Phases gives each participant of the
+// factor region), so rows take a lane without synchronizing.
 type lane struct {
 	// pos maps a column to 1 + its offset in the row suffix loaded
 	// into w, and to 0 when the row has no entry there. It is all
@@ -110,9 +110,9 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, lvlEnd
 
 // finishRow applies τ dropping and MILU compensation to a fully
 // eliminated row in vals and verifies the pivot. Under MILU it also
-// records the U-row sum; the barrier after each upper level or corner
-// group guarantees rowSumU of referenced earlier rows is already
-// final.
+// records the U-row sum; the factor region's gates (each upper level
+// and corner group waits for the ones before it) guarantee rowSumU of
+// referenced earlier rows is already final.
 func (e *Engine) finishRow(vals []float64, r int, comp float64) error {
 	lu := e.factor.LU
 	lo, hi := lu.RowPtr[r], lu.RowPtr[r+1]

@@ -17,7 +17,7 @@ type lowerPlan struct {
 	comp []float64
 	// spans cover, per lower row, all its sub-diagonal entries with
 	// columns in the upper stage. Both methods eliminate each span in
-	// one pass, one span per item of a chunk-1 loop; SolveLower's
+	// one pass, one piece of the factor region per span; SolveLower's
 	// staged spmv-like sweep reads them too (the stri structure of
 	// paper Section VI).
 	spans []rowSpan

@@ -71,53 +71,35 @@ func (e *Engine) newValues() []float64 {
 	return make([]float64, len(e.factor.LU.Val))
 }
 
-// factorInto scatters a into vals and factors it there, stage by
-// stage, as one build pass.
+// factorInto scatters a into vals and factors it there as one build
+// pass: the scatter, then every numeric stage as one exec.Runtime.Phases
+// region over the engine's factor plan. One cost-model call per pass
+// caps the region at Threads lanes, or at 1, which runs every piece in
+// order on the caller. Rows of one level, one span or one corner group
+// are independent, so both give the same bits.
 func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
-	b := e.newBuild(vals)
+	b := &build{e: e, vals: vals, lanes: newLanes(e.opt.Threads, e.n, e.maxRow)}
 	if err := b.scatter(a); err != nil {
 		return err
 	}
-	if err := b.factorUpper(); err != nil {
-		return err
+	maxPar := 1
+	if e.rt.ParallelWorth(e.factorOps) {
+		maxPar = e.opt.Threads
 	}
-	if e.split.NLower() == 0 {
-		return nil // LS, or a split that moved no rows down
-	}
-	return b.factorLower()
+	e.rt.Phases(e.plan.gate, maxPar, b.piece)
+	return b.firstErr()
 }
 
 // build is one numeric factorization pass (Factorize or Refactorize):
-// the epoch buffer being filled, one elimination lane per thread, the
-// first error, and the chunk-1 loop in flight. It is allocated per
-// call and dropped on return, so the Engine keeps no numeric scratch.
-// Loop bodies are method expressions and the one claim closure is
-// bound here, so a pass allocates the same few objects whatever its
-// number of rows or levels.
+// the epoch buffer being filled, one elimination lane per thread and
+// the first error. It is allocated per call and dropped on return, so
+// the Engine keeps no numeric scratch, and a pass allocates the same
+// few objects whatever its number of rows or levels.
 type build struct {
 	e     *Engine
 	vals  []float64
 	lanes []lane
 	err   atomic.Pointer[error]
-
-	// The chunk-1 loop in flight (see forEach): body(b, lane, i) for
-	// i in [0, n), claimed off next by one Ranges piece per lane.
-	n     int
-	next  atomic.Int64
-	body  func(b *build, ln *lane, i int)
-	claim func(piece, lo, hi int)
-
-	// Loop parameters: the rows [row0, row1) of the upper level being
-	// factored in items of blk rows, and row0 again as the first row of
-	// the corner group being factored.
-	row0, row1 int
-	blk        int
-}
-
-func (e *Engine) newBuild(vals []float64) *build {
-	b := &build{e: e, vals: vals, lanes: newLanes(e.opt.Threads, e.n, e.maxRow)}
-	b.claim = b.claimLoop
-	return b
 }
 
 // fail records err if it is the pass's first error. Rows already
@@ -131,31 +113,57 @@ func (b *build) firstErr() error {
 	return nil
 }
 
-// forEach runs body(b, lane, i) for i in [0, n). With par set, more
-// than one item and more than one lane it is a chunk-1 dynamic loop
-// (the paper's OpenMP DYNAMIC/CHUNK_SIZE=1 configuration): one Ranges
-// piece per lane, each claiming items off a shared cursor and running
-// them on its piece's lane. Otherwise the items run inline, in order,
-// on lane 0. Items must be independent (disjoint rows), so both routes
-// give bitwise-identical results.
-func (b *build) forEach(par bool, n int, body func(b *build, ln *lane, i int)) {
-	if !par || n <= 1 || len(b.lanes) == 1 {
-		for i := 0; i < n; i++ {
-			body(b, &b.lanes[0], i)
-		}
-		return
-	}
-	b.n, b.body = n, body
-	b.next.Store(0)
-	p := min(len(b.lanes), n)
-	b.e.rt.Ranges(p, p, b.claim)
+// factorPlan is the piece plan of a pass's factor region, built once
+// by Factorize. Its pieces are, in order: the upper stage, each level
+// cut into up to 4·Threads row ranges, levels ascending (piece i
+// covers rows [cut[i], cut[i+1])); one piece per lower row in
+// lower.spans; and one piece per corner row, ascending. gate holds
+// each piece's Phases gate: an upper piece waits for the levels before
+// its own (Anderson & Saad's level scheduling), a span for the whole
+// upper stage, and a corner row for every span and for the corner
+// groups before its own (LowerLvlPtr). A lane that never starts holds
+// no piece, so the caller can finish a pass alone.
+type factorPlan struct {
+	cut  []int
+	gate []int32
 }
 
-// claimLoop is one lane's Ranges piece of a forEach loop.
-func (b *build) claimLoop(piece, _, _ int) {
-	ln := &b.lanes[piece]
-	for i := int(b.next.Add(1) - 1); i < b.n; i = int(b.next.Add(1) - 1) {
-		b.body(b, ln, i)
+// newFactorPlan builds the factor plan; the lower plan must exist.
+func (e *Engine) newFactorPlan() *factorPlan {
+	spans := len(e.lower.spans)
+	cut, up := e.cutLevels(4 * e.opt.Threads)
+	gate := append(make([]int32, 0, len(up)+spans+e.n-e.split.NUpper), up...)
+	upper := int32(len(up))
+	for range spans {
+		gate = append(gate, upper)
+	}
+	ptr := e.split.LowerLvlPtr
+	for g := 0; g+1 < len(ptr); g++ {
+		for range ptr[g+1] - ptr[g] {
+			gate = append(gate, upper+int32(spans+ptr[g]))
+		}
+	}
+	return &factorPlan{cut: cut, gate: gate}
+}
+
+// piece runs piece i of the factor plan on the given lane's scratch.
+// After the pass has failed it returns at once: the region only
+// drains.
+func (b *build) piece(lane, i int) {
+	if b.err.Load() != nil {
+		return
+	}
+	e, ln := b.e, &b.lanes[lane]
+	var err error
+	if up := len(e.plan.cut) - 1; i < up {
+		err = b.upperRows(ln, e.plan.cut[i], e.plan.cut[i+1])
+	} else if i -= up; i < len(e.lower.spans) {
+		err = b.lowerRow(ln, i)
+	} else {
+		err = b.cornerRow(ln, e.split.NUpper+i-len(e.lower.spans))
+	}
+	if err != nil {
+		b.fail(err)
 	}
 }
 
@@ -220,121 +228,44 @@ func (b *build) scatter(a *sparse.CSR) error {
 	return b.firstErr()
 }
 
-// factorUpper runs the upper stage: up-looking elimination of rows
-// [0, NUpper), level by level with a barrier between levels (Anderson
-// & Saad's level scheduling). Rows of a level are contiguous and
-// independent, so each level is a chunk-1 loop over blocks of about a
-// quarter of a lane's share: enough items for lanes to balance uneven
-// rows, few enough that claims stay cheap. A lane that never starts
-// holds no rows, so the caller can finish every level alone. Below the
-// cutoff the blocks run inline in ascending order, every row seeing
-// the same finished dependencies, so both routes give the same bits.
-func (b *build) factorUpper() error {
-	e := b.e
-	par := e.rt.ParallelWorth(e.upperOps)
-	ptr := e.split.UpperLvlPtr
-	for l := 0; l < e.split.CutLevel; l++ {
-		b.row0, b.row1 = ptr[l], ptr[l+1]
-		rows := b.row1 - b.row0
-		b.blk = (rows + 4*len(b.lanes) - 1) / (4 * len(b.lanes))
-		b.forEach(par, (rows+b.blk-1)/b.blk, (*build).upperBlock)
-		if err := b.firstErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// upperBlock factors block i of the current upper level. Each row is
+// upperRows factors the rows [lo, hi) of one upper level. Each row is
 // fully eliminated (its pivots are rows of earlier levels) and
 // finished.
-func (b *build) upperBlock(ln *lane, i int) {
+func (b *build) upperRows(ln *lane, lo, hi int) error {
 	e := b.e
 	lu, diag := e.factor.LU, e.factor.DiagPos
-	lo := b.row0 + i*b.blk
-	hi := min(lo+b.blk, b.row1)
 	for r := lo; r < hi; r++ {
 		comp, err := ln.eliminate(e.factor, b.vals, r, lu.RowPtr[r], diag[r], nil)
 		if err == nil {
 			err = e.finishRow(b.vals, r, comp)
 		}
 		if err != nil {
-			b.fail(err)
-			return
-		}
-	}
-}
-
-// factorLower runs the lower stage (paper Section V): a chunk-1 loop
-// with one item per lower row, each eliminating the row against all
-// its upper-stage pivots in one pass, then the corner. Lower rows are
-// independent once the upper stage is final, so the inline route below
-// the cutoff is bitwise identical to the dynamic dispatch. ER and SR
-// differ only in the order a row's MILU compensation is summed in
-// (lowerPlan.lvlEnds).
-func (b *build) factorLower() error {
-	e := b.e
-	b.forEach(e.rt.ParallelWorth(e.lowerOps), len(e.lower.spans), (*build).lowerRow)
-	if err := b.firstErr(); err != nil {
-		return err
-	}
-	return b.factorCorner()
-}
-
-// lowerRow eliminates the row of span i against its upper-stage
-// pivots. Its compensation waits in lower.comp for the row's corner
-// phase.
-func (b *build) lowerRow(ln *lane, i int) {
-	e := b.e
-	sp := e.lower.spans[i]
-	comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, e.lower.lvlEnds)
-	if err != nil {
-		b.fail(err)
-		return
-	}
-	e.lower.comp[sp.row-e.split.NUpper] = comp
-}
-
-// factorCorner factors the trailing (lower × lower) block. Rows are
-// grouped by their original level; rows within a group are mutually
-// independent under the lower(A+Aᵀ) order, so each group is a chunk-1
-// loop with a barrier between groups.
-func (b *build) factorCorner() error {
-	e := b.e
-	nUp, n := e.split.NUpper, e.n
-	// Serial ascending order equals groups-ascending with independent
-	// rows inside each group, so the cutoff's serial route is bitwise
-	// identical to the group-parallel one.
-	if e.split.NumLowerLevels() <= 1 && n-nUp <= 64 ||
-		!e.rt.ParallelWorth(e.lowerOps) {
-		for r := nUp; r < n; r++ {
-			if err := b.cornerRow(&b.lanes[0], r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	ptr := e.split.LowerLvlPtr
-	for g := 0; g < e.split.NumLowerLevels(); g++ {
-		b.row0 = nUp + ptr[g]
-		b.forEach(true, ptr[g+1]-ptr[g], (*build).cornerGroupRow)
-		if err := b.firstErr(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// cornerGroupRow factors row i of the current corner group.
-func (b *build) cornerGroupRow(ln *lane, i int) {
-	if err := b.cornerRow(ln, b.row0+i); err != nil {
-		b.fail(err)
+// lowerRow eliminates the row of span i against all its upper-stage
+// pivots in one pass (paper Section V). ER and SR differ only in the
+// order the row's MILU compensation is summed in (lowerPlan.lvlEnds);
+// it waits in lower.comp for the row's corner piece.
+func (b *build) lowerRow(ln *lane, i int) error {
+	e := b.e
+	sp := e.lower.spans[i]
+	comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, e.lower.lvlEnds)
+	if err != nil {
+		return err
 	}
+	e.lower.comp[sp.row-e.split.NUpper] = comp
+	return nil
 }
 
 // cornerRow eliminates corner row r against its corner pivots (columns
 // in [NUpper, r), whose rows are final) and finishes it with the
-// compensation its upper-stage pivots left in lower.comp.
+// compensation its upper-stage pivots left in lower.comp. Rows of one
+// corner group (one original level) are independent under the
+// lower(A+Aᵀ) order.
 func (b *build) cornerRow(ln *lane, r int) error {
 	e := b.e
 	i := r - e.split.NUpper

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,7 +198,7 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := digestValues(e.Factor().LU.Val)
-		e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+		e.factorOps = math.MaxInt64 / 2
 
 		// Both pieces of the side region block, so once both have
 		// entered, one of them holds the runtime's only worker.
@@ -240,23 +239,17 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 	}
 }
 
-// TestSROpensAsManyRegionsAsER: SR's lower stage is ER's loop, one
-// item per lower row on every lane, and differs only in the order it
-// sums MILU compensation. So with every factor stage forced onto its
-// dispatched route, a Refactorize opens as many runtime regions under
-// SR as under ER on every test matrix. An SR stage that loops per
-// upper level opens a different number; where each level holds one
-// item it runs every level inline on lane 0 and never reaches a
-// second lane.
-func TestSROpensAsManyRegionsAsER(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("with one P the forced routes run inline and open no region")
-	}
+// TestRefactorizeOpensOneFactorRegion: with the factor region forced
+// onto its dispatched route, a Refactorize opens one runtime region for
+// all its numeric stages, whatever its level count, under LS, ER and
+// SR on every test matrix, plus the scatter's region where the cost
+// model opens one. A stage that opened a region per level or per
+// corner group would open dozens here.
+func TestRefactorizeOpensOneFactorRegion(t *testing.T) {
 	rt := exec.New(2)
 	defer rt.Close()
 	for name, a := range testMatrices(t) {
-		var regions [2]uint64
-		for i, method := range []LowerMethod{LowerER, LowerSR} {
+		for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
 			opt := DefaultOptions()
 			opt.Threads = 2
 			opt.Runtime = rt
@@ -266,71 +259,20 @@ func TestSROpensAsManyRegionsAsER(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, method, err)
 			}
-			e.upperOps, e.lowerOps = math.MaxInt64/2, math.MaxInt64/2
+			e.factorOps = math.MaxInt64 / 2
+			want := uint64(1)
+			if rt.PiecesFor(4*int64(e.Factor().LU.Nnz()), 2) > 1 {
+				want++ // the scatter's
+			}
 			s0 := rt.Stats()
 			if err := e.Refactorize(a); err != nil {
 				t.Fatalf("%s %v: Refactorize: %v", name, method, err)
 			}
-			regions[i] = rt.Stats().Sub(s0).Regions
+			if got := rt.Stats().Sub(s0).Regions; got != want {
+				t.Errorf("%s %v: a dispatched Refactorize over %d upper and %d lower levels opened %d regions, want %d",
+					name, method, e.split.CutLevel, e.split.NumLowerLevels(), got, want)
+			}
 			e.Close()
-		}
-		if regions[0] != regions[1] {
-			t.Errorf("%s: a dispatched Refactorize opened %d regions under SR, %d under ER", name, regions[1], regions[0])
-		}
-	}
-}
-
-// TestForEachDispatchesEachItemOnce drives the parallel branch of the
-// build's chunk-1 loop directly (par is an argument, so no measured
-// cutoff decides whether the branch is reached): 101 items of uneven
-// cost must each run exactly once, at every thread count, as one
-// region of one Ranges piece per lane, and no lane may serve two
-// items at once.
-func TestForEachDispatchesEachItemOnce(t *testing.T) {
-	const nItems = 101
-	for _, threads := range []int{2, 4, 8} {
-		rt := exec.New(threads)
-		e := &Engine{opt: Options{Threads: threads}, rt: rt}
-		b := e.newBuild(nil)
-		var runs [nItems]atomic.Int32
-		var sink atomic.Uint64
-		busy := make([]atomic.Bool, threads)
-		var shared atomic.Int32
-		s0 := rt.Stats()
-		b.forEach(true, nItems, func(b *build, ln *lane, i int) {
-			li := 0
-			for ln != &b.lanes[li] {
-				li++
-			}
-			if !busy[li].CompareAndSwap(false, true) {
-				shared.Add(1)
-			}
-			// Uneven cost: every seventh item does 100× the work.
-			work := 100
-			if i%7 == 0 {
-				work = 10000
-			}
-			x := uint64(i)
-			for k := 0; k < work; k++ {
-				x = x*6364136223846793005 + 1442695040888963407
-			}
-			sink.Add(x)
-			runs[i].Add(1)
-			busy[li].Store(false)
-		})
-		d := rt.Stats().Sub(s0)
-		rt.Close()
-		for i := range runs {
-			if got := runs[i].Load(); got != 1 {
-				t.Fatalf("threads=%d: item %d ran %d times, want 1", threads, i, got)
-			}
-		}
-		if n := shared.Load(); n != 0 {
-			t.Fatalf("threads=%d: %d items started on a lane already in use", threads, n)
-		}
-		if d.Regions != 1 || d.Chunks != uint64(threads) {
-			t.Fatalf("threads=%d: Regions=%d Chunks=%d, want one region of %d lane pieces",
-				threads, d.Regions, d.Chunks, threads)
 		}
 	}
 }

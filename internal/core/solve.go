@@ -147,32 +147,44 @@ type sweepPlan struct {
 // newSweepPlan cuts every upper level into min(Threads, rows) ranges
 // of nearly equal row counts.
 func (e *Engine) newSweepPlan() *sweepPlan {
-	ptr, levels, lanes := e.split.UpperLvlPtr, e.split.CutLevel, e.opt.Threads
+	cut, fwd := e.cutLevels(e.opt.Threads)
+	pieces := len(fwd)
+	p := &sweepPlan{cut: cut, fwdGate: fwd, bwdGate: make([]int32, pieces)}
+	end := pieces // one past the last piece of forward piece j's level
+	for j := pieces - 1; j >= 0; j-- {
+		p.bwdGate[pieces-1-j] = int32(pieces - end)
+		if fwd[j] == int32(j) {
+			end = j // j opens its level
+		}
+	}
+	return p
+}
+
+// cutLevels cuts every upper level into min(k, rows) contiguous ranges
+// of nearly equal row counts, levels ascending. Range i covers rows
+// [cut[i], cut[i+1]), and gate[i], its Phases gate in a forward
+// sweep, counts the ranges of the levels before its own.
+func (e *Engine) cutLevels(k int) (cut []int, gate []int32) {
+	ptr, levels := e.split.UpperLvlPtr, e.split.CutLevel
 	pieces := 0
 	for l := 0; l < levels; l++ {
-		pieces += min(lanes, ptr[l+1]-ptr[l])
+		pieces += min(k, ptr[l+1]-ptr[l])
 	}
-	p := &sweepPlan{
-		cut:     make([]int, pieces+1),
-		fwdGate: make([]int32, pieces),
-		bwdGate: make([]int32, pieces),
-	}
+	cut = make([]int, pieces+1)
+	gate = make([]int32, pieces)
 	i := 0
 	for l := 0; l < levels; l++ {
 		lo, rows := ptr[l], ptr[l+1]-ptr[l]
-		k := min(lanes, rows)
-		first := i
-		for q := 0; q < k; q++ {
-			p.cut[i] = lo + q*rows/k
-			p.fwdGate[i] = int32(first)
+		m := min(k, rows)
+		first := int32(i)
+		for q := 0; q < m; q++ {
+			cut[i] = lo + q*rows/m
+			gate[i] = first
 			i++
 		}
-		for j := first; j < i; j++ {
-			p.bwdGate[pieces-1-j] = int32(pieces - i)
-		}
 	}
-	p.cut[pieces] = e.split.NUpper
-	return p
+	cut[pieces] = e.split.NUpper
+	return cut, gate
 }
 
 // runPhased runs one sweep of the phased route over x: the pieces of
@@ -180,7 +192,7 @@ func (e *Engine) newSweepPlan() *sweepPlan {
 // lanes.
 //
 //javelin:noalloc
-func (c *SolveContext) runPhased(gate []int32, body func(i int), x []float64) {
+func (c *SolveContext) runPhased(gate []int32, body func(lane, i int), x []float64) {
 	c.x = x
 	c.e.rt.Phases(gate, c.e.opt.Threads, body)
 	c.x = nil
@@ -189,7 +201,7 @@ func (c *SolveContext) runPhased(gate []int32, body func(i int), x []float64) {
 // forwardPiece runs TriLower over the rows of forward piece i.
 //
 //javelin:noalloc
-func (c *SolveContext) forwardPiece(i int) {
+func (c *SolveContext) forwardPiece(_, i int) {
 	e := c.e
 	lu, cut := e.factor.LU, e.route.plan.cut
 	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, c.x, cut[i], cut[i+1])
@@ -198,7 +210,7 @@ func (c *SolveContext) forwardPiece(i int) {
 // backwardPiece runs TriUpper over the rows of backward piece i.
 //
 //javelin:noalloc
-func (c *SolveContext) backwardPiece(i int) {
+func (c *SolveContext) backwardPiece(_, i int) {
 	e := c.e
 	lu, cut := e.factor.LU, e.route.plan.cut
 	j := len(cut) - 2 - i

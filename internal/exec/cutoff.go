@@ -26,14 +26,15 @@ import (
 // partition boundaries, not participant count, define the float
 // association).
 //
-// Remaining callers: spmv.ParallelOn (PiecesFor), the factor scatter
-// and the upper, lower and corner factor stages in internal/core
-// (PiecesFor, ParallelWorth), the krylov reductions (ParallelWorth)
-// and the CSRLS baseline sweeps in internal/trisolve (PiecesFor). The
-// engine's triangular solves do not use the model: each engine times
-// its upper-stage sweep inline and as one Phases region at Factorize
-// and keeps the faster route, because a phased sweep pays a barrier
-// per level, a cost this model does not see.
+// Remaining callers: spmv.ParallelOn (PiecesFor); in internal/core
+// the factor scatter (PiecesFor) and each factorization pass's one
+// Phases region over the numeric stages (ParallelWorth, which caps
+// the region at Threads lanes or at 1); the krylov reductions
+// (ParallelWorth) and the CSRLS baseline sweeps in internal/trisolve
+// (PiecesFor). The engine's triangular solves do not use the model:
+// each engine times its upper-stage sweep inline and as one Phases
+// region at Factorize and keeps the faster route, because a phased
+// sweep pays a barrier per level, a cost this model does not see.
 
 const (
 	// cutoffNsPerOp converts caller work estimates (ops) to

@@ -10,11 +10,11 @@
 // runs here instead of spawning goroutines per call. A phased sweep is
 // one Phases region: its phases are the levels and its pieces each
 // level's row ranges (Anderson & Saad's level scheduling, the barriers
-// inside one region). The factor's chunk-1 loops (the upper stage's
-// row blocks, the lower stage's rows and the corner groups) are all
-// known before they start and none spawns more work, so each runs as
-// one Ranges piece per lane, each piece claiming items off a shared
-// cursor with its own scratch; no work stealing is needed. Loop regions are
+// inside one region). A factorization pass after its scatter is one
+// Phases region too: the upper levels' row ranges, then the lower
+// rows, then the corner groups, each piece run on the scratch of the
+// lane Phases names. Every piece is known before the region starts and
+// none spawns more work, so no work stealing is needed. Regions are
 // claim-based (atomic block dealing over persistent workers), so a
 // region costs two mutex hops and a handful of atomics instead of
 // goroutine creation, and an idle Runtime parks its workers and costs
@@ -40,6 +40,12 @@
 // lane that has not joined or on one that is itself waiting, so the
 // caller can run every piece alone and a Phases region completes like
 // any other.
+//
+// A Phases body also learns which lane runs it. The caller is lane 0
+// and each worker that joins takes the next number of the region's
+// join count, which never goes down. A participant leaves only once
+// every piece is claimed, and no worker joins after that, so the
+// lanes of one region are distinct and below its participant cap.
 //
 // # Metrics
 //
@@ -166,12 +172,15 @@ type job struct {
 	// (piece) instead of per iteration, empty pieces skipped.
 	rangeBody func(piece, lo, hi int)
 	// gate, when set, selects Phases mode: blocks of one iteration,
-	// block i claimed only once gate[i] blocks have completed.
-	gate []int32
+	// block i claimed only once gate[i] blocks have completed, each
+	// run as phaseBody(lane, i).
+	gate      []int32
+	phaseBody func(lane, i int)
 
 	next      atomic.Int64 // next unclaimed block index
 	remaining atomic.Int64 // blocks not yet completed
 	active    atomic.Int32 // current participants (joins under r.mu)
+	joins     atomic.Int32 // workers that have joined; never decremented
 
 	// Completion parking for the caller: after a short spin it waits
 	// on cond; the participant whose exit completes the region
@@ -231,7 +240,7 @@ func (r *Runtime) For(n, maxPar int, body func(i int)) {
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, chunk, int32(par)
 	j.blocks = int64((n + chunk - 1) / chunk)
-	j.body, j.rangeBody, j.gate = body, nil, nil
+	j.body = body
 	r.runJob(j)
 }
 
@@ -279,21 +288,24 @@ func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, chunk, int32(pieces)
 	j.blocks = int64(pieces)
-	j.body, j.rangeBody, j.gate = nil, body, nil
+	j.rangeBody = body
 	r.runJob(j)
 }
 
-// Phases runs body(i) once for each piece i in [0, len(gate)), piece i
-// starting only once gate[i] pieces have completed. With gate[i] the
-// number of pieces in the phases before piece i's, one region runs
-// phase after phase with a barrier between each. gate[i] must not
-// exceed i. Participants claim pieces in index order, each only once
-// its gate has opened, so one waits only on pieces already claimed
-// and running (see the package doc), and maxPar caps their number
-// (<= 0 means the runtime's full parallelism). With one participant
-// the pieces run in order on the caller. Blocks until every piece has
-// completed.
-func (r *Runtime) Phases(gate []int32, maxPar int, body func(i int)) {
+// Phases runs body(lane, i) once for each piece i in [0, len(gate)),
+// piece i starting only once gate[i] pieces have completed. With
+// gate[i] the number of pieces in the phases before piece i's, one
+// region runs phase after phase with a barrier between each. gate[i]
+// must not exceed i. Participants claim pieces in index order, each
+// only once its gate has opened, so one waits only on pieces already
+// claimed and running (see the package doc), and maxPar caps their
+// number (<= 0 means the runtime's full parallelism). lane names the
+// participant running the piece: 0 for the caller, and below
+// min(maxPar, Parallelism(), len(gate)) for every participant. No two
+// participants share a lane, so bodies may own scratch slots indexed
+// by lane. With one participant the pieces run in order on the
+// caller, as lane 0. Blocks until every piece has completed.
+func (r *Runtime) Phases(gate []int32, maxPar int, body func(lane, i int)) {
 	n := len(gate)
 	if n == 0 {
 		return
@@ -305,7 +317,7 @@ func (r *Runtime) Phases(gate []int32, maxPar int, body func(i int)) {
 	}
 	if par <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			body(0, i)
 		}
 		r.stats.chunks.Add(1)
 		return
@@ -313,7 +325,7 @@ func (r *Runtime) Phases(gate []int32, maxPar int, body func(i int)) {
 	j := r.jobPool.Get().(*job)
 	j.n, j.chunk, j.limit = n, 1, int32(min(par, n))
 	j.blocks = int64(n)
-	j.body, j.rangeBody, j.gate = body, nil, gate
+	j.gate, j.phaseBody = gate, body
 	r.runJob(j)
 }
 
@@ -323,7 +335,8 @@ func (r *Runtime) Phases(gate []int32, maxPar int, body func(i int)) {
 func (r *Runtime) runJob(j *job) {
 	j.next.Store(0)
 	j.remaining.Store(j.blocks)
-	j.active.Store(1) // the caller
+	j.active.Store(1) // the caller, lane 0
+	j.joins.Store(0)
 	r.mu.Lock()
 	r.jobs = append(r.jobs, j)
 	if r.sleeping > 0 {
@@ -331,7 +344,7 @@ func (r *Runtime) runJob(j *job) {
 	}
 	r.mu.Unlock()
 
-	j.runClaims()
+	j.runClaims(0)
 
 	// Unregister so no worker can newly join, then wait out the ones
 	// already in (join happens under r.mu, so after removal the active
@@ -360,17 +373,18 @@ func (r *Runtime) runJob(j *job) {
 		}
 	}
 	r.stats.chunks.Add(uint64(charged))
-	j.body, j.rangeBody, j.gate = nil, nil, nil
+	j.body, j.rangeBody, j.gate, j.phaseBody = nil, nil, nil, nil
 	r.jobPool.Put(j)
 }
 
-// runClaims executes blocks off j's cursor until none remain. The
-// participant must already be counted in j.active; it uncounts itself
-// on the way out (its last touch of j). Deliberately uninstrumented:
-// any counter kept live across the body call would be spilled and
-// reloaded around every iteration (Go's ABI has no callee-saved
-// registers); runJob charges the region's whole block count instead.
-func (j *job) runClaims() {
+// runClaims executes blocks off j's cursor until none remain, as the
+// participant of the given lane. The participant must already be
+// counted in j.active; it uncounts itself on the way out (its last
+// touch of j). Deliberately uninstrumented: any counter kept live
+// across the body call would be spilled and reloaded around every
+// iteration (Go's ABI has no callee-saved registers); runJob charges
+// the region's whole block count instead.
+func (j *job) runClaims(lane int) {
 	n, chunk := j.n, j.chunk
 	for {
 		var b int64
@@ -387,11 +401,14 @@ func (j *job) runClaims() {
 		if hi > n {
 			hi = n
 		}
-		if j.rangeBody != nil {
+		switch {
+		case j.phaseBody != nil:
+			j.phaseBody(lane, lo)
+		case j.rangeBody != nil:
 			if hi > lo {
 				j.rangeBody(int(b), lo, hi)
 			}
-		} else {
+		default:
 			body := j.body
 			for i := lo; i < hi; i++ {
 				body(i)
@@ -453,8 +470,9 @@ func (r *Runtime) step() bool {
 	for _, j := range r.jobs {
 		if j.claimableLocked() {
 			j.active.Add(1) // join under r.mu (see runJob)
+			lane := int(j.joins.Add(1))
 			r.mu.Unlock()
-			j.runClaims()
+			j.runClaims(lane)
 			return true
 		}
 	}

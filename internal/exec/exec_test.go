@@ -243,7 +243,7 @@ func TestPhasesRunsEachPieceOnceAfterItsGate(t *testing.T) {
 				finished := make([]atomic.Bool, n)
 				var done atomic.Int32
 				var sink atomic.Uint64
-				r.Phases(g.gate, maxPar, func(i int) {
+				r.Phases(g.gate, maxPar, func(_, i int) {
 					if got := done.Load(); got < g.gate[i] {
 						t.Errorf("lanes=%d %s maxPar=%d: piece %d started after %d pieces finished, gate %d",
 							lanes, g.name, maxPar, i, got, g.gate[i])
@@ -275,7 +275,71 @@ func TestPhasesRunsEachPieceOnceAfterItsGate(t *testing.T) {
 		}
 		r.Close()
 	}
-	New(2).Phases(nil, 0, func(int) { t.Error("body called for an empty gate") })
+	New(2).Phases(nil, 0, func(int, int) { t.Error("body called for an empty gate") })
+}
+
+// TestPhasesLanesAreExclusive: every piece runs exactly once, on a
+// lane below min(maxPar, Parallelism(), pieces), and no two pieces run
+// on one lane at once, so a body may own scratch per lane. The gates
+// are 101 pieces in phases of uneven sizes, 101 pieces in one phase,
+// and two gates with fewer pieces than most runtimes have lanes.
+func TestPhasesLanesAreExclusive(t *testing.T) {
+	gates := [][]int32{
+		phaseGate(20, 1, 30, 7, 1, 40, 2),
+		make([]int32, 101),
+		phaseGate(2),
+		phaseGate(1, 2),
+	}
+	for _, lanes := range []int{2, 4, 8} {
+		r := New(lanes)
+		for _, gate := range gates {
+			for _, maxPar := range []int{0, 1, 2, 3} {
+				n := len(gate)
+				limit := min(lanes, n)
+				if maxPar > 0 {
+					limit = min(limit, maxPar)
+				}
+				runs := make([]atomic.Int32, n)
+				busy := make([]atomic.Bool, lanes)
+				var outside, shared atomic.Int32
+				var sink atomic.Uint64
+				r.Phases(gate, maxPar, func(lane, i int) {
+					runs[i].Add(1)
+					if lane < 0 || lane >= limit {
+						outside.Add(1)
+						return
+					}
+					if !busy[lane].CompareAndSwap(false, true) {
+						shared.Add(1)
+						return
+					}
+					// Uneven cost: every seventh piece does 100× the work.
+					work := 100
+					if i%7 == 0 {
+						work = 10000
+					}
+					x := uint64(i)
+					for k := 0; k < work; k++ {
+						x = x*6364136223846793005 + 1442695040888963407
+					}
+					sink.Add(x)
+					busy[lane].Store(false)
+				})
+				for i := range runs {
+					if got := runs[i].Load(); got != 1 {
+						t.Fatalf("lanes=%d pieces=%d maxPar=%d: piece %d ran %d times, want 1", lanes, n, maxPar, i, got)
+					}
+				}
+				if k := outside.Load(); k != 0 {
+					t.Fatalf("lanes=%d pieces=%d maxPar=%d: %d pieces ran on a lane outside [0, %d)", lanes, n, maxPar, k, limit)
+				}
+				if k := shared.Load(); k != 0 {
+					t.Fatalf("lanes=%d pieces=%d maxPar=%d: %d pieces started on a lane already in use", lanes, n, maxPar, k)
+				}
+			}
+		}
+		r.Close()
+	}
 }
 
 // TestPhasesGateHoldsBackLaterPhases: while one lane runs a piece of
@@ -285,7 +349,7 @@ func TestPhasesGateHoldsBackLaterPhases(t *testing.T) {
 	r := New(2)
 	defer r.Close()
 	var started [4]atomic.Bool
-	r.Phases(phaseGate(2, 2), 2, func(i int) {
+	r.Phases(phaseGate(2, 2), 2, func(_, i int) {
 		started[i].Store(true)
 		if i != 0 {
 			return
@@ -309,7 +373,7 @@ func TestPhasesGateHoldsBackLaterPhases(t *testing.T) {
 
 // TestPhasesCompletesWithBusyWorker: a Phases region finishes when the
 // runtime's only worker is held in a blocked region, the caller
-// running every piece alone, one after another.
+// running every piece alone, one after another, as lane 0.
 func TestPhasesCompletesWithBusyWorker(t *testing.T) {
 	r := New(2)
 	defer r.Close()
@@ -328,13 +392,16 @@ func TestPhasesCompletesWithBusyWorker(t *testing.T) {
 
 	gate := phaseGate(2, 2, 2, 2, 1, 2)
 	runs := make([]atomic.Int32, len(gate))
-	var busy, overlaps atomic.Int32
+	var busy, overlaps, offCaller atomic.Int32
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r.Phases(gate, 2, func(i int) {
+		r.Phases(gate, 2, func(lane, i int) {
 			if busy.Add(1) != 1 {
 				overlaps.Add(1)
+			}
+			if lane != 0 {
+				offCaller.Add(1)
 			}
 			runs[i].Add(1)
 			busy.Add(-1)
@@ -356,5 +423,8 @@ func TestPhasesCompletesWithBusyWorker(t *testing.T) {
 	}
 	if n := overlaps.Load(); n != 0 {
 		t.Fatalf("%d pieces overlapped another with the only worker busy", n)
+	}
+	if n := offCaller.Load(); n != 0 {
+		t.Fatalf("%d pieces ran on a lane other than the caller's 0 with the only worker busy", n)
 	}
 }

@@ -33,14 +33,14 @@ type Stats struct {
 	// Chunks/Regions is the average fan-out actually realized.
 	Chunks uint64 `json:"chunks"`
 	// StealAttempts and StealSuccesses are always 0: the runtime has
-	// no work-stealing scheduler (the factor stages' chunk-1 loops run
-	// as Ranges regions). The fields remain only so existing readers of
-	// the snapshot keep compiling.
+	// no work-stealing scheduler (every region's pieces are known when
+	// it opens and are claimed off one cursor). The fields remain only
+	// so existing readers of the snapshot keep compiling.
 	StealAttempts  uint64 `json:"steal_attempts"`
 	StealSuccesses uint64 `json:"steal_successes"`
 	// Gangs and GangWaitNs are always 0: the runtime has no gang
-	// construct (the upper factor stage runs level by level as claim
-	// loops). The fields remain only so existing readers of the
+	// construct (the factor stages run level by level in one Phases
+	// region). The fields remain only so existing readers of the
 	// snapshot keep compiling.
 	Gangs      uint64 `json:"gangs"`
 	GangWaitNs uint64 `json:"gang_wait_ns"`

@@ -25,9 +25,9 @@ type SplitOptions struct {
 	// MinLocationFrac is the "relative location" rule: only levels in
 	// the trailing (1-MinLocationFrac) portion of the level sequence
 	// are eligible to move down. Small levels in the middle of large
-	// level sets are kept in the upper stage, where point-to-point
-	// synchronization absorbs them (paper Fig. 3). Zero means the
-	// default 0.25.
+	// level sets are kept in the upper stage (paper Fig. 3), where a
+	// kept level costs one gate wait inside the factorization pass's
+	// region. Zero means the default 0.25.
 	MinLocationFrac float64
 }
 
@@ -134,7 +134,8 @@ func ComputeSplit(a *sparse.CSR, src PatternSource, opt SplitOptions) *Split {
 
 // NoSplit builds a degenerate split with every level in the upper
 // stage (lower stage empty). This is the paper's "LS" configuration:
-// level scheduling with point-to-point synchronization only.
+// level scheduling only, each level costing one gate wait inside the
+// factorization pass's region.
 func NoSplit(a *sparse.CSR, src PatternSource) *Split {
 	lv := Compute(a, src)
 	s := &Split{Src: src, Lv: lv, CutLevel: lv.Count, NUpper: a.N}
