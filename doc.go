@@ -63,9 +63,8 @@
 // factorization pass's one region (a gate per level, then the lower
 // rows, then the corner groups) and of the solves' phased sweeps (one
 // region per sweep, where Factorize measures that route faster than a
-// plain sweep), and the lower rows' spans drive both methods'
-// elimination and SolveLower's staged sweep, so the preconditioner
-// applies without reformatting — the paper's co-design thesis.
+// plain sweep), so the preconditioner applies without reformatting —
+// the paper's co-design thesis.
 //
 // # Quick start
 //
@@ -113,7 +112,7 @@
 // # Concurrency model
 //
 // The symbolic state of a factorized Preconditioner — permutation,
-// level schedules, lower-row spans, sparsity pattern — is immutable
+// level schedules, piece plans, sparsity pattern — is immutable
 // and only read by solves. The numeric factor values are
 // epoch-versioned: Refactorize scatters and factors the new matrix
 // into an inactive value buffer (reusing all symbolic structure) and
@@ -311,13 +310,19 @@
 //     scheduling) and keeps the faster; Refactorize keeps the choice,
 //     and Engine.SolveRoute reports it with the probe's times. Both
 //     sweeps then run their upper-stage rows on that route; the lower
-//     rows and the corner always run inline. At Threads > 1 the lower
-//     sweep follows the staged structure (upper rows, then the lower
-//     rows' spmv-like pass, then the corner), which gives the same
-//     bits at every Threads > 1 and on both routes. The paper's p2p
-//     sweep, which waited on other lanes row by row, is not used: on
-//     the 2-vCPU hosts it was timed on, an apply through it took
-//     2–13× as long as the 1-thread sweep on every matrix tried.
+//     rows always run inline. Both sweeps are plain substitution on
+//     every route, so every thread count gives the 1-thread bits. This
+//     departs from the paper, whose lower rows' solve is an spmv-like
+//     pass over their upper-stage entries before the corner. Run
+//     inline, that staged pass made the 2-thread apply on
+//     TSOPF_RS_b300_c2 (699 lower rows, a 2-vCPU host) 1.33–1.37× the
+//     1-thread one in 4 of 4 traced benchmark runs; plain substitution
+//     read 0.99–1.04× in 3 of 4, and 1.39× in the fourth, a spread two
+//     timings of one unchanged 1-thread apply in one run also show
+//     (126 and 181 µs). The paper's p2p sweep, which waited on other
+//     lanes row by row, is not used: on the 2-vCPU hosts it was timed
+//     on, an apply through it took 2–13× as long as the 1-thread sweep
+//     on every matrix tried.
 //
 // # Runtime metrics
 //

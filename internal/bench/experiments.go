@@ -312,8 +312,8 @@ func RunFig12(cfg Config) []Fig12Row {
 			if d < bestCSRLS {
 				bestCSRLS = d
 			}
-			// Engines are built per thread count: Threads > 1 selects
-			// the staged lower sweep and probes the upper stage's route.
+			// Engines are built per thread count: at Threads > 1
+			// Factorize probes the upper stage's solve route.
 			dLS := timeEngineSolve(cfg, a, p, core.LowerNone, b)
 			if dLS > 0 && dLS < bestLS {
 				bestLS = dLS

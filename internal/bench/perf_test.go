@@ -16,7 +16,7 @@ import (
 // barrier costs more than the level's rows). At 2 threads Factorize
 // times the upper-stage sweep inline and phased and keeps the faster,
 // and with one P it runs no probe and stays inline, so a 2T apply
-// differs from 1T only in the staging order or where the phased
+// runs 1T's arithmetic and differs from it only where the phased
 // route measured faster. The bound is deliberately loose — it guards
 // against a route choice that loses, not against timer noise.
 func TestApplyTwoThreadOverhead(t *testing.T) {

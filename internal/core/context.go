@@ -254,9 +254,8 @@ func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
 // n×k block xb (xb[i*k+j] is entry i of right-hand side j): one
 // ascending sweep on the calling goroutine that applies each row's
 // sub-diagonal entries to all k columns through the dense-panel
-// micro-kernel. PanelUpdate subtracts entry by entry, so splitting a
-// lower row at the upper/corner boundary, as SolveLower's staged
-// sweep does, would give the same bits; one sweep serves every
+// micro-kernel. PanelUpdate subtracts a row's entries one by one in
+// TriLower's order, so each column gets SolveLower's bits, at every
 // thread count.
 //
 //javelin:noalloc

@@ -11,11 +11,11 @@
 // (the paper's segments), ER in one run.
 //
 // The engine owns the permuted factor, the level-set split and the
-// lower-stage plan; the split and the lower-stage spans drive both
-// numeric factorization and the solves, which is the paper's central
-// co-design point. Both run their levels on one level scheduler,
-// exec.Runtime.Phases: a factorization pass is one region after its
-// scatter (see factorPlan), a phased solve one region per sweep.
+// lower-stage plan; the split drives both numeric factorization and
+// the solves, which is the paper's central co-design point. Both run
+// their levels on one level scheduler, exec.Runtime.Phases: a
+// factorization pass is one region after its scatter (see
+// factorPlan), a phased solve one region per sweep.
 package core
 
 import (
@@ -183,14 +183,6 @@ type Engine struct {
 	// their upper-stage rows inline.
 	route *solveRoute
 
-	// cornerStart[r-NUpper] is the first sub-diagonal index of corner
-	// row r whose column is itself a corner row (>= NUpper). Columns
-	// are sorted, so those entries form a contiguous suffix
-	// [cornerStart[r-NUpper], DiagPos[r]) of the row — precomputed once
-	// so the corner solve sweeps explicit bounds instead of filtering
-	// every element on its column.
-	cornerStart []int
-
 	lower *lowerPlan
 
 	// maxRow is the longest factor row, the size of a lane's row
@@ -298,16 +290,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 	}
 	e.kt = kernels.Active()
 	e.factorOps = 4 * int64(permPat.Nnz())
-	if nUp := split.NUpper; nUp < a.N {
-		e.cornerStart = make([]int, a.N-nUp)
-		for r := nUp; r < a.N; r++ {
-			k := permPat.RowPtr[r]
-			for k < diagPos[r] && permPat.ColIdx[k] < nUp {
-				k++
-			}
-			e.cornerStart[r-nUp] = k
-		}
-	}
 
 	e.buildLowerPlan()
 	e.plan = e.newFactorPlan()

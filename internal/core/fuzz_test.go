@@ -39,10 +39,12 @@ const miluRelTol = 1e-12
 // magnitude above that, and the dispatched Refactorize must reproduce
 // the first Factorize bit for bit. MILU compensation can cancel a
 // pivot; inputs on which the reference itself reports a zero pivot
-// are skipped. At Threads > 1 each accepted factor is then applied
-// (SolveLower, SolveUpper and Apply) on the inline and the phased
-// solve route, which must give identical bits. The seed corpus is
-// under testdata/fuzz/FuzzFactorize.
+// are skipped. Each accepted factor is then applied (SolveLower,
+// SolveUpper and Apply) inline and, at Threads > 1, on the phased
+// solve route: on each route both triangular solves must give the
+// bits of serial substitution on the factor, and Apply must give the
+// same bits on both. The seed corpus is under
+// testdata/fuzz/FuzzFactorize.
 func FuzzFactorize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
@@ -130,18 +132,12 @@ func FuzzFactorize(f *testing.F) {
 		if digestValues(e.Factor().LU.Val) != want {
 			t.Fatalf("%v %s: the dispatched Refactorize differs from Factorize", e.Method(), cfg)
 		}
-		if e.Threads() > 1 {
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = 1 + float64(i%5)
-			}
-			forceSolveRoute(e, false)
-			inline := solveBits(e, b)
-			forceSolveRoute(e, true)
-			if i := firstBitDiff(solveBits(e, b), inline); i >= 0 {
-				op := []string{"SolveLower", "SolveUpper", "Apply"}[i/n]
-				t.Fatalf("%v %s: phased %s differs from inline at row %d", e.Method(), cfg, op, i%n)
-			}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 1 + float64(i%5)
+		}
+		if msg := solveMismatch(e, b); msg != "" {
+			t.Fatalf("%v %s: %s", e.Method(), cfg, msg)
 		}
 	})
 }

@@ -47,8 +47,8 @@ func newLanes(count, n, maxRow int) []lane {
 // for the pivot entries stored at [kLo, kHi) of the row, whose U-rows
 // must already be final: for each pivot column j in turn, the entry
 // becomes lij = a_rj / u_jj and row r loses lij × (U-row j right of
-// its diagonal). Every factor stage, the lower stage's spans included,
-// eliminates through this one pass.
+// its diagonal). Every factor stage, the lower rows' upper-stage
+// pivots included, eliminates through this one pass.
 //
 // The row's entries from kLo on are loaded into the lane, updated
 // through the position map and stored back; every update target

@@ -75,8 +75,8 @@ func (e *Engine) newValues() []float64 {
 // pass: the scatter, then every numeric stage as one exec.Runtime.Phases
 // region over the engine's factor plan. One cost-model call per pass
 // caps the region at Threads lanes, or at 1, which runs every piece in
-// order on the caller. Rows of one level, one span or one corner group
-// are independent, so both give the same bits.
+// order on the caller. Rows of one level, the lower rows and the rows
+// of one corner group are independent, so both give the same bits.
 func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 	b := &build{e: e, vals: vals, lanes: newLanes(e.opt.Threads, e.n, e.maxRow)}
 	if err := b.scatter(a); err != nil {
@@ -116,31 +116,31 @@ func (b *build) firstErr() error {
 // factorPlan is the piece plan of a pass's factor region, built once
 // by Factorize. Its pieces are, in order: the upper stage, each level
 // cut into up to 4·Threads row ranges, levels ascending (piece i
-// covers rows [cut[i], cut[i+1])); one piece per lower row in
-// lower.spans; and one piece per corner row, ascending. gate holds
-// each piece's Phases gate: an upper piece waits for the levels before
-// its own (Anderson & Saad's level scheduling), a span for the whole
-// upper stage, and a corner row for every span and for the corner
-// groups before its own (LowerLvlPtr). A lane that never starts holds
-// no piece, so the caller can finish a pass alone.
+// covers rows [cut[i], cut[i+1])); one piece per lower row,
+// ascending; and one piece per corner row, ascending. gate holds each
+// piece's Phases gate: an upper piece waits for the levels before its
+// own (Anderson & Saad's level scheduling), a lower row for the whole
+// upper stage, and a corner row for every lower row and for the
+// corner groups before its own (LowerLvlPtr). A lane that never
+// starts holds no piece, so the caller can finish a pass alone.
 type factorPlan struct {
 	cut  []int
 	gate []int32
 }
 
-// newFactorPlan builds the factor plan; the lower plan must exist.
+// newFactorPlan builds the factor plan.
 func (e *Engine) newFactorPlan() *factorPlan {
-	spans := len(e.lower.spans)
+	lower := e.n - e.split.NUpper
 	cut, up := e.cutLevels(4 * e.opt.Threads)
-	gate := append(make([]int32, 0, len(up)+spans+e.n-e.split.NUpper), up...)
+	gate := append(make([]int32, 0, len(up)+2*lower), up...)
 	upper := int32(len(up))
-	for range spans {
+	for range lower {
 		gate = append(gate, upper)
 	}
 	ptr := e.split.LowerLvlPtr
 	for g := 0; g+1 < len(ptr); g++ {
 		for range ptr[g+1] - ptr[g] {
-			gate = append(gate, upper+int32(spans+ptr[g]))
+			gate = append(gate, upper+int32(lower+ptr[g]))
 		}
 	}
 	return &factorPlan{cut: cut, gate: gate}
@@ -155,12 +155,13 @@ func (b *build) piece(lane, i int) {
 	}
 	e, ln := b.e, &b.lanes[lane]
 	var err error
+	lower := e.n - e.split.NUpper
 	if up := len(e.plan.cut) - 1; i < up {
 		err = b.upperRows(ln, e.plan.cut[i], e.plan.cut[i+1])
-	} else if i -= up; i < len(e.lower.spans) {
+	} else if i -= up; i < lower {
 		err = b.lowerRow(ln, i)
 	} else {
-		err = b.cornerRow(ln, e.split.NUpper+i-len(e.lower.spans))
+		err = b.cornerRow(ln, i-lower)
 	}
 	if err != nil {
 		b.fail(err)
@@ -246,30 +247,31 @@ func (b *build) upperRows(ln *lane, lo, hi int) error {
 	return nil
 }
 
-// lowerRow eliminates the row of span i against all its upper-stage
-// pivots in one pass (paper Section V). ER and SR differ only in the
-// order the row's MILU compensation is summed in (lowerPlan.lvlEnds);
-// it waits in lower.comp for the row's corner piece.
+// lowerRow eliminates lower row NUpper+i against all its upper-stage
+// pivots, [RowPtr[r], cornerStart[i]), in one pass (paper Section V).
+// ER and SR differ only in the order the row's MILU compensation is
+// summed in (lowerPlan.lvlEnds); it waits in lower.comp for the row's
+// corner piece. A row with no upper-stage pivot stores comp 0.
 func (b *build) lowerRow(ln *lane, i int) error {
 	e := b.e
-	sp := e.lower.spans[i]
-	comp, err := ln.eliminate(e.factor, b.vals, sp.row, sp.kLo, sp.kHi, e.lower.lvlEnds)
+	r := e.split.NUpper + i
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.factor.LU.RowPtr[r], e.lower.cornerStart[i], e.lower.lvlEnds)
 	if err != nil {
 		return err
 	}
-	e.lower.comp[sp.row-e.split.NUpper] = comp
+	e.lower.comp[i] = comp
 	return nil
 }
 
-// cornerRow eliminates corner row r against its corner pivots (columns
-// in [NUpper, r), whose rows are final) and finishes it with the
-// compensation its upper-stage pivots left in lower.comp. Rows of one
-// corner group (one original level) are independent under the
-// lower(A+Aᵀ) order.
-func (b *build) cornerRow(ln *lane, r int) error {
+// cornerRow eliminates corner row NUpper+i against its corner pivots,
+// [cornerStart[i], DiagPos[r]) (columns in [NUpper, r), whose rows are
+// final), and finishes it with the compensation its upper-stage
+// pivots left in lower.comp. Rows of one corner group (one original
+// level) are independent under the lower(A+Aᵀ) order.
+func (b *build) cornerRow(ln *lane, i int) error {
 	e := b.e
-	i := r - e.split.NUpper
-	comp, err := ln.eliminate(e.factor, b.vals, r, e.cornerStart[i], e.factor.DiagPos[r], nil)
+	r := e.split.NUpper + i
+	comp, err := ln.eliminate(e.factor, b.vals, r, e.lower.cornerStart[i], e.factor.DiagPos[r], nil)
 	if err != nil {
 		return err
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"javelin/internal/exec"
+	"javelin/internal/trisolve"
 	"javelin/internal/util"
 )
 
@@ -42,13 +44,44 @@ func firstBitDiff(a, b []float64) int {
 	return -1
 }
 
-// TestPhasedSolvesMatchInlineBits: SolveLower, SolveUpper and Apply
-// give the same bits on the phased route as inline, on every test
-// matrix under LS, ER and SR at Threads 2–4. TriLower and TriUpper are
-// row-local and every upper-stage row depends only on earlier levels
-// (forward) or on later levels and lower rows (backward), so cutting
-// the levels into pieces cannot change an operation.
-func TestPhasedSolvesMatchInlineBits(t *testing.T) {
+// solveMismatch applies e to b on the inline route and, at Threads >
+// 1, on the phased route. SolveLower and SolveUpper must give the bits
+// of serial substitution on e's factor (trisolve.SolveLowerSerial and
+// SolveUpperSerial) on each route, and Apply the same bits on both. It
+// describes the first difference, or returns "" when there is none.
+func solveMismatch(e *Engine, b []float64) string {
+	n := len(b)
+	want := make([]float64, 2*n)
+	trisolve.SolveLowerSerial(e.Factor(), b, want[:n])
+	trisolve.SolveUpperSerial(e.Factor(), b, want[n:])
+	forceSolveRoute(e, false)
+	routes := [][]float64{solveBits(e, b)}
+	if e.Threads() > 1 {
+		forceSolveRoute(e, true)
+		routes = append(routes, solveBits(e, b))
+		if i := firstBitDiff(routes[1][2*n:], routes[0][2*n:]); i >= 0 {
+			return fmt.Sprintf("phased Apply differs from inline at row %d: %g, want %g",
+				i, routes[1][2*n+i], routes[0][2*n+i])
+		}
+	}
+	for r, got := range routes {
+		if i := firstBitDiff(got[:2*n], want); i >= 0 {
+			return fmt.Sprintf("%s %s differs from serial substitution at row %d: %g, want %g",
+				[]string{"inline", "phased"}[r], []string{"SolveLower", "SolveUpper"}[i/n], i%n, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// TestPhasedSolvesMatchSerialSubstitution: on every test matrix under
+// LS, ER and SR at Threads 1–4, SolveLower and SolveUpper give the
+// bits of plain serial substitution on the engine's factor, inline
+// and on the phased route, and Apply gives the same bits on both
+// routes. TriLower and TriUpper are row-local and every upper-stage
+// row depends only on earlier levels (forward) or on later levels and
+// lower rows (backward), so neither the thread count nor cutting the
+// levels into pieces can change an operation.
+func TestPhasedSolvesMatchSerialSubstitution(t *testing.T) {
 	for name, a := range testMatrices(t) {
 		b := make([]float64, a.N)
 		rng := util.NewRNG(5)
@@ -56,7 +89,7 @@ func TestPhasedSolvesMatchInlineBits(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
-			for threads := 2; threads <= 4; threads++ {
+			for threads := 1; threads <= 4; threads++ {
 				opt := DefaultOptions()
 				opt.Threads = threads
 				opt.Lower = method
@@ -65,15 +98,10 @@ func TestPhasedSolvesMatchInlineBits(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %v threads=%d: %v", name, method, threads, err)
 				}
-				forceSolveRoute(e, false)
-				want := solveBits(e, b)
-				forceSolveRoute(e, true)
-				got := solveBits(e, b)
+				msg := solveMismatch(e, b)
 				e.Close()
-				if i := firstBitDiff(got, want); i >= 0 {
-					op := []string{"SolveLower", "SolveUpper", "Apply"}[i/a.N]
-					t.Fatalf("%s %v threads=%d: phased %s differs from inline at row %d: %g, want %g",
-						name, method, threads, op, i%a.N, got[i], want[i])
+				if msg != "" {
+					t.Fatalf("%s %v threads=%d: %s", name, method, threads, msg)
 				}
 			}
 		}

@@ -11,19 +11,16 @@ import (
 // PERMUTED ordering (use Apply for the user-ordering round trip);
 // b and x may alias.
 //
-// At Threads == 1 it is one whole-sweep forward substitution on the
-// calling goroutine. At Threads > 1 it follows the factor's staged
-// structure (paper Section VI): the upper-stage rows level by level,
-// then the spmv-like sweep of the lower rows against the
-// already-computed upper x, then the corner. The staged sweep sums
-// each lower row's upper-stage entries before subtracting them, so its
-// low bits differ from the Threads == 1 sweep, and it gives the same
-// bits at every Threads > 1. The upper-stage rows run either inline
-// or as one exec.Runtime.Phases region, each level's rows cut into one
-// range per lane with a barrier between levels; Factorize picks the
-// route by timing both (see Engine.SolveRoute). TriLower is row-local
-// and every row's entries point to earlier levels, so both routes give
-// the same bits. The lower stage and the corner always run inline.
+// It is forward substitution, rows ascending. Inline it is one sweep
+// on the calling goroutine, at every thread count. On the phased
+// route it sweeps the upper-stage levels in ascending order as one
+// exec.Runtime.Phases region, each level's rows cut into one range per
+// lane with a barrier between levels, and then the lower rows
+// [NUpper, n) inline, ascending; Factorize picks the route by timing
+// both (see Engine.SolveRoute). TriLower is row-local and every L
+// entry of an upper-stage row points to an earlier level, so every
+// thread count and both routes give the bits of plain serial
+// substitution on the engine's factor.
 //
 // On an unpinned context each call pins the current epoch for its
 // own duration only; when pairing SolveLower with SolveUpper under
@@ -36,67 +33,29 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 	defer c.exit()
 	e := c.e
 	lu := e.factor.LU
-	dps := e.factor.DiagPos
-	vals := c.vals
-	kt := e.kt
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	if e.opt.Threads == 1 {
-		// Plain forward substitution as one whole-sweep kernel. The
-		// sub-diagonal entries of row r are exactly [RowPtr[r],
-		// DiagPos[r]) — the diagonal always exists — so the kernel
-		// works from explicit bounds instead of a per-element
-		// compare-and-break: identical elements, identical order,
-		// identical rounding.
-		kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, e.n)
+	p := e.phasedPlan()
+	if p == nil {
+		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
 		return
 	}
-	// Upper stage: the levels in ascending order (a valid forward
-	// topological order), phased or as one sweep kernel.
-	nUp, n := e.split.NUpper, e.n
-	if p := e.phasedPlan(); p != nil {
-		c.runPhased(p.fwdGate, c.forward, x)
-	} else {
-		kt.TriLower(lu.RowPtr, dps, lu.ColIdx, vals, x, 0, nUp)
-	}
-	if nUp == n {
-		return
-	}
-	// Lower stage, part 1: subtract the L(lower, upper)·x contribution
-	// span by span. Spans are ~3 elements, so the row sum is open-coded
-	// (the same ascending-index chained sum SpMVRows pins).
-	cols := lu.ColIdx
-	for _, sp := range e.lower.spans {
-		s := 0.0
-		for k := sp.kLo; k < sp.kHi; k++ {
-			s += vals[k] * x[cols[k]]
-		}
-		x[sp.row] -= s
-	}
-	// Lower stage, part 2: the corner, one sweep over [nUp, n). The
-	// corner entries of row r are the precomputed contiguous suffix
-	// [cornerStart[r-nUp], DiagPos[r]).
-	cs := e.cornerStart
-	for r := nUp; r < n; r++ {
-		s := x[r]
-		for k := cs[r-nUp]; k < dps[r]; k++ {
-			s -= vals[k] * x[cols[k]]
-		}
-		x[r] = s
-	}
+	c.runPhased(p.fwdGate, c.forward, x)
+	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, e.split.NUpper, e.n)
 }
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
-// may alias) by backward substitution. Inline it is one descending
-// sweep on the calling goroutine, at every thread count. On the
-// phased route (see SolveLower) it sweeps the lower rows [NUpper, n)
-// inline, descending, and then the upper-stage levels in descending
-// order as one exec.Runtime.Phases region. Under the lower(A+Aᵀ)
-// leveling every U entry of an upper-stage row points to a later
-// level or to a lower row, and TriUpper is row-local, so both routes
-// give the same bits. See SolveLower's note on PinEpoch when pairing
-// the two under concurrent Refactorize.
+// may alias) by backward substitution, the mirror of SolveLower.
+// Inline it is one descending sweep on the calling goroutine, at
+// every thread count. On the phased route it sweeps the lower rows
+// [NUpper, n) inline, descending, and then the upper-stage levels in
+// descending order as one exec.Runtime.Phases region. Under the
+// lower(A+Aᵀ) leveling every U entry of an upper-stage row points to
+// a later level or to a lower row, and TriUpper is row-local, so
+// every thread count and both routes give the bits of plain serial
+// substitution. See SolveLower's note on PinEpoch when pairing the
+// two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {

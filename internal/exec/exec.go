@@ -344,22 +344,24 @@ func (r *Runtime) runJob(j *job) {
 	}
 	r.mu.Unlock()
 
+	returned := false
+	defer func() {
+		if !returned {
+			// A body panicked on the caller. Its block never completes,
+			// so a Phases gate behind it would never open: close the
+			// cursor so every worker leaves at its next claim, and drop
+			// the job unpooled. The panic goes on up with its stack.
+			j.next.Store(j.blocks)
+			r.unregister(j)
+		}
+	}()
 	j.runClaims(0)
+	returned = true
 
 	// Unregister so no worker can newly join, then wait out the ones
 	// already in (join happens under r.mu, so after removal the active
 	// count only decreases).
-	r.mu.Lock()
-	for i, q := range r.jobs {
-		if q == j {
-			last := len(r.jobs) - 1
-			r.jobs[i] = r.jobs[last]
-			r.jobs[last] = nil
-			r.jobs = r.jobs[:last]
-			break
-		}
-	}
-	r.mu.Unlock()
+	r.unregister(j)
 	j.awaitDone()
 	// Every block was claimed and executed exactly once, so the
 	// region's whole block count is charged here rather than on the
@@ -375,6 +377,22 @@ func (r *Runtime) runJob(j *job) {
 	r.stats.chunks.Add(uint64(charged))
 	j.body, j.rangeBody, j.gate, j.phaseBody = nil, nil, nil, nil
 	r.jobPool.Put(j)
+}
+
+// unregister removes j from the open-region list, so no worker can
+// newly join it.
+func (r *Runtime) unregister(j *job) {
+	r.mu.Lock()
+	for i, q := range r.jobs {
+		if q == j {
+			last := len(r.jobs) - 1
+			r.jobs[i] = r.jobs[last]
+			r.jobs[last] = nil
+			r.jobs = r.jobs[:last]
+			break
+		}
+	}
+	r.mu.Unlock()
 }
 
 // runClaims executes blocks off j's cursor until none remain, as the

@@ -371,6 +371,53 @@ func TestPhasesGateHoldsBackLaterPhases(t *testing.T) {
 	})
 }
 
+// TestPhasesCallerPanicReleasesWorkers: a panic in a body the caller
+// runs reaches the caller, and the worker that finished the first
+// phase's other piece, now waiting on a gate the panicked piece would
+// have opened, leaves the region: the runtime runs the next region
+// and Close returns.
+func TestPhasesCallerPanicReleasesWorkers(t *testing.T) {
+	r := New(2)
+	workerRan := make(chan struct{})
+	var signal sync.Once
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the caller's panic \"boom\"", p)
+			}
+		}()
+		r.Phases([]int32{0, 0, 2, 2}, 2, func(lane, _ int) {
+			if lane != 0 {
+				signal.Do(func() { close(workerRan) })
+				return
+			}
+			select {
+			case <-workerRan:
+			case <-time.After(5 * time.Second):
+			}
+			panic("boom")
+		})
+	}()
+	within := func(what string, f func()) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5 s after a caller panic in a Phases region", what)
+		}
+	}
+	var ran atomic.Int32
+	within("For", func() { r.For(4, 2, func(int) { ran.Add(1) }) })
+	if n := ran.Load(); n != 4 {
+		t.Fatalf("For ran %d iterations, want 4", n)
+	}
+	within("Close", r.Close)
+}
+
 // TestPhasesCompletesWithBusyWorker: a Phases region finishes when the
 // runtime's only worker is held in a blocked region, the caller
 // running every piece alone, one after another, as lane 0.

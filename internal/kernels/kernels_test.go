@@ -242,7 +242,7 @@ func TestCrossVariantTriSweeps(t *testing.T) {
 				for trial := 0; trial < 5; trial++ {
 					rowPtr, diagPos, colIdx, vals := randFactorCSR(rng, n, rowLen)
 					x0 := randVec(rng, n)
-					// Partial sweeps too: the staged-inline paths run
+					// Partial sweeps too: the phased solve route runs
 					// TriLower/TriUpper over row subranges.
 					lo := rng.Intn(n)
 					hi := lo + rng.Intn(n-lo) + 1
