@@ -298,8 +298,8 @@ func TestApplyBatchAPIEquivalence(t *testing.T) {
 	ap.ApplyBatch(R, Zbat)
 	for j := 0; j < k; j++ {
 		for i := 0; i < n; i++ {
-			if math.Abs(Zbat[j][i]-Zseq[j][i]) > 1e-12*(1+math.Abs(Zseq[j][i])) {
-				t.Fatalf("applier batch mismatch RHS %d entry %d", j, i)
+			if math.Float64bits(Zbat[j][i]) != math.Float64bits(Zseq[j][i]) {
+				t.Fatalf("applier batch RHS %d entry %d: %v, Apply %v", j, i, Zbat[j][i], Zseq[j][i])
 			}
 		}
 	}

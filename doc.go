@@ -221,9 +221,16 @@
 // Every parallel region in Javelin — factorization stages, phased
 // triangular sweeps, SpMV, solver matvecs and reductions — schedules
 // onto a persistent
-// Runtime: a fixed pool of worker goroutines that spin briefly then
-// park when idle, so hot paths never create goroutines per call and an
-// idle runtime costs nothing.
+// Runtime: a fixed pool of worker goroutines, so hot paths never
+// create goroutines per call. A worker with nothing to claim keeps
+// polling for up to idleSpin (500 µs of wall-clock time) after its
+// last claim or wake, yielding its P between polls, and only then
+// parks; a runtime idle for longer holds no P. The budget is there
+// because on a 2-vCPU host a parked worker took about 105 µs (median)
+// to start a piece once woken, longer than most regions of a solve it
+// would be woken for (a matvec, a reduction, a phased sweep), while the
+// gaps between those regions are shorter than the budget, so a solve's
+// workers stay running from its first region to its last.
 // The factor stages index their per-lane scratch by a lane the region
 // itself hands out: the scatter's Ranges piece, and for the numeric
 // stages the lane number Phases passes each piece (the caller is lane
@@ -387,7 +394,7 @@
 //     field annotated //javelin:plain-under-mu <mu> is verified
 //     flow-sensitively to be touched only with the named mutex held
 //     on every path — how the runtime's park-path counters stay plain
-//     (an atomic RMW there tips the spin-to-park transition) without
+//     (bumped under the lock the park path already holds) without
 //     giving up machine checking.
 //   - lockvet — mutex discipline in the execution runtime and
 //     everywhere else: every Lock/RLock reaches its Unlock/RUnlock on

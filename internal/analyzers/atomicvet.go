@@ -16,8 +16,8 @@ import (
 // atomicvet verifies the claim: every access to the field must occur
 // with the named mutex held on every path (flow-sensitive, defer- and
 // *Locked-convention-aware). The directive is how the exec runtime's
-// park-path counters stay plain — an atomic RMW on that timing-bistable
-// path measurably tips the spin-to-park transition — without giving up
+// park-path counters stay plain — bumped under the lock the park path
+// already holds, so metering costs it no atomic RMW — without giving up
 // machine checking.
 const plainUnderMuDirective = "//javelin:plain-under-mu"
 

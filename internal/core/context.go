@@ -187,11 +187,11 @@ func (c *SolveContext) UnpinEpoch() {
 func (c *SolveContext) Apply(r, z []float64) {
 	c.enter()
 	defer c.exit()
-	perm := c.e.split.Perm
-	perm.ApplyVec(r, c.tmp1)
+	perm, kt := c.e.split.Perm, c.e.kt
+	kt.GatherPerm(perm, r, c.tmp1)
 	c.SolveLower(c.tmp1, c.tmp1)
 	c.SolveUpper(c.tmp1, c.tmp1)
-	perm.ApplyVecInverse(c.tmp1, z)
+	kt.ScatterPerm(perm, c.tmp1, z)
 }
 
 // ensureBlk grows the packed batch scratch to at least size entries.
@@ -212,7 +212,9 @@ func (c *SolveContext) ensureBlk(size int) []float64 {
 // traverses RowPtr/ColIdx once per row and applies the update to all
 // k right-hand sides from one cache-resident factor row — one sweep
 // amortized over the whole batch, which is what makes the solve
-// scale like an spmv (paper Section VI's co-design point).
+// scale like an spmv (paper Section VI's co-design point). Both block
+// sweeps run each column through TriLower's and TriUpper's
+// arithmetic, so Z[j] equals Apply(R[j]) bit for bit.
 //
 //javelin:noalloc
 func (c *SolveContext) ApplyBatch(R, Z [][]float64) {
@@ -271,7 +273,9 @@ func (c *SolveContext) solveLowerBlock(xb []float64, k int) {
 
 // solveUpperBlock is the batched backward substitution on the packed
 // n×k block, mirroring SolveUpper: one descending sweep on the
-// calling goroutine, two kernel calls per row.
+// calling goroutine that applies each row's super-diagonal entries to
+// all k columns through PanelUpdate and then divides each column by
+// the pivot, as TriUpper does, so each column gets SolveUpper's bits.
 //
 //javelin:noalloc
 func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
@@ -282,6 +286,9 @@ func (c *SolveContext) solveUpperBlock(xb []float64, k int) {
 		dp := e.factor.DiagPos[r]
 		xr := xb[r*k : r*k+k]
 		e.kt.PanelUpdate(xb, k, xr, vals, lu.ColIdx, dp+1, lu.RowPtr[r+1])
-		e.kt.Scale(1/vals[dp], xr)
+		d := vals[dp]
+		for j := range xr {
+			xr[j] /= d
+		}
 	}
 }

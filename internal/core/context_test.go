@@ -75,9 +75,9 @@ func TestConcurrentContextsShareOneEngine(t *testing.T) {
 	}
 }
 
-// TestApplyBatchMatchesSequentialApplies asserts the batched path is
-// numerically equivalent to k independent Apply calls for both lower
-// methods at one and several threads.
+// TestApplyBatchMatchesSequentialApplies asserts the batched path
+// gives the bits of k independent Apply calls for both lower methods
+// at one and several threads.
 func TestApplyBatchMatchesSequentialApplies(t *testing.T) {
 	const k = 5
 	for _, lower := range []LowerMethod{LowerSR, LowerER} {
@@ -103,8 +103,8 @@ func TestApplyBatchMatchesSequentialApplies(t *testing.T) {
 			ctx.ApplyBatch(R, Zbat)
 			for j := 0; j < k; j++ {
 				for i := 0; i < n; i++ {
-					if math.Abs(Zbat[j][i]-Zseq[j][i]) > 1e-12*(1+math.Abs(Zseq[j][i])) {
-						t.Fatalf("lower=%v threads=%d: batch RHS %d entry %d: got %g want %g",
+					if math.Float64bits(Zbat[j][i]) != math.Float64bits(Zseq[j][i]) {
+						t.Fatalf("lower=%v threads=%d: batch RHS %d entry %d: got %v want %v",
 							lower, threads, j, i, Zbat[j][i], Zseq[j][i])
 					}
 				}
@@ -153,15 +153,14 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {
 				// PanelUpdate subtracts a row's entries one by one in
-				// TriLower's order, so the lower block sweep gives
-				// SolveLower's bits. The upper one scales each row by
-				// 1/d where TriUpper divides by d, which can round
-				// differently, so it is held to a relative bound.
+				// TriLower's order, and the upper block sweep then
+				// divides by the pivot as TriUpper does, so both block
+				// sweeps give the single solves' bits.
 				if g, w := gotL[i*k+j], wantL[j][i]; math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("threads=%d solveLowerBlock RHS %d entry %d: got %g want %g", threads, j, i, g, w)
+					t.Fatalf("threads=%d solveLowerBlock RHS %d entry %d: got %v want %v", threads, j, i, g, w)
 				}
-				if g, w := gotU[i*k+j], wantU[j][i]; math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
-					t.Fatalf("threads=%d solveUpperBlock RHS %d entry %d: got %g want %g", threads, j, i, g, w)
+				if g, w := gotU[i*k+j], wantU[j][i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("threads=%d solveUpperBlock RHS %d entry %d: got %v want %v", threads, j, i, g, w)
 				}
 			}
 		}

@@ -17,8 +17,10 @@
 // none spawns more work, so no work stealing is needed. Regions are
 // claim-based (atomic block dealing over persistent workers), so a
 // region costs two mutex hops and a handful of atomics instead of
-// goroutine creation, and an idle Runtime parks its workers and costs
-// nothing.
+// goroutine creation. A worker with nothing to claim keeps polling for
+// idleSpin after its last claim, so the next region of a solve finds
+// it running, and only then parks: a Runtime left idle for longer
+// holds no P.
 //
 // # Concurrency model
 //
@@ -58,6 +60,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Runtime is a persistent worker pool serving three constructs, claim
@@ -73,12 +76,8 @@ type Runtime struct {
 	sleeping int        //javelin:plain-under-mu mu
 	closed   bool       //javelin:plain-under-mu mu
 
-	// Park-path counters, guarded by mu and incremented only where it
-	// is already held. The spin-to-park transition is timing-bistable
-	// on saturated machines — whether a worker parks or catches the
-	// next region depends on tens of nanoseconds — and even a single
-	// uncontended atomic RMW there measurably tips it; plain
-	// increments under the already-taken lock are free.
+	// Park-path counters, bumped only where mu is already held, so
+	// metering the park path costs it no atomic RMW.
 	pkSpinToParks uint64 //javelin:plain-under-mu mu
 	pkParks       uint64 //javelin:plain-under-mu mu
 	pkWakes       uint64 //javelin:plain-under-mu mu
@@ -127,8 +126,9 @@ var defaultRT struct {
 }
 
 // Default returns the lazily created process-wide runtime, sized to
-// GOMAXPROCS at first use. It is never closed; its workers park when
-// idle. Every component not handed an explicit Runtime runs here.
+// GOMAXPROCS at first use. It is never closed; its workers park once
+// idle for idleSpin. Every component not handed an explicit Runtime
+// runs here.
 func Default() *Runtime {
 	defaultRT.once.Do(func() { defaultRT.rt = New(0) })
 	return defaultRT.rt
@@ -481,9 +481,21 @@ func (j *job) claimableLocked() bool {
 // Worker loop
 // ---------------------------------------------------------------------
 
+// idleSpin is how long an idle worker keeps polling for a region after
+// its last claim or wake before it parks. A parked worker takes about
+// a hundred microseconds to start a piece once woken, longer than most
+// regions of a solve (one matvec, one reduction, one phased sweep), and
+// the gaps between those regions are shorter than this budget, so the
+// worker stays running through a whole solve. A budget counted in polls
+// lasts however long runtime.Gosched takes, which varies tenfold with
+// what else is runnable; a wall-clock one does not.
+const idleSpin = 500 * time.Microsecond
+
 // step joins the first open region that still has unclaimed blocks
-// and runs claims there; false when none exists.
-func (r *Runtime) step() bool {
+// and runs claims there. ran is false when none exists; closed then
+// reports whether the runtime has been closed, read under the same
+// lock, so an idle worker leaves without waiting out its spin.
+func (r *Runtime) step() (ran, closed bool) {
 	r.mu.Lock()
 	for _, j := range r.jobs {
 		if j.claimableLocked() {
@@ -491,11 +503,12 @@ func (r *Runtime) step() bool {
 			lane := int(j.joins.Add(1))
 			r.mu.Unlock()
 			j.runClaims(lane)
-			return true
+			return true, false
 		}
 	}
+	closed = r.closed
 	r.mu.Unlock()
-	return false
+	return false, closed
 }
 
 // hasWorkLocked reports whether any work is visible (r.mu held).
@@ -508,23 +521,27 @@ func (r *Runtime) hasWorkLocked() bool {
 	return false
 }
 
+// workerLoop polls for regions, yielding its P between polls, until
+// idleSpin has passed since its last claim or wake, then parks until a
+// region opens. It returns once the runtime is closed and no region is
+// left to join.
 func (r *Runtime) workerLoop() {
 	defer r.wg.Done()
-	spins := 0
+	idleSince := time.Now()
 	for {
-		if r.step() {
-			spins = 0
+		ran, closed := r.step()
+		if ran {
+			idleSince = time.Now()
 			continue
 		}
-		spins++
-		if spins < 128 {
+		if !closed && time.Since(idleSince) < idleSpin {
 			runtime.Gosched()
 			continue
 		}
-		// Spin budget exhausted: park until new work arrives (or exit
-		// if the runtime closed and nothing is pending). The park-path
-		// counters are plain fields bumped under the lock we already
-		// hold (see their declaration for why not atomics).
+		// Idle budget spent (or the runtime closed): park until new
+		// work arrives, or exit if the runtime closed and nothing is
+		// pending. The park-path counters are plain fields bumped
+		// under the lock we already hold (see their declaration).
 		r.mu.Lock()
 		r.pkSpinToParks++
 		if r.closed && !r.hasWorkLocked() {
@@ -539,6 +556,6 @@ func (r *Runtime) workerLoop() {
 			r.sleeping--
 		}
 		r.mu.Unlock()
-		spins = 0
+		idleSince = time.Now()
 	}
 }

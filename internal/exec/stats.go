@@ -46,11 +46,13 @@ type Stats struct {
 	GangWaitNs uint64 `json:"gang_wait_ns"`
 	// Parks counts worker transitions into the parked state (blocked
 	// on the idle condvar); Wakes counts returns from it (spurious
-	// wakes included). SpinToParks counts spin-budget exhaustions —
-	// a worker found no work for a full spin budget and reached for
-	// the park lock, whether or not it ended up waiting. High
-	// SpinToParks with few Parks means work keeps arriving just as
-	// workers give up spinning: the pool is near its churn point.
+	// wakes included). SpinToParks counts the times a worker found no
+	// work for its whole idle budget (idleSpin of wall-clock time
+	// since its last claim or wake) and reached for the park lock,
+	// whether or not it ended up waiting; a worker leaving a closed
+	// runtime counts once too. High SpinToParks with few Parks means
+	// work keeps arriving just as workers give up spinning: the pool
+	// is near its churn point.
 	Parks       uint64 `json:"parks"`
 	Wakes       uint64 `json:"wakes"`
 	SpinToParks uint64 `json:"spin_to_parks"`

@@ -111,12 +111,3 @@ func TriLower(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int) {
 func TriUpper(rowPtr, diagPos, colIdx []int, vals, x []float64, lo, hi int) {
 	active.TriUpper(rowPtr, diagPos, colIdx, vals, x, lo, hi)
 }
-
-// GatherPerm copies y[i] = x[perm[i]] — the forward permutation pass
-// of a preconditioner application. len(x) may exceed len(perm); y
-// must hold len(perm) elements.
-func GatherPerm(perm []int, x, y []float64) { active.GatherPerm(perm, x, y) }
-
-// ScatterPerm copies y[perm[i]] = x[i] — the inverse permutation
-// pass. perm must be a permutation for y to be fully written.
-func ScatterPerm(perm []int, x, y []float64) { active.ScatterPerm(perm, x, y) }

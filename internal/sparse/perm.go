@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"javelin/internal/exec"
-	"javelin/internal/kernels"
 )
 
 // Perm represents a permutation: Perm[newIndex] = oldIndex.
@@ -42,16 +41,6 @@ func (p Perm) Validate() error {
 		seen[v] = true
 	}
 	return nil
-}
-
-// ApplyVec scatters x into y using p: y[new] = x[p[new]].
-func (p Perm) ApplyVec(x, y []float64) {
-	kernels.GatherPerm(p, x, y)
-}
-
-// ApplyVecInverse does the inverse mapping: y[p[new]] = x[new].
-func (p Perm) ApplyVecInverse(x, y []float64) {
-	kernels.ScatterPerm(p, x, y)
 }
 
 // PermuteSym returns P·A·Pᵀ where row/column old p[new] moves to new,

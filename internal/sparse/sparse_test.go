@@ -204,14 +204,18 @@ func TestPermuteSymMatVecConsistency(t *testing.T) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	px := make([]float64, 35)
-	p.ApplyVec(x, px)
+	gather := func(v []float64) []float64 {
+		pv := make([]float64, len(p))
+		for i, old := range p {
+			pv[i] = v[old]
+		}
+		return pv
+	}
 	bpx := make([]float64, 35)
-	b.MatVec(px, bpx)
+	b.MatVec(gather(x), bpx)
 	ax := make([]float64, 35)
 	a.MatVec(x, ax)
-	pax := make([]float64, 35)
-	p.ApplyVec(ax, pax)
+	pax := gather(ax)
 	for i := range bpx {
 		if !util.NearlyEqual(bpx[i], pax[i], 1e-12, 1e-12) {
 			t.Fatalf("row %d: %g vs %g", i, bpx[i], pax[i])
