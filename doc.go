@@ -302,14 +302,14 @@
 // bit-identical to the dispatched one, so the choice between them is
 // invisible except in time:
 //
-//   - Flat regions (SpMV, the deterministic reductions, the factor
-//     scatter) and the factor stages use a cost model: a region opens
-//     only when its estimated flops, split over the lanes, save
-//     several times the runtime's measured region-dispatch overhead.
-//     A factorization pass asks once for all its numeric stages: below
-//     the cutoff its one Phases region runs every piece in order on
-//     the caller.
-//   - The triangular sweeps of a solve choose their route by
+//   - Flat regions (SpMV, the factor scatter, and the deterministic
+//     reductions of vectors of at least four 4096-entry blocks) and
+//     the factor stages open whenever Threads > 1, on up to Threads
+//     lanes: a factorization pass is the scatter's region plus one
+//     Phases region for all its numeric stages. At Threads = 1 every
+//     region runs inline on the caller; a caller whose system is too
+//     small to repay a region sets Threads = 1.
+//   - Only the triangular sweeps of a solve choose their route by
 //     measurement. At Threads > 1, where two lanes can run at once,
 //     Factorize times the forward sweep of the upper stage inline and
 //     as one phased region (each level's rows cut into one range per
@@ -413,7 +413,8 @@
 //     their cost is a vector, not a matrix.
 //   - noallocgraph — hotalloc, transitively: from every
 //     //javelin:noalloc root, each statically reachable same-module
-//     callee must itself be //javelin:noalloc, carry an
+//     callee, in any package (a call a go statement spawns excepted),
+//     must itself be //javelin:noalloc, carry an
 //     //javelin:alloc-ok waiver (on the callee's doc or at the call
 //     site), or be proven allocation-free by the same escape-analysis
 //     evidence — recursively, so an innocent-looking helper that

@@ -93,11 +93,11 @@ func runFixture(t *testing.T, a *Analyzer, dir string) []Finding {
 	return findings
 }
 
-// runModuleFixture loads the fixture package in dir and runs the
+// runModuleFixture loads the fixture packages under dir and runs the
 // module analyzer a over the loaded set.
 func runModuleFixture(t *testing.T, a *Analyzer, dir string) []Finding {
 	t.Helper()
-	pkgs, err := Load(dir, []string{"."})
+	pkgs, err := Load(dir, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}

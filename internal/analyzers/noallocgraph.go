@@ -27,12 +27,15 @@ import (
 // if an AllocsPerRun test happened to cover the path. Dynamic calls
 // (interface methods, function values — the kernel dispatch tables,
 // Preconditioner.Apply, region bodies) are out of static reach and
-// remain the benchmarks' job; goroutine spawns and calls outside the
+// remain the benchmarks' job; go statements and calls outside the
 // loaded package set are likewise not walked.
 //
 // The pass runs once over the whole loaded package set, so run it with
 // ./... — with a narrower pattern, cross-package edges whose callee
-// package is not loaded are skipped, not failed.
+// package is not loaded are skipped, not failed. Functions are keyed
+// by full name: each package is type-checked against its
+// dependencies' export data, so a callee in another package is a
+// different *types.Func there than where it is declared.
 var NoAllocGraph = &Analyzer{
 	Name:      "noallocgraph",
 	Doc:       "every same-module callee reachable from a //javelin:noalloc root is annotated, waived, or provably allocation-free",
@@ -53,16 +56,16 @@ type modFunc struct {
 
 // modCall is one statically resolved call site.
 type modCall struct {
-	obj  *types.Func
+	name string // the callee's (*types.Func).FullName
 	pos  token.Pos
 	line int
 	file string
 }
 
 func runNoAllocGraph(pass *ModulePass) error {
-	funcs := map[*types.Func]*modFunc{} // declared functions by object
+	funcs := map[string]*modFunc{}      // declared functions by full name
 	waived := map[string]map[int]bool{} // file -> alloc-ok waiver lines
-	var roots []*types.Func
+	var roots []string
 
 	for _, pkg := range pass.Pkgs {
 		for i, f := range pkg.Files {
@@ -107,13 +110,16 @@ func runNoAllocGraph(pass *ModulePass) error {
 					}
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if _, spawn := n.(*ast.GoStmt); spawn {
+						return false // runs on a goroutine of its own
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
 					if fn := staticCallee(pkg.Info, call); fn != nil {
 						mf.callees = append(mf.callees, modCall{
-							obj:  fn,
+							name: fn.FullName(),
 							pos:  call.Pos(),
 							line: pkg.Fset.Position(call.Pos()).Line,
 							file: pkg.Fset.Position(call.Pos()).Filename,
@@ -121,9 +127,9 @@ func runNoAllocGraph(pass *ModulePass) error {
 					}
 					return true
 				})
-				funcs[obj] = mf
+				funcs[obj.FullName()] = mf
 				if mf.noalloc {
-					roots = append(roots, obj)
+					roots = append(roots, obj.FullName())
 				}
 			}
 		}
@@ -137,22 +143,22 @@ func runNoAllocGraph(pass *ModulePass) error {
 	})
 
 	ev := &allocEvidence{diags: map[string][]escapeDiag{}}
-	reported := map[*types.Func]bool{} // one witness chain per offending callee
+	reported := map[string]bool{} // one witness chain per offending callee
 
 	for _, root := range roots {
 		rootName := funcs[root].decl.Name.Name
-		visited := map[*types.Func]bool{root: true}
+		visited := map[string]bool{root: true}
 		var walk func(mf *modFunc, chain string)
 		walk = func(mf *modFunc, chain string) {
 			for _, call := range mf.callees {
-				callee := funcs[call.obj]
+				callee := funcs[call.name]
 				if callee == nil {
 					continue // outside the loaded package set (stdlib, narrow pattern)
 				}
-				if visited[call.obj] {
+				if visited[call.name] {
 					continue
 				}
-				visited[call.obj] = true
+				visited[call.name] = true
 				if callee.noalloc {
 					continue // a root of its own
 				}
@@ -171,8 +177,8 @@ func runNoAllocGraph(pass *ModulePass) error {
 					continue
 				}
 				if allocates {
-					if !reported[call.obj] {
-						reported[call.obj] = true
+					if !reported[call.name] {
+						reported[call.name] = true
 						pass.Report(mf.pkg.Fset, call.pos,
 							"//javelin:noalloc %s reaches %s (%s), which allocates: %s — annotate it %s, prove it clean, or waive this call with %s",
 							rootName, callee.decl.Name.Name, chain+" -> "+callee.decl.Name.Name,

@@ -1,10 +1,14 @@
 // Package noallocgraph is a fixture for the noallocgraph module
-// analyzer: //javelin:noalloc roots whose static call graphs reach
-// allocating helpers — directly and through a clean intermediate —
-// plus every accepted edge form (noalloc callee, doc-level waiver,
-// call-site waiver, transitively clean callee); `// want` comments
-// mark the lines where findings must land.
+// analyzer, loaded with ./... together with its helper package:
+// //javelin:noalloc roots whose static call graphs reach allocating
+// helpers — directly, through a clean intermediate and in another
+// package — plus every accepted edge form (noalloc callee, doc-level
+// waiver, call-site waiver, transitively clean callee, a call spawned
+// by a go statement); `// want` comments mark the lines where findings
+// must land.
 package noallocgraph
+
+import "javelin/internal/analyzers/testdata/src/noallocgraph/helper"
 
 // leakyHelper allocates: the returned slice escapes.
 func leakyHelper(n int) []float64 {
@@ -58,7 +62,27 @@ func badDeep() float64 {
 	return *relay()
 }
 
+// badCross reaches an allocating helper in another package, which is
+// a different *types.Func object here than where it is declared.
+//
+//javelin:noalloc
+func badCross(n int) float64 {
+	return cleanHelper(helper.Grow(n)) // want `//javelin:noalloc badCross reaches Grow \(badCross -> Grow\), which allocates`
+}
+
 // --- accepted edge forms ---
+
+// spawned allocates, but only ever on a goroutine of its own.
+func spawned(n int) []float64 {
+	return make([]float64, n)
+}
+
+// spawner runs spawned on a goroutine of its own, off the root's path.
+//
+//javelin:noalloc
+func spawner(n int) {
+	go spawned(n)
+}
 
 // sum is a noalloc root of its own: edges into it stop (hotalloc and
 // this pass check its body in full).

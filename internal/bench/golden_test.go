@@ -11,17 +11,16 @@ import (
 	"javelin/internal/util"
 )
 
-// Golden convergence trajectories, recorded before the kernel
-// dispatch layer and adaptive cutoff existed (PR 5 HEAD) with one
-// thread. The values are float64 bit patterns of the first monitored
-// residuals and of the solution checksum, per matrix. Every thread
-// count must reproduce them exactly: the kernel tables keep the
-// reference summation order, the factor values do not depend on the
-// thread count, both triangular sweeps are plain substitution on
-// every route, and the cutoff and the solve-route probe only choose
-// between inline and parallel execution of the same arithmetic —
-// neither moves a solve onto a different numeric path. Any machine
-// must reproduce these bits: nothing here depends on scheduling.
+// Golden convergence trajectories, recorded with one thread before
+// the kernel dispatch layer existed. The values are float64 bit
+// patterns of the first monitored residuals and of the solution
+// checksum, per matrix. Every thread count must reproduce them exactly: the kernel tables keep the reference summation order,
+// the factor values do not depend on the thread count, both triangular
+// sweeps are plain substitution on every route, and the thread count
+// and the solve-route probe only choose between inline and parallel
+// execution of the same arithmetic — neither moves a solve onto a
+// different numeric path. Any machine must reproduce these bits,
+// whatever its P count: nothing here depends on scheduling.
 type goldenCase struct {
 	matrix string
 	sum    uint64

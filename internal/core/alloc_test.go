@@ -17,20 +17,16 @@ import (
 
 // TestRefactorizeAllocationsPerCall: a warm Refactorize makes as many
 // allocations on TetraMesh(6,6,6) as on a matrix four times larger,
-// under every lower method at Threads 1 and 2, because its scratch
-// (one lane per thread) is allocated per call, never per row or
-// level. testing.AllocsPerRun runs at GOMAXPROCS=1, where the cost
-// model keeps every stage inline, so the dispatched routes are counted
-// separately: every stage forced parallel, at the process's
-// GOMAXPROCS, taking the fewest allocations of ten calls (a sync.Pool
-// miss or another goroutine's allocation, such as a parking worker's
-// wait record, can only add).
+// under every lower method at Threads 1, where every stage runs inline
+// on the caller, and at Threads 2, where the scatter and the factor
+// region are dispatched. Its scratch (one lane per thread) is
+// allocated per call, never per row or level.
 func TestRefactorizeAllocationsPerCall(t *testing.T) {
 	small := gen.TetraMesh(6, 6, 6, 0x31)
 	large := gen.TetraMesh(24, 6, 6, 0x31)
 	for _, threads := range []int{1, 2} {
 		for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
-			var inline, dispatched [2]uint64
+			var allocs [2]uint64
 			for i, a := range []*sparse.CSR{small, large} {
 				opt := DefaultOptions()
 				opt.Threads = threads
@@ -45,43 +41,42 @@ func TestRefactorizeAllocationsPerCall(t *testing.T) {
 					}
 				}
 				refactorize() // the second value buffer
-				refactorize()
-				inline[i] = uint64(testing.AllocsPerRun(10, refactorize))
-				e.factorOps = math.MaxInt64 / 2
-				// Finish any GC cycle the earlier tests left pending
-				// (it would empty the runtime's pools mid-trial), then
-				// warm the pools.
-				runtime.GC()
-				refactorize()
-				dispatched[i] = math.MaxUint64
-				var ms runtime.MemStats
-				for trial := 0; trial < 10; trial++ {
-					runtime.ReadMemStats(&ms)
-					before := ms.Mallocs
-					refactorize()
-					runtime.ReadMemStats(&ms)
-					dispatched[i] = min(dispatched[i], ms.Mallocs-before)
-				}
+				allocs[i] = fewestAllocs(refactorize)
 				e.Close()
 			}
-			if inline[0] != inline[1] {
-				t.Errorf("threads=%d %v: inline Refactorize allocates %d objects on n=%d, %d on n=%d",
-					threads, method, inline[0], small.N, inline[1], large.N)
+			if allocs[0] != allocs[1] {
+				t.Errorf("threads=%d %v: Refactorize allocates %d objects on n=%d, %d on n=%d",
+					threads, method, allocs[0], small.N, allocs[1], large.N)
 			}
-			if dispatched[0] != dispatched[1] {
-				t.Errorf("threads=%d %v: dispatched Refactorize allocates %d objects on n=%d, %d on n=%d",
-					threads, method, dispatched[0], small.N, dispatched[1], large.N)
-			}
-			t.Logf("threads=%d %v: %d objects inline, %d dispatched", threads, method, inline[0], dispatched[0])
+			t.Logf("threads=%d %v: %d objects", threads, method, allocs[0])
 		}
 	}
+}
+
+// fewestAllocs returns the fewest allocations of ten calls of f, at the
+// process's GOMAXPROCS. A sync.Pool miss or another goroutine's
+// allocation, such as a parking worker's wait record, can only add.
+// It first finishes any GC cycle the earlier tests left pending (it
+// would empty the runtime's pools mid-trial), then warms the pools.
+func fewestAllocs(f func()) uint64 {
+	runtime.GC()
+	f()
+	fewest := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for trial := 0; trial < 10; trial++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		f()
+		runtime.ReadMemStats(&ms)
+		fewest = min(fewest, ms.Mallocs-before)
+	}
+	return fewest
 }
 
 // TestPhasedApplyAllocations: a warm Apply on the phased route
 // allocates nothing. Its region bodies are bound when the context is
 // made, and the region itself comes from the runtime's pool. The count
-// is the fewest allocations of ten calls, as in
-// TestRefactorizeAllocationsPerCall's dispatched route.
+// is fewestAllocs's.
 func TestPhasedApplyAllocations(t *testing.T) {
 	a := gen.TetraMesh(8, 8, 8, 0x31)
 	for _, method := range []LowerMethod{LowerNone, LowerER, LowerSR} {
@@ -100,17 +95,7 @@ func TestPhasedApplyAllocations(t *testing.T) {
 			r[i] = 1
 		}
 		z := make([]float64, a.N)
-		runtime.GC()
-		c.Apply(r, z)
-		fewest := uint64(math.MaxUint64)
-		var ms runtime.MemStats
-		for trial := 0; trial < 10; trial++ {
-			runtime.ReadMemStats(&ms)
-			before := ms.Mallocs
-			c.Apply(r, z)
-			runtime.ReadMemStats(&ms)
-			fewest = min(fewest, ms.Mallocs-before)
-		}
+		fewest := fewestAllocs(func() { c.Apply(r, z) })
 		e.Close()
 		if fewest != 0 {
 			t.Errorf("%v: a warm phased Apply allocates %d objects, want 0", method, fewest)

@@ -98,6 +98,7 @@ func (e *Engine) NewContext() *SolveContext {
 func (e *Engine) AcquireContext() *SolveContext {
 	c, ok := e.ctxPool.Get().(*SolveContext)
 	if !ok {
+		//javelin:alloc-ok pool miss: allocates a context only until the pool holds one per concurrent solve
 		c = e.NewContext()
 	}
 	c.ep = e.vals.Pin()

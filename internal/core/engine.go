@@ -78,7 +78,8 @@ type Options struct {
 	DropTol float64
 	// Modified enables MILU diagonal compensation.
 	Modified bool
-	// Threads is the worker count; 0 means GOMAXPROCS.
+	// Threads is the lane count of every parallel region the engine
+	// opens; 0 means GOMAXPROCS, and 1 runs every region inline.
 	Threads int
 	// Lower selects the second-stage method; Factorize rejects a value
 	// other than the four LowerMethod constants.
@@ -168,13 +169,6 @@ type Engine struct {
 	// kt is the numeric kernel table captured at construction, so a
 	// solve never observes a mid-run kernels.Select.
 	kt *kernels.Table
-	// factorOps is the work estimate (in ~1ns ops, 4 per factor
-	// entry) behind each pass's one parallel cutoff
-	// (exec.Runtime.ParallelWorth) for its factor region. Crude
-	// deliberately — the cutoff only needs order-of-magnitude truth
-	// against measured region overhead. The solves need no estimate:
-	// Factorize times their two routes.
-	factorOps int64
 	// plan is the factor region's piece plan.
 	plan *factorPlan
 
@@ -289,7 +283,6 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		e.rowSumU = make([]float64, a.N)
 	}
 	e.kt = kernels.Active()
-	e.factorOps = 4 * int64(permPat.Nnz())
 
 	e.buildLowerPlan()
 	e.plan = e.newFactorPlan()

@@ -481,7 +481,6 @@ func TestRefactorizeFailureInFactorRegion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, method, err)
 			}
-			e.factorOps = math.MaxInt64 / 2
 			want := digestValues(e.Factor().LU.Val)
 			b := make([]float64, a.N)
 			for i := range b {

@@ -201,12 +201,11 @@ func digestValues(v []float64) uint64 {
 	return h.Sum64()
 }
 
-// TestFactorBits reproduces every pinned digest at Threads 1-4: after
-// Factorize, after a Refactorize on the cost model's route, and after
-// a Refactorize with the factor region forced onto Threads lanes
-// (upper-level row ranges, lower rows and corner groups shared among
-// lanes). With one P the model and the forced route both run inline on
-// lane 0, so run it at GOMAXPROCS=1 and at the default to cover both.
+// TestFactorBits reproduces every pinned digest at Threads 1-4, after
+// Factorize and after a Refactorize. At Threads > 1 each pass opens its
+// factor region on Threads lanes (upper-level row ranges, lower rows
+// and corner groups shared among them). Run it at GOMAXPROCS=1, where
+// every dispatched region finishes on one P, and at the default.
 func TestFactorBits(t *testing.T) {
 	rt := exec.New(4)
 	defer rt.Close()
@@ -250,11 +249,6 @@ func TestFactorBits(t *testing.T) {
 								t.Fatalf("%s threads=%d: Refactorize: %v", key, threads, err)
 							}
 							check("Refactorize")
-							e.factorOps = math.MaxInt64 / 2
-							if err := e.Refactorize(a); err != nil {
-								t.Fatalf("%s threads=%d: dispatched Refactorize: %v", key, threads, err)
-							}
-							check("dispatched Refactorize")
 							e.Close()
 						}
 					}

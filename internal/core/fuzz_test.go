@@ -17,16 +17,16 @@ const miluRelTol = 1e-12
 
 // FuzzFactorize factors a small diagonally dominant matrix built from
 // the fuzz input and compares the engine's factor with the serial
-// internal/ilu reference, first on the cost model's routes and then
-// with every factor stage forced onto its dispatched route. The
-// options start from the zero value, as a caller who skips
-// DefaultOptions would build them. The first five bytes pick the lower
-// method, Threads (1-4), the fill level (0-1), the order n (1-40) and,
-// in data[4], Split.MinRowsPerLevel (1-16) from the low nibble, MILU
-// from bit 4 and τ ∈ {0, 0.05} from bit 5; each following triple
-// (i, j, v) adds v/16 to the off-diagonal entry (i mod n, j mod n).
-// Every diagonal entry is one more than its row's off-diagonal
-// magnitudes, so without MILU every pivot stays nonzero.
+// internal/ilu reference, after Factorize and after a Refactorize,
+// which must reproduce it. At Threads > 1 both passes dispatch every
+// factor stage. The options start from the zero value, as a caller
+// who skips DefaultOptions would build them. The first five bytes
+// pick the lower method, Threads (1-4), the fill level (0-1), the
+// order n (1-40) and, in data[4], Split.MinRowsPerLevel (1-16) from
+// the low nibble, MILU from bit 4 and τ ∈ {0, 0.05} from bit 5; each
+// following triple (i, j, v) adds v/16 to the off-diagonal entry
+// (i mod n, j mod n). Every diagonal entry is one more than its row's
+// off-diagonal magnitudes, so without MILU every pivot stays nonzero.
 //
 // Without MILU the factor must equal the reference bit for bit, τ
 // included. With MILU it need not: the reference sums a row's
@@ -36,8 +36,8 @@ const miluRelTol = 1e-12
 // ILU(0) and ILU(1), τ ∈ {0, 0.05}) the two differ by up to 1.8e-15,
 // 3.0e-16 of the factor's largest magnitude. So a MILU factor must
 // lie within miluRelTol of the reference, over three orders of
-// magnitude above that, and the dispatched Refactorize must reproduce
-// the first Factorize bit for bit. MILU compensation can cancel a
+// magnitude above that, and the Refactorize must reproduce the first
+// Factorize bit for bit. MILU compensation can cancel a
 // pivot; inputs on which the reference itself reports a zero pivot
 // are skipped. Each accepted factor is then applied (SolveLower,
 // SolveUpper and Apply) inline and, at Threads > 1, on the phased
@@ -124,13 +124,12 @@ func FuzzFactorize(f *testing.F) {
 			}
 		}
 		check("Factorize")
-		e.factorOps = math.MaxInt64 / 2
 		if err := e.Refactorize(a); err != nil {
-			t.Fatalf("%s: dispatched Refactorize: %v", cfg, err)
+			t.Fatalf("%s: Refactorize: %v", cfg, err)
 		}
-		check("dispatched Refactorize")
+		check("Refactorize")
 		if digestValues(e.Factor().LU.Val) != want {
-			t.Fatalf("%v %s: the dispatched Refactorize differs from Factorize", e.Method(), cfg)
+			t.Fatalf("%v %s: Refactorize differs from Factorize", e.Method(), cfg)
 		}
 		b := make([]float64, n)
 		for i := range b {

@@ -73,20 +73,16 @@ func (e *Engine) newValues() []float64 {
 
 // factorInto scatters a into vals and factors it there as one build
 // pass: the scatter, then every numeric stage as one exec.Runtime.Phases
-// region over the engine's factor plan. One cost-model call per pass
-// caps the region at Threads lanes, or at 1, which runs every piece in
-// order on the caller. Rows of one level, the lower rows and the rows
-// of one corner group are independent, so both give the same bits.
+// region over the engine's factor plan, on up to Threads lanes. At
+// Threads=1 every piece runs in order on the caller. Rows of one
+// level, the lower rows and the rows of one corner group are
+// independent, so every lane count gives the same bits.
 func (e *Engine) factorInto(vals []float64, a *sparse.CSR) error {
 	b := &build{e: e, vals: vals, lanes: newLanes(e.opt.Threads, e.n, e.maxRow)}
 	if err := b.scatter(a); err != nil {
 		return err
 	}
-	maxPar := 1
-	if e.rt.ParallelWorth(e.factorOps) {
-		maxPar = e.opt.Threads
-	}
-	e.rt.Phases(e.plan.gate, maxPar, b.piece)
+	e.rt.Phases(e.plan.gate, e.opt.Threads, b.piece)
 	return b.firstErr()
 }
 
@@ -219,13 +215,7 @@ func (b *build) scatter(a *sparse.CSR) error {
 			}
 		}
 	}
-	// ~4 ops per pattern entry (map set and clear, zero, copy); below
-	// the cutoff the region is pure overhead and the rows run inline.
-	if pieces := e.rt.PiecesFor(4*int64(lu.Nnz()), e.opt.Threads); pieces <= 1 {
-		body(0, 0, e.n)
-	} else {
-		e.rt.Ranges(e.n, pieces, body)
-	}
+	e.rt.Ranges(e.n, e.opt.Threads, body)
 	return b.firstErr()
 }
 

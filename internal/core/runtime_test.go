@@ -180,9 +180,9 @@ func TestNoGoroutineGrowthAcrossSolves(t *testing.T) {
 
 // TestRefactorizeWithBusyRuntime: a Refactorize must finish when no
 // worker of its runtime is free. A side region holds the only worker
-// of a shared two-lane runtime in a body that blocks, and every factor
-// stage is forced onto its dispatched route, so the caller has to
-// factor every stage alone, under every lower method.
+// of a shared two-lane runtime in a body that blocks, and at Threads=2
+// every factor stage is dispatched, so the caller has to factor every
+// stage alone, under every lower method.
 func TestRefactorizeWithBusyRuntime(t *testing.T) {
 	rt := exec.New(2)
 	defer rt.Close()
@@ -198,7 +198,6 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := digestValues(e.Factor().LU.Val)
-		e.factorOps = math.MaxInt64 / 2
 
 		// Both pieces of the side region block, so once both have
 		// entered, one of them holds the runtime's only worker.
@@ -239,12 +238,11 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 	}
 }
 
-// TestRefactorizeOpensOneFactorRegion: with the factor region forced
-// onto its dispatched route, a Refactorize opens one runtime region for
-// all its numeric stages, whatever its level count, under LS, ER and
-// SR on every test matrix, plus the scatter's region where the cost
-// model opens one. A stage that opened a region per level or per
-// corner group would open dozens here.
+// TestRefactorizeOpensOneFactorRegion: a 2-thread Refactorize opens
+// two runtime regions, the scatter's and one for all its numeric
+// stages, whatever its level count, under LS, ER and SR on every test
+// matrix. A stage that opened a region per level or per corner group
+// would open dozens here.
 func TestRefactorizeOpensOneFactorRegion(t *testing.T) {
 	rt := exec.New(2)
 	defer rt.Close()
@@ -259,18 +257,13 @@ func TestRefactorizeOpensOneFactorRegion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, method, err)
 			}
-			e.factorOps = math.MaxInt64 / 2
-			want := uint64(1)
-			if rt.PiecesFor(4*int64(e.Factor().LU.Nnz()), 2) > 1 {
-				want++ // the scatter's
-			}
 			s0 := rt.Stats()
 			if err := e.Refactorize(a); err != nil {
 				t.Fatalf("%s %v: Refactorize: %v", name, method, err)
 			}
-			if got := rt.Stats().Sub(s0).Regions; got != want {
-				t.Errorf("%s %v: a dispatched Refactorize over %d upper and %d lower levels opened %d regions, want %d",
-					name, method, e.split.CutLevel, e.split.NumLowerLevels(), got, want)
+			if got := rt.Stats().Sub(s0).Regions; got != 2 {
+				t.Errorf("%s %v: a 2-thread Refactorize over %d upper and %d lower levels opened %d regions, want 2",
+					name, method, e.split.CutLevel, e.split.NumLowerLevels(), got)
 			}
 			e.Close()
 		}

@@ -90,10 +90,6 @@ type Runtime struct {
 	stats *laneStats
 
 	jobPool sync.Pool
-
-	// overhead is the lazily calibrated per-region cost used by the
-	// adaptive parallel cutoff (see cutoff.go).
-	overhead overheadState
 }
 
 // New creates a runtime providing the given total parallelism:
@@ -130,6 +126,7 @@ var defaultRT struct {
 // idle for idleSpin. Every component not handed an explicit Runtime
 // runs here.
 func Default() *Runtime {
+	//javelin:alloc-ok one-time: the process-wide runtime is created on first use
 	defaultRT.once.Do(func() { defaultRT.rt = New(0) })
 	return defaultRT.rt
 }

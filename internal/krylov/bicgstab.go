@@ -19,7 +19,7 @@ func BiCGSTAB(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Sta
 		return Stats{}, err
 	}
 	opt = opt.withDefaults(n)
-	ws := opt.workspace()
+	ws := opt.Work
 	rd := opt.reducer(ws)
 	vs := ws.vectors(n, 8)
 	r, rhat, p, v, s, t, phat, shat := vs[0], vs[1], vs[2], vs[3], vs[4], vs[5], vs[6], vs[7]

@@ -13,7 +13,6 @@ import (
 	"javelin/internal/exec"
 	"javelin/internal/kernels"
 	"javelin/internal/sparse"
-	"javelin/internal/spmv"
 	"javelin/internal/util"
 )
 
@@ -47,16 +46,16 @@ type Stats struct {
 // Work, when non-nil, supplies reusable storage so the solve performs
 // no per-call allocation (after the workspace has grown to size).
 //
-// Every matrix–vector product runs spmv.ParallelVals, the kernel
-// table's SpMVRows. Threads > 1 deals its row ranges on Runtime (nil
-// means the process-wide default runtime) — the SpMV-bound half of
-// every Krylov iteration, which on a warm runtime costs block claims
-// rather than goroutine spawns. Threads <= 1 runs the same kernel
-// inline and never touches a runtime. Vector reductions (Dot, Norm2)
-// use deterministic blocked summation at every thread count — fixed
-// block size, ordered combine (see reduce.go) — so the convergence
-// trajectory is bit-identical whether a solve runs on 1 thread or
-// many.
+// Every matrix–vector product runs the workspace's spmv.Product, the
+// kernel table's SpMVRows. Threads > 1 deals Threads row ranges on
+// Runtime (nil means the process-wide default runtime) — the
+// SpMV-bound half of every Krylov iteration, which on a warm runtime
+// costs block claims rather than goroutine spawns. Threads <= 1 runs
+// the same kernel inline and never touches a runtime. Vector
+// reductions (Dot, Norm2) use deterministic blocked summation at every
+// thread count — fixed block size, ordered combine (see reduce.go) —
+// so the convergence trajectory is bit-identical whether a solve runs
+// on 1 thread or many.
 //
 // Ctx, when non-nil, is checked at the top of every iteration: once it
 // is canceled (or its deadline passes) the solve returns ctx.Err()
@@ -82,27 +81,24 @@ type Options struct {
 	Vals    []float64
 }
 
-// matVec computes y = A·x with the configured parallelism, reading
-// the pinned value slice when one was supplied.
+// matVec computes y = A·x with the configured parallelism on the
+// workspace's Product, reading the pinned value slice when one was
+// supplied.
 func (o Options) matVec(a *sparse.CSR, x, y []float64) {
 	vals := o.Vals
 	if vals == nil {
 		vals = a.Val
 	}
-	spmv.ParallelVals(o.Runtime, a, vals, x, y, o.Threads)
+	o.Work.mv.Mul(o.Runtime, a, vals, x, y, o.Threads)
 }
 
-// workspace returns the caller's workspace or a private throwaway.
-//
-//javelin:alloc-ok cold path: allocates only when the caller supplied no Workspace
-func (o Options) workspace() *Workspace {
-	if o.Work != nil {
-		return o.Work
-	}
-	return NewWorkspace()
-}
-
+// withDefaults fills in the defaults, and a private throwaway
+// Workspace when the caller supplied none.
 func (o Options) withDefaults(n int) Options {
+	if o.Work == nil {
+		//javelin:alloc-ok cold path: allocates only when the caller supplied no Workspace
+		o.Work = NewWorkspace()
+	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-6
 	}
@@ -129,7 +125,7 @@ func CG(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats, er
 		return Stats{}, err
 	}
 	opt = opt.withDefaults(n)
-	ws := opt.workspace()
+	ws := opt.Work
 	rd := opt.reducer(ws)
 	vs := ws.vectors(n, 4)
 	r, z, p, ap := vs[0], vs[1], vs[2], vs[3]
@@ -190,7 +186,7 @@ func GMRES(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats,
 
 	// Krylov basis and Hessenberg (restart+1 columns), plus the
 	// small-system solution y, all from the workspace.
-	ws := opt.workspace()
+	ws := opt.Work
 	rd := opt.reducer(ws)
 	v, h, cs, sn, g, y := ws.gmres(n, restart)
 	vs := ws.vectors(n, 2)

@@ -24,11 +24,10 @@ import (
 // per block.
 const reduceBlock = 4096
 
-// reduceParMin is the minimum number of blocks before the runtime is
-// even considered; the adaptive cutoff (exec.Runtime.ParallelWorth)
-// then decides from measured region overhead whether the fork-join
-// pays. Purely a scheduling decision — results are identical either
-// side of it.
+// reduceParMin is the minimum number of blocks before a reduction
+// opens a region on the runtime; from it on, a reduction at Threads > 1
+// always does. Purely a scheduling decision — results are identical
+// either side of it.
 const reduceParMin = 4
 
 // reducer computes deterministic blocked reductions for one solve.
@@ -91,12 +90,12 @@ func (rd *reducer) partials(nb int) {
 	rd.parts = rd.parts[:nb]
 }
 
-// run computes partials for nb blocks via the prepared closure,
-// on the runtime when it pays, serially otherwise (same result).
-// The block boundaries never move, so both routes — and any piece
-// dealing in between — round identically.
+// run computes partials for nb blocks via the prepared closure, on
+// the runtime at Threads > 1 from reduceParMin blocks on, serially
+// otherwise (same result). The block boundaries never move, so both
+// routes — and any piece dealing in between — round identically.
 func (rd *reducer) run(nb int, block func(b int)) {
-	if rd.rt != nil && nb >= reduceParMin && rd.rt.ParallelWorth(int64(nb)*reduceBlock) {
+	if rd.rt != nil && nb >= reduceParMin {
 		rd.rt.For(nb, rd.threads, block)
 	} else {
 		for b := 0; b < nb; b++ {

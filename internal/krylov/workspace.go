@@ -1,5 +1,7 @@
 package krylov
 
+import "javelin/internal/spmv"
+
 // Workspace is reusable solver storage. Passing one via Options.Work
 // makes CG, GMRES, and BiCGSTAB allocation-free after the first call
 // at a given size — the hot-loop requirement for servers running many
@@ -23,6 +25,8 @@ type Workspace struct {
 	// red holds the deterministic blocked-reduction state (partial
 	// sums buffer); see reduce.go.
 	red reducer
+	// mv is the matrix–vector product with its range body bound once.
+	mv spmv.Product
 }
 
 // NewWorkspace returns an empty workspace; storage is allocated

@@ -12,35 +12,48 @@ import (
 	"javelin/internal/sparse"
 )
 
-// ParallelOn computes y = A·x with row ranges dealt in contiguous
-// blocks on the given runtime (nil means the process-wide default).
-// threads <= 1 runs the kernel inline over all rows without touching
-// a runtime. Otherwise the region is sized by the adaptive cutoff:
-// sub-threshold matrices run the same kernel inline, and worthwhile
-// ones get one kernel call per piece (not one closure dispatch per
-// row). Row sums are independent, so the result is bitwise identical
-// at any piece count.
+// ParallelOn computes y = A·x as Product.Mul does on a's own values,
+// through a Product made for this one call when it dispatches.
 func ParallelOn(rt *exec.Runtime, a *sparse.CSR, x, y []float64, threads int) {
-	ParallelVals(rt, a, a.Val, x, y, threads)
+	if threads <= 1 {
+		kernels.SpMVRows(a.RowPtr, a.ColIdx, a.Val, x, y, 0, a.N)
+		return
+	}
+	new(Product).Mul(rt, a, a.Val, x, y, threads)
 }
 
-// ParallelVals is ParallelOn against an explicit value slice indexed
-// by a's pattern — the epoch-pinned read path, where vals is a pinned
-// Versioned epoch's buffer rather than a.Val. Same kernel, same piece
-// dealing, bitwise identical at any piece count.
-func ParallelVals(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, threads int) {
-	pieces := 1
-	if threads > 1 {
-		if rt == nil {
-			rt = exec.Default()
-		}
-		pieces = rt.PiecesFor(2*int64(a.Nnz()), threads)
-	}
-	if pieces <= 1 {
+// Product is a reusable y = A·x whose range body is bound once and
+// reads the operands of the call in progress, so a warm dispatched
+// product allocates nothing. The zero value is ready to use. Not safe
+// for concurrent use.
+type Product struct {
+	a          *sparse.CSR
+	vals, x, y []float64
+	body       func(piece, lo, hi int)
+}
+
+// Mul computes y = A·x against an explicit value slice indexed by a's
+// pattern: a.Val, or a pinned Versioned epoch's buffer. threads <= 1
+// runs the kernel inline over all rows without touching a runtime.
+// Otherwise the rows are cut into threads contiguous ranges on rt (nil
+// means the process-wide default), one kernel call per range. Row sums
+// are independent, so the result is bitwise identical at any thread
+// count.
+func (p *Product) Mul(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, threads int) {
+	if threads <= 1 {
 		kernels.SpMVRows(a.RowPtr, a.ColIdx, vals, x, y, 0, a.N)
 		return
 	}
-	rt.Ranges(a.N, pieces, func(_, lo, hi int) {
-		kernels.SpMVRows(a.RowPtr, a.ColIdx, vals, x, y, lo, hi)
-	})
+	if rt == nil {
+		rt = exec.Default()
+	}
+	if p.body == nil {
+		//javelin:alloc-ok one-time: the range body is bound once per Product and reused
+		p.body = func(_, lo, hi int) {
+			kernels.SpMVRows(p.a.RowPtr, p.a.ColIdx, p.vals, p.x, p.y, lo, hi)
+		}
+	}
+	p.a, p.vals, p.x, p.y = a, vals, x, y
+	rt.Ranges(a.N, threads, p.body)
+	p.a, p.vals, p.x, p.y = nil, nil, nil, nil
 }

@@ -82,7 +82,14 @@ func TestParallelOnPropertyRandom(t *testing.T) {
 			vals[k] = rng.NormFloat64()
 		}
 		a.MatVecVals(vals, x, want)
-		ParallelVals(nil, a, vals, x, got, threads)
+		var p Product
+		p.Mul(nil, a, vals, x, got, threads)
+		if !vecsEqual(want, got) {
+			return false
+		}
+		// A second call reuses the bound body with new operands.
+		a.MatVec(x, want)
+		p.Mul(nil, a, a.Val, x, got, threads)
 		return vecsEqual(want, got)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {

@@ -50,11 +50,6 @@ type CSRLS struct {
 	// backward (U) levels: level sets of the reverse DAG
 	bwdPtr  []int
 	bwdRows []int
-	// per-level flop estimates (2 per nonzero scanned), computed once
-	// so each sweep can consult the runtime's adaptive cutoff without
-	// re-walking the pattern
-	fwdOps []int64
-	bwdOps []int64
 }
 
 // NewCSRLS builds the level structures for both sweeps.
@@ -65,29 +60,7 @@ func NewCSRLS(f *ilu.Factor, threads int) *CSRLS {
 	s := &CSRLS{f: f, threads: threads}
 	s.fwd = levelset.FromLowerPattern(f.LU)
 	s.buildBackward()
-	s.countOps()
 	return s
-}
-
-func (s *CSRLS) countOps() {
-	lu := s.f.LU
-	s.fwdOps = make([]int64, s.fwd.Count)
-	for l := 0; l < s.fwd.Count; l++ {
-		var ops int64
-		for _, r := range s.fwd.LevelRows(l) {
-			ops += 2 * int64(s.f.DiagPos[r]-lu.RowPtr[r])
-		}
-		s.fwdOps[l] = ops
-	}
-	nLvl := len(s.bwdPtr) - 1
-	s.bwdOps = make([]int64, nLvl)
-	for l := 0; l < nLvl; l++ {
-		var ops int64
-		for _, r := range s.bwdRows[s.bwdPtr[l]:s.bwdPtr[l+1]] {
-			ops += 2 * int64(lu.RowPtr[r+1]-s.f.DiagPos[r])
-		}
-		s.bwdOps[l] = ops
-	}
 }
 
 func (s *CSRLS) buildBackward() {
@@ -136,7 +109,7 @@ func (s *CSRLS) SolveLower(b, x []float64) {
 	}
 	for l := 0; l < s.fwd.Count; l++ {
 		rows := s.fwd.LevelRows(l)
-		s.parallelLevel(len(rows), s.fwdOps[l], func(i int) {
+		s.parallelLevel(len(rows), func(i int) {
 			r := rows[i]
 			kernels.TriLower(lu.RowPtr, s.f.DiagPos, lu.ColIdx, lu.Val, x, r, r+1)
 		})
@@ -152,28 +125,24 @@ func (s *CSRLS) SolveUpper(b, x []float64) {
 	nLvl := len(s.bwdPtr) - 1
 	for l := 0; l < nLvl; l++ {
 		rows := s.bwdRows[s.bwdPtr[l]:s.bwdPtr[l+1]]
-		s.parallelLevel(len(rows), s.bwdOps[l], func(i int) {
+		s.parallelLevel(len(rows), func(i int) {
 			r := rows[i]
 			kernels.TriUpper(lu.RowPtr, s.f.DiagPos, lu.ColIdx, lu.Val, x, r, r+1)
 		})
 	}
 }
 
-// parallelLevel runs a level with a fork-join barrier — the cost the
-// baseline pays on every level, however small. Levels whose measured
-// flop count cannot repay the runtime's region overhead run inline
-// instead (rows within a level are independent, so inline and
-// parallel execution round identically). This favors the baseline,
-// making Fig. 12's comparison conservative. The fork-join rides the
-// persistent process-wide runtime, so the barrier overhead measured
-// is the join itself, not goroutine creation.
-func (s *CSRLS) parallelLevel(n int, ops int64, body func(i int)) {
-	if s.threads != 1 && n >= 4 {
-		rt := exec.Default()
-		if pieces := rt.PiecesFor(ops, s.threads); pieces > 1 {
-			rt.For(n, pieces, body)
-			return
-		}
+// parallelLevel runs a level of at least 4 rows as one fork-join
+// region of up to threads lanes: the barrier per level Anderson &
+// Saad's level scheduling pays, however little work the level holds.
+// Smaller levels, and every level at one thread, run inline (rows
+// within a level are independent, so both round identically). The
+// fork-join rides the persistent process-wide runtime, so the
+// barrier cost measured is the join itself, not goroutine creation.
+func (s *CSRLS) parallelLevel(n int, body func(i int)) {
+	if s.threads > 1 && n >= 4 {
+		exec.Default().For(n, s.threads, body)
+		return
 	}
 	for i := 0; i < n; i++ {
 		body(i)

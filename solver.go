@@ -375,6 +375,7 @@ func (s *Solver) Method() Method { return s.method }
 func (s *Solver) Solve(ctx context.Context, b, x []float64) (SolverStats, error) {
 	ws, _ := s.wsPool.Get().(*krylov.Workspace)
 	if ws == nil {
+		//javelin:alloc-ok pool miss: allocates a workspace only until the pool holds one per concurrent solve
 		ws = krylov.NewWorkspace()
 	}
 	defer s.wsPool.Put(ws)
