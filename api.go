@@ -205,12 +205,14 @@ func ZeroFreeDiagonal(m *Matrix) Permutation {
 	return order.ZeroFreeDiagonal(m.csr)
 }
 
-// PermuteSym applies p symmetrically: result = P·A·Pᵀ.
+// PermuteSym applies p symmetrically: result = P·A·Pᵀ. It panics if
+// p is not a permutation of m's rows.
 func PermuteSym(m *Matrix, p Permutation) *Matrix {
 	return &Matrix{csr: sparse.PermuteSym(m.csr, p, 0)}
 }
 
-// PermuteRows reorders only the rows of m by p.
+// PermuteRows reorders only the rows of m by p. It panics if p is
+// not a permutation of m's rows.
 func PermuteRows(m *Matrix, p Permutation) *Matrix {
 	return &Matrix{csr: sparse.PermuteRows(m.csr, p)}
 }

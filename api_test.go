@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +128,50 @@ func TestZeroFreeDiagonalAPI(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if pm.At(i, i) == 0 {
 			t.Fatalf("diagonal %d still zero", i)
+		}
+	}
+}
+
+// TestPermuteRejectsNonPermutations: PermuteSym and PermuteRows panic,
+// naming the first bad entry, on a p that repeats an index or leaves
+// [0, n), rather than return a matrix that passes validation with a
+// row copied twice and another lost.
+func TestPermuteRejectsNonPermutations(t *testing.T) {
+	b := NewBuilder(3, 3)
+	for _, e := range []struct {
+		i, j int
+		v    float64
+	}{{0, 0, 4}, {0, 1, 1}, {1, 0, 1}, {1, 1, 5}, {1, 2, 2}, {2, 1, 2}, {2, 2, 6}} {
+		b.Add(e.i, e.j, e.v)
+	}
+	m := b.Build()
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	for _, c := range []struct {
+		p    Permutation
+		want string
+	}{
+		{Permutation{0, 0, 2}, "perm[1]=0"},
+		{Permutation{2, 2, 2}, "perm[1]=2"},
+		{Permutation{0, 1, 7}, "perm[2]=7"},
+	} {
+		for _, f := range []struct {
+			name    string
+			permute func()
+		}{
+			{"PermuteSym", func() { PermuteSym(m, c.p) }},
+			{"PermuteRows", func() { PermuteRows(m, c.p) }},
+		} {
+			if msg := panicOf(f.permute); !strings.Contains(msg, c.want) {
+				t.Errorf("%s(%v): panic %q, want one naming %s", f.name, c.p, msg, c.want)
+			}
 		}
 	}
 }

@@ -231,11 +231,16 @@
 // would be woken for (a matvec, a reduction, a phased sweep), while the
 // gaps between those regions are shorter than the budget, so a solve's
 // workers stay running from its first region to its last.
-// The factor stages index their per-lane scratch by a lane the region
-// itself hands out: the scatter's Ranges piece, and for the numeric
-// stages the lane number Phases passes each piece (the caller is lane
-// 0, each worker that joins takes the next number), so no two pieces
-// running at once share scratch.
+// Every region is one construct: a set of pieces claimed in index
+// order, each run with the lane number of the participant running it
+// (the caller is lane 0, each worker that joins takes the next
+// number), with an optional count gate. For runs ungated pieces: the
+// scatter's and every matvec's row ranges, a reduction's runs of
+// blocks. Phases runs gated ones: the factor region's pieces and the
+// phased sweeps' per-level row ranges. The factor stages index their
+// per-lane scratch by that lane number, in the scatter's For region
+// and the factor's Phases region alike, so no two pieces running at
+// once share scratch.
 //
 // Ownership rules:
 //

@@ -390,10 +390,10 @@ func (q *globalQueue) drain(threads, n int) error {
 			}
 		}
 	}
-	// One drainer per range piece on the persistent runtime; each
-	// piece owns its dense scratch.
+	// One drainer per piece on the persistent runtime; each piece owns
+	// its dense scratch.
 	var firstErr atomic.Value
-	exec.Default().Ranges(threads, threads, func(worker, lo, hi int) {
+	exec.Default().For(threads, threads, func(_, _ int) {
 		sc := newSnScratch(n)
 		for {
 			task := q.pop()

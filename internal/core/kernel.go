@@ -13,10 +13,10 @@ const pivotFloor = 1e-300
 // lane is one worker's elimination scratch: the position map of the
 // standard ILU(0) row kernel (Saad, "Iterative Methods for Sparse
 // Linear Systems", §10.3). Every Factorize/Refactorize allocates one
-// lane per thread and drops them on return. Each parallel route hands
-// a lane to exactly one worker at a time (the scatter's Ranges piece,
-// or the lane number exec.Runtime.Phases gives each participant of the
-// factor region), so rows take a lane without synchronizing.
+// lane per thread and drops them on return. The scatter's For region
+// and the factor's Phases region each hand a lane number to every
+// participant, and no two participants of a region share one, so rows
+// take a lane without synchronizing.
 type lane struct {
 	// pos maps a column to 1 + its offset in the row suffix loaded
 	// into w, and to 0 when the row has no entry there. It is all

@@ -166,8 +166,9 @@ func (b *build) piece(lane, i int) {
 
 // scatter copies a's values into the epoch build buffer on the
 // permuted factor pattern in parallel (the paper's copy-with-
-// first-touch step); each Ranges piece finds an entry's slot through
-// its lane's position map. It rejects two kinds of input, reporting
+// first-touch step) as one For region of Threads row ranges; each
+// piece finds an entry's slot through the position map of the lane
+// the region hands it. It rejects two kinds of input, reporting
 // the first bad entry it meets:
 //   - a NaN or ±Inf value (sparse.ErrNonFinite): factoring it would
 //     publish a poisoned factor that every later solve fails on;
@@ -181,9 +182,10 @@ func (b *build) scatter(a *sparse.CSR) error {
 	lu := e.factor.LU
 	perm, inv := e.split.Perm, e.invPerm
 	allow := e.opt.AllowPatternMismatch
-	body := func(piece, lo, hi int) {
-		pos := b.lanes[piece].pos
-		for newI := lo; newI < hi; newI++ {
+	n, k := e.n, e.opt.Threads
+	body := func(lane, i int) {
+		pos := b.lanes[lane].pos
+		for newI, hi := i*n/k, (i+1)*n/k; newI < hi; newI++ {
 			base, end := lu.RowPtr[newI], lu.RowPtr[newI+1]
 			lcols := lu.ColIdx[base:end]
 			for i, c := range lcols {
@@ -215,7 +217,7 @@ func (b *build) scatter(a *sparse.CSR) error {
 			}
 		}
 	}
-	e.rt.Ranges(e.n, e.opt.Threads, body)
+	e.rt.For(k, k, body)
 	return b.firstErr()
 }
 

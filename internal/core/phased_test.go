@@ -142,7 +142,7 @@ func TestPhasedApplyWithBusyRuntime(t *testing.T) {
 		sideDone := make(chan struct{})
 		go func() {
 			defer close(sideDone)
-			rt.Ranges(2, 2, func(int, int, int) {
+			rt.For(2, 2, func(int, int) {
 				entered.Done()
 				<-release
 			})

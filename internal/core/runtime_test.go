@@ -130,7 +130,7 @@ func TestSharedRuntimeAcrossEngines(t *testing.T) {
 	// Engine Close must leave the shared runtime usable.
 	e1.Close()
 	ran := false
-	rt.For(1, 1, func(int) { ran = true })
+	rt.For(1, 1, func(int, int) { ran = true })
 	if !ran {
 		t.Fatal("shared runtime dead after engine Close")
 	}
@@ -207,7 +207,7 @@ func TestRefactorizeWithBusyRuntime(t *testing.T) {
 		sideDone := make(chan struct{})
 		go func() {
 			defer close(sideDone)
-			rt.Ranges(2, 2, func(int, int, int) {
+			rt.For(2, 2, func(int, int) {
 				entered.Done()
 				<-release
 			})

@@ -42,10 +42,15 @@ func benchFor(b *testing.B, n int, warm bool) {
 	if warm {
 		r := New(4)
 		defer r.Close()
-		r.For(n, 4, body)
+		piece := func(_, p int) {
+			for i, hi := p*n/4, (p+1)*n/4; i < hi; i++ {
+				body(i)
+			}
+		}
+		r.For(4, 4, piece)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.For(n, 4, body)
+			r.For(4, 4, piece)
 		}
 		return
 	}
@@ -66,7 +71,7 @@ func BenchmarkForSpawnedN1e5(b *testing.B)     { benchFor(b, 100000, false) }
 func BenchmarkStatsSnapshot(b *testing.B) {
 	r := New(8)
 	defer r.Close()
-	r.For(1000, 8, func(int) {})
+	r.For(8, 8, func(int, int) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Stats()

@@ -1,21 +1,22 @@
 // Package exec is Javelin's persistent execution runtime: one fixed
-// set of worker goroutines serving the engine's three parallel
-// constructs, claim-based loops in static blocks (For),
-// per-piece-scratch fork-join (Ranges) and sequences of phases with a
-// barrier between each (Phases).
+// set of worker goroutines serving the engine's one parallel
+// construct, a region of pieces claimed in index order, each run as
+// body(lane, i), with an optional count gate (Phases) or none (For).
 //
 // This is the "specialized light weight tasking library" of the paper
 // generalized into a shared substrate: every SpMV, reduction, factor
 // scatter, factor stage and phased triangular sweep of every engine
-// runs here instead of spawning goroutines per call. A phased sweep is
+// runs here instead of spawning goroutines per call. A flat loop (a
+// matvec, a reduction, the factor scatter) is a For region whose
+// pieces are contiguous row ranges its caller cuts. A phased sweep is
 // one Phases region: its phases are the levels and its pieces each
 // level's row ranges (Anderson & Saad's level scheduling, the barriers
 // inside one region). A factorization pass after its scatter is one
 // Phases region too: the upper levels' row ranges, then the lower
 // rows, then the corner groups, each piece run on the scratch of the
-// lane Phases names. Every piece is known before the region starts and
+// lane it is handed. Every piece is known before the region starts and
 // none spawns more work, so no work stealing is needed. Regions are
-// claim-based (atomic block dealing over persistent workers), so a
+// claim-based (atomic piece dealing over persistent workers), so a
 // region costs two mutex hops and a handful of atomics instead of
 // goroutine creation. A worker with nothing to claim keeps polling for
 // idleSpin after its last claim, so the next region of a solve finds
@@ -25,25 +26,25 @@
 // # Concurrency model
 //
 // A Runtime is safe for concurrent use: any number of goroutines may
-// open regions (For/Ranges/Phases) at the same time; their blocks
-// interleave over the shared workers and every caller helps execute
-// its own region, so a region always completes even with zero free
-// workers. That holds only because no body waits on another: nothing
-// guarantees that two blocks, of one region or of two, ever run at
+// open regions (For/Phases) at the same time; their pieces interleave
+// over the shared workers and every caller helps execute its own
+// region, so a region always completes even with zero free workers.
+// That holds only because no body waits on another: nothing
+// guarantees that two pieces, of one region or of two, ever run at
 // the same time, so a body must not wait on another one to make
 // progress.
 //
-// Phases allows exactly one wait, and it sits outside the bodies and
+// A gate allows exactly one wait, and it sits outside the bodies and
 // before the claim: a participant claims piece i only once gate[i]
 // pieces of its region have completed, and holds no piece while it
 // waits. Pieces are claimed in index order and gate[i] never exceeds
 // i, so every piece waited on was claimed earlier, by a participant
 // that is running it and waits on nothing. No participant waits on a
 // lane that has not joined or on one that is itself waiting, so the
-// caller can run every piece alone and a Phases region completes like
+// caller can run every piece alone and a gated region completes like
 // any other.
 //
-// A Phases body also learns which lane runs it. The caller is lane 0
+// Every body also learns which lane runs it. The caller is lane 0
 // and each worker that joins takes the next number of the region's
 // join count, which never goes down. A participant leaves only once
 // every piece is claimed, and no worker joins after that, so the
@@ -51,7 +52,7 @@
 //
 // # Metrics
 //
-// Every Runtime meters its own activity — regions, chunk claims,
+// Every Runtime meters its own activity — regions, pieces run,
 // park/wake churn — through always-on counters; Stats() returns a
 // snapshot and Stats.Sub gives per-phase deltas. See stats.go.
 package exec
@@ -63,10 +64,10 @@ import (
 	"time"
 )
 
-// Runtime is a persistent worker pool serving three constructs, claim
-// loops (For), Ranges and Phases, all jobs on one open-region list
-// that idle workers join. Create with New, share freely, release with
-// Close. The zero value is not usable.
+// Runtime is a persistent worker pool serving regions of pieces (For,
+// and Phases with a gate), all jobs on one open-region list that idle
+// workers join. Create with New, share freely, release with Close. The
+// zero value is not usable.
 type Runtime struct {
 	workers int // worker goroutine count == Parallelism()-1
 
@@ -152,30 +153,22 @@ func (r *Runtime) Close() {
 }
 
 // ---------------------------------------------------------------------
-// Claim-based parallel loops
+// Regions
 // ---------------------------------------------------------------------
 
-// job is one open parallel region: n iterations (or pieces) cut into
-// blocks of chunk, claimed off an atomic cursor by the caller and any
-// workers that join. limit caps the number of simultaneous
+// job is one open region: pieces 0 to blocks-1, claimed off an atomic
+// cursor in index order by the caller and any workers that join, each
+// run as body(lane, i). When gate is set, piece i is claimed only once
+// gate[i] pieces have completed. limit caps the number of simultaneous
 // participants (the region's requested thread count).
 type job struct {
-	n      int
-	chunk  int
 	blocks int64
 	limit  int32
-	body   func(i int)
-	// rangeBody, when set, selects Ranges mode: one call per block
-	// (piece) instead of per iteration, empty pieces skipped.
-	rangeBody func(piece, lo, hi int)
-	// gate, when set, selects Phases mode: blocks of one iteration,
-	// block i claimed only once gate[i] blocks have completed, each
-	// run as phaseBody(lane, i).
-	gate      []int32
-	phaseBody func(lane, i int)
+	gate   []int32
+	body   func(lane, i int)
 
-	next      atomic.Int64 // next unclaimed block index
-	remaining atomic.Int64 // blocks not yet completed
+	next      atomic.Int64 // next unclaimed piece
+	remaining atomic.Int64 // pieces not yet completed
 	active    atomic.Int32 // current participants (joins under r.mu)
 	joins     atomic.Int32 // workers that have joined; never decremented
 
@@ -187,7 +180,7 @@ type job struct {
 	cond *sync.Cond
 }
 
-// done reports region completion: every block executed and every
+// done reports region completion: every piece run and every
 // participant gone.
 func (j *job) done() bool {
 	return j.remaining.Load() == 0 && j.active.Load() == 0
@@ -209,84 +202,15 @@ func (j *job) awaitDone() {
 	}
 }
 
-// For runs body(i) for i in [0, n) with static block dealing: the
-// range is cut into min(maxPar, capacity) contiguous blocks, so a
-// participant's iterations stay contiguous (first-touch friendly).
-// maxPar <= 0 means the runtime's full parallelism. Blocks until the
-// region completes.
-func (r *Runtime) For(n, maxPar int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	r.stats.regions.Add(1)
-	par := r.workers + 1
-	if maxPar > 0 && maxPar < par {
-		par = maxPar
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		r.stats.chunks.Add(1)
-		return
-	}
-	chunk := (n + par - 1) / par
-	j := r.jobPool.Get().(*job)
-	j.n, j.chunk, j.limit = n, chunk, int32(par)
-	j.blocks = int64((n + chunk - 1) / chunk)
-	j.body = body
-	r.runJob(j)
-}
-
-// Ranges splits [0, n) into exactly pieces contiguous ranges and runs
-// body(piece, lo, hi) once per non-empty piece; empty pieces (when
-// pieces > n) are skipped entirely. Piece indices are distinct, so
-// bodies may own scratch slots indexed by piece. Pieces are not
-// guaranteed to run simultaneously — bodies must not wait on one
-// another.
-func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
-	if pieces < 1 {
-		pieces = 1
-	}
-	if n < 0 {
-		n = 0
-	}
-	if n > 0 {
-		r.stats.regions.Add(1)
-	}
-	chunk := (n + pieces - 1) / pieces
-	if chunk < 1 {
-		chunk = 1
-	}
-	run := func(piece int) bool {
-		lo := piece * chunk
-		if lo >= n {
-			return false
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		body(piece, lo, hi)
-		return true
-	}
-	if pieces == 1 || r.workers == 0 {
-		for p := 0; p < pieces; p++ {
-			if !run(p) {
-				break
-			}
-			r.stats.chunks.Add(1)
-		}
-		return
-	}
-	j := r.jobPool.Get().(*job)
-	j.n, j.chunk, j.limit = n, chunk, int32(pieces)
-	j.blocks = int64(pieces)
-	j.rangeBody = body
-	r.runJob(j)
+// For runs body(lane, i) once for each piece i in [0, n): a Phases
+// region with no gate, whose participants claim the pieces in index
+// order as soon as they are free. A caller with a flat loop over rows
+// cuts it into a few contiguous pieces itself, piece i covering rows
+// [i*rows/n, (i+1)*rows/n), so each participant's rows stay
+// contiguous (first-touch friendly). maxPar and lane are as for
+// Phases. Blocks until every piece has completed.
+func (r *Runtime) For(n, maxPar int, body func(lane, i int)) {
+	r.runJob(nil, n, maxPar, body)
 }
 
 // Phases runs body(lane, i) once for each piece i in [0, len(gate)),
@@ -303,16 +227,24 @@ func (r *Runtime) Ranges(n, pieces int, body func(piece, lo, hi int)) {
 // by lane. With one participant the pieces run in order on the
 // caller, as lane 0. Blocks until every piece has completed.
 func (r *Runtime) Phases(gate []int32, maxPar int, body func(lane, i int)) {
-	n := len(gate)
-	if n == 0 {
+	r.runJob(gate, len(gate), maxPar, body)
+}
+
+// runJob runs a region of n pieces, gated by gate when it is set. With
+// one participant the caller runs them alone. Otherwise it publishes
+// the region, participates, then blocks until every piece has
+// completed and every participant has left, after which the job
+// returns to the pool.
+func (r *Runtime) runJob(gate []int32, n, maxPar int, body func(lane, i int)) {
+	if n <= 0 {
 		return
 	}
 	r.stats.regions.Add(1)
-	par := r.workers + 1
-	if maxPar > 0 && maxPar < par {
-		par = maxPar
+	par := min(r.workers+1, n)
+	if maxPar > 0 {
+		par = min(par, maxPar)
 	}
-	if par <= 1 || n == 1 {
+	if par <= 1 {
 		for i := 0; i < n; i++ {
 			body(0, i)
 		}
@@ -320,16 +252,7 @@ func (r *Runtime) Phases(gate []int32, maxPar int, body func(lane, i int)) {
 		return
 	}
 	j := r.jobPool.Get().(*job)
-	j.n, j.chunk, j.limit = n, 1, int32(min(par, n))
-	j.blocks = int64(n)
-	j.gate, j.phaseBody = gate, body
-	r.runJob(j)
-}
-
-// runJob publishes j, participates, then blocks until every block has
-// completed and every participant has left, after which j returns to
-// the pool.
-func (r *Runtime) runJob(j *job) {
+	j.blocks, j.limit, j.gate, j.body = int64(n), int32(par), gate, body
 	j.next.Store(0)
 	j.remaining.Store(j.blocks)
 	j.active.Store(1) // the caller, lane 0
@@ -344,10 +267,10 @@ func (r *Runtime) runJob(j *job) {
 	returned := false
 	defer func() {
 		if !returned {
-			// A body panicked on the caller. Its block never completes,
-			// so a Phases gate behind it would never open: close the
-			// cursor so every worker leaves at its next claim, and drop
-			// the job unpooled. The panic goes on up with its stack.
+			// A body panicked on the caller. Its piece never completes,
+			// so a gate behind it would never open: close the cursor so
+			// every worker leaves at its next claim, and drop the job
+			// unpooled. The panic goes on up with its stack.
 			j.next.Store(j.blocks)
 			r.unregister(j)
 		}
@@ -360,19 +283,11 @@ func (r *Runtime) runJob(j *job) {
 	// count only decreases).
 	r.unregister(j)
 	j.awaitDone()
-	// Every block was claimed and executed exactly once, so the
-	// region's whole block count is charged here rather than on the
-	// claim path (see runClaims). Ranges regions with pieces > n have
-	// trailing empty pieces that never ran a body; exclude them so
-	// Chunks matches the inline path.
-	charged := j.blocks
-	if j.rangeBody != nil {
-		if ne := int64((j.n + j.chunk - 1) / j.chunk); ne < charged {
-			charged = ne
-		}
-	}
-	r.stats.chunks.Add(uint64(charged))
-	j.body, j.rangeBody, j.gate, j.phaseBody = nil, nil, nil, nil
+	// Every piece was claimed and run exactly once, so the region's
+	// whole piece count is charged here rather than on the claim path
+	// (see runClaims).
+	r.stats.chunks.Add(uint64(n))
+	j.gate, j.body = nil, nil
 	r.jobPool.Put(j)
 }
 
@@ -392,43 +307,25 @@ func (r *Runtime) unregister(j *job) {
 	r.mu.Unlock()
 }
 
-// runClaims executes blocks off j's cursor until none remain, as the
+// runClaims runs pieces off j's cursor until none remain, as the
 // participant of the given lane. The participant must already be
 // counted in j.active; it uncounts itself on the way out (its last
 // touch of j). Deliberately uninstrumented: any counter kept live
 // across the body call would be spilled and reloaded around every
-// iteration (Go's ABI has no callee-saved registers); runJob charges
-// the region's whole block count instead.
+// piece (Go's ABI has no callee-saved registers); runJob charges the
+// region's whole piece count instead.
 func (j *job) runClaims(lane int) {
-	n, chunk := j.n, j.chunk
 	for {
-		var b int64
+		var i int64
 		if j.gate != nil {
-			b = j.claimOpen()
+			i = j.claimOpen()
 		} else {
-			b = j.next.Add(1) - 1
+			i = j.next.Add(1) - 1
 		}
-		if b >= j.blocks {
+		if i >= j.blocks {
 			break
 		}
-		lo := int(b) * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		switch {
-		case j.phaseBody != nil:
-			j.phaseBody(lane, lo)
-		case j.rangeBody != nil:
-			if hi > lo {
-				j.rangeBody(int(b), lo, hi)
-			}
-		default:
-			body := j.body
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		}
+		j.body(lane, int(i))
 		if j.remaining.Add(-1) == 0 {
 			break
 		}
@@ -441,16 +338,16 @@ func (j *job) runClaims(lane int) {
 	}
 }
 
-// gateSpins is how many times a Phases participant rereads the
-// completion count before it starts yielding its P between reads.
+// gateSpins is how many times a participant of a gated region rereads
+// the completion count before it starts yielding its P between reads.
 const gateSpins = 256
 
-// claimOpen claims the next block of a Phases region once its gate
-// has opened, or returns a value >= j.blocks when every block is
-// claimed. The wait
-// comes before the claim, so a participant never holds a piece while
-// it waits: one that is descheduled mid-wait delays nobody. It spins
-// briefly, then yields with runtime.Gosched between reads.
+// claimOpen claims the next piece of a gated region once its gate has
+// opened, or returns a value >= j.blocks when every piece is claimed.
+// The wait comes before the claim, so a participant never holds a
+// piece while it waits: one that is descheduled mid-wait delays
+// nobody. It spins briefly, then yields with runtime.Gosched between
+// reads.
 func (j *job) claimOpen() int64 {
 	for spins := 0; ; spins++ {
 		b := j.next.Load()
@@ -488,7 +385,7 @@ func (j *job) claimableLocked() bool {
 // what else is runnable; a wall-clock one does not.
 const idleSpin = 500 * time.Microsecond
 
-// step joins the first open region that still has unclaimed blocks
+// step joins the first open region that still has unclaimed pieces
 // and runs claims there. ran is false when none exists; closed then
 // reports whether the runtime has been closed, read under the same
 // lock, so an idle worker leaves without waiting out its spin.

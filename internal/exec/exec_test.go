@@ -14,7 +14,7 @@ func TestForCoversRangeOnce(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 100, 1777} {
 		for _, par := range []int{1, 2, 4, 8, 0} {
 			hits := make([]atomic.Int32, n)
-			r.For(n, par, func(i int) { hits[i].Add(1) })
+			r.For(n, par, func(_, i int) { hits[i].Add(1) })
 			for i := range hits {
 				if hits[i].Load() != 1 {
 					t.Fatalf("n=%d par=%d: index %d hit %d times", n, par, i, hits[i].Load())
@@ -27,60 +27,11 @@ func TestForCoversRangeOnce(t *testing.T) {
 func TestForEmptyAndSmall(t *testing.T) {
 	r := New(4)
 	defer r.Close()
-	r.For(0, 4, func(int) { t.Error("body called for n=0") })
-	r.Ranges(0, 4, func(int, int, int) { t.Error("body called for n=0") })
+	r.For(0, 4, func(int, int) { t.Error("body called for n=0") })
 	ran := false
-	r.For(1, 8, func(i int) { ran = true })
+	r.For(1, 8, func(int, int) { ran = true })
 	if !ran {
 		t.Fatal("n=1 not run")
-	}
-}
-
-func TestRangesCoverAndSkipEmpty(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	// pieces > n: the trailing empty pieces must never invoke body.
-	n, pieces := 3, 8
-	covered := make([]atomic.Int32, n)
-	var calls atomic.Int32
-	r.Ranges(n, pieces, func(p, lo, hi int) {
-		calls.Add(1)
-		if lo >= hi {
-			t.Errorf("empty range delivered: piece %d [%d,%d)", p, lo, hi)
-		}
-		if p < 0 || p >= pieces {
-			t.Errorf("piece index %d out of range", p)
-		}
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if covered[i].Load() != 1 {
-			t.Fatalf("index %d covered %d times", i, covered[i].Load())
-		}
-	}
-	if calls.Load() > int32(n) {
-		t.Fatalf("%d body calls for %d non-empty pieces", calls.Load(), n)
-	}
-}
-
-func TestRangesDistinctPieceScratch(t *testing.T) {
-	r := New(4)
-	defer r.Close()
-	n, pieces := 1000, 4
-	scratch := make([][]int, pieces)
-	r.Ranges(n, pieces, func(p, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			scratch[p] = append(scratch[p], i)
-		}
-	})
-	total := 0
-	for _, s := range scratch {
-		total += len(s)
-	}
-	if total != n {
-		t.Fatalf("pieces covered %d of %d", total, n)
 	}
 }
 
@@ -94,7 +45,7 @@ func TestConcurrentRegionsShareRuntime(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
-				r.For(100, 4, func(i int) { total.Add(1) })
+				r.For(100, 4, func(int, int) { total.Add(1) })
 			}
 		}()
 	}
@@ -108,23 +59,23 @@ func TestMixedConstructsConcurrently(t *testing.T) {
 	r := New(4)
 	defer r.Close()
 	var wg sync.WaitGroup
-	var forTotal, rangesTotal atomic.Int64
+	var forTotal, phasesTotal atomic.Int64
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		for rep := 0; rep < 30; rep++ {
-			r.For(64, 4, func(i int) { forTotal.Add(1) })
+			r.For(64, 4, func(int, int) { forTotal.Add(1) })
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for rep := 0; rep < 30; rep++ {
-			r.Ranges(16, 4, func(piece, lo, hi int) { rangesTotal.Add(int64(hi - lo)) })
+			r.Phases(phaseGate(4, 8, 4), 4, func(int, int) { phasesTotal.Add(1) })
 		}
 	}()
 	wg.Wait()
-	if forTotal.Load() != 30*64 || rangesTotal.Load() != 30*16 {
-		t.Fatalf("for=%d ranges=%d", forTotal.Load(), rangesTotal.Load())
+	if forTotal.Load() != 30*64 || phasesTotal.Load() != 30*16 {
+		t.Fatalf("for=%d phases=%d", forTotal.Load(), phasesTotal.Load())
 	}
 }
 
@@ -135,7 +86,7 @@ func TestParallelismFloorAndDefault(t *testing.T) {
 		t.Fatalf("Parallelism() = %d, want 1", r.Parallelism())
 	}
 	ran := false
-	r.For(1, 4, func(i int) { ran = true })
+	r.For(1, 4, func(int, int) { ran = true })
 	if !ran {
 		t.Fatal("inline region did not run")
 	}
@@ -150,7 +101,7 @@ func TestParallelismFloorAndDefault(t *testing.T) {
 func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	r := New(4)
 	var count atomic.Int64
-	r.For(100, 4, func(i int) { count.Add(1) })
+	r.For(100, 4, func(int, int) { count.Add(1) })
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -172,8 +123,8 @@ func TestClosedRuntimeDegrades(t *testing.T) {
 	r := New(4)
 	r.Close()
 	var count atomic.Int64
-	r.For(100, 4, func(i int) { count.Add(1) })
-	r.Ranges(20, 4, func(piece, lo, hi int) { count.Add(int64(hi - lo)) })
+	r.For(100, 4, func(int, int) { count.Add(1) })
+	r.Phases(phaseGate(5, 10, 5), 4, func(int, int) { count.Add(1) })
 	if count.Load() != 120 {
 		t.Fatalf("count=%d", count.Load())
 	}
@@ -186,8 +137,8 @@ func TestNoGoroutineGrowthWhenWarm(t *testing.T) {
 	r := New(4)
 	defer r.Close()
 	warm := func() {
-		r.For(256, 4, func(i int) {})
-		r.Ranges(256, 4, func(piece, lo, hi int) {})
+		r.For(256, 4, func(int, int) {})
+		r.Phases(phaseGate(4, 4), 4, func(int, int) {})
 	}
 	warm()
 	before := runtime.NumGoroutine()
@@ -282,7 +233,9 @@ func TestPhasesRunsEachPieceOnceAfterItsGate(t *testing.T) {
 // lane below min(maxPar, Parallelism(), pieces), and no two pieces run
 // on one lane at once, so a body may own scratch per lane. The gates
 // are 101 pieces in phases of uneven sizes, 101 pieces in one phase,
-// and two gates with fewer pieces than most runtimes have lanes.
+// and two gates with fewer pieces than most runtimes have lanes; each
+// piece count also runs ungated, as a For region (the factor scatter
+// indexes its position maps by the lane For hands out).
 func TestPhasesLanesAreExclusive(t *testing.T) {
 	gates := [][]int32{
 		phaseGate(20, 1, 30, 7, 1, 40, 2),
@@ -294,47 +247,54 @@ func TestPhasesLanesAreExclusive(t *testing.T) {
 		r := New(lanes)
 		for _, gate := range gates {
 			for _, maxPar := range []int{0, 1, 2, 3} {
-				n := len(gate)
-				limit := min(lanes, n)
-				if maxPar > 0 {
-					limit = min(limit, maxPar)
-				}
-				runs := make([]atomic.Int32, n)
-				busy := make([]atomic.Bool, lanes)
-				var outside, shared atomic.Int32
-				var sink atomic.Uint64
-				r.Phases(gate, maxPar, func(lane, i int) {
-					runs[i].Add(1)
-					if lane < 0 || lane >= limit {
-						outside.Add(1)
-						return
+				for _, gated := range []bool{true, false} {
+					n := len(gate)
+					limit := min(lanes, n)
+					if maxPar > 0 {
+						limit = min(limit, maxPar)
 					}
-					if !busy[lane].CompareAndSwap(false, true) {
-						shared.Add(1)
-						return
+					runs := make([]atomic.Int32, n)
+					busy := make([]atomic.Bool, lanes)
+					var outside, shared atomic.Int32
+					var sink atomic.Uint64
+					body := func(lane, i int) {
+						runs[i].Add(1)
+						if lane < 0 || lane >= limit {
+							outside.Add(1)
+							return
+						}
+						if !busy[lane].CompareAndSwap(false, true) {
+							shared.Add(1)
+							return
+						}
+						// Uneven cost: every seventh piece does 100× the work.
+						work := 100
+						if i%7 == 0 {
+							work = 10000
+						}
+						x := uint64(i)
+						for k := 0; k < work; k++ {
+							x = x*6364136223846793005 + 1442695040888963407
+						}
+						sink.Add(x)
+						busy[lane].Store(false)
 					}
-					// Uneven cost: every seventh piece does 100× the work.
-					work := 100
-					if i%7 == 0 {
-						work = 10000
+					if gated {
+						r.Phases(gate, maxPar, body)
+					} else {
+						r.For(n, maxPar, body)
 					}
-					x := uint64(i)
-					for k := 0; k < work; k++ {
-						x = x*6364136223846793005 + 1442695040888963407
+					for i := range runs {
+						if got := runs[i].Load(); got != 1 {
+							t.Fatalf("lanes=%d pieces=%d maxPar=%d gated=%t: piece %d ran %d times, want 1", lanes, n, maxPar, gated, i, got)
+						}
 					}
-					sink.Add(x)
-					busy[lane].Store(false)
-				})
-				for i := range runs {
-					if got := runs[i].Load(); got != 1 {
-						t.Fatalf("lanes=%d pieces=%d maxPar=%d: piece %d ran %d times, want 1", lanes, n, maxPar, i, got)
+					if k := outside.Load(); k != 0 {
+						t.Fatalf("lanes=%d pieces=%d maxPar=%d gated=%t: %d pieces ran on a lane outside [0, %d)", lanes, n, maxPar, gated, k, limit)
 					}
-				}
-				if k := outside.Load(); k != 0 {
-					t.Fatalf("lanes=%d pieces=%d maxPar=%d: %d pieces ran on a lane outside [0, %d)", lanes, n, maxPar, k, limit)
-				}
-				if k := shared.Load(); k != 0 {
-					t.Fatalf("lanes=%d pieces=%d maxPar=%d: %d pieces started on a lane already in use", lanes, n, maxPar, k)
+					if k := shared.Load(); k != 0 {
+						t.Fatalf("lanes=%d pieces=%d maxPar=%d gated=%t: %d pieces started on a lane already in use", lanes, n, maxPar, gated, k)
+					}
 				}
 			}
 		}
@@ -411,7 +371,7 @@ func TestPhasesCallerPanicReleasesWorkers(t *testing.T) {
 		}
 	}
 	var ran atomic.Int32
-	within("For", func() { r.For(4, 2, func(int) { ran.Add(1) }) })
+	within("For", func() { r.For(4, 2, func(int, int) { ran.Add(1) }) })
 	if n := ran.Load(); n != 4 {
 		t.Fatalf("For ran %d iterations, want 4", n)
 	}
@@ -430,7 +390,7 @@ func TestPhasesCompletesWithBusyWorker(t *testing.T) {
 	sideDone := make(chan struct{})
 	go func() {
 		defer close(sideDone)
-		r.Ranges(2, 2, func(int, int, int) {
+		r.For(2, 2, func(int, int) {
 			entered.Done()
 			<-release
 		})

@@ -64,7 +64,7 @@ func TestIdleSpinShortGapsDoNotPark(t *testing.T) {
 		stall := cpuStallUs()
 		r := New(2)
 		for i := 0; i < regions; i++ {
-			r.For(2, 2, func(int) { busyWait(20 * time.Microsecond) })
+			r.For(2, 2, func(int, int) { busyWait(20 * time.Microsecond) })
 			busyWait(gap)
 		}
 		n := r.Stats().Parks
@@ -86,7 +86,7 @@ func TestIdleSpinShortGapsDoNotPark(t *testing.T) {
 func TestIdleSpinIdleWorkerParks(t *testing.T) {
 	r := New(2)
 	defer r.Close()
-	r.For(2, 2, func(int) {})
+	r.For(2, 2, func(int, int) {})
 	for deadline := time.Now().Add(time.Second); r.Stats().Parks == 0; {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker idle for 1s without parking (idleSpin %v)", idleSpin)
@@ -103,7 +103,7 @@ func TestIdleSpinCloseDoesNotWaitOutSpin(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < cycles; i++ {
 		r := New(2)
-		r.For(2, 2, func(int) {})
+		r.For(2, 2, func(int, int) {})
 		r.Close()
 	}
 	if took, limit := time.Since(start), cycles*idleSpin/2; took >= limit {

@@ -19,18 +19,18 @@ import (
 //	delta := rt.Stats().Sub(before)
 //
 // Collection is always on and cheap: every counted event is per
-// region, never per iteration, so the counters share one
+// region, never per piece, so the counters share one
 // padded allocation written only by the goroutines opening regions
 // (workers write none), and the park-path counters are plain fields
 // bumped under r.mu. JSON tags give the snapshot stable snake_case
 // names when an embedder marshals it (javelin.RuntimeStats).
 type Stats struct {
-	// Regions counts parallel loop regions executed (For/Ranges/Phases
-	// calls with at least one iteration or piece), including ones that
-	// ran inline on the caller.
+	// Regions counts regions executed (For and Phases calls with at
+	// least one piece), including ones that ran inline on the caller.
 	Regions uint64 `json:"regions"`
-	// Chunks counts blocks claimed off region cursors and executed.
-	// Chunks/Regions is the average fan-out actually realized.
+	// Chunks counts pieces claimed off region cursors and run; a
+	// region that ran inline on the caller counts one. Chunks/Regions
+	// is the average fan-out actually realized.
 	Chunks uint64 `json:"chunks"`
 	// StealAttempts and StealSuccesses are always 0: the runtime has
 	// no work-stealing scheduler (every region's pieces are known when

@@ -15,16 +15,16 @@ func TestStatsCountsRegionsAndChunks(t *testing.T) {
 	const regions = 10
 	n := 1000
 	for i := 0; i < regions; i++ {
-		r.For(n, 4, func(int) {})
+		r.For(n, 4, func(int, int) {})
 	}
 	d := r.Stats().Sub(s0)
 	if d.Regions != regions {
 		t.Fatalf("Regions = %d, want %d", d.Regions, regions)
 	}
-	// Static dealing cuts each region into at most 4 blocks, and every
-	// block is claimed exactly once.
-	if d.Chunks < regions || d.Chunks > regions*4 {
-		t.Fatalf("Chunks = %d, want in [%d, %d]", d.Chunks, regions, regions*4)
+	// Every piece of a dispatched region is claimed and run exactly
+	// once, and each counts one chunk.
+	if d.Chunks != uint64(regions*n) {
+		t.Fatalf("Chunks = %d, want %d", d.Chunks, regions*n)
 	}
 }
 
@@ -32,34 +32,15 @@ func TestStatsCountsInlineRegions(t *testing.T) {
 	r := New(1) // no workers: every region runs inline
 	defer r.Close()
 	s0 := r.Stats()
-	r.For(100, 8, func(int) {})
-	r.Ranges(100, 4, func(int, int, int) {})
-	r.For(0, 8, func(int) {}) // empty: not a region
+	r.For(100, 8, func(int, int) {})
+	r.Phases(make([]int32, 4), 4, func(int, int) {})
+	r.For(0, 8, func(int, int) {}) // empty: not a region
 	d := r.Stats().Sub(s0)
 	if d.Regions != 2 {
 		t.Fatalf("Regions = %d, want 2", d.Regions)
 	}
 	if d.Chunks == 0 {
 		t.Fatalf("Chunks = 0, want > 0")
-	}
-}
-
-func TestStatsRangesSkipsEmptyPiecesInChunks(t *testing.T) {
-	// pieces > n leaves trailing empty pieces that never run a body;
-	// Chunks must count only executed pieces, and identically on the
-	// parallel (workers > 0) and inline (workers == 0) paths.
-	for _, par := range []int{4, 1} {
-		r := New(par)
-		s0 := r.Stats()
-		r.Ranges(3, 8, func(piece, lo, hi int) {})
-		d := r.Stats().Sub(s0)
-		r.Close()
-		if d.Chunks != 3 {
-			t.Fatalf("parallelism=%d: Chunks = %d, want 3 (empty pieces must not count)", par, d.Chunks)
-		}
-		if d.Regions != 1 {
-			t.Fatalf("parallelism=%d: Regions = %d, want 1", par, d.Regions)
-		}
 	}
 }
 
@@ -70,7 +51,7 @@ func TestStatsParkWakeChurn(t *testing.T) {
 	// Parks/Wakes are timing-dependent, so require only that counters
 	// stay consistent and eventually move.
 	for i := 0; i < 20; i++ {
-		r.For(64, 4, func(int) {})
+		r.For(64, 4, func(int, int) {})
 	}
 	s := r.Stats()
 	if s.Wakes > 0 && s.Parks == 0 {
@@ -100,7 +81,7 @@ func TestStatsDeltaAndConcurrentSnapshots(t *testing.T) {
 	}()
 	s0 := r.Stats()
 	for i := 0; i < 50; i++ {
-		r.For(1000, 4, func(int) {})
+		r.For(1000, 4, func(int, int) {})
 	}
 	close(stop)
 	wg.Wait()
@@ -137,7 +118,7 @@ func TestStatsNarrowRuntimeLanes(t *testing.T) {
 	// New(1) has zero workers; its inline regions are still counted.
 	r := New(1)
 	defer r.Close()
-	r.For(10, 4, func(int) {})
+	r.For(10, 4, func(int, int) {})
 	if got := r.Stats().Regions; got != 1 {
 		t.Fatalf("Regions = %d, want 1", got)
 	}

@@ -39,12 +39,16 @@ type reducer struct {
 	threads int
 	parts   []float64
 
-	// Operand state for the persistent block closures (allocating a
+	// Operand state for the persistent closures (allocating a
 	// capturing closure per reduction would put one heap object on
-	// every solver iteration).
+	// every solver iteration): the reduction's block function and
+	// piece count, read by piece.
 	x, y       []float64
+	block      func(b int)
+	pieces     int
 	dotBlock   func(b int)
 	sumSqBlock func(b int)
+	piece      func(lane, i int)
 }
 
 // reducer configures the workspace's reducer for this solve's
@@ -78,6 +82,12 @@ func (o Options) reducer(ws *Workspace) *reducer {
 			}
 			rd.parts[b] = kernels.SumSq(rd.x[lo:hi])
 		}
+		rd.piece = func(_, i int) {
+			nb, k := len(rd.parts), rd.pieces
+			for b, end := i*nb/k, (i+1)*nb/k; b < end; b++ {
+				rd.block(b)
+			}
+		}
 	}
 	return rd
 }
@@ -90,13 +100,16 @@ func (rd *reducer) partials(nb int) {
 	rd.parts = rd.parts[:nb]
 }
 
-// run computes partials for nb blocks via the prepared closure, on
-// the runtime at Threads > 1 from reduceParMin blocks on, serially
+// run computes partials for nb blocks via the prepared closure: at
+// Threads > 1 from reduceParMin blocks on, as one For region of
+// min(Threads, nb) pieces, each a contiguous run of blocks; serially
 // otherwise (same result). The block boundaries never move, so both
 // routes — and any piece dealing in between — round identically.
 func (rd *reducer) run(nb int, block func(b int)) {
 	if rd.rt != nil && nb >= reduceParMin {
-		rd.rt.For(nb, rd.threads, block)
+		rd.block, rd.pieces = block, min(rd.threads, nb)
+		rd.rt.For(rd.pieces, rd.threads, rd.piece)
+		rd.block = nil
 	} else {
 		for b := 0; b < nb; b++ {
 			block(b)

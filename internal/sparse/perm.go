@@ -36,7 +36,7 @@ func (p Perm) Validate() error {
 			return fmt.Errorf("sparse: perm[%d]=%d out of range", i, v)
 		}
 		if seen[v] {
-			return fmt.Errorf("sparse: perm value %d repeated", v)
+			return fmt.Errorf("sparse: perm[%d]=%d repeats an earlier entry", i, v)
 		}
 		seen[v] = true
 	}
@@ -44,7 +44,8 @@ func (p Perm) Validate() error {
 }
 
 // PermuteSym returns P·A·Pᵀ where row/column old p[new] moves to new,
-// copying in parallel on the process-wide default runtime.
+// copying in parallel on the process-wide default runtime. It panics
+// if p is not a permutation of [0, A.N).
 func PermuteSym(a *CSR, p Perm, threads int) *CSR {
 	return PermuteSymOn(nil, a, p, threads)
 }
@@ -54,7 +55,10 @@ func PermuteSym(a *CSR, p Perm, threads int) *CSR {
 // the default). The permutation is applied symmetrically, as done for
 // coefficient matrices before factorization. Column indices in each
 // output row are re-sorted. The copy is done in parallel over rows
-// (the paper's "copy ... in parallel allowing for first-touch").
+// (the paper's "copy ... in parallel allowing for first-touch"), in
+// min(threads, n) contiguous pieces (threads <= 0 means the runtime's
+// parallelism). It panics, naming the first bad entry, if p is not a
+// permutation of [0, n).
 func PermuteSymOn(rt *exec.Runtime, a *CSR, p Perm, threads int) *CSR {
 	if rt == nil {
 		rt = exec.Default()
@@ -62,6 +66,9 @@ func PermuteSymOn(rt *exec.Runtime, a *CSR, p Perm, threads int) *CSR {
 	n := a.N
 	if len(p) != n || a.M != n {
 		panic("sparse: PermuteSym requires square matrix and matching perm")
+	}
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
 	}
 	inv := p.Inverse()
 	ptr := make([]int, n+1)
@@ -73,25 +80,34 @@ func PermuteSymOn(rt *exec.Runtime, a *CSR, p Perm, threads int) *CSR {
 	}
 	col := make([]int, ptr[n])
 	val := make([]float64, ptr[n])
-	rt.For(n, threads, func(newI int) {
-		oldI := p[newI]
-		cols, vals := a.Row(oldI)
-		base := ptr[newI]
-		for k, j := range cols {
-			col[base+k] = inv[j]
-			val[base+k] = vals[k]
+	if threads <= 0 {
+		threads = rt.Parallelism()
+	}
+	k := min(threads, n)
+	rt.For(k, k, func(_, i int) {
+		for newI, hi := i*n/k, (i+1)*n/k; newI < hi; newI++ {
+			cols, vals := a.Row(p[newI])
+			base := ptr[newI]
+			for c, j := range cols {
+				col[base+c] = inv[j]
+				val[base+c] = vals[c]
+			}
+			sortRow(col[base:base+len(cols)], val[base:base+len(cols)])
 		}
-		sortRow(col[base:base+len(cols)], val[base:base+len(cols)])
 	})
 	return &CSR{N: n, M: n, RowPtr: ptr, ColIdx: col, Val: val}
 }
 
 // PermuteRows returns the matrix with rows reordered by p (columns
-// untouched): out row new = a row p[new].
+// untouched): out row new = a row p[new]. It panics, naming the first
+// bad entry, if p is not a permutation of [0, A.N).
 func PermuteRows(a *CSR, p Perm) *CSR {
 	n := a.N
 	if len(p) != n {
 		panic("sparse: PermuteRows perm length mismatch")
+	}
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
 	}
 	ptr := make([]int, n+1)
 	for newI := 0; newI < n; newI++ {

@@ -22,23 +22,24 @@ func ParallelOn(rt *exec.Runtime, a *sparse.CSR, x, y []float64, threads int) {
 	new(Product).Mul(rt, a, a.Val, x, y, threads)
 }
 
-// Product is a reusable y = A·x whose range body is bound once and
+// Product is a reusable y = A·x whose piece body is bound once and
 // reads the operands of the call in progress, so a warm dispatched
 // product allocates nothing. The zero value is ready to use. Not safe
 // for concurrent use.
 type Product struct {
 	a          *sparse.CSR
 	vals, x, y []float64
-	body       func(piece, lo, hi int)
+	pieces     int
+	body       func(lane, i int)
 }
 
 // Mul computes y = A·x against an explicit value slice indexed by a's
 // pattern: a.Val, or a pinned Versioned epoch's buffer. threads <= 1
 // runs the kernel inline over all rows without touching a runtime.
-// Otherwise the rows are cut into threads contiguous ranges on rt (nil
-// means the process-wide default), one kernel call per range. Row sums
-// are independent, so the result is bitwise identical at any thread
-// count.
+// Otherwise the rows are cut into threads contiguous pieces of one
+// For region on rt (nil means the process-wide default), one kernel
+// call per piece. Row sums are independent, so the result is bitwise
+// identical at any thread count.
 func (p *Product) Mul(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, threads int) {
 	if threads <= 1 {
 		kernels.SpMVRows(a.RowPtr, a.ColIdx, vals, x, y, 0, a.N)
@@ -48,12 +49,13 @@ func (p *Product) Mul(rt *exec.Runtime, a *sparse.CSR, vals, x, y []float64, thr
 		rt = exec.Default()
 	}
 	if p.body == nil {
-		//javelin:alloc-ok one-time: the range body is bound once per Product and reused
-		p.body = func(_, lo, hi int) {
-			kernels.SpMVRows(p.a.RowPtr, p.a.ColIdx, p.vals, p.x, p.y, lo, hi)
+		//javelin:alloc-ok one-time: the piece body is bound once per Product and reused
+		p.body = func(_, i int) {
+			n, k := p.a.N, p.pieces
+			kernels.SpMVRows(p.a.RowPtr, p.a.ColIdx, p.vals, p.x, p.y, i*n/k, (i+1)*n/k)
 		}
 	}
-	p.a, p.vals, p.x, p.y = a, vals, x, y
-	rt.Ranges(a.N, threads, p.body)
+	p.a, p.vals, p.x, p.y, p.pieces = a, vals, x, y, threads
+	rt.For(threads, threads, p.body)
 	p.a, p.vals, p.x, p.y = nil, nil, nil, nil
 }

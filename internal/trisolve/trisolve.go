@@ -133,15 +133,21 @@ func (s *CSRLS) SolveUpper(b, x []float64) {
 }
 
 // parallelLevel runs a level of at least 4 rows as one fork-join
-// region of up to threads lanes: the barrier per level Anderson &
-// Saad's level scheduling pays, however little work the level holds.
-// Smaller levels, and every level at one thread, run inline (rows
-// within a level are independent, so both round identically). The
-// fork-join rides the persistent process-wide runtime, so the
-// barrier cost measured is the join itself, not goroutine creation.
+// region of min(threads, n) contiguous row pieces: the barrier per
+// level Anderson & Saad's level scheduling pays, however little work
+// the level holds. Smaller levels, and every level at one thread, run
+// inline (rows within a level are independent, so both round
+// identically). The fork-join rides the persistent process-wide
+// runtime, so the barrier cost measured is the join itself, not
+// goroutine creation.
 func (s *CSRLS) parallelLevel(n int, body func(i int)) {
 	if s.threads > 1 && n >= 4 {
-		exec.Default().For(n, s.threads, body)
+		k := min(s.threads, n)
+		exec.Default().For(k, s.threads, func(_, p int) {
+			for i, hi := p*n/k, (p+1)*n/k; i < hi; i++ {
+				body(i)
+			}
+		})
 		return
 	}
 	for i := 0; i < n; i++ {
