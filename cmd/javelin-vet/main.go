@@ -1,9 +1,11 @@
 // Command javelin-vet runs the repo's custom static-analysis suite
-// (internal/analyzers): pinpair, kernelpurity, asmvet, hotalloc,
-// atomicvet, lockvet, ctxloop, and noallocgraph. It is dependency-free
-// — packages are loaded with `go list` and type-checked with stdlib
-// go/types against build-cache export data — so it runs anywhere the
-// go toolchain does, with go.mod kept at zero requires.
+// (internal/analyzers): pinpair, kernelpurity, asmvet, atomicvet,
+// lockvet, ctxloop, and noallocgraph. It is dependency-free — packages
+// are loaded with `go list` and type-checked with stdlib go/types
+// against build-cache export data — so it runs anywhere the go
+// toolchain does, with go.mod kept at zero requires. noallocgraph
+// builds each package it checks once more, with -gcflags=-m, for the
+// compiler's escape analysis.
 //
 // Usage:
 //

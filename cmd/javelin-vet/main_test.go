@@ -61,15 +61,15 @@ func TestJSONOutput(t *testing.T) {
 }
 
 // TestDeterministicOutput runs the full suite over several seeded
-// fixture packages at once — exercising per-package analyzers, the
-// module-wide noallocgraph, and the escape-analysis-backed checks —
-// and asserts the output is byte-identical across runs and sorted by
-// file then line (analyzer maps and package load order must not leak
-// into the report).
+// fixture packages at once — exercising per-package analyzers and the
+// module-wide, escape-analysis-backed noallocgraph — and asserts the
+// output is byte-identical across runs and sorted by file then line
+// (analyzer maps and package load order must not leak into the
+// report).
 func TestDeterministicOutput(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "analyzers", "testdata", "src")
 	args := []string{"-dir", dir, "-json",
-		"./pinpair", "./lockvet", "./atomicvet", "./hotalloc", "./noallocgraph"}
+		"./pinpair", "./lockvet", "./atomicvet", "./noallocgraph"}
 
 	outputs := make([]string, 2)
 	for i := range outputs {

@@ -370,10 +370,10 @@
 // blocking CI job. Each analyzer guards one contract:
 //
 //   - pinpair — epoch pinning (the live-refactorization contract):
-//     every AcquireContext/ReleaseContext, PinEpoch/UnpinEpoch, and
-//     VersionedMatrix/epoch.Cell Pin/Unpin must be paired on every
-//     return path, including error paths, by defer or explicit call. A
-//     leaked pin strands a retired generation's buffer forever.
+//     every AcquireContext/ReleaseContext and VersionedMatrix/epoch.Cell
+//     Pin/Unpin must be paired on every return path, including error
+//     paths, by defer or explicit call. A leaked pin strands a retired
+//     generation's buffer forever.
 //   - kernelpurity — the bitwise-identity contract, Go side: kernel
 //     bodies in internal/kernels must not use math.FMA, iterate maps,
 //     launch goroutines, or import time/math/rand.
@@ -384,14 +384,6 @@
 //     on amd64 every RET of an AVX-bodied TEXT block must be
 //     immediately preceded by VZEROUPPER (the AVX→SSE transition
 //     hazard is amd64-specific).
-//   - hotalloc — the allocation-free warm path: functions annotated
-//     //javelin:noalloc (Solver.Solve, Applier.Apply, the context
-//     Apply/ApplyBatch/solve paths, kernel bodies, krylov reductions)
-//     must contain no direct heap-allocation site, verified against
-//     the compiler's own escape analysis (go build -gcflags=-m).
-//     Deliberate allocations on cold branches (e.g. the closure handed
-//     to the parallel dispatcher) carry a //javelin:alloc-ok waiver
-//     with a reason.
 //   - atomicvet — one synchronization discipline per field: a field
 //     accessed through the sync/atomic API anywhere must never be
 //     read or written plainly elsewhere; a field of an atomic.* type
@@ -416,21 +408,27 @@
 //     (Options.matVec, a Preconditioner Apply, anything in spmv) on
 //     every path through an iteration. Vector primitives are exempt —
 //     their cost is a vector, not a matrix.
-//   - noallocgraph — hotalloc, transitively: from every
-//     //javelin:noalloc root, each statically reachable same-module
-//     callee, in any package (a call a go statement spawns excepted),
-//     must itself be //javelin:noalloc, carry an
-//     //javelin:alloc-ok waiver (on the callee's doc or at the call
-//     site), or be proven allocation-free by the same escape-analysis
-//     evidence — recursively, so an innocent-looking helper that
-//     allocates cannot hide two calls down from a noalloc entry point.
+//   - noallocgraph — the allocation-free warm path: a function
+//     annotated //javelin:noalloc (Solver.Solve, Applier.Apply, the
+//     context Apply/ApplyBatch/solve paths, kernel bodies, krylov
+//     reductions) must contain no direct heap-allocation site, and
+//     each same-module callee it statically reaches, in any package
+//     (a call a go statement spawns excepted), must itself be
+//     //javelin:noalloc, carry an //javelin:alloc-ok waiver (on the
+//     callee's doc or at the call site), or be proven allocation-free
+//     by the same evidence — recursively, so an innocent-looking
+//     helper that allocates cannot hide two calls down from a noalloc
+//     entry point. The evidence is the compiler's own escape analysis:
+//     one go build -gcflags=-m per package. Deliberate allocations on
+//     cold branches (e.g. the closure handed to the parallel
+//     dispatcher) carry a //javelin:alloc-ok waiver with a reason.
 //
 // Three //javelin:* directives carry the machine-checked contracts:
 //
 //	//javelin:noalloc             on a function's doc comment: the body
 //	                              is allocation-free on the warm path.
-//	                              hotalloc checks the body, noallocgraph
-//	                              the static call graph beneath it.
+//	                              noallocgraph checks the body and the
+//	                              static call graph beneath it.
 //	//javelin:alloc-ok <reason>   waives one deliberate allocation, with
 //	                              a reason. On the line of (or above) an
 //	                              allocation or call site it accepts

@@ -2,8 +2,8 @@
 // analyzers: machine checks for the contracts the codebase otherwise
 // enforces only by prose and tests.
 //
-//   - pinpair: every AcquireContext/ReleaseContext and every
-//     PinEpoch/UnpinEpoch must be paired on every return path (the
+//   - pinpair: every AcquireContext/ReleaseContext and every epoch
+//     Pin/Unpin must be paired on every return path (the
 //     epoch-pinning contract of internal/core — a leaked pin strands a
 //     retired factor buffer forever).
 //   - kernelpurity: the numeric kernel bodies in internal/kernels must
@@ -14,9 +14,6 @@
 //     tables — no FMA opcode anywhere (the no-FMA bitwise-identity
 //     rule enforced at the opcode level), and on amd64 VZEROUPPER
 //     before every RET of an AVX-bodied TEXT block.
-//   - hotalloc: functions annotated //javelin:noalloc must not contain
-//     direct heap-allocation sites, verified against the compiler's
-//     own escape analysis (go build -gcflags=-m).
 //   - atomicvet: no mixed atomic/plain access to a field; atomic-typed
 //     fields used only through their API; //javelin:plain-under-mu
 //     claims verified flow-sensitively against the held-lock state.
@@ -26,9 +23,12 @@
 //   - ctxloop: every for loop in the krylov solvers reaches a Ctx
 //     check before its first kernel-scale call, keeping the
 //     cancel-within-one-iteration promise.
-//   - noallocgraph (module-wide): every same-module callee statically
-//     reachable from a //javelin:noalloc root is itself noalloc,
-//     waived with //javelin:alloc-ok, or proven clean by escape data.
+//   - noallocgraph (module-wide): a function annotated
+//     //javelin:noalloc has no direct heap-allocation site in its own
+//     body, and every same-module callee it statically reaches is
+//     itself noalloc, waived with //javelin:alloc-ok, or proven clean —
+//     all verified against the compiler's own escape analysis
+//     (go build -gcflags=-m, once per package).
 //
 // The suite is dependency-free by design: packages are loaded with
 // `go list`, parsed with go/parser, and type-checked with go/types
@@ -76,7 +76,6 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	PkgPath string // import path
-	Dir     string // package directory
 
 	findings *[]Finding
 }
@@ -88,7 +87,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAt records a finding at an explicit file position (used by the
-// non-Go checkers: assembly files, escape-analysis output).
+// assembly checker).
 func (p *Pass) ReportAt(file string, line, col int, format string, args ...any) {
 	*p.findings = append(*p.findings, Finding{
 		Analyzer: p.Name,
@@ -139,7 +138,7 @@ type Analyzer struct {
 
 // All returns the full suite in fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{PinPair, KernelPurity, AsmVet, HotAlloc, AtomicVet, LockVet, CtxLoop, NoAllocGraph}
+	return []*Analyzer{PinPair, KernelPurity, AsmVet, AtomicVet, LockVet, CtxLoop, NoAllocGraph}
 }
 
 // ModulePass carries the whole loaded package set through one module
@@ -201,7 +200,6 @@ func RunAnalyzer(a *Analyzer, pkg *Package, out *[]Finding) error {
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
 		PkgPath:  pkg.PkgPath,
-		Dir:      pkg.Dir,
 		findings: out,
 	}
 	if err := a.Run(pass); err != nil {

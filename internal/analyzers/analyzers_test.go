@@ -153,6 +153,41 @@ func TestNoAllocGraphFixture(t *testing.T) {
 	checkFindings(t, findings, filepath.Join(dir, "noallocgraph.go"))
 }
 
+// TestNoAllocGraphFailsOnUnbuildablePackage: without a package's
+// escape data there is no verdict on its functions, so a callee whose
+// package does not build with -gcflags=-m fails the run instead of
+// passing as clean.
+func TestNoAllocGraphFailsOnUnbuildablePackage(t *testing.T) {
+	pkgs, err := Load(filepath.Join("testdata", "src", "noallocgraph"), []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":    "module broken\n\ngo 1.22\n",
+		"broken.go": "package broken\n\nfunc Grow() { undefined() }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(broken, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := false
+	for _, pkg := range pkgs {
+		if strings.HasSuffix(pkg.PkgPath, "/noallocgraph/helper") {
+			pkg.Dir = broken // badCross's callee Grow lives here
+			moved = true
+		}
+	}
+	if !moved {
+		t.Fatal("fixture helper package not loaded")
+	}
+	var findings []Finding
+	err = RunModuleAnalyzer(NoAllocGraph, pkgs, &findings)
+	if err == nil || !strings.Contains(err.Error(), "go build -gcflags=-m in "+broken) {
+		t.Fatalf("noallocgraph over an unbuildable callee package: err = %v, want its build failure", err)
+	}
+}
+
 func TestKernelPurityFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "kernelpurity")
 	findings := runFixture(t, KernelPurity, dir)
@@ -166,12 +201,6 @@ func TestKernelPuritySkipsOtherPackages(t *testing.T) {
 	if findings := runFixture(t, KernelPurity, dir); len(findings) != 0 {
 		t.Fatalf("kernelpurity ran outside internal/kernels: %v", findings)
 	}
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "hotalloc")
-	findings := runFixture(t, HotAlloc, dir)
-	checkFindings(t, findings, filepath.Join(dir, "hotalloc.go"))
 }
 
 func TestAsmVetFixtures(t *testing.T) {

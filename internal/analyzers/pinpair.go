@@ -11,7 +11,6 @@ import (
 // return path:
 //
 //	c := e.AcquireContext()   must be released by e.ReleaseContext(c)
-//	c.PinEpoch()              must be balanced by c.UnpinEpoch()
 //	ep := c.Pin()             must be released by c.Unpin(ep)
 //	                          (epoch.Cell and VersionedMatrix receivers)
 //
@@ -35,31 +34,27 @@ import (
 // independent bodies.
 var PinPair = &Analyzer{
 	Name: "pinpair",
-	Doc:  "AcquireContext/ReleaseContext and PinEpoch/UnpinEpoch paired on every return path",
+	Doc:  "AcquireContext/ReleaseContext and epoch Pin/Unpin paired on every return path",
 	Run:  runPinPair,
 }
 
-// pairSpec describes one open/close resource pair. handle pairs
-// return a handle from the open call (tracked through the assigned
-// variable, closed by passing it back as an argument); bracket pairs
-// are keyed by the receiver expression and support nesting.
+// pairSpec describes one open/close resource pair: the open call
+// returns a handle, tracked through the assigned variable and closed
+// by passing it back as an argument.
 type pairSpec struct {
 	close     string
 	recvTypes map[string]bool // named receiver types the pair is defined on
-	handle    bool
-	verb      string // past participle for diagnostics ("released", "unpinned")
+	verb      string          // past participle for diagnostics ("released", "unpinned")
 }
 
 // pinPairs maps open-call method names to their pair spec.
 var pinPairs = map[string]pairSpec{
-	"AcquireContext": {close: "ReleaseContext", recvTypes: recvSet("Engine"), handle: true, verb: "released"},
-	"PinEpoch":       {close: "UnpinEpoch", recvTypes: recvSet("SolveContext"), verb: "unpinned"},
-	"Pin":            {close: "Unpin", recvTypes: recvSet("Cell", "VersionedMatrix"), handle: true, verb: "unpinned"},
+	"AcquireContext": {close: "ReleaseContext", recvTypes: recvSet("Engine"), verb: "released"},
+	"Pin":            {close: "Unpin", recvTypes: recvSet("Cell", "VersionedMatrix"), verb: "unpinned"},
 }
 
 var pinCloses = map[string]string{
 	"ReleaseContext": "AcquireContext",
-	"UnpinEpoch":     "PinEpoch",
 	"Unpin":          "Pin",
 }
 
@@ -106,18 +101,16 @@ func runPinPair(pass *Pass) error {
 
 // pinHandle is one open resource being tracked through the flow walk.
 type pinHandle struct {
-	key      any // *types.Var for contexts, string for pin receivers
 	open     string
 	pos      token.Pos
-	count    int  // nesting (PinEpoch brackets)
 	deferred bool // a defer closes it on every path from here on
 }
 
 type pinState struct {
-	handles map[any]*pinHandle
+	handles map[*types.Var]*pinHandle // keyed by the handle variable
 }
 
-func newPinState() *pinState { return &pinState{handles: map[any]*pinHandle{}} }
+func newPinState() *pinState { return &pinState{handles: map[*types.Var]*pinHandle{}} }
 
 func (s *pinState) cloneState() *pinState {
 	c := newPinState()
@@ -143,9 +136,6 @@ func mergePinStates(a, b *pinState) *pinState {
 		hc := *h
 		if o, ok := b.handles[k]; ok {
 			hc.deferred = hc.deferred && o.deferred
-			if o.count > hc.count {
-				hc.count = o.count
-			}
 		}
 		m.handles[k] = &hc
 	}
@@ -207,13 +197,9 @@ func (w *pinWalker) stmt(s ast.Stmt, stAny any) any {
 		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
 			return nil // panicking path: defers run, not checked here
 		}
-		if name, _ := w.pairCall(call); name != "" {
-			if spec, isOpen := pinPairs[name]; isOpen {
-				if spec.handle {
-					w.pass.Report(call.Pos(), "result of %s discarded: the acquired handle (and its pinned epoch) leaks", name)
-				} else {
-					w.openPin(name, call, st)
-				}
+		if name := w.pairCall(call); name != "" {
+			if _, isOpen := pinPairs[name]; isOpen {
+				w.pass.Report(call.Pos(), "result of %s discarded: the acquired handle (and its pinned epoch) leaks", name)
 				return st
 			}
 			w.close(call, st, false)
@@ -250,9 +236,8 @@ func (w *pinWalker) maybeOpen(id *ast.Ident, rhs ast.Expr, st *pinState) {
 	if !ok {
 		return
 	}
-	name, _ := w.pairCall(call)
-	spec, isOpen := pinPairs[name]
-	if !isOpen || !spec.handle {
+	name := w.pairCall(call)
+	if _, isOpen := pinPairs[name]; !isOpen {
 		return
 	}
 	if id.Name == "_" {
@@ -267,34 +252,15 @@ func (w *pinWalker) maybeOpen(id *ast.Ident, rhs ast.Expr, st *pinState) {
 	if !ok {
 		return
 	}
-	st.handles[v] = &pinHandle{key: v, open: name, pos: call.Pos(), count: 1}
+	st.handles[v] = &pinHandle{open: name, pos: call.Pos()}
 }
 
-// openPin tracks a bracket-style pin keyed by the receiver expression.
-func (w *pinWalker) openPin(name string, call *ast.CallExpr, st *pinState) {
-	key := w.recvKey(call)
-	if key == nil {
-		return
-	}
-	if h, ok := st.handles[key]; ok {
-		h.count++
-		return
-	}
-	st.handles[key] = &pinHandle{key: key, open: name, pos: call.Pos(), count: 1}
-}
-
-// closeKey resolves the handle key a close call targets: the argument
-// variable for handle-style closes (ReleaseContext(c), Unpin(ep)), the
-// receiver for bracket-style closes (c.UnpinEpoch()). nil when the
-// call does not resolve to a trackable handle.
-func (w *pinWalker) closeKey(call *ast.CallExpr) any {
-	name, _ := w.pairCall(call)
-	open, isClose := pinCloses[name]
-	if !isClose {
+// closeKey resolves the handle variable a close call targets
+// (ReleaseContext(c), Unpin(ep)); nil when the call is not a close or
+// does not resolve to a trackable handle.
+func (w *pinWalker) closeKey(call *ast.CallExpr) *types.Var {
+	if _, isClose := pinCloses[w.pairCall(call)]; !isClose {
 		return nil
-	}
-	if !pinPairs[open].handle {
-		return w.recvKey(call)
 	}
 	if len(call.Args) != 1 {
 		return nil
@@ -310,15 +276,10 @@ func (w *pinWalker) closeKey(call *ast.CallExpr) any {
 	return v
 }
 
-// close handles ReleaseContext(c) / c.UnpinEpoch() / vm.Unpin(ep);
-// closing an untracked handle (e.g. a context received as a
-// parameter) is fine.
+// close handles ReleaseContext(c) / vm.Unpin(ep); closing an
+// untracked handle (e.g. a context received as a parameter) is fine.
 func (w *pinWalker) close(call *ast.CallExpr, st *pinState, isDefer bool) {
-	name, _ := w.pairCall(call)
 	key := w.closeKey(call)
-	if key == nil {
-		return
-	}
 	h, ok := st.handles[key]
 	if !ok {
 		return
@@ -327,22 +288,13 @@ func (w *pinWalker) close(call *ast.CallExpr, st *pinState, isDefer bool) {
 		h.deferred = true
 		return
 	}
-	if pinPairs[pinCloses[name]].handle {
-		delete(st.handles, key)
-		return
-	}
-	h.count--
-	if h.count <= 0 {
-		delete(st.handles, key)
-	}
+	delete(st.handles, key)
 }
 
 func (w *pinWalker) deferStmt(s *ast.DeferStmt, st *pinState) {
-	if name, _ := w.pairCall(s.Call); name != "" {
-		if _, isClose := pinCloses[name]; isClose {
-			w.close(s.Call, st, true)
-			return
-		}
+	if _, isClose := pinCloses[w.pairCall(s.Call)]; isClose {
+		w.close(s.Call, st, true)
+		return
 	}
 	// defer func() { ... e.ReleaseContext(c) ... }(): a close inside
 	// the literal covers a handle only when it executes on every path
@@ -357,34 +309,34 @@ func (w *pinWalker) deferStmt(s *ast.DeferStmt, st *pinState) {
 	}
 }
 
-// allPathsCloses returns the handle keys whose close calls execute on
+// allPathsCloses returns the handles whose close calls execute on
 // every exit path of body (the body of a defer'd function literal).
-func (w *pinWalker) allPathsCloses(body *ast.BlockStmt) map[any]bool {
+func (w *pinWalker) allPathsCloses(body *ast.BlockStmt) map[*types.Var]bool {
 	c := &closeCollector{w: w}
-	walkBody(c, body, map[any]bool{})
+	walkBody(c, body, map[*types.Var]bool{})
 	if c.exits == nil {
-		return map[any]bool{}
+		return map[*types.Var]bool{}
 	}
 	return c.exits
 }
 
-// closeCollector is a flowAnalysis whose state is the set of handle
-// keys closed so far on the current path; exits accumulates the
+// closeCollector is a flowAnalysis whose state is the set of handles
+// closed so far on the current path; exits accumulates the
 // intersection over every exit path.
 type closeCollector struct {
 	w     *pinWalker
-	exits map[any]bool // nil until the first exit is seen
+	exits map[*types.Var]bool // nil until the first exit is seen
 }
 
-func asCloseSet(st any) map[any]bool {
+func asCloseSet(st any) map[*types.Var]bool {
 	if st == nil {
 		return nil
 	}
-	return st.(map[any]bool)
+	return st.(map[*types.Var]bool)
 }
 
 func (c *closeCollector) clone(st any) any {
-	m := map[any]bool{}
+	m := map[*types.Var]bool{}
 	for k := range asCloseSet(st) {
 		m[k] = true
 	}
@@ -402,7 +354,7 @@ func (c *closeCollector) merge(a, b any) any {
 	if sb == nil {
 		return sa
 	}
-	m := map[any]bool{}
+	m := map[*types.Var]bool{}
 	for k := range sa {
 		if sb[k] {
 			m[k] = true
@@ -422,12 +374,8 @@ func (c *closeCollector) stmt(s ast.Stmt, st any) any {
 	if !ok {
 		return st
 	}
-	if name, _ := c.w.pairCall(call); name != "" {
-		if _, isClose := pinCloses[name]; isClose {
-			if key := c.w.closeKey(call); key != nil {
-				asCloseSet(st)[key] = true
-			}
-		}
+	if key := c.w.closeKey(call); key != nil {
+		asCloseSet(st)[key] = true
 	}
 	return st
 }
@@ -435,7 +383,7 @@ func (c *closeCollector) stmt(s ast.Stmt, st any) any {
 func (c *closeCollector) ret(st any, pos token.Pos) {
 	set := asCloseSet(st)
 	if c.exits == nil {
-		c.exits = map[any]bool{}
+		c.exits = map[*types.Var]bool{}
 		for k := range set {
 			c.exits[k] = true
 		}
@@ -461,14 +409,14 @@ func (w *pinWalker) checkReturn(st *pinState, pos token.Pos) {
 }
 
 // pairCall classifies a call as one of the tracked pair methods,
-// verifying the receiver's named type when type information resolves
-// (Engine for Acquire/Release, SolveContext for PinEpoch/UnpinEpoch,
-// Versioned/VersionedMatrix for Pin/Unpin). A same-named method on an
-// unrelated type is not tracked.
-func (w *pinWalker) pairCall(call *ast.CallExpr) (name string, recv ast.Expr) {
+// returning its name ("" for any other call), verifying the
+// receiver's named type when type information resolves (Engine for
+// Acquire/Release, Cell/VersionedMatrix for Pin/Unpin). A same-named
+// method on an unrelated type is not tracked.
+func (w *pinWalker) pairCall(call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", nil
+		return ""
 	}
 	n := sel.Sel.Name
 	var wantRecv map[string]bool
@@ -477,30 +425,16 @@ func (w *pinWalker) pairCall(call *ast.CallExpr) (name string, recv ast.Expr) {
 	} else if open, ok := pinCloses[n]; ok {
 		wantRecv = pinPairs[open].recvTypes
 	} else {
-		return "", nil
+		return ""
 	}
 	s, ok := w.pass.Info.Selections[sel]
 	if !ok {
-		return "", nil // package-qualified call or unresolved: not a method
+		return "" // package-qualified call or unresolved: not a method
 	}
 	if !wantRecv[namedTypeName(s.Recv())] {
-		return "", nil
+		return ""
 	}
-	return n, sel.X
-}
-
-// recvKey returns a stable handle key for a pin receiver: the variable
-// object for plain identifiers, the printed expression for selectors
-// like a.ctx.
-func (w *pinWalker) recvKey(call *ast.CallExpr) any {
-	sel := call.Fun.(*ast.SelectorExpr)
-	if id, ok := sel.X.(*ast.Ident); ok {
-		if v, ok := w.pass.Info.Uses[id].(*types.Var); ok {
-			return v
-		}
-		return nil
-	}
-	return types.ExprString(sel.X)
+	return n
 }
 
 func namedTypeName(t types.Type) string {

@@ -1,32 +1,22 @@
-// Package pinpair is a fixture for the pinpair analyzer. Stub Engine
-// and SolveContext types mirror internal/core's epoch-pinning API, and
+// Package pinpair is a fixture for the pinpair analyzer. Stub Engine,
+// SolveContext and epoch types mirror the epoch-pinning API, and
 // each function exercises one violating or compliant pairing pattern;
 // `// want` comments mark the lines where findings must land.
 package pinpair
 
 import "errors"
 
-// SolveContext mirrors internal/core.SolveContext's pinning surface.
-type SolveContext struct{ pins int }
-
-// PinEpoch mirrors the real pin bracket open.
-func (c *SolveContext) PinEpoch() { c.pins++ }
-
-// UnpinEpoch mirrors the real pin bracket close.
-func (c *SolveContext) UnpinEpoch() { c.pins-- }
+// SolveContext mirrors internal/core.SolveContext's pinning state.
+type SolveContext struct{ acquired bool }
 
 // Engine mirrors internal/core.Engine's context pool surface.
 type Engine struct{}
 
 // AcquireContext mirrors the real acquire (pins on acquire).
-func (e *Engine) AcquireContext() *SolveContext {
-	c := &SolveContext{}
-	c.PinEpoch()
-	return c
-}
+func (e *Engine) AcquireContext() *SolveContext { return &SolveContext{acquired: true} }
 
 // ReleaseContext mirrors the real release (unpins on release).
-func (e *Engine) ReleaseContext(c *SolveContext) { c.UnpinEpoch() }
+func (e *Engine) ReleaseContext(c *SolveContext) { c.acquired = false }
 
 // ValEpoch mirrors internal/epoch.Epoch (one pinned value
 // generation).
@@ -85,13 +75,13 @@ func assignedToBlank(e *Engine) {
 	_ = e.AcquireContext() // want `result of AcquireContext assigned to _`
 }
 
-// pinLeakOnBranch unpins on the fall-through path only.
-func pinLeakOnBranch(c *SolveContext, n int) {
-	c.PinEpoch()
+// cellPinLeakOnBranch unpins on the fall-through path only.
+func cellPinLeakOnBranch(c *Cell[[]float64], n int) {
+	ep := c.Pin()
 	if n > 0 {
-		return // want `PinEpoch at .*pinpair\.go:\d+ is not unpinned on this return path`
+		return // want `Pin at .*pinpair\.go:\d+ is not unpinned on this return path`
 	}
-	c.UnpinEpoch()
+	c.Unpin(ep)
 }
 
 // leakAtEnd never releases at all: flagged at the implicit return when
@@ -100,13 +90,6 @@ func leakAtEnd(e *Engine) {
 	c := e.AcquireContext()
 	work(c)
 } // want `AcquireContext at .*pinpair\.go:\d+ is not released on this return path`
-
-// unbalancedNest opens two pin brackets and closes one.
-func unbalancedNest(c *SolveContext) {
-	c.PinEpoch()
-	c.PinEpoch()
-	c.UnpinEpoch()
-} // want `PinEpoch at .*pinpair\.go:\d+ is not unpinned on this return path`
 
 // matrixPinLeakOnError unpins the matrix epoch on the happy path only:
 // the early error return keeps the pinned value generation alive
@@ -169,18 +152,10 @@ func explicitBothPaths(e *Engine, fail bool) error {
 	return nil
 }
 
-// balancedNest opens and closes matching pin brackets.
-func balancedNest(c *SolveContext) {
-	c.PinEpoch()
-	c.PinEpoch()
-	c.UnpinEpoch()
-	c.UnpinEpoch()
-}
-
-// deferUnpin covers a pin bracket with a defer.
-func deferUnpin(c *SolveContext, fail bool) error {
-	c.PinEpoch()
-	defer c.UnpinEpoch()
+// cellPinDefer covers a Cell pin with a defer.
+func cellPinDefer(c *Cell[[]float64], fail bool) error {
+	ep := c.Pin()
+	defer c.Unpin(ep)
 	if fail {
 		return errFixture
 	}
@@ -201,12 +176,12 @@ func releaseParam(e *Engine, c *SolveContext) {
 	e.ReleaseContext(c)
 }
 
-// loopBalanced pins and unpins inside a loop body.
-func loopBalanced(c *SolveContext, n int) {
+// loopBalanced acquires and releases inside a loop body.
+func loopBalanced(e *Engine, n int) {
 	for i := 0; i < n; i++ {
-		c.PinEpoch()
+		c := e.AcquireContext()
 		work(c)
-		c.UnpinEpoch()
+		e.ReleaseContext(c)
 	}
 }
 

@@ -1,32 +1,21 @@
 // Package pinpair_edge is a fixture for the pinpair analyzer's
 // control-flow edge cases: select statements, labeled break/continue
 // out of nested loops, and early returns inside defer'd closures.
-// Stub Engine and SolveContext types mirror internal/core's
-// epoch-pinning API; `// want` comments mark the lines where findings
-// must land.
+// Stub Engine and SolveContext types mirror internal/core's context
+// pool; `// want` comments mark the lines where findings must land.
 package pinpair_edge
 
-// SolveContext mirrors internal/core.SolveContext's pinning surface.
-type SolveContext struct{ pins int }
-
-// PinEpoch mirrors the real pin bracket open.
-func (c *SolveContext) PinEpoch() { c.pins++ }
-
-// UnpinEpoch mirrors the real pin bracket close.
-func (c *SolveContext) UnpinEpoch() { c.pins-- }
+// SolveContext mirrors internal/core.SolveContext's pinning state.
+type SolveContext struct{ acquired bool }
 
 // Engine mirrors internal/core.Engine's context pool surface.
 type Engine struct{}
 
 // AcquireContext mirrors the real acquire (pins on acquire).
-func (e *Engine) AcquireContext() *SolveContext {
-	c := &SolveContext{}
-	c.PinEpoch()
-	return c
-}
+func (e *Engine) AcquireContext() *SolveContext { return &SolveContext{acquired: true} }
 
 // ReleaseContext mirrors the real release (unpins on release).
-func (e *Engine) ReleaseContext(c *SolveContext) { c.UnpinEpoch() }
+func (e *Engine) ReleaseContext(c *SolveContext) { c.acquired = false }
 
 func work(c *SolveContext) {}
 
@@ -70,14 +59,15 @@ func deferEarlyReturnLeak(e *Engine, fail bool) {
 	}()
 } // want `AcquireContext at .*pinpair_edge\.go:\d+ is not released on this return path`
 
-// selectPinLeak opens a pin bracket and unpins in one clause only.
-func selectPinLeak(c *SolveContext, ch <-chan int) {
-	c.PinEpoch()
+// selectCaseLeak releases in the default clause only: the receive
+// clause returns with the context still held.
+func selectCaseLeak(e *Engine, ch <-chan int) {
+	c := e.AcquireContext()
 	select {
 	case <-ch:
-		return // want `PinEpoch at .*pinpair_edge\.go:\d+ is not unpinned on this return path`
+		return // want `AcquireContext at .*pinpair_edge\.go:\d+ is not released on this return path`
 	default:
-		c.UnpinEpoch()
+		e.ReleaseContext(c)
 	}
 }
 

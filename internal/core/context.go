@@ -25,20 +25,19 @@ import "javelin/internal/epoch"
 // classic SolveLower-then-SolveUpper pair — can straddle a publish
 // and combine L from one generation with U from another. Apply and
 // ApplyBatch are immune (one call, one pin); callers issuing the
-// pair themselves while Refactorize may run concurrently should
-// bracket it with PinEpoch/UnpinEpoch or use an acquired context.
+// pair themselves while Refactorize may run concurrently should use
+// an acquired context.
 type SolveContext struct {
 	e *Engine
 
-	// ep/vals is the pinned value epoch all kernels read. pins counts
-	// held window-pins — one from AcquireContext (released by
-	// ReleaseContext) plus any nested PinEpoch brackets; while it is
-	// zero, enter/exit pin around each top-level solve instead, with
-	// depth tracking re-entrancy (Apply calls SolveLower/SolveUpper).
-	ep    *epoch.Epoch[[]float64]
-	vals  []float64
-	pins  int
-	depth int
+	// ep/vals is the pinned value epoch all kernels read. An acquired
+	// context holds its pin from AcquireContext to ReleaseContext;
+	// otherwise enter/exit pin around each top-level solve, with depth
+	// tracking re-entrancy (Apply calls SolveLower/SolveUpper).
+	ep       *epoch.Epoch[[]float64]
+	vals     []float64
+	acquired bool
+	depth    int
 
 	tmp1 []float64 // Apply permutation scratch (solves run in place on it)
 	blk  []float64 // packed n×k batch scratch (lazily grown)
@@ -70,7 +69,7 @@ func (c *SolveContext) enter() {
 // solve completes.
 func (c *SolveContext) exit() {
 	c.depth--
-	if c.depth == 0 && c.pins == 0 {
+	if c.depth == 0 && !c.acquired {
 		c.e.vals.Unpin(c.ep)
 		c.ep, c.vals = nil, nil
 	}
@@ -103,7 +102,7 @@ func (e *Engine) AcquireContext() *SolveContext {
 	}
 	c.ep = e.vals.Pin()
 	c.vals = c.ep.Vals()
-	c.pins = 1
+	c.acquired = true
 	return c
 }
 
@@ -126,7 +125,7 @@ func (e *Engine) ReleaseContext(c *SolveContext) {
 		c.e.vals.Unpin(c.ep)
 		c.ep, c.vals = nil, nil
 	}
-	c.pins = 0
+	c.acquired = false
 	c.depth = 0
 	if c.e != e {
 		return // foreign context: released, but never pooled here
@@ -150,35 +149,6 @@ func (c *SolveContext) FactorEpoch() uint64 {
 		return 0
 	}
 	return c.ep.Seq()
-}
-
-// PinEpoch pins the current factor-value epoch so that a sequence of
-// standalone solves (e.g. a SolveLower followed by a SolveUpper)
-// observes one consistent factor generation even if Refactorize
-// publishes between the calls. Pins count and nest: each PinEpoch is
-// balanced by one UnpinEpoch, and a bracket on an acquired context
-// (already pinned for its whole acquire→release window) nests inside
-// the acquire pin without disturbing it.
-func (c *SolveContext) PinEpoch() {
-	if c.ep == nil {
-		c.ep = c.e.vals.Pin()
-		c.vals = c.ep.Vals()
-	}
-	c.pins++
-}
-
-// UnpinEpoch releases one PinEpoch pin; once no window-pins remain,
-// subsequent solves return to pinning per call (each observing the
-// values current at its entry).
-func (c *SolveContext) UnpinEpoch() {
-	if c.pins == 0 {
-		return
-	}
-	c.pins--
-	if c.pins == 0 && c.depth == 0 && c.ep != nil {
-		c.e.vals.Unpin(c.ep)
-		c.ep, c.vals = nil, nil
-	}
 }
 
 // Apply applies the preconditioner in USER ordering: z ≈ A⁻¹ r via

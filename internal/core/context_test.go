@@ -125,7 +125,7 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 		B := make([][]float64, k)
 		wantL := make([][]float64, k)
 		wantU := make([][]float64, k)
-		ctx := e.NewContext()
+		ctx := e.AcquireContext() // one epoch for the single and block solves
 		for j := 0; j < k; j++ {
 			B[j] = make([]float64, n)
 			for i := range B[j] {
@@ -146,10 +146,9 @@ func TestSolveBatchMatchesSingleSolves(t *testing.T) {
 			return xb
 		}
 		gotL, gotU := pack(), pack()
-		ctx.PinEpoch()
 		ctx.solveLowerBlock(gotL, k)
 		ctx.solveUpperBlock(gotU, k)
-		ctx.UnpinEpoch()
+		e.ReleaseContext(ctx)
 		for j := 0; j < k; j++ {
 			for i := 0; i < n; i++ {
 				// PanelUpdate subtracts a row's entries one by one in

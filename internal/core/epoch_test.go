@@ -191,10 +191,9 @@ func TestRefactorizeDoesNotBlockOnPinnedEpoch(t *testing.T) {
 	}
 }
 
-// TestPinEpochBracketsSolvePair: PinEpoch must hold one factor
-// generation across a standalone SolveLower/SolveUpper pair even when
-// Refactorize publishes between the two calls, and UnpinEpoch must
-// return the context to pin-per-call.
+// TestPinEpochBracketsSolvePair: an acquired context must hold one
+// factor generation across a standalone SolveLower/SolveUpper pair
+// even when Refactorize publishes between the two calls.
 func TestPinEpochBracketsSolvePair(t *testing.T) {
 	e := testEngine(t, LowerAuto, 2)
 	n := e.N()
@@ -210,38 +209,17 @@ func TestPinEpochBracketsSolvePair(t *testing.T) {
 	cref.SolveLower(b, want)
 	cref.SolveUpper(want, want)
 
-	c := e.NewContext()
+	c := e.AcquireContext()
 	x := make([]float64, n)
-	c.PinEpoch()
 	c.SolveLower(b, x)
 	if err := e.Refactorize(scaleCSR(a, 2)); err != nil {
 		t.Fatalf("Refactorize: %v", err)
 	}
-	c.SolveUpper(x, x) // must still use the pinned generation
+	c.SolveUpper(x, x) // must still use the acquired generation
+	e.ReleaseContext(c)
 	if !sameVec(x, want) {
-		t.Fatal("pinned L/U pair mixed factor generations across a publish")
+		t.Fatal("acquired L/U pair mixed factor generations across a publish")
 	}
-	c.UnpinEpoch()
-
-	// Unpinned again: the next call sees the new epoch.
-	y := make([]float64, n)
-	c.SolveLower(b, y)
-	yref := make([]float64, n)
-	e.NewContext().SolveLower(b, yref)
-	if !sameVec(y, yref) {
-		t.Fatal("post-unpin solve does not match the current epoch")
-	}
-
-	// A Pin/Unpin bracket on an ACQUIRED context must nest inside the
-	// acquire pin without cancelling it.
-	ac := e.AcquireContext()
-	acEp := ac.ep
-	ac.PinEpoch()
-	ac.UnpinEpoch()
-	if ac.ep != acEp || ac.pins != 1 {
-		t.Fatal("Pin/Unpin bracket disturbed the acquire-window pin")
-	}
-	e.ReleaseContext(ac)
 }
 
 // TestForeignReleaseEpochUnpinned: releasing a context through the

@@ -22,10 +22,11 @@ import (
 // thread count and both routes give the bits of plain serial
 // substitution on the engine's factor.
 //
-// On an unpinned context each call pins the current epoch for its
-// own duration only; when pairing SolveLower with SolveUpper under
-// concurrent Refactorize, bracket the pair with PinEpoch/UnpinEpoch
-// so both halves use one factor generation.
+// On a context from NewContext each call pins the current epoch for
+// its own duration only; when pairing SolveLower with SolveUpper under
+// concurrent Refactorize, run the pair on one acquired context
+// (AcquireContext … ReleaseContext) so both halves use one factor
+// generation.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveLower(b, x []float64) {
@@ -54,8 +55,8 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 // lower(A+Aᵀ) leveling every U entry of an upper-stage row points to
 // a later level or to a lower row, and TriUpper is row-local, so
 // every thread count and both routes give the bits of plain serial
-// substitution. See SolveLower's note on PinEpoch when pairing the
-// two under concurrent Refactorize.
+// substitution. See SolveLower's note on epoch pinning when pairing
+// the two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {

@@ -131,7 +131,7 @@ func (a *CSR) PatternSymmetric() bool {
 	if a.N != a.M {
 		return false
 	}
-	at := a.TransposePattern()
+	at := a.Transpose()
 	for i := 0; i <= a.N; i++ {
 		if a.RowPtr[i] != at.RowPtr[i] {
 			return false

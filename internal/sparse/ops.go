@@ -1,13 +1,7 @@
 package sparse
 
-// TransposePattern returns the pattern (and values) of aᵀ as a new
-// CSR. Columns in each output row come out ascending automatically
-// because the counting pass visits rows of a in order.
-func (a *CSR) TransposePattern() *CSR {
-	return a.Transpose()
-}
-
-// Transpose returns aᵀ as a new CSR.
+// Transpose returns aᵀ as a new CSR. Columns in each output row come
+// out ascending because the counting pass visits rows of a in order.
 func (a *CSR) Transpose() *CSR {
 	n, m := a.N, a.M
 	nnz := a.Nnz()
@@ -110,66 +104,6 @@ func Add(a, b *CSR) *CSR {
 		}
 	}
 	return &CSR{N: n, M: a.M, RowPtr: ptr, ColIdx: col, Val: val}
-}
-
-// LowerPattern returns the strictly-lower-triangular part of a
-// (entries with j < i), keeping values. This is the paper's lower(A).
-func (a *CSR) LowerPattern() *CSR {
-	return a.filterTri(func(i, j int) bool { return j < i })
-}
-
-// UpperWithDiag returns entries with j >= i.
-func (a *CSR) UpperWithDiag() *CSR {
-	return a.filterTri(func(i, j int) bool { return j >= i })
-}
-
-func (a *CSR) filterTri(keep func(i, j int) bool) *CSR {
-	n := a.N
-	ptr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		cnt := 0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if keep(i, a.ColIdx[k]) {
-				cnt++
-			}
-		}
-		ptr[i+1] = ptr[i] + cnt
-	}
-	col := make([]int, ptr[n])
-	val := make([]float64, ptr[n])
-	p := 0
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if keep(i, a.ColIdx[k]) {
-				col[p] = a.ColIdx[k]
-				val[p] = a.Val[k]
-				p++
-			}
-		}
-	}
-	return &CSR{N: n, M: a.M, RowPtr: ptr, ColIdx: col, Val: val}
-}
-
-// Diagonal returns the diagonal entries as a slice (0 where absent).
-func (a *CSR) Diagonal() []float64 {
-	n := a.N
-	if a.M < n {
-		n = a.M
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if j == i {
-				d[i] = vals[k]
-				break
-			}
-			if j > i {
-				break
-			}
-		}
-	}
-	return d
 }
 
 // MatVec computes y = a*x serially. len(x) == M, len(y) == N.

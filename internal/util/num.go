@@ -6,11 +6,6 @@ import (
 	"javelin/internal/kernels"
 )
 
-// Abs returns |x| for float64 without the math import at call sites.
-func Abs(x float64) float64 {
-	return math.Abs(x)
-}
-
 // GeoMean returns the geometric mean of xs, ignoring non-positive
 // entries (which would otherwise poison the log sum). Returns 0 when
 // no positive entries exist.
