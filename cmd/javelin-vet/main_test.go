@@ -69,7 +69,7 @@ func TestJSONOutput(t *testing.T) {
 func TestDeterministicOutput(t *testing.T) {
 	dir := filepath.Join("..", "..", "internal", "analyzers", "testdata", "src")
 	args := []string{"-dir", dir, "-json",
-		"./pinpair", "./lockvet", "./atomicvet", "./noallocgraph"}
+		"./pinpair", "./lockvet", "./atomicvet", "./hotalloc", "./noallocgraph"}
 
 	outputs := make([]string, 2)
 	for i := range outputs {

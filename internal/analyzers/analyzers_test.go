@@ -147,6 +147,15 @@ func TestCtxLoopSkipsOtherPackages(t *testing.T) {
 	}
 }
 
+// TestHotAllocFixture checks the first half of noallocgraph, the
+// direct allocation sites in a root's own body, on a package whose
+// roots call nothing.
+func TestHotAllocFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "src", "hotalloc")
+	findings := runModuleFixture(t, NoAllocGraph, dir)
+	checkFindings(t, findings, filepath.Join(dir, "hotalloc.go"))
+}
+
 func TestNoAllocGraphFixture(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "noallocgraph")
 	findings := runModuleFixture(t, NoAllocGraph, dir)

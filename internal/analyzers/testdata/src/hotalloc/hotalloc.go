@@ -1,6 +1,7 @@
-// Package hotalloc is a fixture for the hotalloc analyzer: seeded
-// direct allocations inside //javelin:noalloc bodies, a waived
-// deliberate allocation, and clean forms that must stay silent.
+// Package hotalloc is a fixture for noallocgraph's check of a root's
+// own body, loaded alone and with no callees to walk: seeded direct
+// allocations inside //javelin:noalloc bodies, a waived deliberate
+// allocation, and clean forms that must stay silent.
 package hotalloc
 
 var (

@@ -1,22 +1,17 @@
 // Package noallocgraph is a fixture for the noallocgraph module
 // analyzer, loaded with ./... together with its helper package:
-// //javelin:noalloc roots with direct allocations in their own bodies
-// (one of them waived), roots whose static call graphs reach
-// allocating helpers — directly, through a clean intermediate and in
-// another package — a root that does both, plus clean bodies and every
+// //javelin:noalloc roots whose static call graphs reach allocating
+// helpers — directly, through a clean intermediate and in another
+// package — a root that also allocates in its own body, plus every
 // accepted edge form (noalloc callee, doc-level waiver, call-site
 // waiver, transitively clean callee, a call spawned by a go
 // statement); `// want` comments mark the lines where findings must
-// land.
+// land. The own-body check alone has the hotalloc fixture.
 package noallocgraph
 
 import "javelin/internal/analyzers/testdata/src/noallocgraph/helper"
 
-var (
-	sink   []float64
-	sinkP  *int
-	sinkFn func()
-)
+var sink []float64
 
 // leakyHelper allocates: the returned slice escapes.
 func leakyHelper(n int) []float64 {
@@ -57,33 +52,7 @@ func leakyRow(n int) []int {
 	return make([]int, n)
 }
 
-// --- violations in a root's own body ---
-
-// leakySlice allocates a slice that escapes through the package sink.
-//
-//javelin:noalloc
-func leakySlice(n int) {
-	s := make([]float64, n) // want `escaping make in //javelin:noalloc func leakySlice`
-	sink = s
-}
-
-// leakyVar lets a local escape via its address.
-//
-//javelin:noalloc
-func leakyVar() {
-	x := 42 // want `heap-moved variable in //javelin:noalloc func leakyVar`
-	sinkP = &x
-}
-
-// leakyClosure builds a closure that escapes through the package sink.
-//
-//javelin:noalloc
-func leakyClosure(n int) {
-	f := func() { sink = append(sink, float64(n)) } // want `escaping func literal in //javelin:noalloc func leakyClosure`
-	sinkFn = f
-}
-
-// --- violations beneath a root ---
+// --- violations ---
 
 // badRoot reaches an allocating helper with no annotation or waiver.
 //
@@ -119,32 +88,7 @@ func badBoth(n int) int {
 	return len(leakyRow(n)) // want `//javelin:noalloc badBoth reaches leakyRow \(badBoth -> leakyRow\), which allocates`
 }
 
-// --- clean bodies and accepted edge forms ---
-
-// waivedAlloc allocates deliberately; the waiver keeps it silent.
-//
-//javelin:noalloc
-func waivedAlloc(n int) {
-	//javelin:alloc-ok deliberate fixture allocation
-	sink = make([]float64, n)
-}
-
-// cleanSum is allocation-free and must produce no finding.
-//
-//javelin:noalloc
-func cleanSum(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// unannotated allocates but carries no directive and no root reaches
-// it: out of scope.
-func unannotated(n int) {
-	sink = make([]float64, n)
-}
+// --- accepted edge forms ---
 
 // spawned allocates, but only ever on a goroutine of its own.
 func spawned(n int) []float64 {
