@@ -182,6 +182,10 @@ const (
 type Permutation = sparse.Perm
 
 // ComputeOrdering returns the permutation for the given ordering.
+// With n rows and nnz entries of A+Aᵀ, OrderNatural costs O(n),
+// OrderRCM about O(n + nnz), and OrderND O((n + nnz)·log n) when its
+// bisections balance, as on meshes; OrderAMD is superlinear. The
+// scratch each one allocates lives only for the call.
 func ComputeOrdering(o Ordering, m *Matrix) Permutation {
 	var meth order.Method
 	switch o {
@@ -328,8 +332,10 @@ var ErrPatternMismatch = core.ErrPatternMismatch
 //
 // Entries of m outside the factorized pattern fail with an error
 // wrapping ErrPatternMismatch (unless Options.AllowPatternMismatch).
-// On any error the previous factor values remain published and solve
-// traffic continues on them.
+// A factor row that overflows to a NaN or ±Inf (a tiny pivot under
+// huge couplings, all input finite) fails with ErrNonFinite, naming
+// the row, as it does in Factorize. On any error the previous factor
+// values remain published and solve traffic continues on them.
 //
 // Callers refactorizing by hand after every value change should
 // consider the versioned path instead: publish updates through

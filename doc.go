@@ -155,7 +155,9 @@
 // set Options.AllowPatternMismatch to opt back into dropping.
 // Factorize, Refactorize, NewVersionedMatrix and UpdateValues reject
 // a NaN or ±Inf value with ErrNonFinite, naming the entry, and
-// publish nothing.
+// publish nothing. Factorize and Refactorize also fail with
+// ErrNonFinite, naming the factor row, when finite input overflows to
+// a non-finite factor entry, so only finite factors are published.
 //
 // # Live updates & drift policy
 //

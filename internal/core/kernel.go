@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"javelin/internal/ilu"
+	"javelin/internal/sparse"
 )
 
 // pivotFloor mirrors the serial reference's guard.
@@ -109,10 +110,12 @@ func (ln *lane) eliminate(f *ilu.Factor, vals []float64, r, kLo, kHi int, lvlEnd
 }
 
 // finishRow applies τ dropping and MILU compensation to a fully
-// eliminated row in vals and verifies the pivot. Under MILU it also
-// records the U-row sum; the factor region's gates (each upper level
-// and corner group waits for the ones before it) guarantee rowSumU of
-// referenced earlier rows is already final.
+// eliminated row in vals and verifies the pivot and then that every
+// entry is finite: an overflow (a tiny pivot under huge couplings)
+// would otherwise publish ±Inf or NaN that every later solve fails
+// on. Under MILU it also records the U-row sum; the factor region's
+// gates (each upper level and corner group waits for the ones before
+// it) guarantee rowSumU of referenced earlier rows is already final.
 func (e *Engine) finishRow(vals []float64, r int, comp float64) error {
 	lu := e.factor.LU
 	lo, hi := lu.RowPtr[r], lu.RowPtr[r+1]
@@ -148,6 +151,11 @@ func (e *Engine) finishRow(vals []float64, r int, comp float64) error {
 	}
 	if !(math.Abs(vals[dp]) >= pivotFloor) {
 		return fmt.Errorf("%w at row %d", ilu.ErrZeroPivot, r)
+	}
+	for k := lo; k < hi; k++ {
+		if x := vals[k]; x-x != 0 { // NaN or ±Inf
+			return fmt.Errorf("core: %w %g at entry (%d,%d) of the factor", sparse.ErrNonFinite, x, r, lu.ColIdx[k])
+		}
 	}
 	if e.opt.Modified {
 		s := 0.0

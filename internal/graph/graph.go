@@ -55,87 +55,108 @@ func (g *Graph) Neighbors(v int) []int {
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v int) int { return g.Ptr[v+1] - g.Ptr[v] }
 
-// Subgraph returns the induced subgraph on the given vertices, along
-// with the mapping local→global. Vertices must be distinct.
-func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
-	local := make(map[int]int, len(vertices))
+// Subgraph makes sub the subgraph of g induced by vertices, which
+// must be distinct: local vertex li is vertices[li], and its neighbor
+// list holds, in g's order, the local indices of its neighbors in the
+// set. sub's buffers are reused, so an earlier subgraph held in sub
+// does not survive the call. local, of length g.N, is the
+// global-to-local index (local[v] = 1+li while it is built); it must
+// be all zero on entry and is all zero again on return.
+func (g *Graph) Subgraph(vertices, local []int, sub *Graph) {
 	for li, v := range vertices {
-		local[v] = li
+		local[v] = li + 1
 	}
-	ptr := make([]int, len(vertices)+1)
-	var adj []int
-	for li, v := range vertices {
+	ptr, adj := append(sub.Ptr[:0], 0), sub.Adj[:0]
+	for _, v := range vertices {
 		for _, w := range g.Neighbors(v) {
-			if lw, ok := local[w]; ok {
-				adj = append(adj, lw)
+			if lw := local[w]; lw > 0 {
+				adj = append(adj, lw-1)
 			}
 		}
-		ptr[li+1] = len(adj)
+		ptr = append(ptr, len(adj))
 	}
-	glob := append([]int(nil), vertices...)
-	return &Graph{N: len(vertices), Ptr: ptr, Adj: adj}, glob
+	for _, v := range vertices {
+		local[v] = 0
+	}
+	sub.N, sub.Ptr, sub.Adj = len(vertices), ptr, adj
 }
 
-// BFSResult holds the outcome of a breadth-first search.
-type BFSResult struct {
-	Order  []int // vertices in visit order
-	Level  []int // level[v] = distance from root, -1 if unreachable
+// Search holds one breadth-first search. The next search run through
+// it reuses its buffers, so a caller that searches many times
+// allocates them once.
+type Search struct {
+	Order  []int // vertices in visit order; also the search's queue
+	Level  []int // Level[v] = distance from the root, -1 if unreached
 	Height int   // number of levels (eccentricity+1 of the root)
-	Last   int   // a vertex in the last level
+	Last   int   // the first vertex reached in the last level
 }
+
+// NewSearch returns a Search for graphs of up to n vertices.
+func NewSearch(n int) *Search {
+	s := &Search{Order: make([]int, 0, n), Level: make([]int, n)}
+	for v := range s.Level {
+		s.Level[v] = -1
+	}
+	return s
+}
+
+// Root returns the vertex the search started from.
+func (s *Search) Root() int { return s.Order[0] }
 
 // BFS runs breadth-first search from root over vertices where
-// mask[v] == false (mask == nil means all vertices eligible).
-func (g *Graph) BFS(root int, mask []bool) BFSResult {
-	level := make([]int, g.N)
-	for i := range level {
-		level[i] = -1
+// mask[v] == false (mask == nil means all vertices eligible) into s,
+// replacing the search s held. It resets only the levels that search
+// set, so it costs O(vertices + edges reached), not O(g.N).
+func (g *Graph) BFS(root int, mask []bool, s *Search) {
+	level := s.Level
+	for _, v := range s.Order {
+		level[v] = -1
 	}
-	order := make([]int, 0, g.N)
-	queue := []int{root}
+	queue := append(s.Order[:0], root)
 	level[root] = 0
 	height, last := 1, root
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		if level[v]+1 > height {
-			height = level[v] + 1
-			last = v
-		}
+	for qi := 0; qi < len(queue); qi++ {
+		v := queue[qi]
+		next := level[v] + 1
 		for _, w := range g.Neighbors(v) {
 			if level[w] == -1 && (mask == nil || !mask[w]) {
-				level[w] = level[v] + 1
+				level[w] = next
 				queue = append(queue, w)
-				if level[w]+1 > height {
-					height = level[w] + 1
-					last = w
+				if next+1 > height {
+					height, last = next+1, w
 				}
 			}
 		}
 	}
-	return BFSResult{Order: order, Level: level, Height: height, Last: last}
+	s.Order, s.Height, s.Last = queue, height, last
 }
 
-// PseudoPeripheral returns a vertex of (approximately) maximal
-// eccentricity in the component containing start, via the
-// George–Liu iteration used by RCM.
-func (g *Graph) PseudoPeripheral(start int) int {
-	v := start
-	res := g.BFS(v, nil)
-	for {
-		next := res.Last
-		// Among last-level vertices, pick one of minimum degree.
-		best, bestDeg := next, g.Degree(next)
-		for _, u := range res.Order {
-			if res.Level[u] == res.Height-1 && g.Degree(u) < bestDeg {
+// PseudoPeripheral finds a vertex of (approximately) maximal
+// eccentricity in the component of start by the George–Liu iteration
+// used by RCM: search from v, then move v to a vertex of minimum
+// degree in the last level while that deepens the search, at most
+// maxIter times. The searches run over mask as in BFS and alternate
+// between s and t; the one returned (s or t) is the search from the
+// vertex found, which is its Root.
+func (g *Graph) PseudoPeripheral(start int, mask []bool, maxIter int, s, t *Search) *Search {
+	g.BFS(start, mask, s)
+	for iter := 0; iter < maxIter; iter++ {
+		// The last level is the tail of the visit order; Last heads it.
+		k := len(s.Order) - 1
+		for k > 0 && s.Level[s.Order[k-1]] == s.Height-1 {
+			k--
+		}
+		best, bestDeg := s.Last, g.Degree(s.Last)
+		for _, u := range s.Order[k:] {
+			if g.Degree(u) < bestDeg {
 				best, bestDeg = u, g.Degree(u)
 			}
 		}
-		res2 := g.BFS(best, nil)
-		if res2.Height <= res.Height {
-			return v
+		g.BFS(best, mask, t)
+		if t.Height <= s.Height {
+			return s
 		}
-		v, res = best, res2
+		s, t = t, s
 	}
+	return s
 }

@@ -37,7 +37,8 @@ func TestFromMatrixDropsDiagonalAndSymmetrizes(t *testing.T) {
 
 func TestBFSLevelsOnPath(t *testing.T) {
 	g := pathGraph(10)
-	res := g.BFS(0, nil)
+	res := NewSearch(g.N)
+	g.BFS(0, nil, res)
 	if res.Height != 10 {
 		t.Fatalf("path height %d, want 10", res.Height)
 	}
@@ -53,7 +54,7 @@ func TestBFSLevelsOnPath(t *testing.T) {
 
 func TestPseudoPeripheralOnPathIsEndpoint(t *testing.T) {
 	g := pathGraph(25)
-	v := g.PseudoPeripheral(12)
+	v := g.PseudoPeripheral(12, nil, g.N, NewSearch(g.N), NewSearch(g.N)).Root()
 	if v != 0 && v != 24 {
 		t.Fatalf("pseudo-peripheral %d, want an endpoint", v)
 	}
@@ -61,7 +62,10 @@ func TestPseudoPeripheralOnPathIsEndpoint(t *testing.T) {
 
 func TestSubgraphInduced(t *testing.T) {
 	g := pathGraph(6)
-	sub, glob := g.Subgraph([]int{1, 2, 4})
+	local := make([]int, g.N)
+	vertices := []int{1, 2, 4}
+	var sub Graph
+	g.Subgraph(vertices, local, &sub)
 	if sub.N != 3 {
 		t.Fatalf("N=%d", sub.N)
 	}
@@ -69,8 +73,10 @@ func TestSubgraphInduced(t *testing.T) {
 	if sub.Degree(0) != 1 || sub.Degree(1) != 1 || sub.Degree(2) != 0 {
 		t.Fatalf("degrees %d %d %d", sub.Degree(0), sub.Degree(1), sub.Degree(2))
 	}
-	if glob[2] != 4 {
-		t.Fatalf("global map %v", glob)
+	for v, l := range local {
+		if l != 0 {
+			t.Fatalf("local[%d] = %d after Subgraph, want 0", v, l)
+		}
 	}
 }
 
@@ -146,7 +152,7 @@ func TestZeroFreeDiagonalPerm(t *testing.T) {
 func TestVertexSeparatorSplitsMesh(t *testing.T) {
 	a := gen.GridLaplacian(16, 16, 1, gen.Star5, 1)
 	g := FromMatrix(a)
-	b := g.VertexSeparator()
+	b := g.VertexSeparator(NewSearch(g.N), NewSearch(g.N), make([]int, g.N))
 	total := len(b.Left) + len(b.Right) + len(b.Separator)
 	if total != g.N {
 		t.Fatalf("partition covers %d of %d", total, g.N)

@@ -1,7 +1,9 @@
 package graph
 
 // Bisection is the result of splitting a graph into two halves and a
-// vertex separator. Indices are local to the graph that was split.
+// vertex separator. Indices are local to the graph that was split,
+// ascending within each part except that vertices the search did not
+// reach follow the reached ones in Left and Right.
 type Bisection struct {
 	Left      []int
 	Right     []int
@@ -10,92 +12,91 @@ type Bisection struct {
 
 // VertexSeparator computes a small vertex separator splitting g into
 // two roughly balanced parts. The method is the classic level-set
-// bisection used by simple nested-dissection codes: BFS from a
-// pseudo-peripheral vertex, cut at the median level, then take as the
-// separator the frontier vertices of the left part that touch the
-// right part.
+// bisection used by simple nested-dissection codes (George & Liu,
+// "Computer Solution of Large Sparse Positive Definite Systems",
+// 1981): BFS from a pseudo-peripheral vertex, cut at the median
+// level, then take as the separator the frontier vertices of the left
+// part that touch the right part.
 //
 // This is not METIS-quality, but it has the properties the paper's
 // evaluation relies on: it produces balanced parts, separators of
 // O(surface) size on mesh-like graphs, and an ordering that increases
 // available level-scheduling parallelism while worsening iteration
 // counts relative to RCM.
-func (g *Graph) VertexSeparator() Bisection {
+//
+// s and t are the pseudo-peripheral iteration's searches, and the cut
+// reads the levels of its last search. The parts are written to
+// parts, of length at least g.N, as [Left | Right | Separator], and
+// the returned slices alias it.
+func (g *Graph) VertexSeparator(s, t *Search, parts []int) Bisection {
 	n := g.N
 	if n == 0 {
 		return Bisection{}
 	}
-	root := g.PseudoPeripheral(0)
-	res := g.BFS(root, nil)
+	// The iteration deepens the search at most n-1 times, so a cap of
+	// n never binds.
+	res := g.PseudoPeripheral(0, nil, n, s, t)
+	level := res.Level
 
-	// Vertices unreachable from root (other components) go wherever
-	// balance needs them; gather them first.
-	var unreachable []int
-	reachableCount := 0
+	// Cut at the first level by which the left side holds at least
+	// half of the reachable vertices; the visit order is level-sorted.
+	cut := 0
+	if half := len(res.Order) / 2; half > 0 {
+		cut = level[res.Order[half-1]]
+	}
+
+	// Left holds the levels up to the cut except the separator: the
+	// vertices at the cut level adjacent to the next level.
+	const left, right, separator, unreached = 0, 1, 2, 3
+	side := func(v int) int {
+		switch l := level[v]; {
+		case l == -1:
+			return unreached
+		case l > cut:
+			return right
+		case l == cut && g.touchesLevel(v, level, cut+1):
+			return separator
+		}
+		return left
+	}
+	var count [4]int
 	for v := 0; v < n; v++ {
-		if res.Level[v] == -1 {
-			unreachable = append(unreachable, v)
+		count[side(v)]++
+	}
+	// Vertices unreachable from the root (other components) follow
+	// the reached ones, each going to the smaller side, Left on a tie.
+	nl, nr := count[left], count[right]
+	for u := count[unreached]; u > 0; u-- {
+		if nl <= nr {
+			nl++
 		} else {
-			reachableCount++
+			nr++
 		}
 	}
-
-	// Choose the cut level so the left side holds about half of the
-	// reachable vertices.
-	levelCount := make([]int, res.Height)
+	next := [3]int{0, nl, nl + nr}
+	cl, cr := count[left], count[right]
 	for v := 0; v < n; v++ {
-		if res.Level[v] >= 0 {
-			levelCount[res.Level[v]]++
-		}
-	}
-	cut, acc := 0, 0
-	for l, c := range levelCount {
-		acc += c
-		cut = l
-		if acc >= reachableCount/2 {
-			break
-		}
-	}
-
-	var b Bisection
-	inLeft := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if l := res.Level[v]; l >= 0 && l <= cut {
-			inLeft[v] = true
-		}
-	}
-	// Separator: left vertices at the cut level adjacent to the right.
-	isSep := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if res.Level[v] != cut {
-			continue
-		}
-		for _, w := range g.Neighbors(v) {
-			if res.Level[w] == cut+1 {
-				isSep[v] = true
-				break
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		switch {
-		case isSep[v]:
-			b.Separator = append(b.Separator, v)
-		case res.Level[v] == -1:
-			// deferred
-		case inLeft[v]:
-			b.Left = append(b.Left, v)
+		switch p := side(v); {
+		case p != unreached:
+			parts[next[p]] = v
+			next[p]++
+		case cl <= cr:
+			parts[cl] = v
+			cl++
 		default:
-			b.Right = append(b.Right, v)
+			parts[nl+cr] = v
+			cr++
 		}
 	}
-	// Distribute unreachable vertices to balance.
-	for _, v := range unreachable {
-		if len(b.Left) <= len(b.Right) {
-			b.Left = append(b.Left, v)
-		} else {
-			b.Right = append(b.Right, v)
+	return Bisection{Left: parts[:nl], Right: parts[nl : nl+nr], Separator: parts[nl+nr : n]}
+}
+
+// touchesLevel reports whether v has a neighbor at level l.
+func (g *Graph) touchesLevel(v int, level []int, l int) bool {
+	for _, w := range g.Neighbors(v) {
+		if level[w] == l {
+			return true
 		}
 	}
-	return b
+	return false
 }

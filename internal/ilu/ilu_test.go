@@ -266,6 +266,31 @@ func TestNaNPivotError(t *testing.T) {
 	}
 }
 
+// TestOverflowFailsNonFinite: all-finite input whose factor
+// overflows (a 1e-200 pivot under couplings of 1e200 makes the L entry
+// +Inf and the next pivot −Inf, which the pivot guard lets through)
+// fails with ErrNonFinite, and so does refactorizing a good factor
+// (the same pattern with a 1e200 pivot) to it.
+func TestOverflowFailsNonFinite(t *testing.T) {
+	overflow := func(a00 float64) *sparse.CSR {
+		return sparse.FromDense([][]float64{
+			{a00, 1e200, 0},
+			{1e200, 1, 1},
+			{0, 1, 1},
+		})
+	}
+	if _, err := Factorize(overflow(1e-200), Options{}); !errors.Is(err, sparse.ErrNonFinite) {
+		t.Fatalf("Factorize: want ErrNonFinite, got %v", err)
+	}
+	f, err := Factorize(overflow(1e200), Options{})
+	if err != nil {
+		t.Fatalf("Factorize of the good matrix: %v", err)
+	}
+	if err := Refactorize(f, overflow(1e-200), Options{}); !errors.Is(err, sparse.ErrNonFinite) {
+		t.Fatalf("Refactorize: want ErrNonFinite, got %v", err)
+	}
+}
+
 func TestRefactorizeReusesPattern(t *testing.T) {
 	a := gen.GridLaplacian(10, 10, 1, gen.Star5, 1)
 	f, err := Factorize(a, Options{})

@@ -92,11 +92,21 @@ func breakdown(format string, a ...any) error {
 // ErrBreakdown and ErrNonFinite and makes no guess about the matrix. A
 // finite zero wraps ErrBreakdown alone and ends with zeroHint.
 func checkInner(term string, v float64, zeroHint string) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("%w: %s = %g: %w", ErrBreakdown, term, v, ErrNonFinite)
+	if err := checkFinite(term, v); err != nil {
+		return err
 	}
 	if v == 0 {
 		return breakdown("%s = 0%s", term, zeroHint)
+	}
+	return nil
+}
+
+// checkFinite is checkInner's non-finite branch alone, for a term
+// whose zero is no breakdown (GMRES's β and h[j+1][j]: convergence
+// or the lucky breakdown).
+func checkFinite(term string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("%w: %s = %g: %w", ErrBreakdown, term, v, ErrNonFinite)
 	}
 	return nil
 }

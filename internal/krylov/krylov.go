@@ -174,6 +174,9 @@ func CG(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats, er
 }
 
 // GMRES solves A·x = b with left-preconditioned restarted GMRES(m).
+// A NaN or ±Inf β at a restart or h[j+1][j] in the Arnoldi loop stops
+// it with ErrBreakdown wrapping ErrNonFinite; a zero there is
+// convergence or the lucky breakdown.
 //
 //javelin:noalloc
 func GMRES(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats, error) {
@@ -220,6 +223,9 @@ func GMRES(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats,
 		}
 		m.Apply(w, v[0])
 		beta := rd.Norm2(v[0])
+		if err := checkFinite("GMRES β", beta); err != nil {
+			return st, err
+		}
 		if beta == 0 {
 			st.Converged = true
 			st.RelResidual = trueResidual()
@@ -247,6 +253,9 @@ func GMRES(a *sparse.CSR, m Preconditioner, b, x []float64, opt Options) (Stats,
 				util.Axpy(-h[i][j], v[i], w)
 			}
 			h[j+1][j] = rd.Norm2(w)
+			if err := checkFinite("GMRES h[j+1][j]", h[j+1][j]); err != nil {
+				return st, err
+			}
 			if h[j+1][j] != 0 {
 				inv := 1 / h[j+1][j]
 				for i := range w {

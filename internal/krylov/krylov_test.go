@@ -422,6 +422,43 @@ func TestNonFiniteBreakdownBlamesValues(t *testing.T) {
 	}
 }
 
+// nanPC is a preconditioner whose every Apply returns NaN.
+type nanPC struct{}
+
+func (nanPC) Apply(r, z []float64) {
+	for i := range z {
+		z[i] = math.NaN()
+	}
+}
+
+// TestGMRESStopsOnNonFinite: GMRES fails within one iteration, with an
+// error wrapping ErrBreakdown and ErrNonFinite that names the term,
+// when a non-finite value reaches β at a restart or h[j+1][j] inside
+// the Arnoldi loop, instead of running to MaxIter on NaN residuals.
+func TestGMRESStopsOnNonFinite(t *testing.T) {
+	grid := gen.GridLaplacian(5, 5, 1, gen.Star5, 1)
+	b, _ := problem(t, grid, 3)
+	for _, c := range []struct {
+		name, term string
+		m          Preconditioner
+	}{
+		{"NaN preconditioner", "β = NaN", nanPC{}},
+		{"NaN on the first Arnoldi apply", "h[j+1][j] = NaN", &poisonPC{at: 2}},
+	} {
+		st, err := GMRES(grid, c.m, b, make([]float64, grid.N), Options{MaxIter: 500})
+		if !errors.Is(err, ErrBreakdown) || !errors.Is(err, ErrNonFinite) {
+			t.Errorf("%s: %v after %d iterations, want ErrBreakdown and ErrNonFinite", c.name, err, st.Iterations)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.term) {
+			t.Errorf("%s: %q, want %q", c.name, err, c.term)
+		}
+		if st.Iterations > 1 {
+			t.Errorf("%s: stopped after %d iterations, want at most 1", c.name, st.Iterations)
+		}
+	}
+}
+
 // TestContextCancellationStopsSolves proves each loop observes
 // Options.Ctx within one iteration: the monitor cancels at iteration
 // cancelAt and the solve must return ctx.Err() no later than

@@ -10,7 +10,8 @@
 package order
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"javelin/internal/graph"
 	"javelin/internal/sparse"
@@ -47,7 +48,11 @@ func (m Method) String() string {
 }
 
 // Compute returns the permutation for method m applied to the
-// adjacency structure of a (pattern of A+Aᵀ).
+// adjacency structure of a (pattern of A+Aᵀ). With n rows and nnz
+// entries of A+Aᵀ, Natural costs O(n), RCM O(n + nnz) plus its
+// neighbor sorts, and ND O((n + nnz)·log n) when its bisections
+// balance; AMD is superlinear, since every elimination walks the
+// elements it merges. Every method's scratch lives only for the call.
 func Compute(m Method, a *sparse.CSR) sparse.Perm {
 	switch m {
 	case Natural:
@@ -65,157 +70,146 @@ func Compute(m Method, a *sparse.CSR) sparse.Perm {
 // ComputeRCM returns the Reverse Cuthill–McKee ordering of a.
 // Each connected component is ordered from a pseudo-peripheral
 // vertex, visiting neighbors in ascending-degree order; the final
-// ordering is reversed.
+// ordering is reversed. The searches cost O(n + nnz) per
+// pseudo-peripheral step (at most nine per component) over two
+// reused searches, and sorting each vertex's newly reached neighbors
+// O(nnz·log Δ) for maximum degree Δ.
 func ComputeRCM(a *sparse.CSR) sparse.Perm {
 	g := graph.FromMatrix(a)
 	n := g.N
 	visited := make([]bool, n)
-	orderOut := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	deg := make([]int, n)
+	order := make([]int, 0, n)
+	s, t := graph.NewSearch(n), graph.NewSearch(n)
 	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-	}
-	for s := 0; s < n; s++ {
-		if visited[s] {
+		if visited[v] {
 			continue
 		}
-		root := pseudoPeripheralMasked(g, s, visited)
-		queue = append(queue[:0], root)
-		visited[root] = true
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			orderOut = append(orderOut, v)
-			nbrs := g.Neighbors(v)
-			// Collect unvisited neighbors, sort by degree then index
-			// for determinism.
-			start := len(queue)
-			for _, w := range nbrs {
-				if !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
-			}
-			added := queue[start:]
-			sort.Slice(added, func(x, y int) bool {
-				if deg[added[x]] != deg[added[y]] {
-					return deg[added[x]] < deg[added[y]]
-				}
-				return added[x] < added[y]
-			})
-		}
+		// The pseudo-peripheral search of the unvisited component.
+		root := g.PseudoPeripheral(v, visited, 8, s, t).Root()
+		order = appendCuthillMcKee(g, order, root, visited)
 	}
-	// Reverse.
 	p := make(sparse.Perm, n)
-	for i, v := range orderOut {
+	for i, v := range order {
 		p[n-1-i] = v
 	}
 	return p
 }
 
-// pseudoPeripheralMasked finds a pseudo-peripheral vertex restricted
-// to the unvisited component containing start.
-func pseudoPeripheralMasked(g *graph.Graph, start int, visited []bool) int {
-	v := start
-	res := g.BFS(v, visited)
-	for iter := 0; iter < 8; iter++ {
-		best, bestDeg := res.Last, g.Degree(res.Last)
-		for _, u := range res.Order {
-			if res.Level[u] == res.Height-1 && g.Degree(u) < bestDeg {
-				best, bestDeg = u, g.Degree(u)
+// appendCuthillMcKee appends to order the Cuthill–McKee order of the
+// vertices reachable from root through vertices with blocked[v] ==
+// false: a BFS that visits each vertex's newly reached neighbors by
+// ascending degree in g, then ascending index. It blocks every vertex
+// it appends.
+func appendCuthillMcKee(g *graph.Graph, order []int, root int, blocked []bool) []int {
+	qi := len(order)
+	order = append(order, root)
+	blocked[root] = true
+	for ; qi < len(order); qi++ {
+		start := len(order)
+		for _, w := range g.Neighbors(order[qi]) {
+			if !blocked[w] {
+				blocked[w] = true
+				order = append(order, w)
 			}
 		}
-		res2 := g.BFS(best, visited)
-		if res2.Height <= res.Height {
-			return v
-		}
-		v, res = best, res2
+		slices.SortFunc(order[start:], func(x, y int) int {
+			if c := cmp.Compare(g.Degree(x), g.Degree(y)); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
 	}
-	return v
+	return order
 }
 
 // ComputeND returns a nested-dissection ordering: recursively bisect
 // the graph with vertex separators; left part first, then right part,
-// separator last. Small subgraphs fall back to RCM-within-subgraph
-// (minimum-degree-free leaf ordering keeps the code simple and has
-// negligible effect at leaf sizes).
+// separator last. Small subgraphs fall back to a Cuthill–McKee order
+// within the subgraph (minimum-degree-free leaf ordering keeps the
+// code simple and has negligible effect at leaf sizes).
+//
+// Each level of the recursion costs O(n + nnz) of A+Aᵀ, so the
+// ordering costs O((n + nnz)·log n) when the bisections balance, as
+// on meshes. Its scratch, O(n + nnz) words allocated once per call
+// and dropped on return, is the graph of A+Aᵀ, one subgraph and two
+// searches reused at every level, three n-word index arrays and an
+// n-entry mask.
 func ComputeND(a *sparse.CSR) sparse.Perm {
 	g := graph.FromMatrix(a)
 	n := g.N
-	p := make(sparse.Perm, 0, n)
+	d := &dissection{
+		g:       g,
+		p:       make(sparse.Perm, 0, n),
+		sub:     &graph.Graph{Ptr: make([]int, 0, n+1), Adj: make([]int, 0, len(g.Adj))},
+		s:       graph.NewSearch(n),
+		t:       graph.NewSearch(n),
+		local:   make([]int, n),
+		parts:   make([]int, n),
+		blocked: make([]bool, n),
+	}
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
+		d.blocked[i] = true
 	}
-	var rec func(vertices []int)
-	rec = func(vertices []int) {
-		const leaf = 64
-		if len(vertices) <= leaf {
-			ordered := leafOrder(g, vertices)
-			p = append(p, ordered...)
-			return
-		}
-		sub, glob := g.Subgraph(vertices)
-		b := sub.VertexSeparator()
-		if len(b.Left) == 0 || len(b.Right) == 0 {
-			// Separator failed to split (e.g. clique-ish); stop here.
-			ordered := leafOrder(g, vertices)
-			p = append(p, ordered...)
-			return
-		}
-		toGlobal := func(ls []int) []int {
-			out := make([]int, len(ls))
-			for i, v := range ls {
-				out[i] = glob[v]
-			}
-			return out
-		}
-		rec(toGlobal(b.Left))
-		rec(toGlobal(b.Right))
-		p = append(p, toGlobal(b.Separator)...)
-	}
-	rec(all)
-	return p
+	d.order(all)
+	return d.p
 }
 
-// leafOrder orders a small vertex set by BFS from its lowest-index
-// vertex (restricted to the set), ascending-degree tie-break.
-func leafOrder(g *graph.Graph, vertices []int) []int {
-	inSet := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		inSet[v] = true
-	}
-	sorted := append([]int(nil), vertices...)
-	sort.Ints(sorted)
-	visited := make(map[int]bool, len(vertices))
-	var out []int
-	for _, s := range sorted {
-		if visited[s] {
-			continue
-		}
-		queue := []int{s}
-		visited[s] = true
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			out = append(out, v)
-			nbrs := g.Neighbors(v)
-			start := len(queue)
-			for _, w := range nbrs {
-				if inSet[w] && !visited[w] {
-					visited[w] = true
-					queue = append(queue, w)
-				}
+// dissection is ComputeND's state. Every buffer is sized once for the
+// whole graph: the subgraph and the separator's parts are consumed
+// before the recursion descends, and each call rewrites its own
+// vertex range in place.
+type dissection struct {
+	g       *graph.Graph
+	p       sparse.Perm  // the ordering, appended to
+	sub     *graph.Graph // the current subgraph
+	s, t    *graph.Search
+	local   []int  // Subgraph's global-to-local index, all zero between uses
+	parts   []int  // VertexSeparator's output, then its global indices
+	blocked []bool // leafOrder's complement of its unvisited set, all true between uses
+}
+
+// order appends the nested-dissection order of vertices to d.p,
+// reordering vertices in place.
+func (d *dissection) order(vertices []int) {
+	const leaf = 64
+	if len(vertices) > leaf {
+		d.g.Subgraph(vertices, d.local, d.sub)
+		b := d.sub.VertexSeparator(d.s, d.t, d.parts)
+		// A separator that fails to split (e.g. clique-ish) stops the
+		// recursion here.
+		if len(b.Left) > 0 && len(b.Right) > 0 {
+			// vertices becomes [Left | Right | Separator], global.
+			parts := d.parts[:len(vertices)]
+			for i, li := range parts {
+				parts[i] = vertices[li]
 			}
-			added := queue[start:]
-			sort.Slice(added, func(x, y int) bool {
-				if g.Degree(added[x]) != g.Degree(added[y]) {
-					return g.Degree(added[x]) < g.Degree(added[y])
-				}
-				return added[x] < added[y]
-			})
+			copy(vertices, parts)
+			nl, nr := len(b.Left), len(b.Right)
+			d.order(vertices[:nl])
+			d.order(vertices[nl : nl+nr])
+			d.p = append(d.p, vertices[nl+nr:]...)
+			return
 		}
 	}
-	return out
+	d.leafOrder(vertices)
+}
+
+// leafOrder appends a small vertex set to d.p in Cuthill–McKee order
+// restricted to the set, each component from its lowest-index vertex,
+// sorting vertices in place. It unblocks the set, and the order
+// blocks each vertex again as it visits it.
+func (d *dissection) leafOrder(vertices []int) {
+	for _, v := range vertices {
+		d.blocked[v] = false
+	}
+	slices.Sort(vertices)
+	for _, v := range vertices {
+		if !d.blocked[v] {
+			d.p = appendCuthillMcKee(d.g, d.p, v, d.blocked)
+		}
+	}
 }
 
 // ZeroFreeDiagonal returns the Dulmage–Mendelsohn style row

@@ -121,3 +121,18 @@ func TestMethodStrings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkComputeND orders the pde benchmark matrix (parabolic_fem at
+// scale 0.05, n = 24,389); run it with -benchmem for the scratch the
+// dissection allocates per call.
+func BenchmarkComputeND(b *testing.B) {
+	spec, _ := gen.ByName("parabolic_fem")
+	a := spec.Build(spec.ScaledN(0.05))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ndSink = ComputeND(a)
+	}
+}
+
+var ndSink sparse.Perm

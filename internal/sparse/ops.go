@@ -28,82 +28,51 @@ func (a *CSR) Transpose() *CSR {
 	return &CSR{N: m, M: n, RowPtr: ptr, ColIdx: col, Val: val}
 }
 
-// SymmetrizedPattern returns the pattern of A+Aᵀ (values are the sum
-// where both exist; pattern union otherwise). a must be square.
+// SymmetrizedPattern returns the pattern of A+Aᵀ with zero values; a
+// must be square. Aᵀ's pattern is built without values, and each
+// output row is the merge of row i of A with column i of A in one
+// pass.
 func (a *CSR) SymmetrizedPattern() *CSR {
 	if a.N != a.M {
 		panic("sparse: SymmetrizedPattern requires a square matrix")
 	}
-	at := a.Transpose()
-	return Add(a, at)
-}
-
-// Add returns a + b (pattern union, values summed). Shapes must match.
-func Add(a, b *CSR) *CSR {
-	if a.N != b.N || a.M != b.M {
-		panic("sparse: Add shape mismatch")
+	n, nnz := a.N, a.Nnz()
+	// tPtr counts each column, is summed to the column ends, and
+	// steps back to the starts as the rows are placed last to first,
+	// so each column's rows come out ascending.
+	tPtr := make([]int, n+1)
+	for _, j := range a.ColIdx {
+		tPtr[j]++
 	}
-	n := a.N
+	for j := 1; j <= n; j++ {
+		tPtr[j] += tPtr[j-1]
+	}
+	tCol := make([]int, nnz)
+	for i := n - 1; i >= 0; i-- {
+		for k := a.RowPtr[i+1] - 1; k >= a.RowPtr[i]; k-- {
+			j := a.ColIdx[k]
+			tPtr[j]--
+			tCol[tPtr[j]] = i
+		}
+	}
 	ptr := make([]int, n+1)
-	// First pass: count union sizes with a merge.
+	col := make([]int, 0, 2*nnz)
 	for i := 0; i < n; i++ {
-		ka, ea := a.RowPtr[i], a.RowPtr[i+1]
-		kb, eb := b.RowPtr[i], b.RowPtr[i+1]
-		cnt := 0
-		for ka < ea && kb < eb {
-			ca, cb := a.ColIdx[ka], b.ColIdx[kb]
+		x, y := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], tCol[tPtr[i]:tPtr[i+1]]
+		for len(x) > 0 && len(y) > 0 {
 			switch {
-			case ca == cb:
-				ka++
-				kb++
-			case ca < cb:
-				ka++
+			case x[0] < y[0]:
+				col, x = append(col, x[0]), x[1:]
+			case x[0] > y[0]:
+				col, y = append(col, y[0]), y[1:]
 			default:
-				kb++
+				col, x, y = append(col, x[0]), x[1:], y[1:]
 			}
-			cnt++
 		}
-		cnt += (ea - ka) + (eb - kb)
-		ptr[i+1] = ptr[i] + cnt
+		col = append(append(col, x...), y...)
+		ptr[i+1] = len(col)
 	}
-	nnz := ptr[n]
-	col := make([]int, nnz)
-	val := make([]float64, nnz)
-	for i := 0; i < n; i++ {
-		ka, ea := a.RowPtr[i], a.RowPtr[i+1]
-		kb, eb := b.RowPtr[i], b.RowPtr[i+1]
-		p := ptr[i]
-		for ka < ea && kb < eb {
-			ca, cb := a.ColIdx[ka], b.ColIdx[kb]
-			switch {
-			case ca == cb:
-				col[p] = ca
-				val[p] = a.Val[ka] + b.Val[kb]
-				ka++
-				kb++
-			case ca < cb:
-				col[p] = ca
-				val[p] = a.Val[ka]
-				ka++
-			default:
-				col[p] = cb
-				val[p] = b.Val[kb]
-				kb++
-			}
-			p++
-		}
-		for ; ka < ea; ka++ {
-			col[p] = a.ColIdx[ka]
-			val[p] = a.Val[ka]
-			p++
-		}
-		for ; kb < eb; kb++ {
-			col[p] = b.ColIdx[kb]
-			val[p] = b.Val[kb]
-			p++
-		}
-	}
-	return &CSR{N: n, M: a.M, RowPtr: ptr, ColIdx: col, Val: val}
+	return &CSR{N: n, M: n, RowPtr: ptr, ColIdx: col, Val: make([]float64, len(col))}
 }
 
 // MatVec computes y = a*x serially. len(x) == M, len(y) == N.

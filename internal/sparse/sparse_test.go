@@ -103,22 +103,6 @@ func TestTransposeMatVecAdjoint(t *testing.T) {
 	}
 }
 
-func TestAddUnionAndValues(t *testing.T) {
-	a := FromDense([][]float64{{1, 2}, {0, 3}})
-	b := FromDense([][]float64{{0, 5}, {7, 0}})
-	c := Add(a, b)
-	mustValidate(t, c)
-	want := [][]float64{{1, 7}, {7, 3}}
-	got := c.ToDense()
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("(%d,%d): got %g want %g", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 func TestSymmetrizedPatternIsSymmetric(t *testing.T) {
 	rng := util.NewRNG(7)
 	a := randomCSR(rng, 30, 30, 3)
@@ -126,6 +110,26 @@ func TestSymmetrizedPatternIsSymmetric(t *testing.T) {
 	mustValidate(t, s)
 	if !s.PatternSymmetric() {
 		t.Error("A+Aᵀ pattern not symmetric")
+	}
+	// Exactly the union of A's and Aᵀ's patterns, with zero values.
+	stored := map[[2]int]bool{}
+	for i := 0; i < a.N; i++ {
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			stored[[2]int{i, j}] = true
+			stored[[2]int{j, i}] = true
+		}
+	}
+	if s.Nnz() != len(stored) {
+		t.Errorf("nnz %d, want %d", s.Nnz(), len(stored))
+	}
+	for i := 0; i < s.N; i++ {
+		cols, vals := s.Row(i)
+		for k, j := range cols {
+			if !stored[[2]int{i, j}] || vals[k] != 0 {
+				t.Errorf("entry (%d,%d) = %g, not a zero of the union", i, j, vals[k])
+			}
+		}
 	}
 }
 

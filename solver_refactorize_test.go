@@ -337,6 +337,58 @@ func TestRefactorizeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// overflowMatrix is the tridiagonal 3×3 matrix, every entry finite,
+// whose factor overflows: pivot a00, couplings a01 = a10 = 1e200, the
+// rest 1. With a00 = 1e-200 the L entry 1e200/1e-200 is +Inf and the
+// pivot u11 is −Inf, which the pivot guard lets through; with
+// a00 = 1e200 the factor is finite.
+func overflowMatrix(a00 float64) *Matrix {
+	b := NewBuilder(3, 7)
+	b.Add(0, 0, a00)
+	b.AddSym(0, 1, 1e200)
+	b.Add(1, 1, 1)
+	b.AddSym(1, 2, 1)
+	b.Add(2, 2, 1)
+	return b.Build()
+}
+
+// TestFactorOverflowFailsNonFinite: a factor row that overflows to a
+// non-finite value fails Factorize with ErrNonFinite, and fails a
+// Refactorize from a good factor without moving FactorEpoch, at every
+// thread count and lower method.
+func TestFactorOverflowFailsNonFinite(t *testing.T) {
+	good, bad := overflowMatrix(1e200), overflowMatrix(1e-200)
+	for _, lower := range []LowerMethod{LowerAuto, LowerER, LowerSR, LowerNone} {
+		for _, threads := range []int{1, 2} {
+			opt := DefaultOptions()
+			opt.Lower, opt.Threads = lower, threads
+			if _, err := Factorize(bad, opt); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("lower=%v threads=%d: Factorize: got %v, want ErrNonFinite", lower, threads, err)
+			}
+			p, err := Factorize(good, opt)
+			if err != nil {
+				t.Fatalf("lower=%v threads=%d: Factorize of the good matrix: %v", lower, threads, err)
+			}
+			e := p.Engine()
+			epoch := e.FactorEpoch()
+			if err := p.Refactorize(bad); !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("lower=%v threads=%d: Refactorize: got %v, want ErrNonFinite", lower, threads, err)
+			}
+			if e.FactorEpoch() != epoch {
+				t.Fatalf("lower=%v threads=%d: failed Refactorize moved FactorEpoch %d -> %d", lower, threads, epoch, e.FactorEpoch())
+			}
+			z := make([]float64, 3)
+			p.Apply([]float64{1, 2, 3}, z)
+			for i, x := range z {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("lower=%v threads=%d: Apply on the kept factor: z[%d] = %g", lower, threads, i, x)
+				}
+			}
+			p.Close()
+		}
+	}
+}
+
 // TestNewSolverValidatesOptions covers the option-validation bugfix:
 // nonsensical bounds must fail at construction with a descriptive
 // error instead of misbehaving mid-solve.
