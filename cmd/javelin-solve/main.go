@@ -10,10 +10,11 @@
 //	javelin-solve -matrix trans4 -solver auto -timeout 30s
 //	javelin-solve -matrix wang3 -scale 0.02 -drift
 //
-// The line after "factorized in" names the route of the solves'
-// upper-stage rows, inline or phased, with the best times of the probe
-// that Factorize ran on each (core.Engine.SolveRoute); at one thread,
-// or where fewer than two lanes can run, no probe runs.
+// The last line names the route the solves' upper-stage rows take at
+// the end of the run, inline or phased, with each route's live
+// estimate and sample count and the number of route switches
+// (core.Engine.SolveRoute); at one thread, or where fewer than two
+// lanes can run, the solves stay inline and every count is 0.
 //
 // -drift demos the live-update path: the matrix is wrapped in a
 // VersionedMatrix, solved, drifted (a diagonal-scaled value update is
@@ -127,17 +128,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "factorized in %v (levels=%d upper=%d lower=%d method=%s)\n",
 		time.Since(t0), e.Split().Lv.Count, e.Split().NUpper,
 		e.Split().NLower(), p.Method())
-	// The route of the solves' upper-stage rows, and the timings of the
-	// probe that chose it (none at one thread or one runnable lane).
-	route, r := "inline", e.SolveRoute()
-	if r.Phased {
-		route = "phased"
-	}
-	if r.InlineBest == 0 {
-		fmt.Fprintf(stdout, "solve route: %s (no probe)\n", route)
-	} else {
-		fmt.Fprintf(stdout, "solve route: %s (probe best: inline %v, phased %v)\n", route, r.InlineBest, r.PhasedBest)
-	}
 
 	// The Solver inherits the engine's thread count and runtime, so
 	// its matvecs ride the same worker pool as the factorization.
@@ -151,7 +141,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		solverOpts = append(solverOpts, javelin.WithMaxIter(*maxIter))
 	}
 	if *drift {
-		return runDrift(stdout, fail, m, p, solverOpts)
+		rc := runDrift(stdout, fail, m, p, solverOpts)
+		if rc == 0 {
+			printSolveRoute(stdout, p)
+		}
+		return rc
 	}
 
 	s, err := javelin.NewSolver(m, p, solverOpts...)
@@ -201,7 +195,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%s: converged=%v iters=%d relres=%.3g err=%.3g time=%v\n",
 		s.Method(), st.Converged, st.Iterations, st.RelResidual,
 		errNorm, time.Since(t0))
+	printSolveRoute(stdout, p)
 	return 0
+}
+
+// printSolveRoute prints the route the solves' upper-stage rows take
+// now, and the live estimates and switches behind it.
+func printSolveRoute(stdout io.Writer, p *javelin.Preconditioner) {
+	r := p.Engine().SolveRoute()
+	route := "inline"
+	if r.Phased {
+		route = "phased"
+	}
+	fmt.Fprintf(stdout, "solve route: %s (inline %v from %d sweeps, phased %v from %d sweeps, %d switches)\n",
+		route, r.InlineEst, r.InlineSamples, r.PhasedEst, r.PhasedSamples, r.Switches)
 }
 
 // runDrift demos the live-update path: solve on the fresh pair,

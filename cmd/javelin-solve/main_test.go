@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -101,10 +103,13 @@ func TestRunSolveReportsNonConvergence(t *testing.T) {
 	}
 }
 
-// TestRunSolvePrintsSolveRoute: the line after "factorized in" names
-// the solves' route, without a probe at one thread and with the
-// probe's best time on each route when one ran.
+// TestRunSolvePrintsSolveRoute: the last line names the route the
+// solves ended on, each route's live estimate and sample count, and
+// the switches. At one thread every count is 0; at two, with two Ps,
+// the first forward sweeps alternate between the routes, so the
+// inline route has samples.
 func TestRunSolvePrintsSolveRoute(t *testing.T) {
+	line := regexp.MustCompile(`^solve route: (inline|phased) \(inline (\S+) from (\d+) sweeps, phased (\S+) from (\d+) sweeps, (\d+) switches\)$`)
 	for _, threads := range []string{"1", "2"} {
 		var out, errb bytes.Buffer
 		rc := run([]string{"-matrix", "wang3", "-scale", "0.02", "-solver", "cg",
@@ -112,22 +117,18 @@ func TestRunSolvePrintsSolveRoute(t *testing.T) {
 		if rc != 0 {
 			t.Fatalf("threads=%s: rc=%d stderr=%s", threads, rc, errb.String())
 		}
-		lines := strings.Split(out.String(), "\n")
-		i := 0
-		for i < len(lines) && !strings.HasPrefix(lines[i], "factorized in") {
-			i++
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		route := lines[len(lines)-1]
+		m := line.FindStringSubmatch(route)
+		if m == nil || !strings.HasPrefix(lines[len(lines)-2], "cg: converged=true") {
+			t.Fatalf("threads=%s: want the route line right after the solve's, got:\n%s", threads, out.String())
 		}
-		if i+1 >= len(lines) {
-			t.Fatalf("threads=%s: no line after \"factorized in\":\n%s", threads, out.String())
+		live := threads == "2" && runtime.GOMAXPROCS(0) >= 2
+		if zero := "solve route: inline (inline 0s from 0 sweeps, phased 0s from 0 sweeps, 0 switches)"; !live && route != zero {
+			t.Fatalf("threads=%s: route line %q, want %q", threads, route, zero)
 		}
-		route := lines[i+1]
-		probed := strings.HasPrefix(route, "solve route: inline (probe best: inline ") ||
-			strings.HasPrefix(route, "solve route: phased (probe best: inline ")
-		switch {
-		case route == "solve route: inline (no probe)":
-		case threads == "2" && probed && strings.Contains(route, ", phased "):
-		default:
-			t.Fatalf("threads=%s: route line %q", threads, route)
+		if live && m[3] == "0" {
+			t.Fatalf("threads=%s: route line %q has no inline sample", threads, route)
 		}
 	}
 }

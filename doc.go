@@ -62,9 +62,9 @@
 // level scheduler runs both: the upper levels are the phases of the
 // factorization pass's one region (a gate per level, then the lower
 // rows, then the corner groups) and of the solves' phased sweeps (one
-// region per sweep, where Factorize measures that route faster than a
-// plain sweep), so the preconditioner applies without reformatting —
-// the paper's co-design thesis.
+// region per sweep, taken while the solves' own forward sweeps measure
+// that route faster than a plain sweep), so the preconditioner applies
+// without reformatting — the paper's co-design thesis.
 //
 // # Quick start
 //
@@ -317,17 +317,24 @@
 //     region runs inline on the caller; a caller whose system is too
 //     small to repay a region sets Threads = 1.
 //   - Only the triangular sweeps of a solve choose their route by
-//     measurement. At Threads > 1, where two lanes can run at once,
-//     Factorize times the forward sweep of the upper stage inline and
-//     as one phased region (each level's rows cut into one range per
-//     lane, a barrier between levels, Anderson & Saad's level
-//     scheduling) and keeps the faster; Refactorize keeps the choice,
-//     and Engine.SolveRoute reports it with the probe's times. Both
-//     sweeps then run their upper-stage rows on that route; the lower
+//     measurement, and they measure as they run. At Threads > 1, where
+//     two lanes could run at once at Factorize, every forward sweep
+//     times its upper stage, inline or as one phased region (each
+//     level's rows cut into one range per lane, a barrier between
+//     levels, Anderson & Saad's level scheduling). Each route's
+//     estimate is the least of its last eight times; a phased sweep
+//     that no second lane joined is not counted. The sweeps start
+//     inline and take the route in use; two consecutive forward sweeps
+//     run the other route at most once per 64 forward sweeps and
+//     10 ms, and the route changes when the other estimate is lower by
+//     more than a tenth: run-time selection as OSKI does it.
+//     Engine.SolveRoute reports the route, both estimates and the
+//     switches. The backward sweep takes the route in use; the lower
 //     rows always run inline. Both sweeps are plain substitution on
-//     every route, so every thread count gives the 1-thread bits. This
-//     departs from the paper, whose lower rows' solve is an spmv-like
-//     pass over their upper-stage entries before the corner. Run
+//     every route, so every thread count and every switch gives the
+//     1-thread bits. This departs from the paper, whose lower rows'
+//     solve is an spmv-like pass over their upper-stage entries before
+//     the corner. Run
 //     inline, that staged pass made the 2-thread apply on
 //     TSOPF_RS_b300_c2 (699 lower rows, a 2-vCPU host) 1.33–1.37× the
 //     1-thread one in 4 of 4 traced benchmark runs; plain substitution

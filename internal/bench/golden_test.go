@@ -17,7 +17,7 @@ import (
 // checksum, per matrix. Every thread count must reproduce them exactly: the kernel tables keep the reference summation order,
 // the factor values do not depend on the thread count, both triangular
 // sweeps are plain substitution on every route, and the thread count
-// and the solve-route probe only choose between inline and parallel
+// and the live solve route only choose between inline and parallel
 // execution of the same arithmetic — neither moves a solve onto a
 // different numeric path. Any machine must reproduce these bits,
 // whatever its P count: nothing here depends on scheduling.

@@ -4,21 +4,24 @@ package bench
 
 import (
 	"testing"
+	"time"
 
 	"javelin/internal/core"
 	"javelin/internal/util"
 )
 
-// TestApplyTwoThreadOverhead pins the point of the probed solve
-// route: asking for 2 threads must never be catastrophically slower
-// than the serial loop, even on matrices far too small to parallelize
-// and on machines with one or two CPUs (where waiting at a level
-// barrier costs more than the level's rows). At 2 threads Factorize
-// times the upper-stage sweep inline and phased and keeps the faster,
-// and with one P it runs no probe and stays inline, so a 2T apply
-// runs 1T's arithmetic and differs from it only where the phased
-// route measured faster. The bound is deliberately loose — it guards
-// against a route choice that loses, not against timer noise.
+// TestApplyTwoThreadOverhead pins the point of the live solve route:
+// asking for 2 threads must never be catastrophically slower than the
+// serial loop, even on matrices far too small to parallelize and on
+// machines with one or two CPUs (where waiting at a level barrier
+// costs more than the level's rows). At 2 threads the engine's
+// forward sweeps time the upper stage inline and phased and take the
+// faster, and with one P the sweeps have one route, inline, so a 2T
+// apply runs 1T's arithmetic and differs from it only where the
+// phased route measures faster. Each engine is applied for 2 ms before
+// it is timed, so the timing sees the route its sweeps settled on. The
+// bound is deliberately loose — it guards against a route choice that
+// loses, not against timer noise.
 func TestApplyTwoThreadOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -43,7 +46,14 @@ func TestApplyTwoThreadOverhead(t *testing.T) {
 			}
 			defer e.Close()
 			ctx := e.NewContext()
-			ctx.Apply(r, z) // warm caches
+			// Warm the caches and let the route settle: the first
+			// forward sweeps alternate between the routes, and a
+			// phased one leaves the runtime's worker polling for its
+			// 500 µs idle budget. Two milliseconds of applies outlast
+			// both, and the first exploration pair waits 10 ms.
+			for start := time.Now(); time.Since(start) < 2*time.Millisecond; {
+				ctx.Apply(r, z)
+			}
 			return TimeBest(5, func() { ctx.Apply(r, z) }).Nanoseconds()
 		}
 		ns1 := timeApply(1)

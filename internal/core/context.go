@@ -1,6 +1,10 @@
 package core
 
-import "javelin/internal/epoch"
+import (
+	"sync/atomic"
+
+	"javelin/internal/epoch"
+)
 
 // SolveContext holds the per-caller mutable state of the triangular
 // solves: permutation scratch, batch blocks and the pinned
@@ -44,9 +48,11 @@ type SolveContext struct {
 
 	// x is the vector of the phased sweep in flight, and forward and
 	// backward are its region bodies, bound once here so a solve
-	// allocates no closure (see Engine.route).
+	// allocates no closure (see Engine.route). joined records whether
+	// a lane other than the caller's ran a piece of the forward sweep.
 	x                 []float64
 	forward, backward func(lane, i int)
+	joined            atomic.Bool
 }
 
 // retainedBlkRHS caps the batch scratch a released context keeps: a

@@ -172,9 +172,8 @@ type Engine struct {
 	// plan is the factor region's piece plan.
 	plan *factorPlan
 
-	// route is what Factorize's probe of the solves' two routes found
-	// (see chooseSolveRoute). Unless it carries a plan, the solves run
-	// their upper-stage rows inline.
+	// route is the solves' live route state, nil when they can only
+	// run inline (see newSolveRoute).
 	route *solveRoute
 
 	lower *lowerPlan
@@ -291,7 +290,7 @@ func Factorize(a *sparse.CSR, opt Options) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
-	e.chooseSolveRoute()
+	e.route = e.newSolveRoute()
 	return e, nil
 }
 

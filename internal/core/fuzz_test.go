@@ -15,18 +15,27 @@ import (
 // magnitude, how far a MILU factor may sit from the serial reference.
 const miluRelTol = 1e-12
 
-// FuzzFactorize factors a small diagonally dominant matrix built from
-// the fuzz input and compares the engine's factor with the serial
-// internal/ilu reference, after Factorize and after a Refactorize,
-// which must reproduce it. At Threads > 1 both passes dispatch every
-// factor stage. The options start from the zero value, as a caller
-// who skips DefaultOptions would build them. The first five bytes
-// pick the lower method, Threads (1-4), the fill level (0-1), the
-// order n (1-40) and, in data[4], Split.MinRowsPerLevel (1-16) from
-// the low nibble, MILU from bit 4 and τ ∈ {0, 0.05} from bit 5; each
-// following triple (i, j, v) adds v/16 to the off-diagonal entry
-// (i mod n, j mod n). Every diagonal entry is one more than its row's
-// off-diagonal magnitudes, so without MILU every pivot stays nonzero.
+// FuzzFactorize factors a small matrix built from the fuzz input and
+// compares the engine's factor with the serial internal/ilu
+// reference, after Factorize and after a Refactorize, which must
+// reproduce it. At Threads > 1 both passes dispatch every factor
+// stage. The options start from the zero value, as a caller who skips
+// DefaultOptions would build them. The first five bytes pick the
+// lower method, Threads (1-4), the fill level (0-1), the order n
+// (1-40) and, in data[4], Split.MinRowsPerLevel (1-16) from the low
+// nibble, MILU from bit 4, τ ∈ {0, 0.05} from bit 5 and the value
+// encoding from bit 6. With bit 6 clear each following triple
+// (i, j, v) adds v/16 to the off-diagonal entry (i mod n, j mod n),
+// and every diagonal entry is one more than its row's off-diagonal
+// magnitudes, so without MILU every pivot stays nonzero. With bit 6
+// set each following quadruple (i, j, v, x) adds v/16·10^(2x), v and x
+// signed bytes, to entry (i mod n, j mod n), the diagonal included,
+// and a diagonal entry left zero is one more than its row's
+// off-diagonal magnitudes. Such a matrix can overflow its factor or
+// cancel a pivot, so it is held to an absolute oracle first: every
+// input is finite, so Factorize must either fail with a typed error
+// (sparse.ErrNonFinite or ilu.ErrZeroPivot), which ends the case, or
+// publish a factor whose every value is finite.
 //
 // Without MILU the factor must equal the reference bit for bit, τ
 // included. With MILU it need not: the reference sums a row's
@@ -60,33 +69,60 @@ func FuzzFactorize(f *testing.F) {
 		if data[4]&0x20 != 0 {
 			opt.DropTol = 0.05
 		}
+		scaled := data[4]&0x40 != 0
 		n := 1 + int(data[3]%40)
 		dense := make([][]float64, n)
 		for i := range dense {
 			dense[i] = make([]float64, n)
 		}
-		for p := data[5:]; len(p) >= 3; p = p[3:] {
-			if i, j := int(p[0])%n, int(p[1])%n; i != j {
-				dense[i][j] += float64(int8(p[2])) / 16
+		if scaled {
+			for p := data[5:]; len(p) >= 4; p = p[4:] {
+				i, j := int(p[0])%n, int(p[1])%n
+				dense[i][j] += float64(int8(p[2])) / 16 * math.Pow10(2*int(int8(p[3])))
+			}
+		} else {
+			for p := data[5:]; len(p) >= 3; p = p[3:] {
+				if i, j := int(p[0])%n, int(p[1])%n; i != j {
+					dense[i][j] += float64(int8(p[2])) / 16
+				}
 			}
 		}
 		for i, row := range dense {
+			if scaled && row[i] != 0 {
+				continue
+			}
 			s := 1.0
-			for _, v := range row {
-				s += math.Abs(v)
+			for j, v := range row {
+				if j != i {
+					s += math.Abs(v)
+				}
 			}
 			row[i] = s
 		}
 		a := sparse.FromDense(dense)
 
-		cfg := fmt.Sprintf("Lower=%v Threads=%d ILU(%d) MILU=%t τ=%g n=%d",
-			opt.Lower, opt.Threads, opt.FillLevel, opt.Modified, opt.DropTol, n)
+		cfg := fmt.Sprintf("Lower=%v Threads=%d ILU(%d) MILU=%t τ=%g n=%d scaled=%t",
+			opt.Lower, opt.Threads, opt.FillLevel, opt.Modified, opt.DropTol, n, scaled)
 		skipZeroPivot := func(err error) {
 			if opt.Modified && errors.Is(err, ilu.ErrZeroPivot) {
 				t.Skipf("%s: the reference reports %v", cfg, err)
 			}
 		}
 		e, err := Factorize(a, opt)
+		if scaled {
+			if err != nil {
+				if errors.Is(err, sparse.ErrNonFinite) || errors.Is(err, ilu.ErrZeroPivot) {
+					return
+				}
+				t.Fatalf("%s: finite input, untyped error: %v", cfg, err)
+			}
+			for k, x := range e.Factor().LU.Val {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					e.Close()
+					t.Fatalf("%s: finite input, factor entry %d is %g", cfg, k, x)
+				}
+			}
+		}
 		if err != nil {
 			// The split does not depend on values or MILU, so a MILU-off
 			// engine gives the reference its permuted pattern.

@@ -13,12 +13,13 @@ import (
 )
 
 // forceSolveRoute puts e's solves on the phased route or the inline
-// one, whatever its probe chose.
+// one through a fresh route state. Only the forced route will have
+// samples, so every sweep takes it until the first exploration pair,
+// 64 forward sweeps and 10 ms on.
 func forceSolveRoute(e *Engine, phased bool) {
-	e.route = nil
-	if phased {
-		e.route = &solveRoute{plan: e.newSweepPlan()}
-	}
+	r := &solveRoute{plan: e.newSweepPlan(), born: time.Now()}
+	r.phased.Store(phased)
+	e.route = r
 }
 
 // solveBits returns SolveLower, SolveUpper and Apply of b on a fresh
@@ -112,7 +113,8 @@ func TestPhasedSolvesMatchSerialSubstitution(t *testing.T) {
 // TestRefactorizeWithBusyRuntime: on a shared two-lane runtime whose
 // only worker is held in a blocked region, an Apply on the phased
 // route finishes, the caller running every piece alone, and gives the
-// inline route's bits.
+// inline route's bits. No second lane ran, so the forward sweep's time
+// is not kept as a phased sample.
 func TestPhasedApplyWithBusyRuntime(t *testing.T) {
 	rt := exec.New(2)
 	defer rt.Close()
@@ -135,6 +137,7 @@ func TestPhasedApplyWithBusyRuntime(t *testing.T) {
 		want := make([]float64, a.N)
 		e.NewContext().Apply(r, want)
 		forceSolveRoute(e, true)
+		kept := e.SolveRoute().PhasedSamples
 
 		release := make(chan struct{})
 		var entered sync.WaitGroup
@@ -169,6 +172,9 @@ func TestPhasedApplyWithBusyRuntime(t *testing.T) {
 		}
 		if i := firstBitDiff(z, want); i >= 0 {
 			t.Errorf("%v: phased Apply differs from inline at %d: %g, want %g", method, i, z[i], want[i])
+		}
+		if got := e.SolveRoute().PhasedSamples; got != kept {
+			t.Errorf("%v: a phased sweep that no second lane joined was kept as a sample (%d samples, want %d)", method, got, kept)
 		}
 		e.Close()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,8 +17,9 @@ import (
 // route it sweeps the upper-stage levels in ascending order as one
 // exec.Runtime.Phases region, each level's rows cut into one range per
 // lane with a barrier between levels, and then the lower rows
-// [NUpper, n) inline, ascending; Factorize picks the route by timing
-// both (see Engine.SolveRoute). TriLower is row-local and every L
+// [NUpper, n) inline, ascending. On an engine with a sweep plan each
+// call times its upper stage, and the engine's live estimates pick the
+// route (see Engine.SolveRoute). TriLower is row-local and every L
 // entry of an upper-stage row points to an earlier level, so every
 // thread count and both routes give the bits of plain serial
 // substitution on the engine's factor.
@@ -37,13 +39,36 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	p := e.phasedPlan()
-	if p == nil {
-		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
-		return
+	lo := 0
+	if r := e.route; r != nil {
+		c.forwardUpper(r, x)
+		lo = e.split.NUpper
 	}
-	c.runPhased(p.fwdGate, c.forward, x)
-	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, e.split.NUpper, e.n)
+	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, lo, e.n)
+}
+
+// forwardUpper runs the upper-stage rows of a forward sweep on the
+// route r picks and feeds their time, read with two clock reads, back
+// into r. A phased sweep in which no lane but the caller's ran a piece
+// cost what an inline one does plus the region, so its time is not
+// kept as the phased route's cost.
+//
+//javelin:noalloc
+func (c *SolveContext) forwardUpper(r *solveRoute, x []float64) {
+	e := c.e
+	t0 := time.Now()
+	phased := r.pick(t0)
+	if phased {
+		c.joined.Store(false)
+		c.runPhased(r.plan.fwdGate, c.forward, x)
+		if !c.joined.Load() {
+			return
+		}
+	} else {
+		lu := e.factor.LU
+		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.split.NUpper)
+	}
+	r.record(phased, time.Since(t0))
 }
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
@@ -51,12 +76,14 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 // Inline it is one descending sweep on the calling goroutine, at
 // every thread count. On the phased route it sweeps the lower rows
 // [NUpper, n) inline, descending, and then the upper-stage levels in
-// descending order as one exec.Runtime.Phases region. Under the
-// lower(A+Aᵀ) leveling every U entry of an upper-stage row points to
-// a later level or to a lower row, and TriUpper is row-local, so
-// every thread count and both routes give the bits of plain serial
-// substitution. See SolveLower's note on epoch pinning when pairing
-// the two under concurrent Refactorize.
+// descending order as one exec.Runtime.Phases region. It takes the
+// route the engine's estimates currently prefer and is not timed:
+// only forward sweeps sample and explore (see Engine.SolveRoute).
+// Under the lower(A+Aᵀ) leveling every U entry of an upper-stage row
+// points to a later level or to a lower row, and TriUpper is
+// row-local, so every thread count and both routes give the bits of
+// plain serial substitution. See SolveLower's note on epoch pinning
+// when pairing the two under concurrent Refactorize.
 //
 //javelin:noalloc
 func (c *SolveContext) SolveUpper(b, x []float64) {
@@ -67,30 +94,131 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 	if &b[0] != &x[0] {
 		copy(x, b)
 	}
-	p := e.phasedPlan()
-	if p == nil {
+	r := e.route
+	if r == nil || !r.phased.Load() {
 		e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
 		return
 	}
 	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, e.split.NUpper, e.n)
-	c.runPhased(p.bwdGate, c.backward, x)
+	c.runPhased(r.plan.bwdGate, c.backward, x)
 }
 
-// solveRoute is the outcome of an engine's route probe: the best time
-// of the forward upper-stage sweep on each route and, when the phased
-// route won, its piece plan.
+// The live route choice's constants. Each route's estimate is the
+// least of its last routeWindow kept upper-stage times. The sweeps
+// start inline; two consecutive forward sweeps run the route not in
+// use once at least routeExplore forward sweeps and routeExploreGap
+// have passed since the engine was built or last explored, and the
+// engine moves to the other route when that one's estimate is below
+// its own by more than 1/routeMargin of it.
+const (
+	routeWindow     = 8
+	routeExplore    = 64
+	routeExploreGap = 10 * time.Millisecond
+	routeMargin     = 10
+)
+
+// solveRoute is an engine's live choice between its two solve routes:
+// the upper-stage rows of each sweep run inline or phased, and the
+// engine learns which is faster from its own forward sweeps, an
+// ε-greedy choice between two arms (Sutton & Barto, ch. 2) like the
+// run-time kernel selection of OSKI (Vuduc, Demmel & Yelick, 2005).
+// Every route is plain substitution, so a switch changes no bit. All
+// mutable state is atomic: concurrent contexts share it without a
+// lock or an allocation.
 type solveRoute struct {
-	inlineBest, phasedBest time.Duration
-	plan                   *sweepPlan
+	plan *sweepPlan
+	born time.Time // the clock's origin for exploredAt
+
+	phased    atomic.Bool   // the route the sweeps take
+	sweeps    atomic.Uint64 // forward sweeps begun
+	switches  atomic.Uint64
+	explored  atomic.Uint64 // the sweep that opened the last exploration pair
+	exploring atomic.Bool   // the route that pair runs
+	// exploredAt is when the last pair opened, in ns since born.
+	exploredAt           atomic.Int64
+	inlineEst, phasedEst routeEstimate
 }
 
-// phasedPlan returns the piece plan of the phased route, or nil when
-// the solves run inline.
-func (e *Engine) phasedPlan() *sweepPlan {
-	if e.route == nil {
-		return nil
+// estimate returns the route's estimate.
+func (r *solveRoute) estimate(phased bool) *routeEstimate {
+	if phased {
+		return &r.phasedEst
 	}
-	return e.route.plan
+	return &r.inlineEst
+}
+
+// pick returns whether the forward sweep beginning at now runs
+// phased: on the route in use, except for an exploration pair, two
+// consecutive sweeps on the other route once at least routeExplore
+// sweeps and routeExploreGap have passed since the engine was built or
+// last explored.
+//
+// Pairs, the gap, and starting inline all answer one effect. A phased
+// sweep leaves the runtime's worker polling for its idle budget
+// (500 µs), and on a 2-vCPU host a polling worker slows the caller's
+// own sweeps, so an inline time taken soon after a phased sweep reads
+// up to 2.7× its time with the worker parked. Starting inline gives
+// the inline route clean samples before the first phased try; the gap
+// bounds how often exploring keeps the worker polling where a sweep
+// takes microseconds; and a phased sweep after a run of inline ones
+// may have to wake a parked worker, while the second of the pair finds
+// it polling, as every phased sweep does once the engine sweeps
+// phased.
+func (r *solveRoute) pick(now time.Time) bool {
+	s := r.sweeps.Add(1)
+	last := r.explored.Load()
+	if last > 0 && s == last+1 {
+		return r.exploring.Load()
+	}
+	at := now.Sub(r.born)
+	if s >= last+routeExplore && at-time.Duration(r.exploredAt.Load()) >= routeExploreGap &&
+		r.explored.CompareAndSwap(last, s) {
+		other := !r.phased.Load()
+		r.exploring.Store(other)
+		r.exploredAt.Store(int64(at))
+		return other
+	}
+	return r.phased.Load()
+}
+
+// record keeps d as a sample of the route's upper-stage time and moves
+// the engine to the other route when that one's estimate is lower by
+// the margin. A route with no sample has no estimate and never wins.
+func (r *solveRoute) record(phased bool, d time.Duration) {
+	r.estimate(phased).add(d)
+	cur := r.phased.Load()
+	mine, other := r.estimate(cur).best(), r.estimate(!cur).best()
+	if other < mine-mine/routeMargin && r.phased.CompareAndSwap(cur, !cur) {
+		r.switches.Add(1)
+	}
+}
+
+// routeEstimate is one route's sample window: its last routeWindow
+// kept upper-stage times in nanoseconds, 0 marking a slot not yet
+// filled, and its count of kept samples.
+type routeEstimate struct {
+	samples atomic.Uint64
+	last    [routeWindow]atomic.Int64
+}
+
+// add records one sample.
+func (s *routeEstimate) add(d time.Duration) {
+	k := s.samples.Add(1) - 1
+	s.last[k%routeWindow].Store(max(int64(d), 1))
+}
+
+// best returns the least time in the window, or math.MaxInt64 before
+// the first sample. A stall (a descheduled lane, a GC assist, a
+// worker waking from its park) only lengthens a sweep, so the least
+// time ignores one-off stalls.
+func (s *routeEstimate) best() int64 {
+	b := int64(math.MaxInt64)
+	for i := range s.last {
+		if v := s.last[i].Load(); v > 0 {
+			b = min(b, v)
+		}
+	}
+	return b
 }
 
 // sweepPlan is the phased route's piece plan over the upper stage:
@@ -158,10 +286,14 @@ func (c *SolveContext) runPhased(gate []int32, body func(lane, i int), x []float
 	c.x = nil
 }
 
-// forwardPiece runs TriLower over the rows of forward piece i.
+// forwardPiece runs TriLower over the rows of forward piece i and
+// notes when a lane other than the caller's runs it.
 //
 //javelin:noalloc
-func (c *SolveContext) forwardPiece(_, i int) {
+func (c *SolveContext) forwardPiece(lane, i int) {
+	if lane != 0 {
+		c.joined.Store(true)
+	}
 	e := c.e
 	lu, cut := e.factor.LU, e.route.plan.cut
 	e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, c.x, cut[i], cut[i+1])
@@ -178,74 +310,63 @@ func (c *SolveContext) backwardPiece(_, i int) {
 }
 
 // SolveRoute reports how an engine's solves run their upper-stage
-// rows and the probe behind the choice.
+// rows and the live estimates behind the choice.
 type SolveRoute struct {
-	// Phased is true when the rows run level by level through
-	// exec.Runtime.Phases, false when they run inline.
+	// Phased is true while the rows run level by level through
+	// exec.Runtime.Phases, false while they run inline.
 	Phased bool
-	// InlineBest and PhasedBest are the probe's best times for one
-	// forward sweep of the upper stage on each route, both 0 when no
-	// probe ran.
-	InlineBest, PhasedBest time.Duration
+	// InlineEst and PhasedEst are each route's estimate of one forward
+	// sweep of the upper stage (the least of its last few kept
+	// samples), 0 before the route's first sample; InlineSamples and
+	// PhasedSamples count the samples kept so far.
+	InlineEst, PhasedEst         time.Duration
+	InlineSamples, PhasedSamples uint64
+	// Switches counts the changes of route.
+	Switches uint64
 }
 
-// SolveRoute returns the route the solves take and the probe's best
-// time on each route. It only reports; nothing sets the route but
-// Factorize.
+// SolveRoute returns the route the solves take now and the estimates
+// behind it. An engine whose solves cannot run phased (one thread,
+// fewer than two lanes runnable at Factorize, or no upper level with
+// two rows) runs inline and reports zeros. Otherwise every forward
+// sweep times its upper stage on the route it takes and keeps the time
+// as a sample of that route, unless it ran phased and no second lane
+// joined it. The sweeps start inline and take the route in use; two
+// consecutive forward sweeps run the other route at most once per 64
+// forward sweeps and 10 ms, to give it an estimate and keep it
+// current, and the route changes when the other estimate is lower by
+// more than a tenth. Backward sweeps take the route in use and are not
+// timed. Reading the state takes no lock, so the report may straddle
+// a sweep in flight.
 func (e *Engine) SolveRoute() SolveRoute {
 	r := e.route
 	if r == nil {
 		return SolveRoute{}
 	}
-	return SolveRoute{Phased: r.plan != nil, InlineBest: r.inlineBest, PhasedBest: r.phasedBest}
+	est := func(s *routeEstimate) (time.Duration, uint64) {
+		n := s.samples.Load()
+		if n == 0 {
+			return 0, 0
+		}
+		return time.Duration(s.best()), n
+	}
+	out := SolveRoute{Phased: r.phased.Load(), Switches: r.switches.Load()}
+	out.InlineEst, out.InlineSamples = est(&r.inlineEst)
+	out.PhasedEst, out.PhasedSamples = est(&r.phasedEst)
+	return out
 }
 
-// probeTrials is the number of timed trials per route in the solve
-// route probe.
-const probeTrials = 5
-
-// chooseSolveRoute times the forward upper-stage sweep inline and
-// phased on this host and keeps the phased route only if its best time
-// is lower. An engine with one thread, or where fewer than two lanes
-// can run at once (Threads never exceeds the runtime's parallelism),
-// runs no probe and stays inline, and so does one whose levels all
-// hold a single row. The probe sweeps a private zero vector, which
-// both routes keep zero, so every run costs the same; after one
-// untimed run of each route it interleaves the trials, each timed on
-// the second of two back-to-back runs, so that waking a parked worker
-// is not charged to the phased route.
-func (e *Engine) chooseSolveRoute() {
+// newSolveRoute gives the engine its route state when its solves can
+// run phased: at least two lanes can run at once (Threads never
+// exceeds the runtime's parallelism) and some upper level holds two
+// rows. Otherwise the solves stay inline and time nothing.
+func (e *Engine) newSolveRoute() *solveRoute {
 	if min(e.opt.Threads, runtime.GOMAXPROCS(0)) < 2 {
-		return
+		return nil
 	}
 	p := e.newSweepPlan()
 	if len(p.fwdGate) == e.split.CutLevel {
-		return // no level has two rows to share
+		return nil // no level has two rows to share
 	}
-	r := &solveRoute{plan: p}
-	e.route = r
-	c := e.NewContext()
-	c.enter()
-	defer c.exit()
-	lu, x := e.factor.LU, c.tmp1
-	inline := func() {
-		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.split.NUpper)
-	}
-	phased := func() { c.runPhased(p.fwdGate, c.forward, x) }
-	second := func(run func()) time.Duration {
-		run()
-		t0 := time.Now()
-		run()
-		return time.Since(t0)
-	}
-	inline()
-	phased()
-	r.inlineBest, r.phasedBest = math.MaxInt64, math.MaxInt64
-	for t := 0; t < probeTrials; t++ {
-		r.inlineBest = min(r.inlineBest, second(inline))
-		r.phasedBest = min(r.phasedBest, second(phased))
-	}
-	if r.phasedBest >= r.inlineBest {
-		r.plan = nil
-	}
+	return &solveRoute{plan: p, born: time.Now()}
 }

@@ -18,31 +18,59 @@ type Graph struct {
 
 // FromMatrix builds the undirected adjacency graph of the pattern of
 // A+Aᵀ, dropping the diagonal. This is the standard graph model for
-// symmetric orderings of possibly-unsymmetric matrices.
+// symmetric orderings of possibly-unsymmetric matrices; a must be
+// square. It builds Aᵀ's pattern without values (n+1 and nnz words)
+// and merges each row of A with the matching column straight into
+// Adj, which is sized for 2·nnz entries, the most the merge can hold.
 func FromMatrix(a *sparse.CSR) *Graph {
-	s := a.SymmetrizedPattern()
-	n := s.N
-	ptr := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		cnt := 0
-		cols, _ := s.Row(i)
-		for _, j := range cols {
-			if j != i {
-				cnt++
-			}
-		}
-		ptr[i+1] = ptr[i] + cnt
+	if a.N != a.M {
+		panic("graph: FromMatrix requires a square matrix")
 	}
-	adj := make([]int, ptr[n])
-	p := 0
+	n := a.N
+	// tPtr counts each column, is summed to the column ends, and
+	// steps back to the starts as the rows are placed last to first,
+	// so each column's rows come out ascending.
+	tPtr := make([]int, n+1)
+	for _, j := range a.ColIdx {
+		tPtr[j]++
+	}
+	for j := 1; j <= n; j++ {
+		tPtr[j] += tPtr[j-1]
+	}
+	tCol := make([]int, a.Nnz())
+	for i := n - 1; i >= 0; i-- {
+		for k := a.RowPtr[i+1] - 1; k >= a.RowPtr[i]; k-- {
+			j := a.ColIdx[k]
+			tPtr[j]--
+			tCol[tPtr[j]] = i
+		}
+	}
+	ptr := make([]int, n+1)
+	adj := make([]int, 0, 2*a.Nnz())
 	for i := 0; i < n; i++ {
-		cols, _ := s.Row(i)
-		for _, j := range cols {
+		x, y := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], tCol[tPtr[i]:tPtr[i+1]]
+		for len(x) > 0 && len(y) > 0 {
+			j := x[0]
+			switch {
+			case j < y[0]:
+				x = x[1:]
+			case j > y[0]:
+				j, y = y[0], y[1:]
+			default:
+				x, y = x[1:], y[1:]
+			}
 			if j != i {
-				adj[p] = j
-				p++
+				adj = append(adj, j)
 			}
 		}
+		for _, rest := range [2][]int{x, y} {
+			for _, j := range rest {
+				if j != i {
+					adj = append(adj, j)
+				}
+			}
+		}
+		ptr[i+1] = len(adj)
 	}
 	return &Graph{N: n, Ptr: ptr, Adj: adj}
 }

@@ -35,6 +35,53 @@ func TestFromMatrixDropsDiagonalAndSymmetrizes(t *testing.T) {
 	}
 }
 
+// TestFromMatrixIsPatternUnion: on random unsymmetric patterns (a few
+// columns per row, diagonals sometimes missing, n = 1 included),
+// FromMatrix's neighbor lists are exactly the off-diagonal union of A's
+// and Aᵀ's patterns, Aᵀ built by Transpose: symmetric, ascending and
+// without self loops.
+func TestFromMatrixIsPatternUnion(t *testing.T) {
+	rng := util.NewRNG(7)
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(40)
+		coo := sparse.NewCOO(n, n, 4*n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(2) == 0 {
+				coo.Add(i, i, 1)
+			}
+			for k := rng.Intn(5); k > 0; k-- {
+				coo.Add(i, rng.Intn(n), 1)
+			}
+		}
+		a := coo.ToCSR()
+		union := map[[2]int]bool{}
+		for _, m := range []*sparse.CSR{a, a.Transpose()} {
+			for i := 0; i < n; i++ {
+				cols, _ := m.Row(i)
+				for _, j := range cols {
+					if j != i {
+						union[[2]int{i, j}] = true
+					}
+				}
+			}
+		}
+		g := FromMatrix(a)
+		if g.N != n || g.Ptr[n] != len(union) {
+			t.Fatalf("trial %d: %d vertices and %d neighbor entries, want %d and %d",
+				trial, g.N, g.Ptr[n], n, len(union))
+		}
+		for v := 0; v < n; v++ {
+			nb := g.Neighbors(v)
+			for k, w := range nb {
+				if w == v || !union[[2]int{v, w}] || k > 0 && nb[k-1] >= w {
+					t.Fatalf("trial %d: neighbors of %d are %v: a self loop, a pair outside the union, or not ascending",
+						trial, v, nb)
+				}
+			}
+		}
+	}
+}
+
 func TestBFSLevelsOnPath(t *testing.T) {
 	g := pathGraph(10)
 	res := NewSearch(g.N)

@@ -47,44 +47,34 @@ func (s PatternSource) String() string {
 	return "lower(A+A^T)"
 }
 
-// Compute builds the level schedule for the chosen pattern of a.
+// Compute builds the level schedule for the chosen pattern of a in
+// one pass over its rows, ascending, with one n-word array and no
+// transpose. Row i first pulls level(j)+1 from each entry j left of
+// its diagonal, which finishes level(i): every row that row i depends
+// on is earlier. Under LowerAAT it then pushes level(i)+1 into each
+// later row j it holds an entry for, since (i, j) in A is (j, i) in
+// Aᵀ, a dependency of row j on row i; row j finishes the maximum when
+// its turn comes. Columns must be sorted ascending, as CSR keeps them.
 func Compute(a *sparse.CSR, src PatternSource) *Levels {
-	var pat *sparse.CSR
-	switch src {
-	case LowerA:
-		pat = a
-	case LowerAAT:
-		pat = a.SymmetrizedPattern()
-	}
-	return FromLowerPattern(pat)
-}
-
-// FromLowerPattern computes levels from any square CSR, considering
-// only entries strictly below the diagonal (so callers may pass the
-// full matrix).
-func FromLowerPattern(a *sparse.CSR) *Levels {
 	n := a.N
 	lvl := make([]int, n)
-	maxLvl := -1
+	count := 0
 	for i := 0; i < n; i++ {
-		l := 0
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if j >= i {
-				break
-			}
-			if lvl[j]+1 > l {
-				l = lvl[j] + 1
-			}
+		cols := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]]
+		l, k := lvl[i], 0
+		for ; k < len(cols) && cols[k] < i; k++ {
+			l = max(l, lvl[cols[k]]+1)
 		}
 		lvl[i] = l
-		if l > maxLvl {
-			maxLvl = l
+		count = max(count, l+1)
+		if src != LowerAAT {
+			continue
 		}
-	}
-	count := maxLvl + 1
-	if n == 0 {
-		count = 0
+		for _, j := range cols[k:] {
+			if j > i {
+				lvl[j] = max(lvl[j], l+1)
+			}
+		}
 	}
 	ptr := make([]int, count+1)
 	for _, l := range lvl {

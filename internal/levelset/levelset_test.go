@@ -6,6 +6,7 @@ import (
 
 	"javelin/internal/gen"
 	"javelin/internal/sparse"
+	"javelin/internal/util"
 )
 
 func tridiag(n int) *sparse.CSR {
@@ -50,20 +51,95 @@ func TestLevelsOfChain(t *testing.T) {
 	}
 }
 
+// aatPattern returns the pattern of A+Aᵀ, built from a's transpose:
+// the reference the one-pass LowerAAT levels are checked against.
+func aatPattern(a *sparse.CSR) *sparse.CSR {
+	at := a.Transpose()
+	coo := sparse.NewCOO(a.N, a.N, 2*a.Nnz())
+	for i := 0; i < a.N; i++ {
+		for _, m := range []*sparse.CSR{a, at} {
+			cols, _ := m.Row(i)
+			for _, j := range cols {
+				coo.Add(i, j, 1)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// patternOf builds an n×n pattern from (row, col) pairs.
+func patternOf(n int, entries ...[2]int) *sparse.CSR {
+	coo := sparse.NewCOO(n, n, len(entries))
+	for _, e := range entries {
+		coo.Add(e[0], e[1], 1)
+	}
+	return coo.ToCSR()
+}
+
+// randomPattern draws an unsymmetric n×n pattern: each row gets a few
+// columns anywhere, and its diagonal only with probability 1/2.
+func randomPattern(rng *util.RNG, n int) *sparse.CSR {
+	coo := sparse.NewCOO(n, n, 4*n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			coo.Add(i, i, 1)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			coo.Add(i, rng.Intn(n), 1)
+		}
+	}
+	return coo.ToCSR()
+}
+
+// firstLevelDiff returns the first row whose level differs between
+// the two schedules, or -1 when they agree.
+func firstLevelDiff(lv, ref *Levels) int {
+	for i, l := range lv.RowLvl {
+		if l != ref.RowLvl[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLevelsValidateOnSuiteLikeMatrices: on suite-like matrices, on
+// random unsymmetric patterns, on patterns whose rows have off-diagonal
+// entries only above the diagonal, and on empty rows, missing
+// diagonals and n = 1, both sources give a legal level schedule for
+// their pattern whose sizes sum to N, and the one-pass LowerAAT levels
+// equal the levels of lower(A+Aᵀ) built from a's transpose. Only the
+// LowerAAT pass's push step (a row raising the later rows its
+// above-diagonal entries name) sees the dependencies of the above-only
+// and unsymmetric inputs.
 func TestLevelsValidateOnSuiteLikeMatrices(t *testing.T) {
 	mats := []*sparse.CSR{
 		gen.GridLaplacian(15, 15, 1, gen.Star5, 0.5),
 		gen.TetraMesh(6, 6, 6, 3),
 		gen.Circuit(gen.CircuitOptions{N: 400, AvgDeg: 4, NumHubs: 2, HubDeg: 30, UnsymFrac: 0.3, Locality: 40, Seed: 1}),
+		// Upper bidiagonal: every dependency is above the diagonal.
+		patternOf(5, [2]int{0, 0}, [2]int{0, 1}, [2]int{1, 1}, [2]int{1, 2}, [2]int{2, 2}, [2]int{2, 3},
+			[2]int{3, 3}, [2]int{3, 4}, [2]int{4, 4}),
+		// Row 0 reaches forward to rows 3 and 5; rows 1, 2 and 4 are
+		// empty; row 5 has no diagonal.
+		patternOf(6, [2]int{0, 3}, [2]int{0, 5}, [2]int{3, 3}, [2]int{3, 5}),
+		patternOf(1),
+		patternOf(1, [2]int{0, 0}),
+	}
+	rng := util.NewRNG(9)
+	for k := 0; k < 40; k++ {
+		mats = append(mats, randomPattern(rng, 1+rng.Intn(60)))
 	}
 	for mi, a := range mats {
 		for _, src := range []PatternSource{LowerA, LowerAAT} {
 			lv := Compute(a, src)
-			var pat *sparse.CSR
+			pat := a
 			if src == LowerAAT {
-				pat = a.SymmetrizedPattern()
-			} else {
-				pat = a
+				pat = aatPattern(a)
+				ref := Compute(pat, LowerA)
+				if i := firstLevelDiff(lv, ref); i >= 0 {
+					t.Errorf("matrix %d (n=%d): LowerAAT level of row %d is %d, lower(A+Aᵀ) gives %d",
+						mi, a.N, i, lv.RowLvl[i], ref.RowLvl[i])
+				}
 			}
 			if err := lv.Validate(pat); err != nil {
 				t.Errorf("matrix %d src %v: %v", mi, src, err)

@@ -167,6 +167,9 @@ func (s *Split) buildPerm() {
 // are contiguous and cover [0, NUpper), and every dependency of an
 // upper row resolves to an earlier level while lower-row dependencies
 // point only to upper rows or earlier lower rows (in new indexing).
+// An entry (r, c) of the permuted matrix with c < r is a dependency of
+// row r on row c; under LowerAAT one with c > r is also a dependency,
+// of row c on row r.
 func (s *Split) Validate(a *sparse.CSR) error {
 	if err := s.Perm.Validate(); err != nil {
 		return err
@@ -177,32 +180,39 @@ func (s *Split) Validate(a *sparse.CSR) error {
 	}
 	perm := sparse.PermuteSym(a, s.Perm, 1)
 	// In the permuted matrix, the level of each upper row must be
-	// within its assigned band, and all sub-diagonal entries of an
-	// upper row must reference strictly earlier bands.
+	// within its assigned band, and all dependencies of an upper row
+	// must reference strictly earlier bands.
 	newLvl := make([]int, perm.N)
 	for l := 0; l < s.CutLevel; l++ {
 		for r := s.UpperLvlPtr[l]; r < s.UpperLvlPtr[l+1]; r++ {
 			newLvl[r] = l
 		}
 	}
-	var pat *sparse.CSR
-	if s.Src == LowerAAT {
-		pat = perm.SymmetrizedPattern()
-	} else {
-		pat = perm
+	check := func(r, c int) error {
+		if r >= s.NUpper {
+			return nil
+		}
+		if c >= s.NUpper {
+			return fmt.Errorf("levelset: upper row %d depends on lower row %d", r, c)
+		}
+		if newLvl[c] >= newLvl[r] {
+			return fmt.Errorf("levelset: upper row %d (lvl %d) depends on row %d (lvl %d)",
+				r, newLvl[r], c, newLvl[c])
+		}
+		return nil
 	}
-	for r := 0; r < s.NUpper; r++ {
-		cols, _ := pat.Row(r)
+	for r := 0; r < perm.N; r++ {
+		cols, _ := perm.Row(r)
 		for _, c := range cols {
-			if c >= r {
-				break
+			var err error
+			switch {
+			case c < r:
+				err = check(r, c)
+			case c > r && s.Src == LowerAAT:
+				err = check(c, r)
 			}
-			if c >= s.NUpper {
-				return fmt.Errorf("levelset: upper row %d depends on lower row %d", r, c)
-			}
-			if newLvl[c] >= newLvl[r] {
-				return fmt.Errorf("levelset: upper row %d (lvl %d) depends on row %d (lvl %d)",
-					r, newLvl[r], c, newLvl[c])
+			if err != nil {
+				return err
 			}
 		}
 	}

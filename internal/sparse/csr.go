@@ -1,7 +1,6 @@
 // Package sparse implements the compressed sparse row (CSR) matrix
 // substrate used throughout Javelin: construction from coordinate
-// form, permutation, transposition, triangular pattern extraction
-// (lower(A) and lower(A+Aᵀ)), and structural diagnostics.
+// form, permutation, transposition, and structural diagnostics.
 //
 // Javelin deliberately stays in plain CSR — the paper's thesis is that
 // scalable ILU and triangular solves do not need exotic formats, only

@@ -28,53 +28,6 @@ func (a *CSR) Transpose() *CSR {
 	return &CSR{N: m, M: n, RowPtr: ptr, ColIdx: col, Val: val}
 }
 
-// SymmetrizedPattern returns the pattern of A+Aᵀ with zero values; a
-// must be square. Aᵀ's pattern is built without values, and each
-// output row is the merge of row i of A with column i of A in one
-// pass.
-func (a *CSR) SymmetrizedPattern() *CSR {
-	if a.N != a.M {
-		panic("sparse: SymmetrizedPattern requires a square matrix")
-	}
-	n, nnz := a.N, a.Nnz()
-	// tPtr counts each column, is summed to the column ends, and
-	// steps back to the starts as the rows are placed last to first,
-	// so each column's rows come out ascending.
-	tPtr := make([]int, n+1)
-	for _, j := range a.ColIdx {
-		tPtr[j]++
-	}
-	for j := 1; j <= n; j++ {
-		tPtr[j] += tPtr[j-1]
-	}
-	tCol := make([]int, nnz)
-	for i := n - 1; i >= 0; i-- {
-		for k := a.RowPtr[i+1] - 1; k >= a.RowPtr[i]; k-- {
-			j := a.ColIdx[k]
-			tPtr[j]--
-			tCol[tPtr[j]] = i
-		}
-	}
-	ptr := make([]int, n+1)
-	col := make([]int, 0, 2*nnz)
-	for i := 0; i < n; i++ {
-		x, y := a.ColIdx[a.RowPtr[i]:a.RowPtr[i+1]], tCol[tPtr[i]:tPtr[i+1]]
-		for len(x) > 0 && len(y) > 0 {
-			switch {
-			case x[0] < y[0]:
-				col, x = append(col, x[0]), x[1:]
-			case x[0] > y[0]:
-				col, y = append(col, y[0]), y[1:]
-			default:
-				col, x, y = append(col, x[0]), x[1:], y[1:]
-			}
-		}
-		col = append(append(col, x...), y...)
-		ptr[i+1] = len(col)
-	}
-	return &CSR{N: n, M: n, RowPtr: ptr, ColIdx: col, Val: make([]float64, len(col))}
-}
-
 // MatVec computes y = a*x serially. len(x) == M, len(y) == N.
 func (a *CSR) MatVec(x, y []float64) {
 	a.MatVecVals(a.Val, x, y)

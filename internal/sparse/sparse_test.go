@@ -103,36 +103,6 @@ func TestTransposeMatVecAdjoint(t *testing.T) {
 	}
 }
 
-func TestSymmetrizedPatternIsSymmetric(t *testing.T) {
-	rng := util.NewRNG(7)
-	a := randomCSR(rng, 30, 30, 3)
-	s := a.SymmetrizedPattern()
-	mustValidate(t, s)
-	if !s.PatternSymmetric() {
-		t.Error("A+Aᵀ pattern not symmetric")
-	}
-	// Exactly the union of A's and Aᵀ's patterns, with zero values.
-	stored := map[[2]int]bool{}
-	for i := 0; i < a.N; i++ {
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			stored[[2]int{i, j}] = true
-			stored[[2]int{j, i}] = true
-		}
-	}
-	if s.Nnz() != len(stored) {
-		t.Errorf("nnz %d, want %d", s.Nnz(), len(stored))
-	}
-	for i := 0; i < s.N; i++ {
-		cols, vals := s.Row(i)
-		for k, j := range cols {
-			if !stored[[2]int{i, j}] || vals[k] != 0 {
-				t.Errorf("entry (%d,%d) = %g, not a zero of the union", i, j, vals[k])
-			}
-		}
-	}
-}
-
 func TestPermInverseComposeProperties(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := util.NewRNG(seed)

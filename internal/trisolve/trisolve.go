@@ -58,7 +58,7 @@ func NewCSRLS(f *ilu.Factor, threads int) *CSRLS {
 		threads = 1
 	}
 	s := &CSRLS{f: f, threads: threads}
-	s.fwd = levelset.FromLowerPattern(f.LU)
+	s.fwd = levelset.Compute(f.LU, levelset.LowerA)
 	s.buildBackward()
 	return s
 }
