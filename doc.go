@@ -225,7 +225,7 @@
 // onto a persistent
 // Runtime: a fixed pool of worker goroutines, so hot paths never
 // create goroutines per call. A worker with nothing to claim keeps
-// polling for up to idleSpin (500 µs of wall-clock time) after its
+// polling for up to exec.IdleSpin (500 µs of wall-clock time) after its
 // last claim or wake, yielding its P between polls, and only then
 // parks; a runtime idle for longer holds no P. The budget is there
 // because on a 2-vCPU host a parked worker took about 105 µs (median)
@@ -323,13 +323,17 @@
 //     level's rows cut into one range per lane, a barrier between
 //     levels, Anderson & Saad's level scheduling). Each route's
 //     estimate is the least of its last eight times; a phased sweep
-//     that no second lane joined is not counted. The sweeps start
-//     inline and take the route in use; two consecutive forward sweeps
-//     run the other route at most once per 64 forward sweeps and
-//     10 ms, and the route changes when the other estimate is lower by
-//     more than a tenth: run-time selection as OSKI does it.
-//     Engine.SolveRoute reports the route, both estimates and the
-//     switches. The backward sweep takes the route in use; the lower
+//     that no second lane joined is not counted, nor an inline one
+//     begun while the runtime's worker may still poll after a phased
+//     sweep (exec.IdleSpin), whose polling slows the caller on a host
+//     with few CPUs. The sweeps start inline and take the route in
+//     use; at most once per 64 forward sweeps and 10 ms they explore
+//     the other route until two of its sweeps could be counted, and
+//     the route changes when the other estimate is lower by more than
+//     a tenth: run-time selection as OSKI does it. Engine.SolveRoute
+//     reports the route, both estimates and the switches, and
+//     Engine.RouteSettled whether the first exploration has closed.
+//     The backward sweep takes the forward sweeps' route; the lower
 //     rows always run inline. Both sweeps are plain substitution on
 //     every route, so every thread count and every switch gives the
 //     1-thread bits. This departs from the paper, whose lower rows'

@@ -54,11 +54,10 @@ func measure(m *javelin.Matrix, threads int, lower javelin.LowerMethod, b, z []f
 			log.Fatal(err)
 		}
 	})
-	// The solves choose their route from their own sweeps: they start
-	// inline and try the phased route once 64 forward sweeps and 10 ms
-	// have passed. Apply 200 times first so the timing sees the route
-	// they settle on.
-	for i := 0; i < 200; i++ {
+	// The solves choose their route from their own sweeps, starting
+	// inline: apply until the route has settled (or for a second), so
+	// the timing sees the route they settle on.
+	for start := time.Now(); !p.Engine().RouteSettled() && time.Since(start) < time.Second; {
 		p.Apply(b, z)
 	}
 	solve = best(5, func() { p.Apply(b, z) })

@@ -350,10 +350,8 @@ func timeEngineSolve(cfg Config, a *sparse.CSR, threads int, lower core.LowerMet
 		ctx.SolveLower(b, x)
 		ctx.SolveUpper(x, x)
 	}
-	// Let the live route settle first: the sweeps start inline and try
-	// the phased route once 64 forward sweeps and 10 ms have passed,
-	// and again after as many more.
-	for k, start := 0, time.Now(); k < 200 || time.Since(start) < 30*time.Millisecond; k++ {
+	// Time the route the sweeps settle on, not the inline start.
+	for start := time.Now(); !e.RouteSettled() && time.Since(start) < time.Second; {
 		sweep()
 	}
 	return TimeBest(cfg.Repeats, sweep)

@@ -18,8 +18,9 @@ import (
 // forward sweeps time the upper stage inline and phased and take the
 // faster, and with one P the sweeps have one route, inline, so a 2T
 // apply runs 1T's arithmetic and differs from it only where the
-// phased route measures faster. Each engine is applied for 2 ms before
-// it is timed, so the timing sees the route its sweeps settled on. The
+// phased route measures faster. Each engine is applied until its
+// route has settled (core.Engine.RouteSettled), so the timing sees
+// the route its sweeps chose with both routes' costs in hand. The
 // bound is deliberately loose — it guards against a route choice that
 // loses, not against timer noise.
 func TestApplyTwoThreadOverhead(t *testing.T) {
@@ -46,15 +47,13 @@ func TestApplyTwoThreadOverhead(t *testing.T) {
 			}
 			defer e.Close()
 			ctx := e.NewContext()
-			// Warm the caches and let the route settle: the first
-			// forward sweeps alternate between the routes, and a
-			// phased one leaves the runtime's worker polling for its
-			// 500 µs idle budget. Two milliseconds of applies outlast
-			// both, and the first exploration pair waits 10 ms.
-			for start := time.Now(); time.Since(start) < 2*time.Millisecond; {
+			ctx.Apply(r, z) // warm caches
+			for start := time.Now(); !e.RouteSettled() && time.Since(start) < time.Second; {
 				ctx.Apply(r, z)
 			}
-			return TimeBest(5, func() { ctx.Apply(r, z) }).Nanoseconds()
+			ns := TimeBest(5, func() { ctx.Apply(r, z) }).Nanoseconds()
+			t.Logf("%s %dT: %+v", name, threads, e.SolveRoute())
+			return ns
 		}
 		ns1 := timeApply(1)
 		ns2 := timeApply(2)

@@ -13,9 +13,8 @@ import (
 )
 
 // forceSolveRoute puts e's solves on the phased route or the inline
-// one through a fresh route state. Only the forced route will have
-// samples, so every sweep takes it until the first exploration pair,
-// 64 forward sweeps and 10 ms on.
+// one through a fresh route state. Every sweep takes it until the
+// first exploration, 64 forward sweeps and 10 ms on.
 func forceSolveRoute(e *Engine, phased bool) {
 	r := &solveRoute{plan: e.newSweepPlan(), born: time.Now()}
 	r.phased.Store(phased)

@@ -4,9 +4,9 @@
 // builds, whose instrumentation stretches every sweep. Run them alone
 // with two Ps, as CI does:
 //
-//	GOMAXPROCS=2 go test -count=1 -run TestSolveRouteLive ./internal/bench
+//	GOMAXPROCS=2 go test -count=1 -run TestSolveRouteLive ./internal/core
 
-package bench
+package core
 
 import (
 	"os"
@@ -15,8 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"javelin/internal/core"
 	"javelin/internal/exec"
+	"javelin/internal/gen"
+	"javelin/internal/order"
 	"javelin/internal/sparse"
 	"javelin/internal/util"
 )
@@ -45,6 +46,22 @@ func cpuStallUs() int64 {
 // routeApplies is how many applies after a disturbance an engine gets
 // to settle its solve route.
 const routeApplies = 200
+
+// suiteMatrix returns the suite matrix called name at scale with a
+// zero-free diagonal, in nested-dissection order, as the benchmark
+// sets it up.
+func suiteMatrix(t *testing.T, name string, scale float64) *sparse.CSR {
+	t.Helper()
+	spec, ok := gen.ByName(name)
+	if !ok {
+		t.Fatalf("suite has no matrix %q", name)
+	}
+	a := spec.Build(spec.ScaledN(scale))
+	if !a.HasFullDiagonal() {
+		a = sparse.PermuteRows(a, order.ZeroFreeDiagonal(a))
+	}
+	return sparse.PermuteSym(a, order.ComputeND(a), util.MaxThreads())
+}
 
 // liveRouteSetup skips the caller unless it may time sweeps: not in
 // -short mode, with at least two Ps, and with the CPUs not already
@@ -98,14 +115,14 @@ func applyVector(a *sparse.CSR) []float64 {
 // are factorized back to back at Threads=2 on one Runtime(2) while a
 // goroutine allocates garbage, each applied 70 times under it, so
 // every one of them has its first samples, and its first exploration
-// pair at the 64th sweep, with the second lane contended. Once the
+// at the 64th sweep, with the second lane contended. Once the
 // goroutine stops, at least 29 of the 30 must sweep phased within
 // routeApplies applies: the phased route pays on this matrix, and a
 // route chosen under load must not stick.
 func TestSolveRouteLiveRecoversAfterGarbage(t *testing.T) {
 	liveRouteSetup(t)
 	const engines, underLoad, want = 30, 70, 29
-	a := BuildInstance(goldenSpec(t, "parabolic_fem"), 0.05, true).A
+	a := suiteMatrix(t, "parabolic_fem", 0.05)
 	r := applyVector(a)
 	z := make([]float64, a.N)
 	rt := exec.New(2)
@@ -127,11 +144,11 @@ func TestSolveRouteLiveRecoversAfterGarbage(t *testing.T) {
 			}
 		}
 	}()
-	es := make([]*core.Engine, engines)
+	es := make([]*Engine, engines)
 	for i := range es {
-		opt := core.DefaultOptions()
+		opt := DefaultOptions()
 		opt.Threads, opt.Runtime = 2, rt
-		e, err := core.Factorize(a, opt)
+		e, err := Factorize(a, opt)
 		if err != nil {
 			close(stop)
 			t.Fatal(err)
@@ -174,30 +191,68 @@ func TestSolveRouteLiveRecoversAfterGarbage(t *testing.T) {
 	}
 }
 
-// TestSolveRouteLiveSettlesInlineOnPowerflow: on the powerflow matrix,
-// whose upper levels are too small to repay a region per level, a
-// Threads=2 engine sweeps inline after routeApplies applies.
-func TestSolveRouteLiveSettlesInlineOnPowerflow(t *testing.T) {
-	liveRouteSetup(t)
-	a := BuildInstance(goldenSpec(t, "TSOPF_RS_b300_c2"), 0.05, true).A
-	r := applyVector(a)
-	z := make([]float64, a.N)
-	opt := core.DefaultOptions()
-	opt.Threads, opt.Lower = 2, core.LowerSR
-	watch := newStallWatch()
-	e, err := core.Factorize(a, opt)
+// powerflowEngine factorizes the powerflow matrix at Threads=2 with
+// the SR lower stage, as the powerflow-refactor workload does. Its
+// upper levels are too small to repay a region per level.
+func powerflowEngine(t *testing.T) (*Engine, []float64) {
+	t.Helper()
+	a := suiteMatrix(t, "TSOPF_RS_b300_c2", 0.05)
+	opt := DefaultOptions()
+	opt.Threads, opt.Lower = 2, LowerSR
+	e, err := Factorize(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	c := e.NewContext()
-	for k := 0; k < routeApplies; k++ {
+	return e, applyVector(a)
+}
+
+// applyUntil applies e through c at least applies times and then
+// until the route has closed explorations explorations, or for at
+// most 2 s.
+func applyUntil(e *Engine, c *SolveContext, r []float64, applies int, explorations uint64) {
+	z := make([]float64, len(r))
+	for k, start := 0, time.Now(); k < applies ||
+		e.route.explorations.Load() < explorations && time.Since(start) < 2*time.Second; k++ {
 		c.Apply(r, z)
 	}
+}
+
+// TestSolveRouteLiveSettlesInlineOnPowerflow: on the powerflow matrix
+// a Threads=2 engine sweeps inline after routeApplies applies and
+// three explorations, having timed both routes.
+func TestSolveRouteLiveSettlesInlineOnPowerflow(t *testing.T) {
+	liveRouteSetup(t)
+	watch := newStallWatch()
+	e, r := powerflowEngine(t)
+	defer e.Close()
+	applyUntil(e, e.NewContext(), r, routeApplies, 3)
 	got := e.SolveRoute()
 	watch.skipIfBusy(t)
-	t.Logf("%+v", got)
-	if got.Phased || got.InlineSamples == 0 {
-		t.Fatalf("route after %d applies: %+v, want inline with inline samples", routeApplies, got)
+	t.Logf("%+v after %d explorations", got, e.route.explorations.Load())
+	if got.Phased || got.InlineSamples == 0 || got.PhasedSamples == 0 {
+		t.Fatalf("route: %+v, want inline with samples of both routes", got)
+	}
+}
+
+// TestSolveRouteLiveLeavesPhasedOnPowerflow: a powerflow engine put on
+// the phased route goes back to inline at its first exploration, and
+// within routeApplies applies.
+func TestSolveRouteLiveLeavesPhasedOnPowerflow(t *testing.T) {
+	liveRouteSetup(t)
+	watch := newStallWatch()
+	e, r := powerflowEngine(t)
+	defer e.Close()
+	forceSolveRoute(e, true)
+	c := e.NewContext()
+	applyUntil(e, c, r, 0, 1)
+	first := e.SolveRoute()
+	applies := e.route.sweeps.Load()
+	applyUntil(e, c, r, routeApplies-int(applies), 0)
+	got := e.SolveRoute()
+	watch.skipIfBusy(t)
+	t.Logf("after the first exploration (%d applies): %+v; after %d applies: %+v", applies, first, routeApplies, got)
+	if first.Phased || first.Switches != 1 || got.Phased {
+		t.Fatalf("forced phased: %+v after the first exploration, %+v after %d applies; want inline after 1 switch",
+			first, got, routeApplies)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+
+	"javelin/internal/exec"
 )
 
 // SolveLower solves L·x = b on the engine's permuted indexing, where
@@ -48,27 +50,29 @@ func (c *SolveContext) SolveLower(b, x []float64) {
 }
 
 // forwardUpper runs the upper-stage rows of a forward sweep on the
-// route r picks and feeds their time, read with two clock reads, back
-// into r. A phased sweep in which no lane but the caller's ran a piece
-// cost what an inline one does plus the region, so its time is not
-// kept as the phased route's cost.
+// route r picks and, when pick counts the sweep as a sample, feeds
+// their time, read with two clock reads, back into r. A phased sweep
+// in which no lane but the caller's ran a piece cost what an inline
+// one does plus the region, so its time is not kept either.
 //
 //javelin:noalloc
 func (c *SolveContext) forwardUpper(r *solveRoute, x []float64) {
 	e := c.e
 	t0 := time.Now()
-	phased := r.pick(t0)
+	phased, timed := r.pick(t0)
+	var t1 time.Time
 	if phased {
 		c.joined.Store(false)
-		c.runPhased(r.plan.fwdGate, c.forward, x)
-		if !c.joined.Load() {
-			return
-		}
+		t1 = c.runPhased(r, r.plan.fwdGate, c.forward, x)
+		timed = timed && c.joined.Load()
 	} else {
 		lu := e.factor.LU
 		e.kt.TriLower(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.split.NUpper)
+		t1 = time.Now()
 	}
-	r.record(phased, time.Since(t0))
+	if timed {
+		r.record(phased, t1.Sub(t0))
+	}
 }
 
 // SolveUpper solves U·x = b on the permuted indexing (b, x length N,
@@ -77,8 +81,8 @@ func (c *SolveContext) forwardUpper(r *solveRoute, x []float64) {
 // every thread count. On the phased route it sweeps the lower rows
 // [NUpper, n) inline, descending, and then the upper-stage levels in
 // descending order as one exec.Runtime.Phases region. It takes the
-// route the engine's estimates currently prefer and is not timed:
-// only forward sweeps sample and explore (see Engine.SolveRoute).
+// route the forward sweeps take at the time, the one in use or the
+// one being explored, and is not timed (see Engine.SolveRoute).
 // Under the lower(A+Aᵀ) leveling every U entry of an upper-stage row
 // points to a later level or to a lower row, and TriUpper is
 // row-local, so every thread count and both routes give the bits of
@@ -95,25 +99,27 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 		copy(x, b)
 	}
 	r := e.route
-	if r == nil || !r.phased.Load() {
+	if r == nil || !r.current() {
 		e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, 0, e.n)
 		return
 	}
 	e.kt.TriUpper(lu.RowPtr, e.factor.DiagPos, lu.ColIdx, c.vals, x, e.split.NUpper, e.n)
-	c.runPhased(r.plan.bwdGate, c.backward, x)
+	c.runPhased(r, r.plan.bwdGate, c.backward, x)
 }
 
 // The live route choice's constants. Each route's estimate is the
-// least of its last routeWindow kept upper-stage times. The sweeps
-// start inline; two consecutive forward sweeps run the route not in
-// use once at least routeExplore forward sweeps and routeExploreGap
-// have passed since the engine was built or last explored, and the
-// engine moves to the other route when that one's estimate is below
-// its own by more than 1/routeMargin of it.
+// least of its last routeWindow samples. The sweeps start inline; an
+// exploration runs the route not in use once at least routeExplore
+// forward sweeps and routeExploreGap have passed since the engine was
+// built or the last exploration opened, and closes after routePair
+// forward sweeps that could be samples. The engine moves to the other
+// route when that one's estimate is below its own by more than
+// 1/routeMargin of it.
 const (
 	routeWindow     = 8
 	routeExplore    = 64
 	routeExploreGap = 10 * time.Millisecond
+	routePair       = 2
 	routeMargin     = 10
 )
 
@@ -124,18 +130,24 @@ const (
 // run-time kernel selection of OSKI (Vuduc, Demmel & Yelick, 2005).
 // Every route is plain substitution, so a switch changes no bit. All
 // mutable state is atomic: concurrent contexts share it without a
-// lock or an allocation.
+// lock or an allocation. Times are kept in nanoseconds since born.
 type solveRoute struct {
 	plan *sweepPlan
-	born time.Time // the clock's origin for exploredAt
+	born time.Time
 
-	phased    atomic.Bool   // the route the sweeps take
-	sweeps    atomic.Uint64 // forward sweeps begun
-	switches  atomic.Uint64
-	explored  atomic.Uint64 // the sweep that opened the last exploration pair
-	exploring atomic.Bool   // the route that pair runs
-	// exploredAt is when the last pair opened, in ns since born.
-	exploredAt           atomic.Int64
+	phased    atomic.Bool // the route in use
+	exploring atomic.Bool // the sweeps run the other route
+	// explored is the forward sweep that opened the last exploration
+	// and openedAt its time; timed counts the forward sweeps of the
+	// open exploration that could be samples.
+	explored     atomic.Uint64
+	openedAt     atomic.Int64
+	timed        atomic.Uint32
+	explorations atomic.Uint64 // explorations closed
+	sweeps       atomic.Uint64 // forward sweeps begun
+	switches     atomic.Uint64
+	phasedEnd    atomic.Int64 // when the last phased sweep ended
+
 	inlineEst, phasedEst routeEstimate
 }
 
@@ -147,49 +159,71 @@ func (r *solveRoute) estimate(phased bool) *routeEstimate {
 	return &r.inlineEst
 }
 
-// pick returns whether the forward sweep beginning at now runs
-// phased: on the route in use, except for an exploration pair, two
-// consecutive sweeps on the other route once at least routeExplore
-// sweeps and routeExploreGap have passed since the engine was built or
-// last explored.
+// current reports whether the sweeps run phased now: on the route in
+// use, or on the other one while an exploration is open.
+func (r *solveRoute) current() bool {
+	return r.phased.Load() != r.exploring.Load()
+}
+
+// pick returns whether the forward sweep beginning at now runs phased
+// and whether its time may be a sample of that route's cost. It opens
+// an exploration once at least routeExplore sweeps and
+// routeExploreGap have passed since the engine was built or the last
+// one opened; the exploration's sweeps, backward ones included, run
+// the route not in use, and it closes with its routePair-th sweep that
+// may be a sample.
 //
-// Pairs, the gap, and starting inline all answer one effect. A phased
-// sweep leaves the runtime's worker polling for its idle budget
-// (500 µs), and on a 2-vCPU host a polling worker slows the caller's
-// own sweeps, so an inline time taken soon after a phased sweep reads
-// up to 2.7× its time with the worker parked. Starting inline gives
-// the inline route clean samples before the first phased try; the gap
+// Samples are taken only where the runtime's worker is in the state
+// the route keeps it in. A phased sweep leaves the worker polling for
+// exec.IdleSpin, and on a host with few CPUs a polling worker slows
+// the caller's own sweeps: an inline sweep timed soon after a phased
+// one reads up to 2.7× its time with the worker parked. So an inline
+// sweep may be a sample only when it begins at least exec.IdleSpin
+// after the engine's last phased sweep ended, and an inline
+// exploration runs until two such sweeps; the sweeps start inline,
+// with Factorize's regions as the phased sweep they wait out. The
+// first sweep of an exploration is never a sample: a phased one may
+// have to wake a parked worker, while the next finds it polling, as
+// every phased sweep does once the engine sweeps phased. The gap
 // bounds how often exploring keeps the worker polling where a sweep
-// takes microseconds; and a phased sweep after a run of inline ones
-// may have to wake a parked worker, while the second of the pair finds
-// it polling, as every phased sweep does once the engine sweeps
-// phased.
-func (r *solveRoute) pick(now time.Time) bool {
+// takes microseconds.
+func (r *solveRoute) pick(now time.Time) (phased, timed bool) {
 	s := r.sweeps.Add(1)
-	last := r.explored.Load()
-	if last > 0 && s == last+1 {
-		return r.exploring.Load()
+	at := int64(now.Sub(r.born))
+	opens := false
+	if last := r.explored.Load(); !r.exploring.Load() && s >= last+routeExplore &&
+		at-r.openedAt.Load() >= int64(routeExploreGap) && r.explored.CompareAndSwap(last, s) {
+		r.openedAt.Store(at)
+		r.timed.Store(0)
+		r.exploring.Store(true)
+		opens = true
 	}
-	at := now.Sub(r.born)
-	if s >= last+routeExplore && at-time.Duration(r.exploredAt.Load()) >= routeExploreGap &&
-		r.explored.CompareAndSwap(last, s) {
-		other := !r.phased.Load()
-		r.exploring.Store(other)
-		r.exploredAt.Store(int64(at))
-		return other
+	phased = r.current()
+	timed = !opens && (phased || at-r.phasedEnd.Load() >= int64(exec.IdleSpin))
+	if timed && r.exploring.Load() && r.timed.Add(1) == routePair {
+		r.closeExploration()
 	}
-	return r.phased.Load()
+	return phased, timed
+}
+
+// closeExploration returns the sweeps to the route in use.
+func (r *solveRoute) closeExploration() {
+	if r.exploring.CompareAndSwap(true, false) {
+		r.explorations.Add(1)
+	}
 }
 
 // record keeps d as a sample of the route's upper-stage time and moves
 // the engine to the other route when that one's estimate is lower by
-// the margin. A route with no sample has no estimate and never wins.
+// the margin, which also closes an open exploration. A route with no
+// sample has no estimate and never wins.
 func (r *solveRoute) record(phased bool, d time.Duration) {
 	r.estimate(phased).add(d)
 	cur := r.phased.Load()
 	mine, other := r.estimate(cur).best(), r.estimate(!cur).best()
 	if other < mine-mine/routeMargin && r.phased.CompareAndSwap(cur, !cur) {
 		r.switches.Add(1)
+		r.closeExploration()
 	}
 }
 
@@ -277,13 +311,16 @@ func (e *Engine) cutLevels(k int) (cut []int, gate []int32) {
 
 // runPhased runs one sweep of the phased route over x: the pieces of
 // gate, each through body, as one runtime region of up to Threads
-// lanes.
+// lanes. It returns when the sweep ended and keeps that time in r.
 //
 //javelin:noalloc
-func (c *SolveContext) runPhased(gate []int32, body func(lane, i int), x []float64) {
+func (c *SolveContext) runPhased(r *solveRoute, gate []int32, body func(lane, i int), x []float64) time.Time {
 	c.x = x
 	c.e.rt.Phases(gate, c.e.opt.Threads, body)
 	c.x = nil
+	end := time.Now()
+	r.phasedEnd.Store(int64(end.Sub(r.born)))
+	return end
 }
 
 // forwardPiece runs TriLower over the rows of forward piece i and
@@ -331,13 +368,14 @@ type SolveRoute struct {
 // two rows) runs inline and reports zeros. Otherwise every forward
 // sweep times its upper stage on the route it takes and keeps the time
 // as a sample of that route, unless it ran phased and no second lane
-// joined it. The sweeps start inline and take the route in use; two
-// consecutive forward sweeps run the other route at most once per 64
-// forward sweeps and 10 ms, to give it an estimate and keep it
-// current, and the route changes when the other estimate is lower by
-// more than a tenth. Backward sweeps take the route in use and are not
-// timed. Reading the state takes no lock, so the report may straddle
-// a sweep in flight.
+// joined it, or ran inline within exec.IdleSpin of the engine's last
+// phased sweep. The sweeps start inline and take the route in use; at
+// most once per 64 forward sweeps and 10 ms they explore the other
+// route until two of its forward sweeps could be samples, to give it
+// an estimate and keep it current, and the route changes when the
+// other estimate is lower by more than a tenth. Backward sweeps take
+// the route the forward ones take and are not timed. Reading the state
+// takes no lock, so the report may straddle a sweep in flight.
 func (e *Engine) SolveRoute() SolveRoute {
 	r := e.route
 	if r == nil {
@@ -354,6 +392,16 @@ func (e *Engine) SolveRoute() SolveRoute {
 	out.InlineEst, out.InlineSamples = est(&r.inlineEst)
 	out.PhasedEst, out.PhasedSamples = est(&r.phasedEst)
 	return out
+}
+
+// RouteSettled reports whether the engine's solves have chosen their
+// route from both routes' costs: at once for an engine whose solves
+// run inline only, and after the first exploration for one that
+// chooses live. Code that times solves applies the engine until it
+// holds, so it times the route the sweeps settle on rather than the
+// inline start.
+func (e *Engine) RouteSettled() bool {
+	return e.route == nil || e.route.explorations.Load() > 0
 }
 
 // newSolveRoute gives the engine its route state when its solves can

@@ -19,7 +19,7 @@
 // claim-based (atomic piece dealing over persistent workers), so a
 // region costs two mutex hops and a handful of atomics instead of
 // goroutine creation. A worker with nothing to claim keeps polling for
-// idleSpin after its last claim, so the next region of a solve finds
+// IdleSpin after its last claim, so the next region of a solve finds
 // it running, and only then parks: a Runtime left idle for longer
 // holds no P.
 //
@@ -124,7 +124,7 @@ var defaultRT struct {
 
 // Default returns the lazily created process-wide runtime, sized to
 // GOMAXPROCS at first use. It is never closed; its workers park once
-// idle for idleSpin. Every component not handed an explicit Runtime
+// idle for IdleSpin. Every component not handed an explicit Runtime
 // runs here.
 func Default() *Runtime {
 	//javelin:alloc-ok one-time: the process-wide runtime is created on first use
@@ -375,7 +375,7 @@ func (j *job) claimableLocked() bool {
 // Worker loop
 // ---------------------------------------------------------------------
 
-// idleSpin is how long an idle worker keeps polling for a region after
+// IdleSpin is how long an idle worker keeps polling for a region after
 // its last claim or wake before it parks. A parked worker takes about
 // a hundred microseconds to start a piece once woken, longer than most
 // regions of a solve (one matvec, one reduction, one phased sweep), and
@@ -383,7 +383,7 @@ func (j *job) claimableLocked() bool {
 // worker stays running through a whole solve. A budget counted in polls
 // lasts however long runtime.Gosched takes, which varies tenfold with
 // what else is runnable; a wall-clock one does not.
-const idleSpin = 500 * time.Microsecond
+const IdleSpin = 500 * time.Microsecond
 
 // step joins the first open region that still has unclaimed pieces
 // and runs claims there. ran is false when none exists; closed then
@@ -416,7 +416,7 @@ func (r *Runtime) hasWorkLocked() bool {
 }
 
 // workerLoop polls for regions, yielding its P between polls, until
-// idleSpin has passed since its last claim or wake, then parks until a
+// IdleSpin has passed since its last claim or wake, then parks until a
 // region opens. It returns once the runtime is closed and no region is
 // left to join.
 func (r *Runtime) workerLoop() {
@@ -428,7 +428,7 @@ func (r *Runtime) workerLoop() {
 			idleSince = time.Now()
 			continue
 		}
-		if !closed && time.Since(idleSince) < idleSpin {
+		if !closed && time.Since(idleSince) < IdleSpin {
 			runtime.Gosched()
 			continue
 		}

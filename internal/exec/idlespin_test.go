@@ -45,7 +45,7 @@ func cpuStallUs() int64 {
 }
 
 // TestIdleSpinShortGapsDoNotPark: regions separated by gaps well under
-// idleSpin, as a solve's matvecs, reductions and sweeps are, find the
+// IdleSpin, as a solve's matvecs, reductions and sweeps are, find the
 // worker still polling instead of parked.
 //
 // The budget is wall-clock time, so a worker whose thread waits for a
@@ -55,7 +55,7 @@ func cpuStallUs() int64 {
 // the median of three counted attempts decides.
 func TestIdleSpinShortGapsDoNotPark(t *testing.T) {
 	const regions, attempts, maxParks = 50, 3, 5
-	gap := idleSpin / 5
+	gap := IdleSpin / 5
 	var parks []uint64
 	for deadline := time.Now().Add(500 * time.Millisecond); len(parks) < attempts; {
 		if time.Now().After(deadline) {
@@ -82,21 +82,21 @@ func TestIdleSpinShortGapsDoNotPark(t *testing.T) {
 }
 
 // TestIdleSpinIdleWorkerParks: once no region has opened for longer
-// than idleSpin, the worker parks instead of polling forever.
+// than IdleSpin, the worker parks instead of polling forever.
 func TestIdleSpinIdleWorkerParks(t *testing.T) {
 	r := New(2)
 	defer r.Close()
 	r.For(2, 2, func(int, int) {})
 	for deadline := time.Now().Add(time.Second); r.Stats().Parks == 0; {
 		if time.Now().After(deadline) {
-			t.Fatalf("worker idle for 1s without parking (idleSpin %v)", idleSpin)
+			t.Fatalf("worker idle for 1s without parking (IdleSpin %v)", IdleSpin)
 		}
-		time.Sleep(idleSpin)
+		time.Sleep(IdleSpin)
 	}
 }
 
 // TestIdleSpinCloseDoesNotWaitOutSpin: Close stops a polling worker at
-// its next poll; waiting out the idle budget would take idleSpin per
+// its next poll; waiting out the idle budget would take IdleSpin per
 // Close.
 func TestIdleSpinCloseDoesNotWaitOutSpin(t *testing.T) {
 	const cycles = 100
@@ -106,7 +106,7 @@ func TestIdleSpinCloseDoesNotWaitOutSpin(t *testing.T) {
 		r.For(2, 2, func(int, int) {})
 		r.Close()
 	}
-	if took, limit := time.Since(start), cycles*idleSpin/2; took >= limit {
+	if took, limit := time.Since(start), cycles*IdleSpin/2; took >= limit {
 		t.Fatalf("%d New/For/Close cycles took %v, want under %v", cycles, took, limit)
 	}
 }

@@ -47,7 +47,7 @@ type Stats struct {
 	// Parks counts worker transitions into the parked state (blocked
 	// on the idle condvar); Wakes counts returns from it (spurious
 	// wakes included). SpinToParks counts the times a worker found no
-	// work for its whole idle budget (idleSpin of wall-clock time
+	// work for its whole idle budget (IdleSpin of wall-clock time
 	// since its last claim or wake) and reached for the park lock,
 	// whether or not it ended up waiting; a worker leaving a closed
 	// runtime counts once too. High SpinToParks with few Parks means
