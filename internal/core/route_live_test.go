@@ -191,68 +191,42 @@ func TestSolveRouteLiveRecoversAfterGarbage(t *testing.T) {
 	}
 }
 
-// powerflowEngine factorizes the powerflow matrix at Threads=2 with
-// the SR lower stage, as the powerflow-refactor workload does. Its
-// upper levels are too small to repay a region per level.
-func powerflowEngine(t *testing.T) (*Engine, []float64) {
-	t.Helper()
+// TestSolveRouteLiveSettlesInlineOnPowerflow: on the powerflow matrix,
+// whose upper levels are too small to repay a region per level, a
+// Threads=2 engine with the SR lower stage, as the powerflow-refactor
+// workload runs it, sweeps inline after routeApplies applies and three
+// explorations, having timed both routes. Put on the phased route, it
+// returns to inline within routeApplies applies.
+func TestSolveRouteLiveSettlesInlineOnPowerflow(t *testing.T) {
+	liveRouteSetup(t)
+	watch := newStallWatch()
 	a := suiteMatrix(t, "TSOPF_RS_b300_c2", 0.05)
+	r := applyVector(a)
+	z := make([]float64, a.N)
 	opt := DefaultOptions()
 	opt.Threads, opt.Lower = 2, LowerSR
 	e, err := Factorize(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e, applyVector(a)
-}
-
-// applyUntil applies e through c at least applies times and then
-// until the route has closed explorations explorations, or for at
-// most 2 s.
-func applyUntil(e *Engine, c *SolveContext, r []float64, applies int, explorations uint64) {
-	z := make([]float64, len(r))
-	for k, start := 0, time.Now(); k < applies ||
-		e.route.explorations.Load() < explorations && time.Since(start) < 2*time.Second; k++ {
+	defer e.Close()
+	c := e.NewContext()
+	for k, start := 0, time.Now(); k < routeApplies ||
+		e.route.explorations.Load() < 3 && time.Since(start) < 2*time.Second; k++ {
 		c.Apply(r, z)
 	}
-}
-
-// TestSolveRouteLiveSettlesInlineOnPowerflow: on the powerflow matrix
-// a Threads=2 engine sweeps inline after routeApplies applies and
-// three explorations, having timed both routes.
-func TestSolveRouteLiveSettlesInlineOnPowerflow(t *testing.T) {
-	liveRouteSetup(t)
-	watch := newStallWatch()
-	e, r := powerflowEngine(t)
-	defer e.Close()
-	applyUntil(e, e.NewContext(), r, routeApplies, 3)
-	got := e.SolveRoute()
-	watch.skipIfBusy(t)
-	t.Logf("%+v after %d explorations", got, e.route.explorations.Load())
-	if got.Phased || got.InlineSamples == 0 || got.PhasedSamples == 0 {
-		t.Fatalf("route: %+v, want inline with samples of both routes", got)
-	}
-}
-
-// TestSolveRouteLiveLeavesPhasedOnPowerflow: a powerflow engine put on
-// the phased route goes back to inline at its first exploration, and
-// within routeApplies applies.
-func TestSolveRouteLiveLeavesPhasedOnPowerflow(t *testing.T) {
-	liveRouteSetup(t)
-	watch := newStallWatch()
-	e, r := powerflowEngine(t)
-	defer e.Close()
+	settled := e.SolveRoute()
 	forceSolveRoute(e, true)
-	c := e.NewContext()
-	applyUntil(e, c, r, 0, 1)
-	first := e.SolveRoute()
-	applies := e.route.sweeps.Load()
-	applyUntil(e, c, r, routeApplies-int(applies), 0)
-	got := e.SolveRoute()
+	for k := 0; k < routeApplies; k++ {
+		c.Apply(r, z)
+	}
+	back := e.SolveRoute()
 	watch.skipIfBusy(t)
-	t.Logf("after the first exploration (%d applies): %+v; after %d applies: %+v", applies, first, routeApplies, got)
-	if first.Phased || first.Switches != 1 || got.Phased {
-		t.Fatalf("forced phased: %+v after the first exploration, %+v after %d applies; want inline after 1 switch",
-			first, got, routeApplies)
+	t.Logf("settled: %+v; %d applies after the phased start: %+v", settled, routeApplies, back)
+	if settled.Phased || settled.InlineSamples == 0 || settled.PhasedSamples == 0 {
+		t.Errorf("settled route %+v, want inline with samples of both routes", settled)
+	}
+	if back.Phased || back.Switches != 1 {
+		t.Errorf("%d applies after a phased start: %+v, want inline after 1 switch", routeApplies, back)
 	}
 }

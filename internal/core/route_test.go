@@ -60,7 +60,7 @@ func TestSolveRouteChoice(t *testing.T) {
 	m := newRouteSim(time.Millisecond, 100*us, 50*us, 100*us)
 	r := m.r
 	for s := uint64(1); s <= 200; s++ {
-		want := s >= 64 && (s < 2*routeExplore || s%routeExplore > routePair)
+		want := s >= 64 && (s < 2*routeExplore || s%routeExplore > routeSamples)
 		if got := m.sweep(); got != want {
 			t.Fatalf("sweep %d runs phased=%v, want %v", s, got, want)
 		}

@@ -111,7 +111,7 @@ func (c *SolveContext) SolveUpper(b, x []float64) {
 // least of its last routeWindow samples. The sweeps start inline; an
 // exploration runs the route not in use once at least routeExplore
 // forward sweeps and routeExploreGap have passed since the engine was
-// built or the last exploration opened, and closes after routePair
+// built or the last exploration opened, and closes after routeSamples
 // forward sweeps that could be samples. The engine moves to the other
 // route when that one's estimate is below its own by more than
 // 1/routeMargin of it.
@@ -119,7 +119,7 @@ const (
 	routeWindow     = 8
 	routeExplore    = 64
 	routeExploreGap = 10 * time.Millisecond
-	routePair       = 2
+	routeSamples    = 2
 	routeMargin     = 10
 )
 
@@ -170,8 +170,8 @@ func (r *solveRoute) current() bool {
 // an exploration once at least routeExplore sweeps and
 // routeExploreGap have passed since the engine was built or the last
 // one opened; the exploration's sweeps, backward ones included, run
-// the route not in use, and it closes with its routePair-th sweep that
-// may be a sample.
+// the route not in use, and it closes with its routeSamples-th sweep
+// that may be a sample.
 //
 // Samples are taken only where the runtime's worker is in the state
 // the route keeps it in. A phased sweep leaves the worker polling for
@@ -200,7 +200,7 @@ func (r *solveRoute) pick(now time.Time) (phased, timed bool) {
 	}
 	phased = r.current()
 	timed = !opens && (phased || at-r.phasedEnd.Load() >= int64(exec.IdleSpin))
-	if timed && r.exploring.Load() && r.timed.Add(1) == routePair {
+	if timed && r.exploring.Load() && r.timed.Add(1) == routeSamples {
 		r.closeExploration()
 	}
 	return phased, timed
